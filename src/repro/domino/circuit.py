@@ -139,35 +139,41 @@ class DominoCircuit:
         """Gates ordered so drivers precede users."""
         state: Dict[str, int] = {}
         order: List[DominoGate] = []
-
-        def visit(gate: DominoGate):
-            mark = state.get(gate.name, 0)
-            if mark == 2:
-                return
-            if mark == 1:
-                raise StructureError(
-                    f"combinational cycle through gate {gate.name!r}")
-            state[gate.name] = 1
-            stackless = [leaf.signal for leaf in gate.structure.leaves()
-                         if not leaf.is_primary]
-            for signal in stackless:
-                if signal not in self._by_name:
-                    raise StructureError(
-                        f"gate {gate.name!r} references unknown driver "
-                        f"{signal!r}")
-                visit(self._by_name[signal])
-            state[gate.name] = 2
-            order.append(gate)
-
         import sys
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 10 * len(self._gates) + 1000))
         try:
             for gate in self._gates:
-                visit(gate)
+                self._visit_gate(gate, state, order)
         finally:
             sys.setrecursionlimit(old_limit)
         return order
+
+    def _visit_gate(self, gate: DominoGate, state: Dict[str, int],
+                    order: List[DominoGate]) -> None:
+        """Depth-first step of :meth:`_topological_gates`.
+
+        A method rather than a recursive closure: a closure that calls
+        itself references its own cell, a cycle only the cyclic garbage
+        collector can free.
+        """
+        mark = state.get(gate.name, 0)
+        if mark == 2:
+            return
+        if mark == 1:
+            raise StructureError(
+                f"combinational cycle through gate {gate.name!r}")
+        state[gate.name] = 1
+        stackless = [leaf.signal for leaf in gate.structure.leaves()
+                     if not leaf.is_primary]
+        for signal in stackless:
+            if signal not in self._by_name:
+                raise StructureError(
+                    f"gate {gate.name!r} references unknown driver "
+                    f"{signal!r}")
+            self._visit_gate(self._by_name[signal], state, order)
+        state[gate.name] = 2
+        order.append(gate)
 
     def validate(self, w_max: Optional[int] = None,
                  h_max: Optional[int] = None) -> None:

@@ -32,7 +32,10 @@ Discharge transistors:
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
@@ -48,6 +51,41 @@ from .cost import CostModel
 from .kernel import (AUTO_THRESHOLD, available_kernels, metric_fast_path,
                      resolve_kernel)
 from .tuples import MapTuple, TupleTable
+
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _gc_paused():
+    """Keep the cyclic garbage collector out of the enclosed block.
+
+    The DP allocates millions of short-lived candidates, and each
+    allocation burst would otherwise trigger collections that traverse
+    every live table.  Pausing is safe because a mapping run's state is
+    acyclic (a DAG of tuples, tables and views; DESIGN.md §15), so
+    reference counting alone frees every discarded candidate.
+
+    The pause is shared by every thread running a DP (the daemon maps
+    batches through ``asyncio.to_thread``): the first entrant records
+    whether the collector was enabled and disables it, the last one out
+    restores that state, also when the block raises.
+    """
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_was_enabled:
+                gc.enable()
+
 
 #: How combine_and orders its operands.
 ORDERING_RULES = ("paper", "naive", "adverse", "exhaustive")
@@ -233,7 +271,7 @@ class MappingPlan:
     #: (po_label, kind, payload): kind "signal" wires payload verbatim,
     #: kind "const" sets a constant output (payload is the bool)
     outputs: List[tuple] = field(default_factory=list)
-    #: selected gates in require()-traversal order
+    #: selected gates in _require_gate()-traversal order
     gates: List[PlannedGate] = field(default_factory=list)
     #: mapping-node id -> GateRecord for every selected gate
     gate_records: Dict[int, GateRecord] = field(default_factory=dict)
@@ -578,9 +616,10 @@ class MappingEngine:
                 else:
                     self._forced[uid] = (network.fanout_count(uid) > 1
                                          or uid in po_drivers)
-        for uid in network.topological_order():
-            if network.node(uid).type in (NodeType.AND, NodeType.OR):
-                self._process_node(uid)
+        with _gc_paused():
+            for uid in network.topological_order():
+                if network.node(uid).type in (NodeType.AND, NodeType.OR):
+                    self._process_node(uid)
         self.kernel.finalize()
         if self.cache is not None and self.cache.enabled:
             self.stats.cache_evictions += (self.cache.evictions
@@ -602,15 +641,6 @@ class MappingEngine:
 
         used = plan.gate_records
 
-        def require(uid: int) -> GateRecord:
-            record = self._gates[uid]
-            if uid in used:
-                return record
-            used[uid] = record
-            for ref in _structure_gate_refs(record.tuple.structure):
-                require(ref)
-            return record
-
         for po in network.pos:
             driver = network.node(network.node(po).fanins[0])
             if driver.type is NodeType.PI:
@@ -620,7 +650,7 @@ class MappingEngine:
                 plan.outputs.append((network.node(po).label, "const",
                                      driver.type is NodeType.CONST1))
             elif driver.type in (NodeType.AND, NodeType.OR):
-                record = require(driver.uid)
+                record = _require_gate(driver.uid, self._gates, used)
                 plan.outputs.append((network.node(po).label, "signal",
                                      f"g{record.node_id}"))
             else:
@@ -685,6 +715,24 @@ def materialize_plan(plan: MappingPlan) -> MappingResult:
         stats=plan.stats,
         kernel=getattr(plan, "kernel", "reference"),
     )
+
+
+def _require_gate(uid: int, gates: Dict[int, GateRecord],
+                  used: Dict[int, GateRecord]) -> GateRecord:
+    """Select gate ``uid`` and, depth-first, every gate its structure reads.
+
+    A module-level function rather than a closure inside
+    :meth:`MappingEngine.plan`: a recursive closure references itself
+    through its own cell, a cycle that would keep the plan's frame (and
+    with it the engine) alive until the cyclic collector runs.
+    """
+    record = gates[uid]
+    if uid in used:
+        return record
+    used[uid] = record
+    for ref in _structure_gate_refs(record.tuple.structure):
+        _require_gate(ref, gates, used)
+    return record
 
 
 def _structure_gate_refs(structure: Pulldown) -> List[int]:

@@ -164,7 +164,14 @@ class KernelProtocol(Protocol):
     active: str
 
     def build(self, engine) -> None:
-        """Bind per-run state (config, cost model, stats) from ``engine``."""
+        """Bind per-run state (config, cost model, stats) from ``engine``.
+
+        A kernel binds the values it needs and must not retain the
+        engine itself: the engine holds its kernel, so a back-reference
+        recreates a reference cycle and every finished mapping task
+        would wait for the cyclic garbage collector instead of being
+        freed by reference counting (DESIGN.md §15).
+        """
 
     def combine(self, table: TupleTable, is_or: bool,
                 view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
@@ -201,11 +208,11 @@ class ReferenceKernel:
     name = "reference"
     active = "reference"
 
-    def __init__(self):
-        self._engine = None
-
     def build(self, engine) -> None:
-        self._engine = engine
+        self._config = engine.config
+        self._metric = engine._metric_key
+        self._discharge = engine.model.discharge_cost()
+        self._stats = engine.stats
 
     def finalize(self) -> None:
         pass
@@ -215,8 +222,7 @@ class ReferenceKernel:
 
     def combine(self, table: TupleTable, is_or: bool,
                 view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
-        engine = self._engine
-        config = engine.config
+        config = self._config
         w_max = config.w_max
         h_max = config.h_max
         pbe = config.pbe_aware
@@ -225,9 +231,9 @@ class ReferenceKernel:
         adverse = ordering == "adverse" or (not pbe and ordering != "naive")
         naive = not adverse and (not pbe or ordering == "naive")
         exhaustive = not adverse and not naive and ordering == "exhaustive"
-        metric = engine._metric_key
+        metric = self._metric
         key_fn = table.key_fn
-        discharge = engine.model.discharge_cost()
+        discharge = self._discharge
         slots = table.raw_slots()
         slots_get = slots.get
         max_front = table.max_front
@@ -484,7 +490,7 @@ class ReferenceKernel:
                         if len(slot) > max_front:
                             slot.sort(key=lambda e: (e[0], e[1].p_dis))
                             del slot[max_front:]
-        stats = engine.stats
+        stats = self._stats
         stats.tuples_created += created
         stats.tuples_pruned += pruned
         stats.bound_skips += skips

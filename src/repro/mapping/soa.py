@@ -143,7 +143,7 @@ class SoAKernel:
         self._init()
 
     def _init(self):
-        self._engine = None
+        self._stats = None
         self._batches = 0
         self._candidates = 0
         self._max_batch = 0
@@ -152,7 +152,7 @@ class SoAKernel:
         self._vcols = {}
 
     def build(self, engine) -> None:
-        self._engine = engine
+        self._stats = engine.stats
         self._vcols.clear()
         config = engine.config
         self._w_max = config.w_max
@@ -245,7 +245,7 @@ class SoAKernel:
     # ------------------------------------------------------------------
     def combine(self, table: TupleTable, is_or: bool,
                 view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
-        stats = self._engine.stats
+        stats = self._stats
         self._batches += 1
         stats.soa_batches += 1
         batch = (self._gen_or if is_or else self._gen_ser)(view_a, view_b)

@@ -221,16 +221,6 @@ class TupleTable:
         """
         self._slots[shape] = list(entries)
 
-    def export_front(self, shape: Tuple[int, int]
-                     ) -> List[Tuple[float, MapTuple]]:
-        """The stored ``(key, tuple)`` pairs for ``shape``, in order.
-
-        A copy — safe to hold across further inserts.  The read half of
-        the columnwise front interchange: what :meth:`install_front`
-        wrote (or :meth:`insert` accumulated) comes back verbatim.
-        """
-        return list(self._slots.get(shape, ()))
-
     def admits(self, shape: Tuple[int, int], key, p_dis: int,
                p_tail: int = 0, par_b: bool = False) -> bool:
         """Would :meth:`insert` keep a candidate with these scalars?

@@ -68,41 +68,7 @@ class FlatGate:
 def flatten_gate(gate: DominoGate) -> FlatGate:
     """Expand ``gate``'s pulldown structure into a :class:`FlatGate`."""
     flat = FlatGate(gate=gate, bottom=FOOT if gate.footed else GND)
-    counter = [0]
-
-    def new_node() -> str:
-        counter[0] += 1
-        node = f"n{counter[0]}"
-        flat.internal_nodes.append(node)
-        return node
-
-    def expand(structure: Pulldown, upper: str, lower: str,
-               path: Tuple[int, ...]) -> None:
-        if isinstance(structure, Leaf):
-            flat.transistors.append(FlatTransistor(
-                signal=structure.signal,
-                is_primary=structure.is_primary,
-                upper=upper,
-                lower=lower,
-            ))
-            return
-        if isinstance(structure, Parallel):
-            for i, child in enumerate(structure.children):
-                expand(child, upper, lower, path + (i,))
-            return
-        if isinstance(structure, Series):
-            n = len(structure.children)
-            node_above = upper
-            for i, child in enumerate(structure.children):
-                node_below = lower if i == n - 1 else new_node()
-                expand(child, node_above, node_below, path + (i,))
-                if i < n - 1:
-                    flat.junction_of[(path, i)] = node_below
-                node_above = node_below
-            return
-        raise TypeError(f"unknown structure node {type(structure)!r}")
-
-    expand(gate.structure, TOP, flat.bottom, ())
+    _expand(flat, gate.structure, TOP, flat.bottom, ())
     for point in gate.discharge_points:
         try:
             flat.discharge_nodes.append(flat.junction_of[point])
@@ -111,3 +77,41 @@ def flatten_gate(gate: DominoGate) -> FlatGate:
                 f"gate {gate.name}: discharge point {point} does not "
                 "correspond to a junction of the structure") from None
     return flat
+
+
+def _expand(flat: FlatGate, structure: Pulldown, upper: str, lower: str,
+            path: Tuple[int, ...]) -> None:
+    """Append ``structure``'s devices between ``upper`` and ``lower``.
+
+    A module-level function rather than a recursive closure inside
+    :func:`flatten_gate`: a closure that calls itself references its own
+    cell, a cycle only the cyclic garbage collector can free.
+    """
+    if isinstance(structure, Leaf):
+        flat.transistors.append(FlatTransistor(
+            signal=structure.signal,
+            is_primary=structure.is_primary,
+            upper=upper,
+            lower=lower,
+        ))
+        return
+    if isinstance(structure, Parallel):
+        for i, child in enumerate(structure.children):
+            _expand(flat, child, upper, lower, path + (i,))
+        return
+    if isinstance(structure, Series):
+        n = len(structure.children)
+        node_above = upper
+        for i, child in enumerate(structure.children):
+            if i == n - 1:
+                node_below = lower
+            else:
+                # junctions are numbered n1, n2, ... in creation order
+                node_below = f"n{len(flat.internal_nodes) + 1}"
+                flat.internal_nodes.append(node_below)
+            _expand(flat, child, node_above, node_below, path + (i,))
+            if i < n - 1:
+                flat.junction_of[(path, i)] = node_below
+            node_above = node_below
+        return
+    raise TypeError(f"unknown structure node {type(structure)!r}")
