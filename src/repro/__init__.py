@@ -114,7 +114,7 @@ from .resilience import (
     plan_from_spec,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BatchDeadlineError",

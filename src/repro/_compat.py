@@ -34,17 +34,13 @@ class Shim:
 
 #: Every deprecation shim left in the package.  Each entry corresponds
 #: to exactly one ``deprecated(...)`` call site; retiring a shim means
-#: deleting both the call site and its row here.  (The three 0.5 shims
-#: — the positional-CostModel ``map_network`` call form, the loose
-#: ``soi_domino_map`` keyword switches, and the
-#: ``MappingResult.tuples_created`` alias — were removed on schedule.)
-SHIMS: Tuple[Shim, ...] = (
-    Shim(name="repro.mapping.soa.SoAKernel() direct construction",
-         replacement="the kernel registry (MapperConfig(kernel='soa') "
-                     "/ register_kernel)",
-         remove_in="0.7"),
-)
-
+#: deleting both the call site and its row here.  Empty since 0.7: the
+#: 0.5 shims (the positional-CostModel ``map_network`` call form, the
+#: loose ``soi_domino_map`` keyword switches, the
+#: ``MappingResult.tuples_created`` alias) and the 0.7 one (direct
+#: ``SoAKernel()`` construction, which is plain construction again)
+#: were all removed on schedule.
+SHIMS: Tuple[Shim, ...] = ()
 
 def deprecated(message: str, *, remove_in: Optional[str] = None,
                stacklevel: int = _CALLER) -> None:

@@ -568,9 +568,9 @@ def _soa_factory(engine):
         # the oracle, so the run degrades to the reference kernel.
         engine.stats.kernel_fallbacks += 1
         return ReferenceKernel()
-    from .soa import make_soa_kernel
+    from .soa import SoAKernel
 
-    return make_soa_kernel()
+    return SoAKernel()
 
 
 def _auto_factory(engine):
@@ -580,9 +580,9 @@ def _auto_factory(engine):
     if not metric_vectorizable(engine.model):
         engine.stats.kernel_fallbacks += 1
         return ReferenceKernel()
-    from .soa import make_soa_kernel
+    from .soa import SoAKernel
 
-    return AutoKernel(ReferenceKernel(), make_soa_kernel(),
+    return AutoKernel(ReferenceKernel(), SoAKernel(),
                       threshold=engine.config.auto_threshold)
 
 

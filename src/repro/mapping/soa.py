@@ -27,16 +27,16 @@ Bit-identity with the reference kernel is the contract (DESIGN.md §12):
   ``(key, p_dis)`` — one stable ``np.lexsort`` — which is precisely
   what the reference's strict-``<`` incumbent replacement converges to.
   Accept events (for stats parity) are counted with a segmented prefix
-  minimum over the lex ranks, no per-group Python loop.  When the keys
-  fit an exact integer image (integral costs, or float32-exact values),
-  ``(key, p_dis)`` packs into one int64 word and the whole selection
-  runs as a packed segmented prefix minimum with a single one-pass
-  radix argsort on the shape id.  Realistic cost models defeat the
-  pack — fanout amortization (``wcost / fanout`` in the area-flow
-  seed) makes most keys binary-infinite fractions — so the workhorse
-  is the sort path: a monotone uint16-digit image of the f64 key keeps
-  ``np.lexsort`` on its radix path end to end (sticky per-run downgrade
-  ladder int16 -> f32 image -> f64 image, re-validated every batch).
+  minimum over the lex ranks, no per-group Python loop.  The key enters
+  the sort as a monotone uint16-digit image of its f64 bits
+  (:func:`_key_cols`), so ``np.lexsort`` stays on numpy's radix path
+  end to end whenever the shape ids and ``p_dis`` fit int16, which is
+  every limit pair with ``(w_max+1)(h_max+1) < 32000``; larger limits
+  take the same lexsort on the raw columns (a comparison sort).  It is
+  the only selection path: realistic cost models make most keys
+  binary-infinite fractions (fanout amortization divides ``wcost`` by
+  the fanout in the area-flow seed), so narrower key images would
+  rarely apply; DESIGN.md §12 gives the per-workload path count.
 * PBE pareto mode: the bounded front (``max_front`` truncation) is a
   sequential recurrence — dropping a tuple can resurrect one it would
   have dominated, so candidates cannot be reduced independently — but
@@ -90,21 +90,8 @@ from typing import List
 
 import numpy as np
 
-from .._compat import deprecated
 from .kernel import metric_fast_path
 from .tuples import MapTuple, TupleTable
-
-
-def make_soa_kernel() -> "SoAKernel":
-    """A fresh :class:`SoAKernel`, the registry's construction path.
-
-    The only supported way to instantiate the kernel: direct
-    ``SoAKernel()`` construction is deprecated (remove_in 0.7) in favor
-    of the kernel registry, and the built-in factories route here.
-    """
-    kernel = SoAKernel.__new__(SoAKernel)
-    kernel._init()
-    return kernel
 
 
 #: The MapTuple fields ``_cols`` gathers, in column order.
@@ -112,14 +99,27 @@ _COL_FIELDS = attrgetter("width", "height", "wcost", "levels", "p_dis",
                          "p_tail", "par_b", "ends_par", "trans", "disch",
                          "has_pi")
 
-#: uint16 digits of a uint64/uint32, least significant first
-#: (endian-aware).
+#: uint16 digits of a uint64, least significant first (endian-aware).
 _DIGITS = (0, 1, 2, 3) if np.little_endian else (3, 2, 1, 0)
-_DIGITS32 = (0, 1) if np.little_endian else (1, 0)
 _SIGN64 = np.uint64(1 << 63)
-_SIGN32 = np.uint32(1 << 31)
 _U63 = np.uint64(63)
-_U31 = np.uint32(31)
+
+
+def _key_cols(key):
+    """Radix digits of the float64 ``key``, least significant first.
+
+    The double maps to its order-isomorphic uint64 image (sign bit set
+    for non-negatives, all bits flipped for negatives) split into four
+    uint16 digits, so an LSD ``np.lexsort`` over them reproduces the
+    exact float order on numpy's radix path.  Both zeros map to one
+    image so a ``-0.0``/``+0.0`` tie keeps arrival order.
+    """
+    kb = key.view(np.uint64)
+    ku = np.where(kb >> _U63 != 0, ~kb, kb | _SIGN64)
+    ku[key == 0.0] = _SIGN64
+    d = ku.view(np.uint16).reshape(-1, 4)
+    return (d[:, _DIGITS[0]], d[:, _DIGITS[1]],
+            d[:, _DIGITS[2]], d[:, _DIGITS[3]])
 
 
 class SoAKernel:
@@ -135,14 +135,6 @@ class SoAKernel:
     _PARETO_TAIL = 48
 
     def __init__(self):
-        deprecated(
-            "constructing repro.mapping.soa.SoAKernel directly is "
-            "deprecated; select it through the kernel registry instead "
-            "(MapperConfig(kernel='soa'), or register_kernel() for a "
-            "custom factory)", remove_in="0.7")
-        self._init()
-
-    def _init(self):
         self._stats = None
         self._batches = 0
         self._candidates = 0
@@ -175,29 +167,6 @@ class SoAKernel:
         # <=16-bit integers, and the radix path sorts ~4x faster than a
         # comparison sort, so it is worth gating on.
         self._i16 = (config.w_max + 1) * (config.h_max + 1) < 32000
-        # Key-image ladder for _key_cols: 0 = int16 (one radix pass),
-        # 1 = float32 image (two), 2 = float64 image (four).  Sticky
-        # downgrade: once a batch's keys outgrow a level it never comes
-        # back (the equality check still runs every batch — soundness
-        # never rests on the cached level).
-        self._kimg = 0
-        # Compound-packing budget for _pack: (key, p_dis) as one int64
-        # whose strict < is the lex order.  pd_bits bounds p_dis (device
-        # count <= w_max * h_max); g_bits bounds the per-batch group
-        # count (shapes <= (w_max+1) * (h_max+1)); the key gets what is
-        # left of 59 bits so group offsets never overflow an int64.
-        pb = max((config.w_max * config.h_max).bit_length(), 1)
-        gb = ((config.w_max + 1) * (config.h_max + 1)).bit_length()
-        kb = 59 - pb - gb
-        self._span = 1 << pb
-        self._kint_max = 1 << min(kb, 52) if kb > 0 else 0
-        self._off_int = 1 << (min(kb, 52) + pb + 2)
-        self._f32_ok = kb >= 32
-        self._off_f32 = 1 << (32 + pb + 1)
-        #: pack ladder: 0 = integer keys, 1 = float32 image, 2 = give up
-        #: (rank-compressing via np.unique was tried here and lost: its
-        #: comparison sort costs more than the radix lexsort it avoids)
-        self._pimg = 0
         metric = metric_fast_path(engine.model)
         if metric is None:  # resolve_kernel guarantees otherwise
             raise RuntimeError(
@@ -506,106 +475,11 @@ class SoAKernel:
         return (sid.astype(np.int16),
                 None if p_dis is None else p_dis.astype(np.int16))
 
-    def _order(self, sid_s, key, pd_s):
-        """Stable order by (shape id, key, p_dis, arrival).
-
-        The float key is mapped to its order-isomorphic unsigned-int
-        image and split into uint16 digits, so the whole lexsort runs on
-        numpy's radix path (LSD radix over the digits reproduces the
-        exact integer — hence float — order).  When every key survives a
-        float32 round trip (distinct doubles stay distinct, order and
-        equality intact — always true for integer-like area costs) the
-        image needs two digits instead of four.  Zero keys are
-        normalized to one image so a -0.0/+0.0 tie cannot disturb
-        arrival order.
-        """
-        if self._i16:
-            cols = self._key_cols(key) + (sid_s,)
-            if pd_s is not None:
-                cols = (pd_s,) + cols
-            return np.lexsort(cols)
-        if pd_s is None:
-            return np.lexsort((key, sid_s))
-        return np.lexsort((pd_s, key, sid_s))
-
-    def _pack(self, key, pd_s):
-        """``(pack, off)``: int64 image of ``(key, p_dis)``, or None.
-
-        Strict ``<`` on the pack is exactly lexicographic
-        ``(key, p_dis)``, which turns per-slot winner selection and
-        accept counting into a segmented prefix minimum in arrival
-        order — no sort over the key at all.  Integer-valued keys (all
-        built-in cost models) embed directly; otherwise a verified
-        float32 round trip supplies an order-isomorphic uint32 image.
-        ``off`` is a power of two exceeding the pack range, used to
-        separate shape groups under one global running minimum.  Sticky
-        downgrade as in :meth:`_key_cols`; returns None (caller falls
-        back to the sort path) when the key fits neither form.
-        """
-        lvl = self._pimg
-        if lvl == 2:
-            return None
-        with np.errstate(invalid="ignore"):
-            if lvl == 0:
-                ki = key.astype(np.int64)
-                if (np.array_equal(ki, key)
-                        and int(ki.min()) > -self._kint_max
-                        and int(ki.max()) < self._kint_max):
-                    pack = ki * self._span
-                    if pd_s is not None:
-                        pack += pd_s
-                    return pack, self._off_int
-                self._pimg = lvl = 1
-            if lvl == 1 and self._f32_ok:
-                k32 = key.astype(np.float32)
-                if np.array_equal(k32, key):
-                    kb = k32.view(np.uint32)
-                    ku = np.where(kb >> _U31 != 0, ~kb, kb | _SIGN32)
-                    ku[k32 == 0.0] = _SIGN32
-                    pack = ku.astype(np.int64) * self._span
-                    if pd_s is not None:
-                        pack += pd_s
-                    return pack, self._off_f32
-        self._pimg = 2
-        return None
-
-    def _key_cols(self, key):
-        """Radix digits of ``key``, least significant first.
-
-        Integer-valued keys below 2**15 (plain area costs) sort in one
-        int16 pass; keys that survive a float32 round trip in two; the
-        general double in four.  Each cast is verified by exact
-        equality, so a passing level is a proof that distinct doubles
-        stay distinct with order intact.
-        """
-        lvl = self._kimg
-        with np.errstate(invalid="ignore"):
-            if lvl == 0:
-                k16 = key.astype(np.int16)
-                if np.array_equal(k16, key):
-                    return (k16,)
-                self._kimg = lvl = 1
-            if lvl == 1:
-                k32 = key.astype(np.float32)
-                if np.array_equal(k32, key):
-                    kb = k32.view(np.uint32)
-                    ku = np.where(kb >> _U31 != 0, ~kb, kb | _SIGN32)
-                    ku[k32 == 0.0] = _SIGN32
-                    d = ku.view(np.uint16).reshape(-1, 2)
-                    return (d[:, _DIGITS32[0]], d[:, _DIGITS32[1]])
-                self._kimg = 2
-        kb = key.view(np.uint64)
-        ku = np.where(kb >> _U63 != 0, ~kb, kb | _SIGN64)
-        ku[key == 0.0] = _SIGN64
-        d = ku.view(np.uint16).reshape(-1, 4)
-        return (d[:, _DIGITS[0]], d[:, _DIGITS[1]],
-                d[:, _DIGITS[2]], d[:, _DIGITS[3]])
-
     # ------------------------------------------------------------------
-    # slot grouping (shared by both reducers)
+    # the two reducers
     # ------------------------------------------------------------------
     def _group(self, sid, n):
-        """``(gorder, newgrp, starts, seg)`` for the batch's shape groups.
+        """``(gorder, sid_g, starts, seg)`` for the batch's shape groups.
 
         ``gorder`` sorts candidates stably by shape id (arrival order
         within each group); ``starts`` bounds the groups; ``seg`` is the
@@ -622,67 +496,24 @@ class SoAKernel:
         return gorder, sid_g, starts, seg
 
     def _reduce_single(self, table, batch, is_or, view_a, view_b):
+        """Single-mode selection: one stable sort, first element per slot.
+
+        Stable lexsort: primary shape, then (key, p_dis), ties in
+        arrival order — the first element of each shape group is the
+        first occurrence of the lexicographic minimum, exactly the
+        incumbent the reference's strict-< replacement ends up with.
+        """
         n = batch["n"]
         sid = batch["sid"]
         key = batch["key"]
         sid_s, pd_s = self._sort_cols(batch)
-        packoff = self._pack(key, pd_s) if self._i16 else None
-        if packoff is not None:
-            # Packed path: strict < on the int64 pack is lexicographic
-            # (key, p_dis), so the reference's strict-< incumbent
-            # replacement is a running minimum of the pack in arrival
-            # order.  One stable (radix) argsort on the shape id lays
-            # candidates out group-by-group with arrival order intact;
-            # per-group offsets larger than the pack range then let a
-            # single global prefix minimum reset at group boundaries.
-            pack, off = packoff
-            gorder = np.argsort(sid_s, kind="stable")
-            sid_g = sid_s[gorder]
-            newgrp = np.empty(n, dtype=bool)
-            newgrp[0] = True
-            np.not_equal(sid_g[1:], sid_g[:-1], out=newgrp[1:])
-            starts = np.flatnonzero(newgrp)
-            G = starts.size
-            seg = np.cumsum(newgrp)
-            rr = pack[gorder] + (G + 1 - seg) * off
-            cm = np.minimum.accumulate(rr)
-            # Accept events (stats parity): every strict running
-            # minimum (group firsts included, via the offset drop).
-            accepts = 1 + int(np.count_nonzero(rr[1:] < cm[:-1]))
-            # The slot winner is the *first* position attaining the
-            # group's final minimum: cm is non-increasing, so within a
-            # group cm == final-min marks a suffix whose length counts
-            # back to the first attainment.
-            ends = np.empty(G, dtype=np.int64)
-            ends[:-1] = starts[1:]
-            ends[-1] = n
-            hits = cm == np.repeat(cm[ends - 1], ends - starts)
-            hitn = np.add.reduceat(hits.astype(np.int64), starts)
-            winners = gorder[ends - hitn]
-            # Slots are created in each shape's first-arrival order.
-            first_arrival = np.minimum.reduceat(gorder, starts)
-            winners = winners[np.argsort(first_arrival, kind="stable")]
-        else:
-            winners, accepts = self._select_sorted(batch, sid_s, pd_s, n)
-        slots = table.raw_slots()
-        ws = sid[winners]
-        wl = (ws // self._hstride).tolist()
-        hl = (ws % self._hstride).tolist()
-        kl = key[winners].tolist()
-        mats = self._mat_many(batch, winners, is_or, view_a, view_b)
-        for w_, h_, k_, m_ in zip(wl, hl, kl, mats):
-            slots[(w_, h_)] = [(k_, m_)]
-        return accepts, n - accepts
-
-    def _select_sorted(self, batch, sid_s, pd_s, n):
-        """Sort-based single-mode selection (keys that defeat _pack).
-
-        Stable lexsort: primary shape, then (key, p_dis), ties in
-        original order — the first element of each shape group is the
-        first occurrence of the lexicographic minimum, exactly the
-        incumbent the reference's strict-< replacement ends up with.
-        """
-        order = self._order(sid_s, batch["key"], pd_s)
+        # With int16 sort columns the key enters as its radix digits and
+        # the whole lexsort runs on numpy's radix path; otherwise every
+        # column sorts by comparison.
+        cols = (_key_cols(key) if self._i16 else (key,)) + (sid_s,)
+        if pd_s is not None:
+            cols = (pd_s,) + cols
+        order = np.lexsort(cols)
         sid_o = sid_s[order]
         newgrp = np.empty(n, dtype=bool)
         newgrp[0] = True
@@ -704,7 +535,15 @@ class SoAKernel:
         # minimum of the arrival index).
         first_arrival = np.minimum.reduceat(order, starts)
         winners = order[starts][np.argsort(first_arrival, kind="stable")]
-        return winners, accepts
+        slots = table.raw_slots()
+        ws = sid[winners]
+        wl = (ws // self._hstride).tolist()
+        hl = (ws % self._hstride).tolist()
+        kl = key[winners].tolist()
+        mats = self._mat_many(batch, winners, is_or, view_a, view_b)
+        for w_, h_, k_, m_ in zip(wl, hl, kl, mats):
+            slots[(w_, h_)] = [(k_, m_)]
+        return accepts, n - accepts
 
     def _pareto_prereject(self, gpack, GmA, GmT, sh_d, hi_bits, seg,
                           starts, G, n):
@@ -764,41 +603,25 @@ class SoAKernel:
         # within one slot, so the within-group rank image preserves
         # every <= / == outcome while turning fractional keys into
         # exact small ints that fit a packed word.
-        rank = None
-        if self._kimg == 0:
-            # Exact small-integer keys (every built-in area model):
-            # the key value IS a small exact int, so it packs directly
-            # and the per-group rank sort disappears.  A failed check
-            # downgrades the shared sticky ladder; negative keys just
-            # take the rank path without downgrading.
-            k16 = gk.astype(np.int16)
-            if np.array_equal(k16, gk):
-                if int(k16.min()) >= 0:
-                    rank = k16.astype(np.int64)
-            else:
-                self._kimg = 1
-        if rank is None:
-            if self._i16:
-                # Same radix-digit ladder as the single-mode sort:
-                # every column <= 16 bits keeps np.lexsort on its
-                # radix path.
-                ord2 = np.lexsort(self._key_cols(gk)
-                                  + (seg.astype(np.int16),))
-            else:
-                ord2 = np.lexsort((gk, seg))
-            sk2 = gk[ord2]
-            sg2 = seg[ord2]
-            gchg = np.empty(n, dtype=bool)
-            gchg[0] = True
-            np.not_equal(sg2[1:], sg2[:-1], out=gchg[1:])
-            newv = np.empty(n, dtype=bool)
-            newv[0] = True
-            np.not_equal(sk2[1:], sk2[:-1], out=newv[1:])
-            np.logical_or(newv, gchg, out=newv)
-            dense = np.cumsum(newv)
-            base = dense[np.flatnonzero(gchg)]
-            rank = np.empty(n, dtype=np.int64)
-            rank[ord2] = dense - base[sg2]
+        if self._i16:
+            # Same radix digits as the single-mode sort: every column
+            # <= 16 bits keeps np.lexsort on its radix path.
+            ord2 = np.lexsort(_key_cols(gk) + (seg.astype(np.int16),))
+        else:
+            ord2 = np.lexsort((gk, seg))
+        sk2 = gk[ord2]
+        sg2 = seg[ord2]
+        gchg = np.empty(n, dtype=bool)
+        gchg[0] = True
+        np.not_equal(sg2[1:], sg2[:-1], out=gchg[1:])
+        newv = np.empty(n, dtype=bool)
+        newv[0] = True
+        np.not_equal(sk2[1:], sk2[:-1], out=newv[1:])
+        np.logical_or(newv, gchg, out=newv)
+        dense = np.cumsum(newv)
+        base = dense[np.flatnonzero(gchg)]
+        rank = np.empty(n, dtype=np.int64)
+        rank[ord2] = dense - base[sg2]
         counts0 = np.empty(G, dtype=np.int64)
         counts0[:-1] = starts[1:] - starts[:-1]
         counts0[-1] = n - starts[-1]

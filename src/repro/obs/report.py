@@ -18,9 +18,11 @@ shapes.  Every report now shares the same top-level keys:
 ``timings``
     ``elapsed_s`` / ``wall_s`` plus a ``passes`` name→seconds map.
 
-Pre-existing keys of each surface (``elapsed_s``, ``config``, ``cost``,
-``passes`` records, bench's ``aggregate``…) are kept as aliases for one
-release, so existing consumers keep parsing.
+Beyond the header each surface carries its own payload: ``map`` adds
+``config``, ``cost`` and the per-pass ``passes`` records (the only place
+the report holds the full config, the circuit cost, and each pass's
+record), ``batch`` its per-task ``results``, and ``bench`` keeps its
+``soidomino-bench/1`` body (``aggregate``, ``sweep``…) under the header.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ def flow_report(result, *, cost_objective: Optional[str] = None,
                 digest: Optional[str] = None) -> Dict[str, object]:
     """Unified report of one :class:`~repro.mapping.FlowResult`.
 
-    Extends the pre-obs ``map --json`` payload (every old key survives
-    as an alias) with the shared header and ``timings`` block.
+    The shared header and ``timings`` block, plus the run's kernel
+    routing, ``config``, ``cost`` and per-pass records.
     """
     from dataclasses import asdict
 
@@ -82,8 +84,6 @@ def flow_report(result, *, cost_objective: Optional[str] = None,
             "elapsed_s": result.elapsed_s,
             "passes": pass_seconds,
         },
-        # pre-schema_version aliases (kept for one release)
-        "elapsed_s": result.elapsed_s,
         "config": asdict(result.config),
         "cost": result.cost.as_dict(),
         "passes": [r.as_dict() for r in result.passes],

@@ -30,17 +30,19 @@ a miss / no-op and bumps the ``errors`` counter instead of raising.
 
 Cumulative counters (hits / misses / stores / evictions) are persisted
 in the database itself, so ``soidomino cache`` reports totals across
-every process and daemon restart that ever touched the file.
+every process and daemon restart that ever touched the file.  The
+connection, schema-version, counter and degrade-on-error machinery is
+:class:`repro._sqlite.WalDatabase`, shared with the service's job
+journal.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import sqlite3
-import threading
 import time
 from typing import Dict, Optional
+
+from .._sqlite import WalDatabase, default_db_path
 
 #: Bump when the entry payload format (pickled template schema) changes;
 #: stores written under another version are cleared on open.
@@ -54,15 +56,10 @@ def default_store_path() -> str:
 
     ``SOIDOMINO_CACHE_DB`` wins; otherwise a per-user cache path.
     """
-    env = os.environ.get("SOIDOMINO_CACHE_DB")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME",
-                          os.path.join(os.path.expanduser("~"), ".cache"))
-    return os.path.join(base, "soidomino", "cones.sqlite")
+    return default_db_path("SOIDOMINO_CACHE_DB", "cones.sqlite")
 
 
-class CacheStore:
+class CacheStore(WalDatabase):
     """Checksummed sqlite key/value store for templated DP tables.
 
     Parameters
@@ -72,175 +69,103 @@ class CacheStore:
         ``":memory:"`` is supported for tests (single-process only).
     """
 
+    SCHEMA_VERSION = SCHEMA_VERSION
+    SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS entries ("
+        " key TEXT PRIMARY KEY,"
+        " payload BLOB NOT NULL,"
+        " checksum TEXT NOT NULL,"
+        " created_s REAL NOT NULL,"
+        " last_used_s REAL NOT NULL,"
+        " hits INTEGER NOT NULL DEFAULT 0)",
+    )
+    DATA_TABLES = ("entries",)
+
     def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.Lock()
-        self._conn: Optional[sqlite3.Connection] = None
-        self._pid: Optional[int] = None
+        super().__init__(path)
         #: session-local (this process, this object) op counters
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        self.errors = 0
-
-    # ------------------------------------------------------------------
-    # connection / schema
-    # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        """The process-local connection, (re)opened after a fork."""
-        pid = os.getpid()
-        if self._conn is None or self._pid != pid:
-            if self._conn is not None and self._pid == pid:
-                self._conn.close()
-            if self.path != ":memory:":
-                parent = os.path.dirname(os.path.abspath(self.path))
-                os.makedirs(parent, exist_ok=True)
-            conn = sqlite3.connect(self.path, timeout=30.0,
-                                   check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            self._init_schema(conn)
-            self._conn = conn
-            self._pid = pid
-        return self._conn
-
-    @staticmethod
-    def _init_schema(conn: sqlite3.Connection) -> None:
-        with conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta ("
-                " key TEXT PRIMARY KEY, value TEXT)")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                " key TEXT PRIMARY KEY,"
-                " payload BLOB NOT NULL,"
-                " checksum TEXT NOT NULL,"
-                " created_s REAL NOT NULL,"
-                " last_used_s REAL NOT NULL,"
-                " hits INTEGER NOT NULL DEFAULT 0)")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS counters ("
-                " name TEXT PRIMARY KEY, value INTEGER NOT NULL)")
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(SCHEMA_VERSION)))
-            elif row[0] != str(SCHEMA_VERSION):
-                # a store written by an incompatible payload schema:
-                # templates would not unpickle meaningfully — start over
-                conn.execute("DELETE FROM entries")
-                conn.execute("DELETE FROM counters")
-                conn.execute(
-                    "UPDATE meta SET value=? WHERE key='schema_version'",
-                    (str(SCHEMA_VERSION),))
-
-    def _bump(self, conn: sqlite3.Connection, name: str,
-              amount: int = 1) -> None:
-        conn.execute(
-            "INSERT INTO counters (name, value) VALUES (?, ?) "
-            "ON CONFLICT(name) DO UPDATE SET value = value + ?",
-            (name, amount, amount))
 
     # ------------------------------------------------------------------
     # key/value operations
     # ------------------------------------------------------------------
-    @staticmethod
-    def checksum(payload: bytes) -> str:
-        return hashlib.sha256(payload).hexdigest()
-
     def get(self, key: str) -> Optional[bytes]:
         """Fetch and integrity-check one payload; ``None`` on miss.
 
         A checksum mismatch deletes the row (poison eviction) and
         reports a miss.
         """
-        try:
-            with self._lock:
-                conn = self._connect()
-                row = conn.execute(
-                    "SELECT payload, checksum FROM entries WHERE key=?",
-                    (key,)).fetchone()
-                if row is None:
-                    self.misses += 1
-                    with conn:
-                        self._bump(conn, "misses")
-                    return None
-                payload, stored_sum = row
-                payload = bytes(payload)
-                if self.checksum(payload) != stored_sum:
-                    self.evictions += 1
-                    self.misses += 1
-                    with conn:
-                        conn.execute("DELETE FROM entries WHERE key=?",
-                                     (key,))
-                        self._bump(conn, "evictions")
-                        self._bump(conn, "misses")
-                    return None
-                self.hits += 1
+        def op(conn):
+            row = conn.execute(
+                "SELECT payload, checksum FROM entries WHERE key=?",
+                (key,)).fetchone()
+            if row is None:
+                self.misses += 1
                 with conn:
-                    conn.execute(
-                        "UPDATE entries SET last_used_s=?, hits=hits+1 "
-                        "WHERE key=?", (time.time(), key))
-                    self._bump(conn, "hits")
-                return payload
-        except sqlite3.Error:
-            self.errors += 1
-            return None
+                    self.bump(conn, "misses")
+                return None
+            payload, stored_sum = row
+            payload = bytes(payload)
+            if self.checksum(payload) != stored_sum:
+                self.evictions += 1
+                self.misses += 1
+                with conn:
+                    conn.execute("DELETE FROM entries WHERE key=?", (key,))
+                    self.bump(conn, "evictions")
+                    self.bump(conn, "misses")
+                return None
+            self.hits += 1
+            with conn:
+                conn.execute(
+                    "UPDATE entries SET last_used_s=?, hits=hits+1 "
+                    "WHERE key=?", (time.time(), key))
+                self.bump(conn, "hits")
+            return payload
+        return self.run(op, None)
 
     def put(self, key: str, payload: bytes) -> bool:
         """Store one payload (first writer wins); True if inserted."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                now = time.time()
-                with conn:
-                    cursor = conn.execute(
-                        "INSERT OR IGNORE INTO entries "
-                        "(key, payload, checksum, created_s, last_used_s) "
-                        "VALUES (?, ?, ?, ?, ?)",
-                        (key, payload, self.checksum(payload), now, now))
-                    if cursor.rowcount:
-                        self._bump(conn, "stores")
+        def op(conn):
+            now = time.time()
+            with conn:
+                cursor = conn.execute(
+                    "INSERT OR IGNORE INTO entries "
+                    "(key, payload, checksum, created_s, last_used_s) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (key, payload, self.checksum(payload), now, now))
                 if cursor.rowcount:
-                    self.stores += 1
-                    return True
-                return False
-        except sqlite3.Error:
-            self.errors += 1
+                    self.bump(conn, "stores")
+            if cursor.rowcount:
+                self.stores += 1
+                return True
             return False
+        return self.run(op, False)
 
     def delete(self, key: str, *, poison: bool = False) -> None:
         """Drop one entry; ``poison=True`` also counts an eviction
         (used by the caller when a checksum-valid payload fails to
         deserialize — stale pickle schema, foreign bytes)."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                with conn:
-                    conn.execute("DELETE FROM entries WHERE key=?", (key,))
-                    if poison:
-                        self._bump(conn, "evictions")
+        def op(conn):
+            with conn:
+                conn.execute("DELETE FROM entries WHERE key=?", (key,))
                 if poison:
-                    self.evictions += 1
-        except sqlite3.Error:
-            self.errors += 1
+                    self.bump(conn, "evictions")
+            if poison:
+                self.evictions += 1
+        self.run(op, None)
 
     # ------------------------------------------------------------------
     # accounting / lifecycle
     # ------------------------------------------------------------------
+    @staticmethod
+    def _count(conn) -> int:
+        return conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+
     def __len__(self) -> int:
-        try:
-            with self._lock:
-                conn = self._connect()
-                return conn.execute(
-                    "SELECT COUNT(*) FROM entries").fetchone()[0]
-        except sqlite3.Error:
-            self.errors += 1
-            return 0
+        return self.run(self._count, 0)
 
     def size_bytes(self) -> int:
         """Size on disk (main file + WAL sidecars, when present)."""
@@ -256,19 +181,9 @@ class CacheStore:
 
     def stats(self) -> Dict[str, object]:
         """Cross-process cumulative counters plus this-session ones."""
-        cumulative = dict.fromkeys(_COUNTERS, 0)
-        entries = 0
-        try:
-            with self._lock:
-                conn = self._connect()
-                for name, value in conn.execute(
-                        "SELECT name, value FROM counters"):
-                    if name in cumulative:
-                        cumulative[name] = value
-                entries = conn.execute(
-                    "SELECT COUNT(*) FROM entries").fetchone()[0]
-        except sqlite3.Error:
-            self.errors += 1
+        cumulative, entries = self.run(
+            lambda conn: (self.counters(conn, _COUNTERS), self._count(conn)),
+            (dict.fromkeys(_COUNTERS, 0), 0))
         requests = cumulative["hits"] + cumulative["misses"]
         return {
             "path": self.path,
@@ -284,26 +199,11 @@ class CacheStore:
     def clear(self) -> int:
         """Drop every entry and reset the cumulative counters; returns
         the number of entries removed."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                with conn:
-                    removed = conn.execute(
-                        "SELECT COUNT(*) FROM entries").fetchone()[0]
-                    conn.execute("DELETE FROM entries")
-                    conn.execute("DELETE FROM counters")
-                conn.execute("VACUUM")
-                return removed
-        except sqlite3.Error:
-            self.errors += 1
-            return 0
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None and self._pid == os.getpid():
-                self._conn.close()
-            self._conn = None
-            self._pid = None
-
-    def __repr__(self) -> str:
-        return f"CacheStore(path={self.path!r})"
+        def op(conn):
+            with conn:
+                removed = self._count(conn)
+                conn.execute("DELETE FROM entries")
+                conn.execute("DELETE FROM counters")
+            conn.execute("VACUUM")
+            return removed
+        return self.run(op, 0)

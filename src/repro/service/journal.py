@@ -28,22 +28,21 @@ answers "has this key ever been journaled?" so a client that re-sends a
 submit after a connection error gets the original job back instead of
 double-running it.
 
-Like the cone store, a journal failure must never fail a job: every
-operation degrades to a no-op/miss and bumps ``errors`` instead of
-raising, connections are per-pid (fork safety), and writes are
-single-statement WAL transactions.  A service constructed with
-``journal_path=None`` skips every call — today's in-memory behaviour,
-bit-identically, at zero overhead.
+Like the cone store, and through the same
+:class:`repro._sqlite.WalDatabase` helper, a journal failure must never
+fail a job: every operation degrades to a no-op/miss and bumps
+``errors`` instead of raising, connections are per-pid (fork safety),
+and writes are single-statement WAL transactions.  A service
+constructed with ``journal_path=None`` skips every call — today's
+in-memory behaviour, bit-identically, at zero overhead.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import sqlite3
-import threading
 from typing import Dict, List, Optional, Tuple
+
+from .._sqlite import WalDatabase, default_db_path
 
 #: Bump when the row payload format changes; journals written under
 #: another version are cleared on open (jobs would not restore
@@ -64,12 +63,7 @@ def default_journal_path() -> str:
     ``REPRO_JOURNAL`` wins; otherwise a per-user cache path next to the
     cone store.
     """
-    env = os.environ.get(JOURNAL_ENV)
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME",
-                          os.path.join(os.path.expanduser("~"), ".cache"))
-    return os.path.join(base, "soidomino", "journal.sqlite")
+    return default_db_path(JOURNAL_ENV, "journal.sqlite")
 
 
 class RecoveredJob:
@@ -100,7 +94,7 @@ class RecoveredJob:
         self.events = events
 
 
-class JobJournal:
+class JobJournal(WalDatabase):
     """Checksummed sqlite write-ahead journal for service jobs.
 
     Parameters
@@ -110,134 +104,67 @@ class JobJournal:
         ``":memory:"`` is supported for tests (single-process only).
     """
 
-    def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.Lock()
-        self._conn: Optional[sqlite3.Connection] = None
-        self._pid: Optional[int] = None
-        #: operations that hit a sqlite error and degraded to a no-op
-        self.errors = 0
-
-    # ------------------------------------------------------------------
-    # connection / schema
-    # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        pid = os.getpid()
-        if self._conn is None or self._pid != pid:
-            if self._conn is not None and self._pid == pid:
-                self._conn.close()
-            if self.path != ":memory:":
-                parent = os.path.dirname(os.path.abspath(self.path))
-                os.makedirs(parent, exist_ok=True)
-            conn = sqlite3.connect(self.path, timeout=30.0,
-                                   check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            self._init_schema(conn)
-            self._conn = conn
-            self._pid = pid
-        return self._conn
-
-    @staticmethod
-    def _init_schema(conn: sqlite3.Connection) -> None:
-        with conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta ("
-                " key TEXT PRIMARY KEY, value TEXT)")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS jobs ("
-                " id TEXT PRIMARY KEY,"
-                " idempotency_key TEXT,"
-                " tenant TEXT NOT NULL,"
-                " priority INTEGER NOT NULL,"
-                " spec TEXT NOT NULL,"
-                " state TEXT NOT NULL,"
-                " attempts INTEGER NOT NULL DEFAULT 0,"
-                " created_s REAL NOT NULL,"
-                " started_s REAL,"
-                " finished_s REAL,"
-                " error TEXT,"
-                " result BLOB,"
-                " result_checksum TEXT)")
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS jobs_idempotency"
-                " ON jobs (idempotency_key)")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS events ("
-                " job_id TEXT NOT NULL,"
-                " seq INTEGER NOT NULL,"
-                " event TEXT NOT NULL,"
-                " PRIMARY KEY (job_id, seq))")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS counters ("
-                " name TEXT PRIMARY KEY, value INTEGER NOT NULL)")
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(SCHEMA_VERSION)))
-            elif row[0] != str(SCHEMA_VERSION):
-                conn.execute("DELETE FROM jobs")
-                conn.execute("DELETE FROM events")
-                conn.execute("DELETE FROM counters")
-                conn.execute(
-                    "UPDATE meta SET value=? WHERE key='schema_version'",
-                    (str(SCHEMA_VERSION),))
-
-    def _bump(self, conn: sqlite3.Connection, name: str,
-              amount: int = 1) -> None:
-        conn.execute(
-            "INSERT INTO counters (name, value) VALUES (?, ?) "
-            "ON CONFLICT(name) DO UPDATE SET value = value + ?",
-            (name, amount, amount))
-
-    @staticmethod
-    def checksum(payload: bytes) -> str:
-        return hashlib.sha256(payload).hexdigest()
+    SCHEMA_VERSION = SCHEMA_VERSION
+    SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS jobs ("
+        " id TEXT PRIMARY KEY,"
+        " idempotency_key TEXT,"
+        " tenant TEXT NOT NULL,"
+        " priority INTEGER NOT NULL,"
+        " spec TEXT NOT NULL,"
+        " state TEXT NOT NULL,"
+        " attempts INTEGER NOT NULL DEFAULT 0,"
+        " created_s REAL NOT NULL,"
+        " started_s REAL,"
+        " finished_s REAL,"
+        " error TEXT,"
+        " result BLOB,"
+        " result_checksum TEXT)",
+        "CREATE INDEX IF NOT EXISTS jobs_idempotency"
+        " ON jobs (idempotency_key)",
+        "CREATE TABLE IF NOT EXISTS events ("
+        " job_id TEXT NOT NULL,"
+        " seq INTEGER NOT NULL,"
+        " event TEXT NOT NULL,"
+        " PRIMARY KEY (job_id, seq))",
+    )
+    DATA_TABLES = ("jobs", "events")
 
     # ------------------------------------------------------------------
     # the write-ahead path (called by MappingService, degrade-to-no-op)
     # ------------------------------------------------------------------
     def record_submit(self, job) -> None:
         """Persist one admitted job before it is observable as queued."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                with conn:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO jobs (id, idempotency_key,"
-                        " tenant, priority, spec, state, attempts,"
-                        " created_s, started_s, finished_s, error,"
-                        " result, result_checksum)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                        (job.id, job.spec.idempotency_key,
-                         job.spec.tenant, job.spec.priority,
-                         json.dumps(job.spec.as_dict(), sort_keys=True),
-                         job.state, job.attempts, job.created_s,
-                         job.started_s, job.finished_s, None, None, None))
-                    self._bump(conn, "submitted")
-        except sqlite3.Error:
-            self.errors += 1
+        def op(conn):
+            with conn:
+                conn.execute(
+                    "INSERT OR REPLACE INTO jobs (id, idempotency_key,"
+                    " tenant, priority, spec, state, attempts,"
+                    " created_s, started_s, finished_s, error,"
+                    " result, result_checksum)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    (job.id, job.spec.idempotency_key,
+                     job.spec.tenant, job.spec.priority,
+                     json.dumps(job.spec.as_dict(), sort_keys=True),
+                     job.state, job.attempts, job.created_s,
+                     job.started_s, job.finished_s, None, None, None))
+                self.bump(conn, "submitted")
+        self.run(op, None)
 
     def record_state(self, job) -> None:
         """Persist a state transition (and the attempt/error columns)."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                with conn:
-                    conn.execute(
-                        "UPDATE jobs SET state=?, attempts=?, started_s=?,"
-                        " finished_s=?, error=? WHERE id=?",
-                        (job.state, job.attempts, job.started_s,
-                         job.finished_s,
-                         json.dumps(job.error) if job.error else None,
-                         job.id))
-                    if job.finished:
-                        self._bump(conn, "finished")
-        except sqlite3.Error:
-            self.errors += 1
+        def op(conn):
+            with conn:
+                conn.execute(
+                    "UPDATE jobs SET state=?, attempts=?, started_s=?,"
+                    " finished_s=?, error=? WHERE id=?",
+                    (job.state, job.attempts, job.started_s,
+                     job.finished_s,
+                     json.dumps(job.error) if job.error else None,
+                     job.id))
+                if job.finished:
+                    self.bump(conn, "finished")
+        self.run(op, None)
 
     def record_result(self, job, payload: Dict[str, object],
                       corrupt: bool = False) -> None:
@@ -254,40 +181,31 @@ class JobJournal:
             corrupted = bytearray(blob)
             corrupted[len(corrupted) // 2] ^= 0xFF
             blob = bytes(corrupted)
-        try:
-            with self._lock:
-                conn = self._connect()
-                with conn:
-                    conn.execute(
-                        "UPDATE jobs SET result=?, result_checksum=?"
-                        " WHERE id=?", (blob, digest, job.id))
-        except sqlite3.Error:
-            self.errors += 1
+
+        def op(conn):
+            with conn:
+                conn.execute(
+                    "UPDATE jobs SET result=?, result_checksum=?"
+                    " WHERE id=?", (blob, digest, job.id))
+        self.run(op, None)
 
     def record_event(self, job_id: str, event: Dict[str, object]) -> None:
         """Append one progress event (keyed by its ``seq`` cursor)."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                with conn:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO events (job_id, seq, event)"
-                        " VALUES (?, ?, ?)",
-                        (job_id, event.get("seq", 0), json.dumps(event)))
-        except sqlite3.Error:
-            self.errors += 1
+        def op(conn):
+            with conn:
+                conn.execute(
+                    "INSERT OR REPLACE INTO events (job_id, seq, event)"
+                    " VALUES (?, ?, ?)",
+                    (job_id, event.get("seq", 0), json.dumps(event)))
+        self.run(op, None)
 
     def forget(self, job_id: str) -> None:
         """Drop one job and its events (keep_jobs trimming)."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                with conn:
-                    conn.execute("DELETE FROM jobs WHERE id=?", (job_id,))
-                    conn.execute("DELETE FROM events WHERE job_id=?",
-                                 (job_id,))
-        except sqlite3.Error:
-            self.errors += 1
+        def op(conn):
+            with conn:
+                conn.execute("DELETE FROM jobs WHERE id=?", (job_id,))
+                conn.execute("DELETE FROM events WHERE job_id=?", (job_id,))
+        self.run(op, None)
 
     # ------------------------------------------------------------------
     # recovery (daemon startup)
@@ -302,126 +220,103 @@ class JobJournal:
         the service re-enqueues them, and determinism guarantees the
         rerun matches the digests the lost run would have produced.
         """
-        restored: List[RecoveredJob] = []
-        requeue: List[RecoveredJob] = []
-        try:
-            with self._lock:
-                conn = self._connect()
-                rows = conn.execute(
-                    "SELECT id, idempotency_key, spec, state, attempts,"
-                    " created_s, started_s, finished_s, error,"
-                    " result, result_checksum FROM jobs"
-                    " ORDER BY created_s, id").fetchall()
-                events_by_job: Dict[str, List[Dict[str, object]]] = {}
-                for job_id, payload in conn.execute(
-                        "SELECT job_id, event FROM events"
-                        " ORDER BY job_id, seq"):
+        def op(conn):
+            restored: List[RecoveredJob] = []
+            requeue: List[RecoveredJob] = []
+            rows = conn.execute(
+                "SELECT id, idempotency_key, spec, state, attempts,"
+                " created_s, started_s, finished_s, error,"
+                " result, result_checksum FROM jobs"
+                " ORDER BY created_s, id").fetchall()
+            events_by_job: Dict[str, List[Dict[str, object]]] = {}
+            for job_id, payload in conn.execute(
+                    "SELECT job_id, event FROM events"
+                    " ORDER BY job_id, seq"):
+                try:
+                    events_by_job.setdefault(job_id, []).append(
+                        json.loads(payload))
+                except ValueError:
+                    continue
+            demoted: List[str] = []
+            for (job_id, idem, spec_json, state, attempts, created_s,
+                 started_s, finished_s, error_json, blob,
+                 stored_sum) in rows:
+                try:
+                    spec_payload = json.loads(spec_json)
+                except ValueError:
+                    continue  # unreadable spec: nothing to rerun
+                error = None
+                if error_json:
                     try:
-                        events_by_job.setdefault(job_id, []).append(
-                            json.loads(payload))
+                        error = json.loads(error_json)
                     except ValueError:
-                        continue
-                demoted: List[str] = []
-                for (job_id, idem, spec_json, state, attempts, created_s,
-                     started_s, finished_s, error_json, blob,
-                     stored_sum) in rows:
-                    try:
-                        spec_payload = json.loads(spec_json)
-                    except ValueError:
-                        continue  # unreadable spec: nothing to rerun
-                    error = None
-                    if error_json:
+                        error = None
+                result = None
+                corrupt = False
+                if blob is not None:
+                    blob = bytes(blob)
+                    if (stored_sum is not None
+                            and self.checksum(blob) == stored_sum):
                         try:
-                            error = json.loads(error_json)
+                            result = json.loads(blob)
                         except ValueError:
-                            error = None
-                    result = None
-                    corrupt = False
-                    if blob is not None:
-                        blob = bytes(blob)
-                        if (stored_sum is not None
-                                and self.checksum(blob) == stored_sum):
-                            try:
-                                result = json.loads(blob)
-                            except ValueError:
-                                corrupt = True
-                        else:
                             corrupt = True
-                    recovered = RecoveredJob(
-                        job_id=job_id, spec_payload=spec_payload,
-                        state=state, attempts=attempts,
-                        idempotency_key=idem, created_s=created_s,
-                        started_s=started_s, finished_s=finished_s,
-                        error=error, result=result,
-                        events=events_by_job.get(job_id, []))
-                    if state == "done" and (corrupt or result is None):
-                        demoted.append(job_id)
-                        requeue.append(recovered)
-                    elif state in ("done", "failed", "cancelled"):
-                        restored.append(recovered)
                     else:
-                        requeue.append(recovered)
-                with conn:
-                    for job_id in demoted:
-                        conn.execute(
-                            "UPDATE jobs SET result=NULL,"
-                            " result_checksum=NULL WHERE id=?", (job_id,))
-                    if demoted:
-                        self._bump(conn, "corrupt_results", len(demoted))
-                    if restored or requeue:
-                        self._bump(conn, "recovered",
-                                   len(restored) + len(requeue))
-                    if requeue:
-                        self._bump(conn, "requeued", len(requeue))
-        except sqlite3.Error:
-            self.errors += 1
-            return [], []
-        return restored, requeue
+                        corrupt = True
+                recovered = RecoveredJob(
+                    job_id=job_id, spec_payload=spec_payload,
+                    state=state, attempts=attempts,
+                    idempotency_key=idem, created_s=created_s,
+                    started_s=started_s, finished_s=finished_s,
+                    error=error, result=result,
+                    events=events_by_job.get(job_id, []))
+                if state == "done" and (corrupt or result is None):
+                    demoted.append(job_id)
+                    requeue.append(recovered)
+                elif state in ("done", "failed", "cancelled"):
+                    restored.append(recovered)
+                else:
+                    requeue.append(recovered)
+            with conn:
+                for job_id in demoted:
+                    conn.execute(
+                        "UPDATE jobs SET result=NULL,"
+                        " result_checksum=NULL WHERE id=?", (job_id,))
+                if demoted:
+                    self.bump(conn, "corrupt_results", len(demoted))
+                if restored or requeue:
+                    self.bump(conn, "recovered",
+                              len(restored) + len(requeue))
+                if requeue:
+                    self.bump(conn, "requeued", len(requeue))
+            return restored, requeue
+        return self.run(op, ([], []))
 
     def find_idempotent(self, key: str) -> Optional[str]:
         """The job id previously journaled under ``key``, or None."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                row = conn.execute(
-                    "SELECT id FROM jobs WHERE idempotency_key=?"
-                    " ORDER BY created_s LIMIT 1", (key,)).fetchone()
-                return row[0] if row else None
-        except sqlite3.Error:
-            self.errors += 1
-            return None
+        def op(conn):
+            row = conn.execute(
+                "SELECT id FROM jobs WHERE idempotency_key=?"
+                " ORDER BY created_s LIMIT 1", (key,)).fetchone()
+            return row[0] if row else None
+        return self.run(op, None)
 
     # ------------------------------------------------------------------
-    # accounting / lifecycle
+    # accounting
     # ------------------------------------------------------------------
     def non_terminal_count(self) -> int:
         """Jobs the journal still owes a run (queued/running rows)."""
-        try:
-            with self._lock:
-                conn = self._connect()
-                return conn.execute(
-                    "SELECT COUNT(*) FROM jobs WHERE state IN"
-                    " ('queued', 'running')").fetchone()[0]
-        except sqlite3.Error:
-            self.errors += 1
-            return 0
+        return self.run(lambda conn: conn.execute(
+            "SELECT COUNT(*) FROM jobs WHERE state IN"
+            " ('queued', 'running')").fetchone()[0], 0)
 
     def stats(self) -> Dict[str, object]:
         """Row counts by state plus the cumulative counters."""
-        by_state: Dict[str, int] = {}
-        cumulative = dict.fromkeys(_COUNTERS, 0)
-        try:
-            with self._lock:
-                conn = self._connect()
-                for state, count in conn.execute(
-                        "SELECT state, COUNT(*) FROM jobs GROUP BY state"):
-                    by_state[state] = count
-                for name, value in conn.execute(
-                        "SELECT name, value FROM counters"):
-                    if name in cumulative:
-                        cumulative[name] = value
-        except sqlite3.Error:
-            self.errors += 1
+        by_state, cumulative = self.run(
+            lambda conn: (dict(conn.execute(
+                "SELECT state, COUNT(*) FROM jobs GROUP BY state")),
+                self.counters(conn, _COUNTERS)),
+            ({}, dict.fromkeys(_COUNTERS, 0)))
         return {
             "path": self.path,
             "jobs": by_state,
@@ -430,13 +325,3 @@ class JobJournal:
             **cumulative,
             "errors": self.errors,
         }
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None and self._pid == os.getpid():
-                self._conn.close()
-            self._conn = None
-            self._pid = None
-
-    def __repr__(self) -> str:
-        return f"JobJournal(path={self.path!r})"

@@ -113,7 +113,8 @@ def test_digest_matches_seed_spot(name, flow, kernel, shared_cache):
 @pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)
 def test_digest_matches_seed_full_suite(kernel, shared_cache):
     """Every pinned digest — the whole suite x flows x orderings x modes,
-    once per kernel: the weekly dual-kernel digest gate."""
+    once per kernel: the dual-kernel digest gate CI runs weekly and on
+    every pull request that touches the mapper."""
     mismatches = []
     for key, expected in sorted(SEED_DIGESTS.items()):
         name, flow, ordering, mode = key.split("/")

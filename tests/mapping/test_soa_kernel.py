@@ -7,8 +7,9 @@ Three layers of checks:
   orderings x table modes x cost models, comparing the resulting slot
   maps *exactly*: slot insertion order, per-slot entry order, selection
   keys, and every scalar field of every surviving tuple.  This covers
-  the vectorized selection paths (packed prefix-min, radix-digit sort,
-  pareto pre-reject + replay) far from the corners real circuits visit.
+  the vectorized selection path (radix-digit sort, pareto pre-reject +
+  replay) far from the corners real circuits visit; the key's digit
+  image is checked on its own against a stable argsort.
 * **Engine-level equivalence** — ``kernel="soa"``/``"auto"`` reproduce
   the reference digests and stats on real networks (the broader sweep
   lives in ``test_lazy_equivalence.py``, which runs every pinned seed
@@ -35,7 +36,7 @@ from repro.mapping import CostModel, DepthCost, MapperConfig  # noqa: E402
 from repro.mapping import map_network  # noqa: E402
 from repro.mapping.kernel import (AutoKernel, ReferenceKernel,  # noqa: E402
                                   metric_fast_path, resolve_kernel)
-from repro.mapping.soa import SoAKernel, make_soa_kernel  # noqa: E402
+from repro.mapping.soa import SoAKernel, _key_cols  # noqa: E402
 from repro.mapping.tuples import MapTuple, TupleTable  # noqa: E402
 from repro.network import network_from_expression  # noqa: E402
 from repro.pipeline import MappingStats  # noqa: E402
@@ -58,8 +59,7 @@ def _random_tuple(rng: random.Random, idx: int, config: MapperConfig,
     wcost = float(trans)
     if fractional:
         # fanout-amortized area flow: binary-infinite fractions, the
-        # regime that defeats the integer/f32 pack and exercises the
-        # f64 radix-digit sort path
+        # regime real cost models put the f64 radix-digit sort in
         wcost += rng.randint(0, 6) / 7.0
     par_b = rng.random() < 0.5
     p_dis = rng.randint(0, width * height)
@@ -83,7 +83,7 @@ def _snapshot(table: TupleTable):
 def _run_both(config, model, view_a, view_b, is_or, seed_table=None,
               max_front=4):
     outs = []
-    for make_kernel in (ReferenceKernel, make_soa_kernel):
+    for make_kernel in (ReferenceKernel, SoAKernel):
         engine = _fake_engine(config, model)
         kernel = make_kernel()
         kernel.build(engine)
@@ -235,6 +235,48 @@ def test_seeded_table_path_bit_identical():
             config, model, view_a, view_b, is_or, seed_table=seed_table)
         assert soa_slots == ref_slots
         assert soa_stats == ref_stats
+
+
+# ---------------------------------------------------------------------------
+# the key's radix-digit image
+# ---------------------------------------------------------------------------
+_TINY = 5e-324  # the smallest subnormal
+_HUGE = 1.7976931348623157e308  # the largest finite double
+_KEY_CASES = {
+    "negatives": [3.5, -1.25, -1e300, 0.5, -1.25, 7.0, -0.0078125, -3.5],
+    "signed_zeros": [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0, 0.0],
+    "subnormals": [_TINY, -_TINY, 2.2250738585072014e-308, 1e-310,
+                   -1e-310, 0.0, -0.0, _TINY, -2.2250738585072014e-308],
+    "large_magnitudes": [_HUGE, -_HUGE, 1e300, -1e300, 2.0 ** 1000,
+                         float("inf"), float("-inf"), _HUGE, 1.0],
+    "integer_valued": [3.0, 2.0, 3.0, 1.0, 0.0, 32768.0, -2.0,
+                       2.0 ** 53, 2.0 ** 53 - 1, 65536.0, -32769.0, 2.0],
+}
+
+
+def _assert_digits_sort_stably(key):
+    order = np.lexsort(_key_cols(key))
+    assert np.array_equal(order, np.argsort(key, kind="stable")), key
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_CASES))
+def test_key_digits_order_like_a_stable_argsort(case):
+    """``np.lexsort`` over the digits is exactly a stable key argsort.
+
+    Equal keys — ``-0.0`` and ``+0.0`` included — must keep arrival
+    order, since that order decides the reference's slot winner.
+    """
+    _assert_digits_sort_stably(np.array(_KEY_CASES[case], dtype=np.float64))
+
+
+def test_key_digits_order_a_mixed_tie_heavy_sample():
+    pool = [v for values in _KEY_CASES.values() for v in values]
+    pool += [k / 7.0 for k in range(-20, 21)]
+    rng = random.Random(5)
+    for _ in range(20):
+        key = np.array([rng.choice(pool) for _ in range(500)],
+                       dtype=np.float64)
+        _assert_digits_sort_stably(key)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ def test_flow_report_shared_header_and_aliases():
     assert data["schema_version"] == REPORT_SCHEMA_VERSION
     assert data["kind"] == "map"
     assert data["flow"] == "soi"
-    # pre-schema aliases survive for one release
-    assert data["elapsed_s"] == result.elapsed_s
+    # elapsed time lives only under ``timings``; config, cost and the
+    # pass records are the report's own payload, not aliases
+    assert "elapsed_s" not in data
     assert data["cost"] == result.cost.as_dict()
     assert data["config"]["w_max"] == result.config.w_max
     assert [p["name"] for p in data["passes"]] == [

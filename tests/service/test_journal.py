@@ -2,6 +2,7 @@
 
 import sqlite3
 
+from repro.pipeline import CacheStore
 from repro.service import JobJournal, default_journal_path
 from repro.service.jobs import DONE, RUNNING, Job, JobSpec
 from repro.service.journal import JOURNAL_ENV
@@ -107,7 +108,8 @@ class TestLifecycle:
 
     def test_every_operation_degrades_to_noop_on_sqlite_error(self, tmp_path):
         # a directory is not a database: every call must absorb the
-        # sqlite error (bumping ``errors``) instead of failing the job
+        # sqlite error (bumping ``errors``) instead of failing the job.
+        # Both sqlite tiers share one helper, so both inputs run here.
         journal = JobJournal(str(tmp_path))
         job = _job()
         journal.record_submit(job)
@@ -121,6 +123,19 @@ class TestLifecycle:
         assert journal.stats()["errors"] == journal.errors
         assert journal.errors == 9  # one per degraded call above
         journal.close()
+
+        store = CacheStore(str(tmp_path))
+        assert store.get("k") is None
+        assert store.put("k", b"payload") is False
+        store.delete("k", poison=True)
+        assert len(store) == 0
+        assert store.clear() == 0
+        stats = store.stats()
+        assert stats["entries"] == 0 and stats["hits"] == 0
+        assert stats["session"]["errors"] == store.errors
+        assert store.errors == 6  # one per degraded call above
+        assert (store.misses, store.stores, store.evictions) == (0, 0, 0)
+        store.close()
 
     def test_default_path_honors_the_environment(self, monkeypatch):
         monkeypatch.setenv(JOURNAL_ENV, "/elsewhere/journal.sqlite")

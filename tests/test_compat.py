@@ -1,16 +1,14 @@
-"""The consolidated deprecation machinery, after the 0.5 removals.
+"""The consolidated deprecation machinery, with no shim left to retire.
 
 All pre-0.5 shims — the positional-CostModel ``map_network`` call form,
 the loose ``soi_domino_map`` keyword switches, and the
-``MappingResult.tuples_created`` alias — were removed on schedule, so
-this module asserts (a) the :func:`repro._compat.deprecated` helper
-still behaves for shims, (b) the shim table holds exactly the live
-deprecations with removal releases ahead of the current version, and
-(c) each retired legacy spelling is genuinely gone (hard error, not a
-silent success).
-
-One shim is live in 0.6: direct ``SoAKernel()`` construction, which
-the kernel registry replaced (removal scheduled for 0.7).
+``MappingResult.tuples_created`` alias — were removed on schedule, and
+0.7 removed the last one, the deprecated direct ``SoAKernel()``
+construction.  This module asserts (a) the
+:func:`repro._compat.deprecated` helper still behaves for future shims,
+(b) the shim table is empty, and (c) each retired legacy spelling is
+genuinely gone (hard error, not a silent success) or, for
+``SoAKernel()``, plain construction with no warning.
 """
 
 import warnings
@@ -40,28 +38,20 @@ def test_helper_is_silent_under_simplefilter_ignore():
 
 
 def test_shim_table_holds_the_live_deprecations():
-    # every shim scheduled for 0.5 was removed with the 0.5 release; the
-    # one live shim is the SoAKernel constructor the registry replaced.
-    # A new deprecation must add itself here with a removal release.
-    assert repro.__version__.startswith("0.6")
-    assert [(s.name, s.remove_in) for s in SHIMS] == [
-        ("repro.mapping.soa.SoAKernel() direct construction", "0.7"),
-    ]
-    (shim,) = SHIMS
-    assert "kernel registry" in shim.replacement
+    # 0.7 retired the last shim (the SoAKernel constructor the kernel
+    # registry replaced).  A new deprecation must add itself here with
+    # a removal release.
+    assert repro.__version__.startswith("0.7")
+    assert SHIMS == ()
 
 
-def test_direct_soa_kernel_construction_warns():
-    numpy = pytest.importorskip("numpy")
-    assert numpy is not None
-    from repro.mapping.soa import SoAKernel, make_soa_kernel
+def test_direct_soa_kernel_construction_is_silent():
+    pytest.importorskip("numpy")
+    from repro.mapping.soa import SoAKernel
 
-    with pytest.warns(DeprecationWarning, match="kernel registry"):
-        SoAKernel()
-    # the registry spelling (and its factory helper) stays silent
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        make_soa_kernel()
+        assert SoAKernel().name == "soa"
         result = map_network(_net(), config=repro.MapperConfig(kernel="soa"))
         assert result.mapping.kernel == "soa"
 
