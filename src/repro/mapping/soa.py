@@ -40,39 +40,34 @@ Bit-identity with the reference kernel is the contract (DESIGN.md §12):
 * PBE pareto mode: the bounded front (``max_front`` truncation) is a
   sequential recurrence — dropping a tuple can resurrect one it would
   have dominated, so candidates cannot be reduced independently — but
-  it is sequential only *within* a slot.  The reducer runs the
-  recurrence columnwise across slots: step ``r`` applies every slot's
-  ``r``-th surviving candidate at once against a fixed-width
-  ``(max_front + 1, slots)`` front array of packed int64 words.  Each
-  word carries the dominance fields as guarded bit fields — dense
-  per-slot key rank (ranks preserve every ``<=`` the dominance test
-  asks while making fractional keys exact small ints), ``p_dis``,
+  it is sequential only *within* a slot, and between two changes to a
+  slot's front *membership* the front is fixed.  The reducer is a
+  change-point loop across slots: each step classifies the next
+  ``_WINDOW`` candidates of every active slot against its current
+  front, takes the prefix before the first membership change in bulk,
+  and applies that one change exactly.  A candidate is *rejected* when
+  a live entry dominates it; it is *append-then-truncate* when it is
+  not dominated, the front holds ``max_front`` entries, and its
+  ``(key rank, p_dis)`` is strictly above the front's maximum — it
+  then dominates no entry, and the reference appends it, stable-sorts
+  by ``(key, p_dis)`` and cuts it again, so its only effect is that
+  re-sort.  Anything else, ties with the maximum included, goes to the
+  exact step.  Fronts live in a ``(max_front + 1, slots)`` array of packed
+  int64 words carrying the dominance fields as guarded bit fields —
+  dense batch-wide key rank (ranks preserve every ``<=`` the dominance
+  test asks while making fractional keys exact small ints), ``p_dis``,
   ``p_tail``, ``par_b`` — plus the insertion stamp, so one subtract /
-  mask / compare per step evaluates the componentwise dominance of
-  all fields at once (a field's guard bit survives ``(cand | guards)
-  - front`` exactly when the field did not borrow, i.e. front <=
-  cand), dead columns hold an all-fields-max sentinel that can never
-  dominate and always sorts last, and the ``(key, p_dis, stamp)``
-  sort-truncate past ``max_front`` is a single integer argsort of
-  the shifted pack — the stamp tie-break reproduces the reference's
-  stable list sort (list order == insertion order) bit-exactly.
-  A sound vectorized pre-reject shrinks the replay set
-  first: at any point, some live front entry is at least as strong
-  (componentwise) as the prefix lexicographic-minimum candidate of
-  the slot — such an entry can be evicted only by a still-stronger
-  one and is never truncated, because at most two mutually
-  non-dominated entries can tie at the lex minimum while the sort
-  keeps ``max_front >= 4`` (the pre-reject is disabled for smaller
-  caps) — so any candidate that entry dominates is rejected no matter
-  how the front evolved.  Slots are processed longest-first so the
-  still-active rows of every step are a prefix of the state arrays;
-  once fewer than ``_PARETO_TAIL`` slots still hold candidates, the
-  stragglers finish on a scalar replay of the same packed words
-  (Python ints do the identical guard-bit test) seeded from the
-  array state — same decisions, none of the per-step dispatch
-  overhead on tiny row sets.  Winning tuples materialize through
-  one batched gather at the end; no operand Python object is touched
-  until binding.
+  mask / compare evaluates the componentwise dominance of all fields
+  at once (a field's guard bit survives ``(cand | guards) - front``
+  exactly when the field did not borrow, i.e. front <= cand).  Dead
+  rows hold an all-fields-max sentinel that can never dominate and
+  always sorts last, and the ``(key, p_dis, stamp)`` re-sort is an
+  integer rank of the shifted word — the stamp tie-break reproduces
+  the reference's stable list sort (list order == insertion order)
+  bit-exactly.  Finished slots leave the state arrays in batches, so a
+  step costs about what its active slots cost; winning tuples
+  materialize through one batched gather at the end, and no operand
+  Python object is touched until binding.
 * Slot dict order is the shapes' first-candidate order, matching the
   reference's create-on-first-arrival — load-bearing because the tree
   cache serializes tables in slot-insertion order.
@@ -84,7 +79,6 @@ run without observable drift.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import attrgetter
 from typing import List
 
@@ -103,6 +97,13 @@ _COL_FIELDS = attrgetter("width", "height", "wcost", "levels", "p_dis",
 _DIGITS = (0, 1, 2, 3) if np.little_endian else (3, 2, 1, 0)
 _SIGN64 = np.uint64(1 << 63)
 _U63 = np.uint64(63)
+
+#: Pareto change-point steps classify the next ``_WINDOW`` candidates of
+#: every active slot, widened to about ``_STEP_CELLS`` candidates in all
+#: once few slots remain (a step's cost is mostly its fixed numpy
+#: dispatches, so a thin step should look further ahead).
+_WINDOW = 32
+_STEP_CELLS = 1024
 
 
 def _key_cols(key):
@@ -127,12 +128,6 @@ class SoAKernel:
 
     name = "soa"
     active = "soa"
-
-    #: Below this many still-active slots the columnwise pareto loop
-    #: hands the remaining candidates to the scalar replay: one step of
-    #: the loop is ~20 numpy dispatches regardless of row count, which
-    #: costs more than that many scalar insert decisions.
-    _PARETO_TAIL = 48
 
     def __init__(self):
         self._stats = None
@@ -478,23 +473,6 @@ class SoAKernel:
     # ------------------------------------------------------------------
     # the two reducers
     # ------------------------------------------------------------------
-    def _group(self, sid, n):
-        """``(gorder, sid_g, starts, seg)`` for the batch's shape groups.
-
-        ``gorder`` sorts candidates stably by shape id (arrival order
-        within each group); ``starts`` bounds the groups; ``seg`` is the
-        per-position group index in that layout.
-        """
-        gorder = np.argsort(sid, kind="stable")
-        sid_g = sid[gorder]
-        newgrp = np.empty(n, dtype=bool)
-        newgrp[0] = True
-        np.not_equal(sid_g[1:], sid_g[:-1], out=newgrp[1:])
-        starts = np.flatnonzero(newgrp)
-        seg = np.cumsum(newgrp)
-        seg -= 1
-        return gorder, sid_g, starts, seg
-
     def _reduce_single(self, table, batch, is_or, view_a, view_b):
         """Single-mode selection: one stable sort, first element per slot.
 
@@ -545,95 +523,50 @@ class SoAKernel:
             slots[(w_, h_)] = [(k_, m_)]
         return accepts, n - accepts
 
-    def _pareto_prereject(self, gpack, GmA, GmT, sh_d, hi_bits, seg,
-                          starts, G, n):
-        """Sound dominated-candidate pre-reject (group-sorted layout).
-
-        A candidate dominated by its group's *exclusive prefix*
-        lexicographic-minimum candidate can never enter the front (see
-        the module docstring for why some live front entry is always at
-        least that strong).  Only sound while ``max_front >= 4``; the
-        caller gates on that.
-
-        ``gpack >> sh_d`` isolates the (key rank, p_dis) fields, so the
-        prefix argmin of (key, p_dis) in arrival order falls out of a
-        running minimum of one per-group-offset integer — new-minimum
-        positions are strictly increasing, so a running *maximum* over
-        them carries the argmin forward.  The dominance test itself
-        runs on the full packs (the prefix minimum is only minimal
-        among *earlier* candidates, so even its key can exceed the
-        current candidate's).
-        """
-        pack2 = gpack >> sh_d
-        off_u = np.int64(1) << hi_bits
-        rr = pack2 + (G - seg) * off_u
-        cm = np.minimum.accumulate(rr)
-        newmin = np.empty(n, dtype=bool)
-        newmin[0] = True
-        np.less(rr[1:], cm[:-1], out=newmin[1:])
-        am = np.maximum.accumulate(np.where(newmin, np.arange(n), -1))
-        pm = np.empty(n, dtype=np.int64)
-        pm[0] = 0
-        pm[1:] = am[:-1]
-        pre = (((gpack | GmA) - gpack[pm]) & GmT) == GmT
-        # Group firsts have an empty prefix; everyone else's prefix
-        # argmin is in-group (the group's first is a new minimum: the
-        # per-group offsets strictly descend).
-        pre[starts] = False
-        return pre
-
     def _reduce_pareto(self, table, batch, is_or, view_a, view_b):
         n = batch["n"]
         key = batch["key"]
         p_dis = batch["p_dis"]
         p_tail = batch["p_tail"]
         par_b = batch["par_b"]
-        sid_s, pd_s = self._sort_cols(batch)
-        gorder, sid_g, starts, seg = self._group(sid_s, n)
+        # Shape groups: a stable sort by shape id keeps arrival order
+        # within each group; group g's candidates are gorder[starts[g]:
+        # ends[g]].
+        sid_s = self._sort_cols(batch)[0]
+        gorder = np.argsort(sid_s, kind="stable")
+        sid_g = sid_s[gorder]
+        newgrp = np.empty(n, dtype=bool)
+        newgrp[0] = True
+        np.not_equal(sid_g[1:], sid_g[:-1], out=newgrp[1:])
+        starts = np.flatnonzero(newgrp)
         G = starts.size
-        gk = key[gorder]
-        gd = p_dis[gorder]
-        gt = gd if p_tail is p_dis else p_tail[gorder]
+        ends = np.empty(G, dtype=np.int64)
+        ends[:-1] = starts[1:]
+        ends[-1] = n
+        cmax = int((ends - starts).max())
+        # Dense batch-wide key ranks: they preserve every <= / == the
+        # dominance test asks of two keys while turning fractional keys
+        # into exact small ints that fit a packed word.
+        korder = np.argsort(key)
+        sk = key[korder]
+        newv = np.empty(n, dtype=bool)
+        newv[0] = False
+        np.not_equal(sk[1:], sk[:-1], out=newv[1:])
+        rank = np.empty(n, dtype=np.int64)
+        rank[korder] = np.cumsum(newv)
         # OR combines have par_b uniformly True and p_tail aliasing
         # p_dis, so dominance and eviction reduce to (key, p_dis).
-        gp = par_b[gorder] if par_b is not None else None
-        full = gp is not None
+        full = par_b is not None
         max_front = table.max_front
-        # Dense per-group key ranks: dominance only ever compares keys
-        # within one slot, so the within-group rank image preserves
-        # every <= / == outcome while turning fractional keys into
-        # exact small ints that fit a packed word.
-        if self._i16:
-            # Same radix digits as the single-mode sort: every column
-            # <= 16 bits keeps np.lexsort on its radix path.
-            ord2 = np.lexsort(_key_cols(gk) + (seg.astype(np.int16),))
-        else:
-            ord2 = np.lexsort((gk, seg))
-        sk2 = gk[ord2]
-        sg2 = seg[ord2]
-        gchg = np.empty(n, dtype=bool)
-        gchg[0] = True
-        np.not_equal(sg2[1:], sg2[:-1], out=gchg[1:])
-        newv = np.empty(n, dtype=bool)
-        newv[0] = True
-        np.not_equal(sk2[1:], sk2[:-1], out=newv[1:])
-        np.logical_or(newv, gchg, out=newv)
-        dense = np.cumsum(newv)
-        base = dense[np.flatnonzero(gchg)]
-        rank = np.empty(n, dtype=np.int64)
-        rank[ord2] = dense - base[sg2]
-        counts0 = np.empty(G, dtype=np.int64)
-        counts0[:-1] = starts[1:] - starts[:-1]
-        counts0[-1] = n - starts[-1]
         # Guarded bit-field pack (lsb->msb: par_b, p_tail, stamp,
         # p_dis, key rank; one zero guard bit above each field).  One
         # spare value per field so the all-fields-max dead-column
         # sentinel compares strictly above every live entry.
-        BK = (int(rank.max()) + 1).bit_length()
-        BD = (int(gd.max()) + 1).bit_length()
-        BS = (int(counts0.max()) + max_front + 1).bit_length()
+        BK = (int(rank[korder[-1]]) + 1).bit_length()
+        BD = (int(p_dis.max()) + 1).bit_length()
+        BS = (cmax + max_front + 1).bit_length()
         if full:
-            BT = (int(gt.max()) + 1).bit_length()
+            BT = (int(p_tail.max()) + 1).bit_length()
             sh_t = 3
             sh_s = sh_t + BT + 1
         else:
@@ -642,7 +575,9 @@ class SoAKernel:
         sh_k = sh_d + BD + 1
         if sh_k + BK + 1 > 63:
             # Pathological field widths (p_dis beyond any feasible
-            # structure): the exact scalar path costs nothing to take.
+            # structure, or a batch with ~2**20 distinct keys and as
+            # many candidates in one slot): the exact scalar path costs
+            # nothing extra at that point.
             return self._combine_seeded(table, batch, is_or,
                                         view_a, view_b)
         if full:
@@ -654,8 +589,8 @@ class SoAKernel:
                     | (((1 << BS) - 1) << sh_s)
                     | (((1 << BD) - 1) << sh_d)
                     | (((1 << BK) - 1) << sh_k))
-            gpack = ((rank << sh_k) | (gd << sh_d) | (gt << sh_t)
-                     | gp.astype(np.int64))
+            pack = ((rank << sh_k) | (p_dis << sh_d) | (p_tail << sh_t)
+                    | par_b.astype(np.int64))
         else:
             gmA = ((1 << (sh_s + BS)) | (1 << (sh_d + BD))
                    | (1 << (sh_k + BK)))
@@ -663,303 +598,150 @@ class SoAKernel:
             huge = ((((1 << BS) - 1) << sh_s)
                     | (((1 << BD) - 1) << sh_d)
                     | (((1 << BK) - 1) << sh_k))
-            gpack = (rank << sh_k) | (gd << sh_d)
+            pack = (rank << sh_k) | (p_dis << sh_d)
+        gpack = pack[gorder]
         GmA = np.int64(gmA)
         GmT = np.int64(gmT)
         HUGE = np.int64(huge)
         SM = np.int64(((1 << BS) - 1) << sh_s)
         NSM = np.int64(~(((1 << BS) - 1) << sh_s))
-        if max_front >= 4:
-            pre = self._pareto_prereject(gpack, GmA, GmT, sh_d,
-                                         BK + BD + 2, seg, starts, G, n)
-            survl = np.flatnonzero(~pre)
-        else:
-            # The pre-reject's witness argument needs the sort-truncate
-            # to keep the (<= 2) lex-minimum ties plus whatever entries
-            # dominate them; a tighter cap can truncate the witness
-            # itself, so the full recurrence must see every candidate.
-            survl = np.arange(n)
-        M = survl.size
-        pruned = n - M
-        accepts = 0
-        # Survivor-domain packs (group-sorted layout restricted to the
-        # pre-reject survivors) plus original-batch provenance.
-        spack = gpack[survl]
-        si = gorder[survl].astype(np.int32)
-        # Per-group survivor ranges: every group keeps its first
-        # candidate (an empty table never rejects), so counts >= 1.
-        bnd = np.searchsorted(survl, starts)
-        counts = np.empty(G, dtype=np.int64)
-        counts[:-1] = bnd[1:] - bnd[:-1]
-        counts[-1] = M - bnd[-1]
-        # Rows = groups by descending survivor count (stable), so each
-        # step's still-active rows are a prefix and every matrix op
-        # below runs on a view of the state, never a copy.
-        grank = np.argsort(-counts, kind="stable")
-        rstart = bnd[grank]
-        rcount = counts[grank]
-        cmax = int(rcount[0])
-        rows = np.arange(G)
-        # Step-major layout: step r's candidates (the r-th survivor of
-        # every still-active slot, rows ascending) are one contiguous
-        # slice — the loop body reads views, never gathers.  Row i is
-        # active at step r iff i < A_sched[r] (counts descend), so the
-        # element's position is off[r] + i: an exact-integer scatter,
-        # no sort.
-        A_sched = np.searchsorted(-rcount, -np.arange(cmax),
-                                  side="left")
-        off = np.empty(cmax + 1, dtype=np.int64)
-        off[0] = 0
-        np.cumsum(A_sched, out=off[1:])
-        rm_start = np.empty(G, dtype=np.int64)
-        rm_start[0] = 0
-        np.cumsum(rcount[:-1], out=rm_start[1:])
-        i_rm = np.repeat(rows, rcount)
-        r_rm = np.arange(M) - np.repeat(rm_start, rcount)
-        step_perm = np.empty(M, dtype=np.int64)
-        step_perm[off[r_rm] + i_rm] = (
-            np.repeat(rstart - rm_start, rcount) + np.arange(M))
-        pT = spack[step_perm]
-        pgT = pT | GmA
-        siT = si[step_perm]
-        # Column capacity: one past the cap when truncation can fire,
-        # else one past the deepest survivor run — either way a dead
-        # column to append into always exists.  State is (F, rows) so
-        # every per-row reduction runs over the *outer* axis (numpy's
-        # contiguous-inner-loop fast path, ~5x cheaper than reducing a
-        # length-F inner axis).
+        # Front state, one column per unfinished slot: F rows of
+        # packed words (dead rows hold HUGE) and the batch index of
+        # each entry.  One row past the cap when truncation can fire,
+        # else one past the longest run — either way an append always
+        # finds a dead row.
         F = min(max_front, cmax) + 1
         can_trunc = F == max_front + 1
-        fullcap = F - max_front
         PF = np.full((F, G), HUGE, dtype=np.int64)
         FI = np.zeros((F, G), dtype=np.int32)
         nord = np.zeros(G, dtype=np.int64)
-        # Preallocated workspaces: nothing in the loop body allocates
-        # proportional to row count x front width.
-        I1 = np.empty((F, G), dtype=np.int64)
-        B1 = np.empty((F, G), dtype=bool)
-        mx = np.empty(G, dtype=np.int64)
-        am = np.empty(G, dtype=bool)
-        ov = np.empty(G, dtype=bool)
-        lcw = np.empty(G, dtype=np.intp)
-        neword_s = (np.arange(max_front, dtype=np.int64) << sh_s)[:, None]
-        GMA = int(GmA)
-        GMT = int(GmT)
-        NSMi = int(NSM)
-        SMi = int(SM)
-        shs = sh_s
-        offl = off.tolist()
-        Al = A_sched.tolist()
-        r = 0
+        pos = starts.astype(np.int64)
+        end = ends
+        slot = np.arange(G)
+        PF_out = np.empty((F, G), dtype=np.int64)
+        FI_out = np.empty((F, G), dtype=np.int32)
+        lanes = np.arange(max(_WINDOW, _STEP_CELLS))
+        top_rank = F - 1
+
+        def restamp(cols):
+            # The reference's stable sort by (key, p_dis) plus cut, as
+            # an integer rank of (key rank, p_dis, stamp) — stamps are
+            # distinct, so ranks are too.  The strongest entries take
+            # stamps 0.. in sorted order; the weakest (a dead row, or
+            # the one past the cap) becomes dead.
+            sub = PF[:, cols]
+            hi = sub >> sh_s
+            rk = (hi[:, None, :] > hi[None, :, :]).sum(axis=1)
+            sub &= NSM
+            sub |= rk << sh_s
+            sub[rk == top_rank] = HUGE
+            PF[:, cols] = sub
+            nord[cols] = max_front
+
+        accepts = 0
+        pruned = 0
         while True:
-            A = Al[r] if r < cmax else 0
-            if A < self._PARETO_TAIL:
-                break
-            o0 = offl[r]
-            o1 = offl[r + 1]
-            pc = pT[o0:o1]
-            pfA = PF[:, :A]
-            i1 = I1[:, :A]
-            mxA = mx[:A]
-            amA = am[:A]
-            # Accept test: some live entry componentwise at-least-as-
-            # strong rejects the candidate (TupleTable.admits, rowwise).
-            # Per packed field, front <= cand leaves the field's guard
-            # standing in (cand | guards) - front; all dominance guards
-            # at once == GmT, the integer maximum of masked values, so
-            # the row reduction is a plain max.  Dead columns hold the
-            # all-max sentinel and can never dominate.
-            np.subtract(pgT[o0:o1][None, :], pfA, out=i1)
-            np.bitwise_and(i1, GmT, out=i1)
-            np.maximum.reduce(i1, axis=0, out=mxA)
-            np.not_equal(mxA, GmT, out=amA)
-            acc = amA.nonzero()[0]
-            na = acc.size
-            accepts += na
-            pruned += A - na
-            if na:
-                # Evict what accepted candidates dominate: the same
-                # guard trick with operands swapped.  Rejected rows
-                # substitute the dead sentinel for their candidate —
-                # the all-max word "dominates" only dead entries, so
-                # no mask op is needed and ``b1`` lands on exactly the
-                # dead-after-evict set (prior dead entries trivially
-                # "evict" to the sentinel they already are).
-                b1 = B1[:, :A]
-                pcm = pc if na == A else np.where(amA, pc, HUGE)
-                np.bitwise_or(pfA, GmA, out=i1)
-                np.subtract(i1, pcm[None, :], out=i1)
-                np.bitwise_and(i1, GmT, out=i1)
-                np.equal(i1, GmT, out=b1)
-                np.copyto(pfA, HUGE, where=b1)
-                # Append into the first dead column with a fresh
-                # insertion stamp packed into the word.
-                col = b1.argmax(axis=0)[acc]
-                no = nord[acc]
-                PF[col, acc] = pc[acc] | (no << sh_s)
-                FI[col, acc] = siT[o0:o1][acc]
-                nord[acc] = no + 1
+            rem = end - pos
+            R = rem.size
+            W = min(max(_WINDOW, _STEP_CELLS // R), int(rem.max()))
+            lane = lanes[:W]
+            # The next W candidates of every active slot, classified
+            # against the slot's current (fixed until its first
+            # membership change) front.  Rejected: some entry is at
+            # least as strong in every field — per packed field, front
+            # <= cand leaves the field's guard standing in (cand |
+            # guards) - front, all of them at once == GmT, the integer
+            # maximum of masked values.  Dead rows (HUGE) never
+            # dominate.
+            cand = gpack.take(pos[:, None] + lane, mode="clip")
+            t = (cand | GmA)[None, :, :] - PF[:, :, None]
+            t &= GmT
+            rej = t.max(axis=0) == GmT
+            # Append-then-truncate: a full front and (key rank, p_dis)
+            # strictly above the front's maximum, so the cut drops the
+            # newcomer itself and only the re-sort remains.  Such a
+            # candidate cannot evict: dominating an entry needs both
+            # fields <= the entry's.  A tie goes to the exact step.
+            live = PF != HUGE
+            top = (np.where(live, PF, 0).max(axis=0) >> sh_d) + 1 << sh_d
+            thr = np.where(live.sum(axis=0) == max_front, top, HUGE)
+            quiet = cand >= thr[:, None]
+            quiet |= rej
+            quiet &= lane < rem[:, None]
+            run = np.logical_and.accumulate(quiet, axis=1)
+            k = run.sum(axis=1)
+            nat = (run & ~rej).sum(axis=1)
+            kt = int(k.sum())
+            at = int(nat.sum())
+            accepts += at
+            pruned += kt - at
+            if at:
+                restamp(np.flatnonzero(nat))
+            # The first membership change after each quiet prefix, if
+            # the window reached one: applied exactly — evict what it
+            # dominates, append into the first dead row with the next
+            # stamp, and sort-truncate a front that overflows.
+            ch = np.flatnonzero(k < np.minimum(rem, W))
+            if ch.size:
+                kc = k[ch]
+                c = cand[ch, kc]
+                accepts += ch.size
+                # The dominance test with the roles swapped; the
+                # candidate also "dominates" every dead row, harmlessly.
+                sub = PF[:, ch]
+                sub[((sub | GmA) - c) & GmT == GmT] = HUGE
+                dead = sub == HUGE
+                col = dead.argmax(axis=0)
+                sub[col, np.arange(ch.size)] = c | (nord[ch] << sh_s)
+                PF[:, ch] = sub
+                FI[col, ch] = gorder[pos[ch] + kc]
+                nord[ch] += 1
+                k[ch] += 1
                 if can_trunc:
-                    # A row owes a truncation exactly when the append
-                    # just filled its one remaining dead column.
-                    np.add.reduce(b1, axis=0, out=lcw[:A])
-                    np.equal(lcw[:A], fullcap, out=ov[:A])
-                    np.logical_and(ov[:A], amA, out=ov[:A])
-                    over = ov[:A].nonzero()[0]
-                    nov = over.size
-                    if nov:
-                        # Sort-truncate: the reference's stable list
-                        # sort by (key, p_dis) is an integer sort of
-                        # the packed word — (key rank, p_dis, stamp)
-                        # are its deciding fields (stamps are
-                        # distinct), and the stamp tie-break realizes
-                        # the stability.  Keep the strongest
-                        # max_front, re-rank their stamps.  One or
-                        # two full rows per step is the norm, where
-                        # sorting 5 ints in Python beats a dozen tiny
-                        # array dispatches.
-                        if nov <= 3:
-                            for j in over.tolist():
-                                z = sorted(zip(PF[:, j].tolist(),
-                                               FI[:, j].tolist()))
-                                z[max_front] = (HUGE, 0)
-                                PF[:, j] = [
-                                    (w & NSMi) | (s << shs) if s < max_front
-                                    else w for s, (w, _) in enumerate(z)]
-                                FI[:, j] = [fi for _, fi in z]
-                        else:
-                            srt = np.argsort(PF[:, over] >> sh_s, axis=0)
-                            PF[srt[-1], over] = HUGE
-                            keep = srt[:-1]
-                            ovc = over[None, :]
-                            vals = PF[keep, ovc]
-                            vals &= NSM
-                            vals |= neword_s
-                            PF[keep, ovc] = vals
-                        nord[over] = max_front
-            r += 1
-        # Scalar tail: the (< _PARETO_TAIL) rows still holding
-        # candidates finish on a replay of the same packed words —
-        # Python ints run the identical guard-bit dominance test.
-        # The tail keeps each front *sorted by the full packed word*
-        # (= by (key rank, p_dis, stamp); stamps are distinct, so the
-        # low fields never decide): truncation drops the sorted-max in
-        # O(1), and because stamps stay monotone, survivor stamp order
-        # after a drop equals the reference's re-ranked order — both
-        # the future exact-tie breaks and the final accept-order
-        # output (one tiny per-row sort at the end) come out
-        # identical.  With a small batch (or a small max_front, where
-        # the pre-reject is off) this is the whole reduction.
-        KLOW = (1 << sh_k) - 1
-        out_i = [None] * G
-        for i in range(A):
-            fcol = PF[:, i]
-            live = np.nonzero(fcol != HUGE)[0]
-            fp = fcol[live]
-            if live.size > 1:
-                o2 = np.argsort(fp)
-                fp = fp[o2]
-                live = live[o2]
-            fpl = fp.tolist()
-            fil = FI[live, i].tolist()
-            nxt = int(nord[i])
-            lt = 0
-            # Row i's remaining candidates sit at off[r..count-1] + i
-            # in the step-major layout.
-            idx = off[r:int(rcount[i])] + i
-            cl = pT[idx].tolist()
-            bl = siT[idx].tolist()
-            for c, b_ in zip(cl, bl):
-                # The front is key-sorted, so only the prefix at or
-                # below the candidate's key rank can dominate it (a
-                # dominator needs key <= cand's) — bound the scan by
-                # the candidate with its sub-key bits saturated.
-                ckh = c | KLOW
-                cg = c | GMA
-                ok = True
-                for f in fpl:
-                    if f > ckh:
-                        break
-                    if (cg - f) & GMT == GMT:
-                        ok = False
-                        break
-                if not ok:
-                    pruned += 1
-                    continue
-                accepts += 1
-                w = 0
-                for j, f in enumerate(fpl):
-                    if ((f | GMA) - c) & GMT != GMT:
-                        if w != j:
-                            fpl[w] = f
-                            fil[w] = fil[j]
-                        w += 1
-                if w != len(fpl):
-                    del fpl[w:]
-                    del fil[w:]
-                cw = c | (nxt << shs)
-                p_ = bisect_right(fpl, cw)
-                fpl.insert(p_, cw)
-                fil.insert(p_, b_)
-                nxt += 1
-                if len(fpl) > max_front:
-                    fpl.pop()
-                    fil.pop()
-                    lt = nxt
-            if len(fil) > 1:
-                # Reference slot order: sorted at the last truncation
-                # (list position, since the list is kept sorted), then
-                # accept order (stamps) for everything newer.
-                lts = lt << shs
-                sk = [(1, s) if s >= lts else (0, j)
-                      for j, s in enumerate(f & SMi for f in fpl)]
-                fil = [b for _, b in sorted(zip(sk, fil))]
-            out_i[i] = fil
-        if A < G:
-            # Rows the loop finished: gather live entries in stamp
-            # order, split per row.
-            mask = PF != HUGE
-            if A:
-                mask[:, :A] = False
-            fr_, rw = np.nonzero(mask)
-            srt = np.lexsort((PF[fr_, rw] & SM, rw))
-            iflat = FI[fr_, rw][srt].tolist()
-            cnts = np.bincount(rw, minlength=G).tolist()
-            pos = 0
-            for i in range(A, G):
-                c = cnts[i]
-                out_i[i] = iflat[pos:pos + c]
-                pos += c
+                    over = ch[dead.sum(axis=0) == 1]
+                    if over.size:
+                        restamp(over)
+            pos += k
+            # Finished slots idle harmlessly (no window, no change) until
+            # a quarter of the columns are finished; then they leave.
+            done = pos == end
+            nd = int(np.count_nonzero(done))
+            if nd * 4 >= R:
+                fin = slot[done]
+                PF_out[:, fin] = PF[:, done]
+                FI_out[:, fin] = FI[:, done]
+                if nd == R:
+                    break
+                keep = ~done
+                PF = PF[:, keep]
+                FI = FI[:, keep]
+                nord = nord[keep]
+                pos = pos[keep]
+                end = end[keep]
+                slot = slot[keep]
         # Assemble slots in each shape's first-arrival order (the
-        # reference's create-on-first-arrival dict order), one batched
+        # reference's create-on-first-arrival dict order), entries in
+        # stamp order (= the reference's list order), one batched
         # materialization for all winners; stored keys gather from the
         # generation column, so they stay the exact doubles the
         # reference would have cached.
-        shapel = sid_g[starts].tolist()
-        slot_rank = np.argsort(gorder[starts], kind="stable").tolist()
-        rowof = np.empty(G, dtype=np.int64)
-        rowof[grank] = rows
-        rowofl = rowof.tolist()
-        pend = []
-        flat = []
-        for p in slot_rank:
-            i = rowofl[p]
-            pend.append((shapel[p], len(out_i[i])))
-            flat.extend(out_i[i])
-        if flat:
-            fa = np.asarray(flat, dtype=np.int64)
-            keys = key[fa].tolist()
-            mats = self._mat_many(batch, fa, is_or, view_a, view_b)
-        else:
-            keys = []
-            mats = []
+        slot_rank = np.argsort(gorder[starts], kind="stable")
+        pos_of = np.empty(G, dtype=np.int64)
+        pos_of[slot_rank] = np.arange(G)
+        fr_, rw = np.nonzero(PF_out != HUGE)
+        srt = np.lexsort((PF_out[fr_, rw] & SM, pos_of[rw]))
+        fa = FI_out[fr_, rw][srt].astype(np.int64)
+        keys = key[fa].tolist()
+        mats = self._mat_many(batch, fa, is_or, view_a, view_b)
+        cnts = np.bincount(rw, minlength=G)[slot_rank].tolist()
+        shapel = sid_g[starts][slot_rank].tolist()
         hstride = self._hstride
-        pos = 0
-        for s_, cnum in pend:
-            end = pos + cnum
+        p0 = 0
+        for s_, cnum in zip(shapel, cnts):
+            p1 = p0 + cnum
             table.install_front((s_ // hstride, s_ % hstride),
-                                zip(keys[pos:end], mats[pos:end]))
-            pos = end
+                                zip(keys[p0:p1], mats[p0:p1]))
+            p0 = p1
         return accepts, pruned
 
     def _combine_seeded(self, table, batch, is_or, view_a, view_b):

@@ -245,9 +245,17 @@ class LogicNetwork:
         Primary inputs are always retained.  Returns the number of nodes
         removed.
         """
-        live = set(self._pis) | set(self._pos)
-        for p in self._pos:
-            live |= self.transitive_fanin(p)
+        # One DFS from every PO at once: shared cones are walked once,
+        # not once per PO that reaches them.  PIs have no fanins, so
+        # seeding them as live cannot cut the walk short.
+        live = set(self._pis)
+        stack = list(self._pos)
+        while stack:
+            u = stack.pop()
+            if u in live:
+                continue
+            live.add(u)
+            stack.extend(self.node(u).fanins)
         dead = [u for u in self._nodes if u not in live]
         for u in dead:
             del self._nodes[u]

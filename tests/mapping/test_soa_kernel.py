@@ -7,9 +7,11 @@ Three layers of checks:
   orderings x table modes x cost models, comparing the resulting slot
   maps *exactly*: slot insertion order, per-slot entry order, selection
   keys, and every scalar field of every surviving tuple.  This covers
-  the vectorized selection path (radix-digit sort, pareto pre-reject +
-  replay) far from the corners real circuits visit; the key's digit
-  image is checked on its own against a stable argsort.
+  the vectorized selection path (radix-digit sort, the pareto
+  change-point reducer) far from the corners real circuits visit; the
+  key's digit image is checked on its own against a stable argsort,
+  and hand-built candidate sequences pin the reducer's two shortcut
+  verdicts (rejected, append-then-truncate) at their edges.
 * **Engine-level equivalence** — ``kernel="soa"``/``"auto"`` reproduce
   the reference digests and stats on real networks (the broader sweep
   lives in ``test_lazy_equivalence.py``, which runs every pinned seed
@@ -30,16 +32,18 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.bench_suite import load_circuit  # noqa: E402
+from repro.bench_suite.generators import random_network  # noqa: E402
 from repro.domino.structure import Leaf  # noqa: E402
 from repro.errors import MappingError  # noqa: E402
 from repro.mapping import CostModel, DepthCost, MapperConfig  # noqa: E402
-from repro.mapping import map_network  # noqa: E402
+from repro.mapping import MappingEngine, map_network  # noqa: E402
 from repro.mapping.kernel import (AutoKernel, ReferenceKernel,  # noqa: E402
                                   metric_fast_path, resolve_kernel)
 from repro.mapping.soa import SoAKernel, _key_cols  # noqa: E402
 from repro.mapping.tuples import MapTuple, TupleTable  # noqa: E402
 from repro.network import network_from_expression  # noqa: E402
 from repro.pipeline import MappingStats  # noqa: E402
+from repro.synth import decompose, sweep, unate_with_sweep  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +151,11 @@ def test_pareto_front_bounds_bit_identical(max_front):
     """Degenerate and oversized front caps reproduce the reference.
 
     ``max_front=1`` keeps a single survivor per slot (every accept is a
-    truncation decision), ``max_front=2`` runs with the columnwise
-    pre-reject disabled (it requires ``max_front >= 4``), and
-    ``max_front=64`` never truncates at all on these view sizes, so the
-    sort-truncate path must stay a no-op.
+    truncation decision), ``max_front=2`` fills and truncates fronts
+    after only two accepts, so the reducer's append-then-truncate
+    verdict fires on almost every front, and ``max_front=64`` never
+    truncates at all on these view sizes, so that verdict must never
+    fire and the sort-truncate path must stay a no-op.
     """
     model = CostModel()
     for seed in range(4):
@@ -217,6 +222,69 @@ def test_pareto_exact_key_ties_at_truncation_boundary(max_front):
                 f"tie-break divergence: max_front={max_front} "
                 f"seed={seed} is_or={is_or}")
             assert soa_stats == ref_stats
+
+
+def _ser_view(cands):
+    """A series-combine view whose candidates arrive as ``cands``.
+
+    Stacked below a single series-ending leaf under the naive ordering,
+    the ``i``-th tuple yields the ``i``-th candidate, all in one
+    ``(1, 2)`` slot, with ``(key, p_dis, p_tail, par_b)`` exactly as
+    given (the leaf adds one potential point at the junction).
+    """
+    top = MapTuple(width=1, height=1, wcost=0.0, trans=1, disch=0,
+                   levels=0, p_dis=0, par_b=False, has_pi=False,
+                   p_tail=0, ends_par=False, structure=Leaf("top"))
+    bottoms = [MapTuple(width=1, height=1, wcost=float(key), trans=1,
+                        disch=0, levels=0, p_dis=p_dis - 1, par_b=par_b,
+                        has_pi=False, p_tail=p_tail, ends_par=par_b,
+                        structure=Leaf(f"b{i}"))
+               for i, (key, p_dis, p_tail, par_b) in enumerate(cands)]
+    return [top], bottoms
+
+
+def _front(cands):
+    """Run ``cands`` through both kernels; the slot's final front."""
+    config = MapperConfig(w_max=4, h_max=4, ordering="naive",
+                          pareto=True, pbe_aware=True)
+    view_a, view_b = _ser_view(cands)
+    (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
+        config, CostModel(), view_a, view_b, False)
+    assert soa_slots == ref_slots
+    assert soa_stats == ref_stats
+    [(shape, entries)] = ref_slots
+    assert shape == (1, 2)
+    return [(e[0], e[7], e[8], e[9]) for e in entries]
+
+
+def test_pareto_front_refills_after_a_double_eviction():
+    """A full front that loses two entries to one candidate is not full.
+
+    The next candidate lies above the old front's (key, p_dis) maximum,
+    which on a full front would make it an append-then-truncate no-op.
+    Here it must enter the front.
+    """
+    cands = [(13, 7, 0, False), (12, 8, 0, False), (11, 9, 0, False),
+             (10, 10, 0, False),   # front full, max (13, 7)
+             (11, 8, 0, False),    # evicts (12, 8) and (11, 9)
+             (14, 6, 0, False)]    # above the old max, enters
+    assert _front(cands) == [(13.0, 7, 0, False), (10.0, 10, 0, False),
+                             (11.0, 8, 0, False), (14.0, 6, 0, False)]
+
+
+def test_pareto_tie_at_front_max_evicts_the_tied_entry():
+    """A candidate tying the full front's maximum can still evict it.
+
+    It ties the maximum on (key, p_dis), where a newcomer that evicts
+    nothing would sort last and be cut, but it dominates the tied entry
+    through ``p_tail``, so it replaces that entry instead.  Only a
+    candidate strictly above the maximum may skip the exact step.
+    """
+    cands = [(13, 7, 2, True), (12, 8, 0, False), (11, 9, 0, False),
+             (10, 10, 0, False),   # front full, max (13, 7)
+             (13, 7, 1, True)]     # ties the max, dominates it
+    assert _front(cands) == [(12.0, 8, 0, False), (11.0, 9, 0, False),
+                             (10.0, 10, 0, False), (13.0, 7, 1, True)]
 
 
 def test_seeded_table_path_bit_identical():
@@ -292,6 +360,43 @@ def test_map_network_soa_matches_reference_digest_and_stats():
         runs[kernel] = (r.circuit.digest(), r.stats.tuples_created,
                         r.stats.tuples_pruned, r.stats.bound_skips)
     assert runs["reference"] == runs["soa"] == runs["auto"]
+
+
+def _table_snapshot(engine):
+    return {uid: _snapshot(table) for uid, table in engine._tables.items()}
+
+
+@pytest.mark.parametrize("ordering", ["paper", "exhaustive"])
+def test_pareto_parity_at_benchmark_limits(ordering):
+    """Both kernels agree on pareto tables at W=12/H=16.
+
+    Random networks shaped like the pareto-stress benchmark's inputs
+    (smaller, so the reference kernel stays fast) give batches of
+    thousands of candidates into hundreds of slots, where the
+    change-point reducer's windows, compaction and restamps all run.
+    Every node's table must match slot for slot, and so must the
+    digest and the counters.
+    """
+    for seed, n_gates in ((1, 30), (3, 40), (4, 30)):
+        net = random_network(f"rand{seed}", n_pi=16, n_gates=n_gates,
+                             n_po=2, seed=seed, locality=10,
+                             depth_target=12)
+        unate, _ = unate_with_sweep(sweep(decompose(net)))
+        runs = []
+        for kernel in ("reference", "soa"):
+            engine = MappingEngine(unate, CostModel(), MapperConfig(
+                w_max=12, h_max=16, pareto=True, ordering=ordering,
+                kernel=kernel))
+            result = engine.run()
+            stats = engine.stats
+            runs.append((_table_snapshot(engine), result.circuit.digest(),
+                         (stats.tuples_created, stats.tuples_pruned,
+                          stats.bound_skips)))
+            if kernel == "soa":
+                assert stats.soa_max_batch > 1000
+        assert runs[0][1] == runs[1][1], f"digest divergence: seed={seed}"
+        assert runs[0][2] == runs[1][2], f"stats divergence: seed={seed}"
+        assert runs[0][0] == runs[1][0], f"table divergence: seed={seed}"
 
 
 def test_soa_kernel_records_activity():

@@ -95,6 +95,32 @@ class TestEditing:
         # PIs always retained
         assert len(net.pis) == 2
 
+        # Many POs share one deep chain; a dead chain hangs off it.
+        net = LogicNetwork()
+        a = net.add_pi("a")
+        b = net.add_pi("b")
+        net.add_pi("unused_pi")
+        g = net.add_and(a, b)
+        chain = [g]
+        for i in range(200):
+            g = net.add_or(g, a if i % 2 else b)
+            chain.append(g)
+        d = net.add_and(chain[100], b)
+        dead = [d]
+        for _ in range(5):
+            d = net.add_or(d, a)
+            dead.append(d)
+        pos = [net.add_po(chain[-1 - 3 * i], f"o{i}") for i in range(40)]
+        expect = set(net.pis) | set(pos)
+        for p in pos:
+            expect |= net.transitive_fanin(p)
+        before = [u for u in net.node_ids if u in expect]
+        removed = net.remove_unused()
+        assert removed == len(dead)
+        assert list(net.node_ids) == before
+        assert len(net.pis) == 3
+        net.validate()
+
     def test_copy_is_independent(self, simple):
         dup = simple.copy()
         dup.add_pi("z")
