@@ -512,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "or any registered kernel")
     p_map.add_argument("--auto-threshold", type=int, default=None,
                        metavar="N",
-                       help="auto kernel routing cutoff: combine calls "
+                       help="auto kernel routing cutoff: kernel batches "
                             "with at least N candidate pairs go to the "
                             "soa kernel (default 64)")
     p_map.add_argument("--netlist", action="store_true",

@@ -174,8 +174,7 @@ class DPMapPass(Pass):
         engine = MappingEngine(ctx.get("unate_network"), ctx.cost_model,
                                ctx.config, cache=ctx.cache, stats=ctx.stats,
                                tracer=ctx.tracer, metrics=ctx.metrics)
-        engine.run_dp()
-        plan = engine.plan()
+        plan = engine.run_to_plan()
         ctx.set("plan", plan)
         return {"gates_selected": len(plan.gates),
                 "pbe_aware": ctx.config.pbe_aware,

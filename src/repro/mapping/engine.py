@@ -48,9 +48,9 @@ from ..network import LogicNetwork, NodeType
 from ..pipeline.metrics import MappingStats
 from ..resilience.faults import fire
 from .cost import CostModel
-from .kernel import (AUTO_THRESHOLD, available_kernels, metric_fast_path,
-                     resolve_kernel)
-from .tuples import MapTuple, TupleTable
+from .kernel import (AUTO_THRESHOLD, available_kernels, combine_batch,
+                     metric_fast_path, resolve_kernel)
+from .tuples import FaninView, MapTuple, TupleTable
 
 _gc_lock = threading.Lock()
 _gc_depth = 0
@@ -67,10 +67,13 @@ def _gc_paused():
     acyclic (a DAG of tuples, tables and views; DESIGN.md §15), so
     reference counting alone frees every discarded candidate.
 
-    The pause is shared by every thread running a DP (the daemon maps
-    batches through ``asyncio.to_thread``): the first entrant records
-    whether the collector was enabled and disables it, the last one out
-    restores that state, also when the block raises.
+    It covers :meth:`MappingEngine.run_dp`, and with
+    :meth:`MappingEngine.run_to_plan` also the plan selection and the
+    release of the DP's tables.  The pause is shared by every thread
+    running a DP (the daemon maps batches through
+    ``asyncio.to_thread``): the first entrant records whether the
+    collector was enabled and disables it, the last one out restores
+    that state, also when the block raises.
     """
     global _gc_depth, _gc_was_enabled
     with _gc_lock:
@@ -86,6 +89,14 @@ def _gc_paused():
             if _gc_depth == 0 and _gc_was_enabled:
                 gc.enable()
 
+
+#: Candidate pairs one kernel batch may hold: a topological level is
+#: cut into chunks under this budget (a node larger than it goes alone),
+#: which bounds the batch's column arrays on wide W/H limits.
+BATCH_PAIR_BUDGET = 1 << 17
+#: Nodes one kernel batch may hold: batch node indices fit int16, which
+#: keeps the soa kernel's ``np.lexsort`` on numpy's radix path.
+BATCH_NODE_CAP = (1 << 15) - 1
 
 #: How combine_and orders its operands.
 ORDERING_RULES = ("paper", "naive", "adverse", "exhaustive")
@@ -139,8 +150,9 @@ class MapperConfig:
         ``"reference"`` — the scalar Python oracle; ``"soa"`` — the
         structure-of-arrays numpy kernel (bit-identical tables,
         requires numpy); ``"auto"`` (the default) — a hybrid routing
-        each combine call by operand size, soa when numpy is importable
-        and the batch is large enough to amortize the array overhead.
+        each kernel batch by candidate-pair count, soa when numpy is
+        importable and the batch is large enough to amortize the array
+        overhead.
         Third-party kernels registered via
         :func:`~repro.mapping.kernel.register_kernel` are selected the
         same way.  Excluded from :meth:`fingerprint` because the kernel
@@ -148,10 +160,11 @@ class MapperConfig:
         produce bit-identical tables, so cached/checkpointed artifacts
         are shared across them.
     auto_threshold:
-        The ``"auto"`` kernel's routing cutoff: a combine call goes to
-        the soa kernel when ``len(view_a) * len(view_b)`` is at least
-        this many candidate pairs, to the reference kernel otherwise
-        (default :data:`~repro.mapping.kernel.AUTO_THRESHOLD`).  Pure
+        The ``"auto"`` kernel's routing cutoff: a kernel batch goes to
+        the soa kernel when its nodes' ``len(view_a) * len(view_b)``
+        sum to at least this many candidate pairs, to the reference
+        kernel otherwise (PBE pareto runs route node by node; default
+        :data:`~repro.mapping.kernel.AUTO_THRESHOLD`).  Pure
         execution strategy like ``kernel`` — any setting yields
         bit-identical tables — so it is likewise excluded from
         :meth:`fingerprint`; the decision tally is observable in
@@ -313,16 +326,17 @@ class MappingEngine:
         (a fresh one is created otherwise); also exposed on the returned
         :attr:`MappingResult.stats`.
     tracer:
-        Optional :class:`~repro.obs.Tracer`.  Nodes whose DP took at
-        least ``tracer.node_span_threshold_s`` are recorded as ``node``
-        spans (retroactively — the hot path only pays one comparison
-        per node; the timing itself already exists for the stats).
+        Optional :class:`~repro.obs.Tracer`.  Kernel batches whose wall
+        time reached ``tracer.node_span_threshold_s`` are recorded as
+        ``level:<k>`` spans with ``nodes`` and ``candidates`` attributes
+        (retroactively — the hot path only pays one comparison per
+        batch; the timing itself already exists for the stats).
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`.  Every
         ``tracer.sample_every``-th node (default every 8th; 1 when no
-        tracer is attached alongside) observes the tuples-per-node and
-        combine-call-latency histograms, keeping the observation cost
-        off the kernel's critical path.
+        tracer is attached alongside) observes the tuples-per-node
+        histogram; every kernel batch observes the combine-latency
+        histogram once.
     """
 
     def __init__(self, network: LogicNetwork, cost_model: CostModel,
@@ -357,7 +371,7 @@ class MappingEngine:
             self._h_combine = metrics.histogram(
                 "repro_mapping_combine_seconds",
                 buckets=NODE_SECONDS_BUCKETS,
-                help="combine-call latency per node (sampled)")
+                help="combine latency per kernel batch")
         else:
             self._h_tuples = None
             self._h_combine = None
@@ -369,6 +383,11 @@ class MappingEngine:
         #: memoized per-node fanin views (a multi-fanout node's table is
         #: listed once, not once per consumer)
         self._views: Dict[int, List[MapTuple]] = {}
+        #: candidates per pair of a series combine: exhaustive ordering
+        #: stacks each pair both ways (the max_tuples chunk estimate)
+        self._series_orders = (2 if self.config.pbe_aware
+                               and self.config.ordering == "exhaustive"
+                               else 1)
         # Scalar fast path: candidates are priced from raw metrics and
         # bound-checked before any MapTuple is allocated.  Only sound
         # when tuple_key is the base-class delegation to
@@ -421,18 +440,18 @@ class MappingEngine:
     # ------------------------------------------------------------------
     # combination
     # ------------------------------------------------------------------
-    def _combine_into(self, table: TupleTable, is_or: bool,
-                      view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
-        """Fill ``table`` with the surviving combinations of the views.
+    def _combine_into(self, items) -> List[int]:
+        """Fill every item's table; return per-item candidate counts.
 
-        Delegates to the run's configured DP kernel (see
+        ``items`` are ``(table, is_or, view_a, view_b)`` nodes of one
+        kernel batch.  Delegates to the run's configured DP kernel (see
         ``mapping/kernel.py``); kept as an engine method so profiles of
         any kernel still show one frame covering the combine step.
         """
-        self.kernel.combine(table, is_or, view_a, view_b)
+        return combine_batch(self.kernel, items, self.stats)
 
     # ------------------------------------------------------------------
-    # the DP over one node
+    # the DP, one topological level at a time
     # ------------------------------------------------------------------
     def _fanin_view(self, uid: int) -> List[MapTuple]:
         view = self._views.get(uid)
@@ -450,7 +469,7 @@ class MappingEngine:
                 if record is None:  # pragma: no cover - topological order
                     raise MappingError(f"gate for node {uid} not yet formed")
                 return [self._gate_input_tuple(record, sunk=True)]
-            view = list(self._tables[uid].all_tuples())
+            view = FaninView(self._tables[uid])
             if record is not None:
                 view.append(self._gate_input_tuple(
                     record, sunk=False,
@@ -477,57 +496,153 @@ class MappingEngine:
                 f"{self.stats.nodes_processed} nodes)",
                 stats=self.stats, limit="max_tuples")
 
-    def _process_node(self, uid: int) -> None:
-        node = self.network.node(uid)
-        stats = self.stats
-        self._guard_nodes()
+    def _levels(self) -> List[List[int]]:
+        """AND/OR nodes by topological depth, topological order within.
+
+        A node's level is one more than its deepest AND/OR fanin's, so
+        every node depends only on lower levels.
+        """
+        network = self.network
+        depth: Dict[int, int] = {}
+        levels: List[List[int]] = []
+        for uid in network.topological_order():
+            node = network.node(uid)
+            if node.type in (NodeType.AND, NodeType.OR):
+                d = max(depth.get(f, 0) for f in node.fanins)
+                depth[uid] = d + 1
+                if d == len(levels):
+                    levels.append([])
+                levels[d].append(uid)
+        return levels
+
+    def _process_level(self, k: int, uids: List[int]) -> None:
+        """Map level ``k``: cut at ``max_nodes``, then its nodes."""
+        limit = self.config.max_nodes
+        if limit is not None:
+            room = limit - self.stats.nodes_processed
+            if len(uids) > room:
+                self._process_nodes(k, uids[:room])
+                self._guard_nodes()
+        self._process_nodes(k, uids)
+
+    def _process_nodes(self, k: int, uids: List[int]) -> None:
+        """Serve cache hits, then run the misses through the kernel."""
         started = time.perf_counter()
-        table = self._cached_table(uid)
-        if table is None:
-            table = TupleTable(self.model.tuple_key,
-                               pareto=self.config.pareto)
-            views = [self._fanin_view(f) for f in node.fanins]
-            view_a, view_b = views
+        misses, later = self._fetch_cached(uids)
+        for chunk, items, chunk_started in self._chunks(misses):
+            self._run_batch(k, chunk, items, chunk_started)
+        self.stats.node_time_s += time.perf_counter() - started
+        if later:
+            self._process_nodes(k, later)
+
+    def _fetch_cached(self, uids: List[int]):
+        """Finish the cache hits; return ``(misses, later)``.
+
+        A node whose cone signature matches an earlier miss of this
+        round goes to ``later``, the next round, when that miss is
+        stored: the cache then serves it, as it would have node by node.
+        """
+        misses = []
+        later = []
+        pending = set()
+        for uid in uids:
+            sig = self._signatures.get(uid)
+            if sig is not None and sig in pending:
+                later.append(uid)
+                continue
+            table = self._cached_table(uid)
+            if table is None:
+                misses.append(uid)
+                if sig is not None:
+                    pending.add(sig)
+            else:
+                self._finish_node(uid, table)
+        return misses, later
+
+    def _chunks(self, uids: List[int]):
+        """Yield ``(uids, items, started)`` kernel batches of ``uids``.
+
+        A batch closes before a node that would take it past
+        ``BATCH_PAIR_BUDGET`` candidate pairs or ``BATCH_NODE_CAP``
+        nodes, and — with ``max_tuples`` set — once its candidate
+        estimate passes the remaining budget, so it overshoots by at
+        most one node.  The caller runs each batch before the next is
+        cut, so the remaining budget is current.
+        """
+        stats = self.stats
+        network = self.network
+        tuple_limit = self.config.max_tuples
+        chunk: List[int] = []
+        items = []
+        pairs = estimate = 0
+        started = 0.0
+        for uid in uids:
+            node = network.node(uid)
+            view_a, view_b = [self._fanin_view(f) for f in node.fanins]
+            size = len(view_a) * len(view_b)
+            if chunk and (pairs + size > BATCH_PAIR_BUDGET
+                          or len(chunk) == BATCH_NODE_CAP
+                          or (tuple_limit is not None and estimate
+                              > tuple_limit - stats.tuples_created)):
+                yield chunk, items, started
+                chunk, items, pairs, estimate = [], [], 0, 0
+            if not chunk:
+                started = time.perf_counter()
+            is_or = node.type is NodeType.OR
+            chunk.append(uid)
+            items.append((TupleTable(self.model.tuple_key,
+                                     pareto=self.config.pareto),
+                          is_or, view_a, view_b))
+            pairs += size
+            estimate += size if is_or else size * self._series_orders
+        if chunk:
+            yield chunk, items, started
+
+    def _run_batch(self, k: int, uids: List[int], items,
+                   started: float) -> None:
+        """One kernel call for a chunk of a level, then its gates."""
+        stats = self.stats
+        for _, _, view_a, view_b in items:
             stats.combine_calls += len(view_a) * len(view_b)
-            # Histogram observation is sampled (every Nth node); the
-            # kernel timer itself always runs — one perf_counter pair
-            # per node, the basis for per-kernel throughput comparisons.
-            sampled = (self._h_combine is not None
-                       and stats.nodes_processed
-                       % self._hist_sample_every == 0)
-            if sampled:
-                created_before = stats.tuples_created
-            combine_started = time.perf_counter()
-            self._combine_into(table, node.type is NodeType.OR,
-                               view_a, view_b)
-            combine_elapsed = time.perf_counter() - combine_started
-            stats.combine_time_s += combine_elapsed
-            if sampled:
-                self._h_combine.observe(combine_elapsed)
-                self._h_tuples.observe(
-                    stats.tuples_created - created_before)
-            self._guard_tuples()
-            if not len(table):
+        # The kernel timer always runs — one perf_counter pair per
+        # batch, the basis for per-kernel throughput comparisons.
+        combine_started = time.perf_counter()
+        created = self._combine_into(items)
+        combine_elapsed = time.perf_counter() - combine_started
+        stats.combine_time_s += combine_elapsed
+        if self._h_combine is not None:
+            self._h_combine.observe(combine_elapsed)
+            every = self._hist_sample_every
+            base = stats.nodes_processed
+            for j, count in enumerate(created):
+                if (base + j) % every == 0:
+                    self._h_tuples.observe(count)
+        self._guard_tuples()
+        for uid, (table, _, _, _) in zip(uids, items):
+            if not table.raw_slots():   # a slot never holds zero tuples
                 raise MappingError(
-                    f"no feasible {{W,H}} tuple for node {node.label}: "
+                    f"no feasible {{W,H}} tuple for node "
+                    f"{self.network.node(uid).label}: "
                     f"limits w_max={self.config.w_max}, "
                     f"h_max={self.config.h_max} are too tight")
             self._store_table(uid, table)
+            self._finish_node(uid, table)
+        ended = time.perf_counter()
+        stats.max_node_time_s = max(stats.max_node_time_s, ended - started)
+        # Batch spans are thresholded: slow batches (the ones worth
+        # seeing in a trace) are recorded retroactively from timing the
+        # stats needed anyway; fast ones pay one comparison.
+        floor = self._node_span_floor
+        if floor is not None and ended - started >= floor:
+            self.tracer.record_abs(
+                f"level:{k}", started, ended, category="level",
+                attributes={"nodes": len(uids),
+                            "candidates": sum(created)})
+
+    def _finish_node(self, uid: int, table: TupleTable) -> None:
         self._tables[uid] = table
         self._gates[uid] = self._form_gate(uid, table)
-        elapsed = time.perf_counter() - started
-        stats.nodes_processed += 1
-        stats.node_time_s += elapsed
-        stats.max_node_time_s = max(stats.max_node_time_s, elapsed)
-        # Per-node spans are thresholded: slow nodes (the ones worth
-        # seeing in a trace) are recorded retroactively from timing the
-        # stats needed anyway; fast nodes pay one comparison.
-        floor = self._node_span_floor
-        if floor is not None and elapsed >= floor:
-            self.tracer.record_abs(
-                f"node:{node.label}", started, started + elapsed,
-                category="node",
-                attributes={"uid": uid, "type": node.type.value})
+        self.stats.nodes_processed += 1
 
     # ------------------------------------------------------------------
     # tree-cache hooks
@@ -592,7 +707,7 @@ class MappingEngine:
         return materialize_plan(plan)
 
     def run_dp(self) -> "MappingEngine":
-        """Run the per-node DP over the whole network (no circuit yet)."""
+        """Run the DP over the whole network, level by level (no circuit yet)."""
         network = self.network
         rule = fire("resource.exhaust", network.name, self.tracer,
                     self.metrics)
@@ -617,14 +732,29 @@ class MappingEngine:
                     self._forced[uid] = (network.fanout_count(uid) > 1
                                          or uid in po_drivers)
         with _gc_paused():
-            for uid in network.topological_order():
-                if network.node(uid).type in (NodeType.AND, NodeType.OR):
-                    self._process_node(uid)
+            for k, uids in enumerate(self._levels()):
+                self._process_level(k, uids)
         self.kernel.finalize()
         if self.cache is not None and self.cache.enabled:
             self.stats.cache_evictions += (self.cache.evictions
                                            - evictions_before)
         return self
+
+    def run_to_plan(self) -> MappingPlan:
+        """:meth:`run_dp` and :meth:`plan` under one collector pause.
+
+        The engine's tables, views and gate records are released before
+        the pause closes, so reference counting frees the DP heap inside
+        it and the young collection that follows ``gc.enable()`` walks
+        only what the plan keeps.  The engine cannot plan again.
+        """
+        with _gc_paused():
+            self.run_dp()
+            plan = self.plan()
+            self._tables = {}
+            self._views = {}
+            self._gates = {}
+        return plan
 
     def plan(self) -> MappingPlan:
         """Select the gates the mapped circuit needs (post-DP).

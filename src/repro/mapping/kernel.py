@@ -11,14 +11,15 @@ Three kernels ship built in:
   kernel must reproduce its tables bit-for-bit.
 * ``"soa"`` — the structure-of-arrays numpy kernel
   (:mod:`repro.mapping.soa`): candidate generation and dominance
-  filtering as broadcasted column arithmetic, bit-identical to the
-  reference by construction (see DESIGN.md §12).
-* ``"auto"`` — a hybrid that routes each combine call to the soa kernel
-  when numpy is importable and the operand views are large enough
+  filtering as broadcasted column arithmetic over a whole batch of
+  nodes, bit-identical to the reference by construction (see DESIGN.md
+  §12).
+* ``"auto"`` — a hybrid that routes each batch to the soa kernel when
+  numpy is importable and the batch's candidate pairs are enough
   (``MapperConfig.auto_threshold``) to amortize the array overhead, and
   to the reference kernel otherwise.  Sound because both kernels
-  produce identical tables *and* identical stats counters; the per-call
-  routing tally lands in ``stats.auto_routed_soa`` /
+  produce identical tables *and* identical stats counters; the routed
+  node tally lands in ``stats.auto_routed_soa`` /
   ``stats.auto_routed_reference`` and the report kernel block.
 
 Third-party kernels plug in via :func:`register_kernel` and are
@@ -31,15 +32,22 @@ the fuzzed slot-for-slot harness in ``tests/mapping`` are the reusable
 parity witnesses.
 
 A kernel is bound to one :class:`~repro.mapping.engine.MappingEngine`
-run via :meth:`KernelProtocol.build` and then receives every per-node
-:meth:`KernelProtocol.combine` call.  :meth:`KernelProtocol.finalize`
-runs once after the DP; :meth:`KernelProtocol.stats` exposes per-kernel
-diagnostics for reports.
+run via :meth:`KernelProtocol.build`.  The engine walks the network one
+topological level at a time: every AND/OR node of a level depends only
+on lower levels, so the level's uncached nodes reach the kernel
+together, cut into chunks under a fixed candidate budget, through
+:meth:`KernelProtocol.combine_many`.  A kernel that only implements the
+per-node :meth:`KernelProtocol.combine` gets :func:`combine_batch`'s
+loop instead, so per-node kernels (the reference among them) need no
+batch code.  :meth:`KernelProtocol.finalize` runs once after the DP;
+:meth:`KernelProtocol.stats` exposes per-kernel diagnostics for
+reports.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Protocol, runtime_checkable
+from typing import (Callable, Dict, List, Protocol, Sequence, Tuple,
+                    runtime_checkable)
 
 try:  # numpy is an optional dependency: the soa kernel needs it,
     import numpy as np  # everything else runs without it.
@@ -55,11 +63,15 @@ from .tuples import MapTuple, TupleTable
 #: more — ``available_kernels()`` is the authoritative list).
 KERNELS = ("reference", "soa", "auto")
 
-#: Default for ``MapperConfig.auto_threshold``: minimum
-#: ``len(view_a) * len(view_b)`` for the auto kernel to route a combine
-#: call to the soa kernel; smaller batches stay on the reference
-#: kernel, whose per-pair cost beats the fixed numpy dispatch overhead.
+#: Default for ``MapperConfig.auto_threshold``: minimum candidate pairs
+#: (``len(view_a) * len(view_b)`` summed over a batch's nodes) for the
+#: auto kernel to route a batch to the soa kernel; smaller batches stay
+#: on the reference kernel, whose per-pair cost beats the fixed numpy
+#: dispatch overhead.
 AUTO_THRESHOLD = 64
+
+#: One node of a kernel batch: ``(table, is_or, view_a, view_b)``.
+BatchItem = Tuple[TupleTable, bool, List[MapTuple], List[MapTuple]]
 
 #: name -> factory.  A factory is called with the bound-to-be
 #: :class:`~repro.mapping.engine.MappingEngine` and returns an
@@ -176,6 +188,18 @@ class KernelProtocol(Protocol):
     def combine(self, table: TupleTable, is_or: bool,
                 view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
         """Fill ``table`` with the surviving combinations of the views."""
+
+    def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
+        """Fill every item's table; return each item's candidate count.
+
+        ``items`` are independent nodes (one topological level, or a
+        chunk of one).  The result must equal calling :meth:`combine`
+        on each item in turn: the same tables and the same aggregate
+        counters.  The returned list holds each item's contribution to
+        ``tuples_created``, in item order (the engine's per-node
+        histogram samples it).  Optional: the engine runs
+        :func:`combine_batch`'s per-item loop for a kernel without it.
+        """
 
     def finalize(self) -> None:
         """Flush any buffered per-run state (called once after the DP)."""
@@ -499,13 +523,17 @@ class ReferenceKernel:
 class AutoKernel:
     """Hybrid dispatch: soa for large batches, reference for small ones.
 
-    Sound as a per-call choice because both kernels produce identical
+    Sound as a per-batch choice because both kernels produce identical
     tables and identical stats counters — the routing decision is pure
-    execution strategy.  The batch-size cutoff comes from
-    ``MapperConfig.auto_threshold`` (via ``resolve_kernel``), and every
-    per-call decision is tallied into ``stats.auto_routed_soa`` /
+    execution strategy.  A batch goes to the soa kernel when its
+    candidate pairs, summed over its nodes, reach
+    ``MapperConfig.auto_threshold`` (via ``resolve_kernel``); the nodes
+    of every batch are tallied into ``stats.auto_routed_soa`` /
     ``stats.auto_routed_reference`` so reports can show how a hybrid
-    run actually split its work.
+    run actually split its work.  PBE pareto runs route node by node:
+    the soa kernel reduces their bounded fronts one node at a time, so
+    a batch would buy them nothing and would send small nodes past the
+    reference kernel.
     """
 
     name = "auto"
@@ -515,22 +543,35 @@ class AutoKernel:
         self._reference = reference
         self._soa = soa
         self._threshold = AUTO_THRESHOLD if threshold is None else threshold
+        self._per_node = False
         # Replaced by the engine's stats on build(); a throwaway default
         # keeps an unbuilt hybrid (unit tests, ad-hoc harnesses) usable.
         self._stats = MappingStats()
 
     def build(self, engine) -> None:
         self._stats = engine.stats
+        self._per_node = engine.config.pareto and engine.config.pbe_aware
         self._reference.build(engine)
         self._soa.build(engine)
 
     def combine(self, table, is_or, view_a, view_b) -> None:
-        if len(view_a) * len(view_b) >= self._threshold:
-            self._stats.auto_routed_soa += 1
-            self._soa.combine(table, is_or, view_a, view_b)
-        else:
-            self._stats.auto_routed_reference += 1
-            self._reference.combine(table, is_or, view_a, view_b)
+        self._route([(table, is_or, view_a, view_b)])
+
+    def combine_many(self, items) -> List[int]:
+        if not self._per_node:
+            return self._route(items)
+        created = []
+        for item in items:
+            created.extend(self._route([item]))
+        return created
+
+    def _route(self, items) -> List[int]:
+        pairs = sum(len(a) * len(b) for _, _, a, b in items)
+        if pairs >= self._threshold:
+            self._stats.auto_routed_soa += len(items)
+            return combine_batch(self._soa, items, self._stats)
+        self._stats.auto_routed_reference += len(items)
+        return combine_batch(self._reference, items, self._stats)
 
     def finalize(self) -> None:
         self._reference.finalize()
@@ -543,6 +584,25 @@ class AutoKernel:
                 "routed_reference": routed.auto_routed_reference,
                 **{k: v for k, v in self._soa.stats().items()
                    if k != "active"}}
+
+
+def combine_batch(kernel, items: Sequence[BatchItem],
+                  stats: MappingStats) -> List[int]:
+    """Run ``items`` through ``kernel``; return per-item candidate counts.
+
+    Calls the kernel's own ``combine_many`` when it has one, else
+    ``combine`` once per item, reading each item's count off the
+    ``tuples_created`` counter the kernel maintains.
+    """
+    many = getattr(kernel, "combine_many", None)
+    if many is not None:
+        return many(items)
+    created = []
+    for table, is_or, view_a, view_b in items:
+        before = stats.tuples_created
+        kernel.combine(table, is_or, view_a, view_b)
+        created.append(stats.tuples_created - before)
+    return created
 
 
 def _reference_factory(engine):

@@ -2,41 +2,60 @@
 
 The reference kernel walks feasible fanin pairs one at a time, pricing
 and bound-checking each candidate against its ``{W,H}`` slot.  This
-kernel instead materializes the whole candidate batch of one combine
-call as parallel numpy columns — just the *selection* columns (shape
-id, key, ``p_dis``, ``p_tail``, ``par_b``) plus operand-index
-provenance — and reduces each slot with vectorized selection.  Only the
-surviving tuples (a handful per slot) are ever materialized back into
-:class:`MapTuple` objects, their scalar fields gathered straight from
-the generation columns (whose arithmetic is the reference's, so the
-values are bit-equal), so the per-candidate Python object overhead
-disappears from the hot path.
+kernel instead materializes the candidates of a whole *batch of nodes*
+— the engine hands it one topological level at a time, cut into chunks
+(:meth:`SoAKernel.combine_many`) — as parallel numpy columns: just the
+*selection* columns (node, shape id, key, ``p_dis``, ``p_tail``,
+``par_b``) plus operand-index provenance, reduced with one vectorized
+selection for all the batch's slots.  Only the surviving tuples (a
+handful per slot) are ever materialized back into :class:`MapTuple`
+objects, their scalar fields gathered straight from the generation
+columns (whose arithmetic is the reference's, so the values are
+bit-equal), so the per-candidate Python object overhead disappears from
+the hot path, and one batch pays numpy's fixed per-call cost for many
+nodes.
 
-Bit-identity with the reference kernel is the contract (DESIGN.md §12):
+Views enter as ``(len(view), 11)`` float64 column matrices, built once
+per view (memoized by ``id(view)`` for the run).  The matrix rows of a
+table this kernel filled come from its winners' materialization, which
+computes them anyway; a :class:`~repro.mapping.tuples.FaninView` names
+its table, so only the rows after them (the formed-gate leaf) and the
+views of other tables (cache hits) and of leaves are read off the
+tuples.
 
-* Candidate *generation order* is preserved: ``np.nonzero`` on the
-  row-major feasibility mask enumerates pairs a-major then b, exactly
-  the reference loops; exhaustive ordering interleaves the two stacking
-  orders of each pair as adjacent candidates.
+Bit-identity with the reference kernel is the contract (DESIGN.md §12),
+and it holds per node, whatever else shares the batch:
+
+* Candidate *generation order* is preserved: pairs are enumerated
+  ragged and row-major over the batch's concatenated view matrices —
+  node by node, and within a node a-major then b, exactly the
+  reference loops (a one-node batch takes ``np.nonzero`` of the
+  broadcast feasibility mask, the same order); exhaustive ordering
+  interleaves the two stacking orders of each pair as adjacent
+  candidates.  OR nodes are placed before AND nodes, so one split
+  point separates the two generation formulas.
 * All scalar arithmetic is elementwise IEEE-754 double ops in the exact
   association the reference uses, so every ``wcost`` and selection key
   is bit-equal to its scalar twin.
 * Single mode (and non-PBE pareto, whose slot front provably stays a
   singleton and degenerates to the same strict-min selection): the slot
   winner is the *first occurrence* of the lexicographic minimum of
-  ``(key, p_dis)`` — one stable ``np.lexsort`` — which is precisely
-  what the reference's strict-``<`` incumbent replacement converges to.
+  ``(key, p_dis)`` — one stable ``np.lexsort`` over the whole batch,
+  node index as the primary key — which is precisely what the
+  reference's strict-``<`` incumbent replacement converges to.
   Accept events (for stats parity) are counted with a segmented prefix
   minimum over the lex ranks, no per-group Python loop.  The key enters
   the sort as a monotone uint16-digit image of its f64 bits
   (:func:`_key_cols`), so ``np.lexsort`` stays on numpy's radix path
-  end to end whenever the shape ids and ``p_dis`` fit int16, which is
-  every limit pair with ``(w_max+1)(h_max+1) < 32000``; larger limits
-  take the same lexsort on the raw columns (a comparison sort).  It is
-  the only selection path: realistic cost models make most keys
-  binary-infinite fractions (fanout amortization divides ``wcost`` by
-  the fanout in the area-flow seed), so narrower key images would
-  rarely apply; DESIGN.md §12 gives the per-workload path count.
+  end to end whenever the node indices, shape ids and ``p_dis`` fit
+  int16, which is every batch the engine builds (at most
+  ``BATCH_NODE_CAP`` nodes) under every limit pair with
+  ``(w_max+1)(h_max+1) < 32000``; larger limits take the same lexsort
+  on the raw columns (a comparison sort).  It is the only selection
+  path: realistic cost models make most keys binary-infinite fractions
+  (fanout amortization divides ``wcost`` by the fanout in the area-flow
+  seed), so narrower key images would rarely apply; DESIGN.md §12
+  gives the per-workload path count.
 * PBE pareto mode: the bounded front (``max_front`` truncation) is a
   sequential recurrence — dropping a tuple can resurrect one it would
   have dominated, so candidates cannot be reduced independently — but
@@ -67,10 +86,16 @@ Bit-identity with the reference kernel is the contract (DESIGN.md §12):
   bit-exactly.  Finished slots leave the state arrays in batches, so a
   step costs about what its active slots cost; winning tuples
   materialize through one batched gather at the end, and no operand
-  Python object is touched until binding.
+  Python object is touched until binding.  PBE pareto nodes are
+  reduced one node at a time: the reducer's state is per slot already,
+  and a one-node batch keeps its arrays no larger than the node's own
+  candidates.
 * Slot dict order is the shapes' first-candidate order, matching the
   reference's create-on-first-arrival — load-bearing because the tree
-  cache serializes tables in slot-insertion order.
+  cache serializes tables in slot-insertion order.  Each node's
+  candidates are one contiguous arrival range, so sorting the batch's
+  winners by first arrival is node-major and splits back into per-node
+  tables in order.
 
 Stats parity: ``tuples_created``/``tuples_pruned``/``bound_skips`` are
 reproduced exactly, so the auto kernel can mix both kernels within one
@@ -79,19 +104,23 @@ run without observable drift.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
-from .kernel import metric_fast_path
+from .kernel import BatchItem, metric_fast_path
 from .tuples import MapTuple, TupleTable
 
 
-#: The MapTuple fields ``_cols`` gathers, in column order.
+#: The MapTuple fields of a view's column matrix, in column order.
 _COL_FIELDS = attrgetter("width", "height", "wcost", "levels", "p_dis",
                          "p_tail", "par_b", "ends_par", "trans", "disch",
                          "has_pi")
+_W, _H, _WC, _LV, _PD, _PT, _PB, _EP, _TR, _DI, _HP = range(11)
+#: MapTuple.op by "is an OR candidate".
+_OPS = ("ser", "par")
 
 #: uint16 digits of a uint64, least significant first (endian-aware).
 _DIGITS = (0, 1, 2, 3) if np.little_endian else (3, 2, 1, 0)
@@ -104,6 +133,17 @@ _U63 = np.uint64(63)
 #: dispatches, so a thin step should look further ahead).
 _WINDOW = 32
 _STEP_CELLS = 1024
+
+
+def _rows(tuples) -> np.ndarray:
+    """``(len(tuples), 11)`` float64 columns read off the tuples.
+
+    One C-level attrgetter pass + one float64 matrix: every field is
+    exact in a double (ints bounded far below 2**53), so casting a
+    column back reproduces the original values bit-for-bit.
+    """
+    return np.array([_COL_FIELDS(t) for t in tuples],
+                    dtype=np.float64).reshape(len(tuples), 11)
 
 
 def _key_cols(key):
@@ -123,6 +163,50 @@ def _key_cols(key):
             d[:, _DIGITS[2]], d[:, _DIGITS[3]])
 
 
+def _typed(m):
+    """The generation columns of a view matrix, in their numpy types.
+
+    ``(width, height, wcost, levels, p_dis, p_tail, par_b, ends_par)``:
+    int64 counts, the float64 cost, bool flags.
+    """
+    ints = [m[:, c].astype(np.int64) for c in (_W, _H, _LV, _PD, _PT)]
+    return (ints[0], ints[1], m[:, _WC], ints[2], ints[3], ints[4],
+            m[:, _PB] != 0.0, m[:, _EP] != 0.0)
+
+
+def _take(col, idx, uniform):
+    """``col[idx]``; a ``None`` column stands for ``uniform`` everywhere.
+
+    Generation leaves a column ``None`` where its value is fixed by the
+    candidate's kind: ``par_b`` is True exactly on OR candidates,
+    ``committed`` is 0 and ``top_is_b`` False.
+    """
+    if col is None:
+        return np.broadcast_to(uniform, idx.shape)
+    return col[idx]
+
+
+def _merge(or_part, ser_part):
+    """The OR then the series candidate columns of a mixed batch."""
+    fill = {"par_b": (True, False), "committed": (0, 0),
+            "top_is_b": (False, False)}
+    cols = {}
+    for f, x in or_part.items():
+        y = ser_part[f]
+        if x is None and y is None:
+            cols[f] = None
+            continue
+        if x is None or y is None:
+            dtype = (x if y is None else y).dtype
+            uniform = fill[f]
+            if x is None:
+                x = np.full(or_part["sid"].size, uniform[0], dtype=dtype)
+            else:
+                y = np.full(ser_part["sid"].size, uniform[1], dtype=dtype)
+        cols[f] = np.concatenate((x, y))
+    return cols
+
+
 class SoAKernel:
     """The vectorized peer of :class:`~repro.mapping.kernel.ReferenceKernel`."""
 
@@ -134,17 +218,24 @@ class SoAKernel:
         self._batches = 0
         self._candidates = 0
         self._max_batch = 0
-        #: id(view) -> column tuple; views are memoized per node by the
-        #: engine for the whole run, so ids are stable until finalize().
+        #: id(view) -> the view's ``(len(view), 11)`` column matrix; views
+        #: are memoized per node by the engine for the whole run, so ids
+        #: are stable until finalize().
         self._vcols = {}
+        #: id(table) -> (table, column matrix of its tuples in slot
+        #: order), for every table this kernel filled whose view is not
+        #: built yet: the rows that view starts with.
+        self._tcols = {}
 
     def build(self, engine) -> None:
         self._stats = engine.stats
         self._vcols.clear()
+        self._tcols.clear()
         config = engine.config
         self._w_max = config.w_max
         self._h_max = config.h_max
         self._hstride = config.h_max + 1
+        self._nshape = (config.w_max + 1) * self._hstride
         self._pbe = config.pbe_aware
         self._pareto = config.pareto
         ordering = config.ordering
@@ -155,13 +246,12 @@ class SoAKernel:
         self._exhaustive = (not self._adverse and not self._naive
                             and ordering == "exhaustive")
         self._discharge = engine.model.discharge_cost()
-        self._ft = np.array([False, True])
         # Shape ids and potential-point counts fit int16 for any sane
         # limit pair (p_dis is bounded by the structure's device count,
         # itself at most w_max*h_max); numpy's radix sort only covers
         # <=16-bit integers, and the radix path sorts ~4x faster than a
         # comparison sort, so it is worth gating on.
-        self._i16 = (config.w_max + 1) * (config.h_max + 1) < 32000
+        self._i16 = self._nshape < 32000
         metric = metric_fast_path(engine.model)
         if metric is None:  # resolve_kernel guarantees otherwise
             raise RuntimeError(
@@ -170,6 +260,7 @@ class SoAKernel:
 
     def finalize(self) -> None:
         self._vcols.clear()
+        self._tcols.clear()
 
     def stats(self) -> dict:
         return {"active": self.active, "soa_batches": self._batches,
@@ -179,40 +270,94 @@ class SoAKernel:
     # ------------------------------------------------------------------
     # column extraction
     # ------------------------------------------------------------------
-    def _cols(self, view: List[MapTuple]):
-        cols = self._vcols.get(id(view))
-        if cols is None:
-            # One C-level attrgetter pass + one float64 matrix instead
-            # of eleven listcomps: every field is exact in a double
-            # (ints bounded far below 2**53), so the per-column casts
-            # reproduce the original values bit-for-bit.
-            m = np.array([_COL_FIELDS(t) for t in view],
-                         dtype=np.float64).reshape(len(view), 11)
-            cols = (
-                m[:, 0].astype(np.int64),   # width
-                m[:, 1].astype(np.int64),   # height
-                m[:, 2],                    # wcost
-                m[:, 3].astype(np.int64),   # levels
-                m[:, 4].astype(np.int64),   # p_dis
-                m[:, 5].astype(np.int64),   # p_tail
-                m[:, 6] != 0.0,             # par_b
-                m[:, 7] != 0.0,             # ends_par
-                m[:, 8].astype(np.int64),   # trans
-                m[:, 9].astype(np.int64),   # disch
-                m[:, 10] != 0.0,            # has_pi
-            )
-            self._vcols[id(view)] = cols
-        return cols
+    def _vmat(self, view: List[MapTuple]):
+        """The view's column matrix, built once per view.
+
+        A view of a table this kernel filled starts with that table's
+        rows, already computed when its winners materialized; only the
+        rows after them (a formed-gate leaf) and views of other tables
+        (cache hits, reference-routed nodes) and leaves take an
+        attrgetter pass.
+        """
+        m = self._vcols.get(id(view))
+        if m is None:
+            table = getattr(view, "table", None)
+            # the engine builds one view per table: the rows are handed
+            # over, not kept twice
+            entry = (self._tcols.pop(id(table), None)
+                     if table is not None else None)
+            if entry is not None and entry[0] is table:
+                head = entry[1]
+                m = (head if len(view) == len(head) else
+                     np.concatenate((head, _rows(view[len(head):]))))
+            else:
+                m = _rows(view)
+            self._vcols[id(view)] = m
+        return m
+
+    def _stack(self, views):
+        if len(views) == 1:
+            return self._vmat(views[0])
+        return np.concatenate([self._vmat(v) for v in views])
 
     # ------------------------------------------------------------------
     # the combine step
     # ------------------------------------------------------------------
     def combine(self, table: TupleTable, is_or: bool,
                 view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
+        self.combine_many([(table, is_or, view_a, view_b)])
+
+    def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
+        """Fill every item's table; return per-item candidate counts.
+
+        Fresh single-mode (and non-PBE pareto) tables share one batch:
+        one generation, one sort, one materialization.  PBE pareto
+        fronts and pre-filled tables go one node at a time.
+        """
+        created = [0] * len(items)
+        batched = []
+        per_node = self._pareto and self._pbe
+        for j, item in enumerate(items):
+            if per_node or item[0].raw_slots():
+                created[j] = self._combine_node(item)
+            else:
+                batched.append(j)
+        if batched:
+            # OR nodes first, so one split point separates the two
+            # generation formulas; node order is otherwise free, since
+            # the nodes of a batch are independent.
+            batched.sort(key=lambda j: not items[j][1])
+            counts = self._combine_fresh([items[j] for j in batched])
+            for j, count in zip(batched, counts):
+                created[j] = count
+        return created
+
+    def _combine_fresh(self, items) -> List[int]:
+        batch = self._generate(items)
+        self._record(batch)
+        if batch is None:
+            return [0] * len(items)
+        pruned = self._reduce_single([item[0] for item in items], batch)
+        self._count(batch["n"], pruned)
+        return np.bincount(batch["node"], minlength=len(items)).tolist()
+
+    def _combine_node(self, item) -> int:
+        table = item[0]
+        batch = self._generate([item])
+        self._record(batch)
+        if batch is None:
+            return 0
+        if table.raw_slots():
+            pruned = self._combine_seeded(table, batch)
+        else:
+            pruned = self._reduce_pareto(table, batch)
+        self._count(batch["n"], pruned)
+        return batch["n"]
+
+    def _record(self, batch) -> None:
         stats = self._stats
         self._batches += 1
         stats.soa_batches += 1
-        batch = (self._gen_or if is_or else self._gen_ser)(view_a, view_b)
         if batch is None:
             return
         n = batch["n"]
@@ -222,54 +367,91 @@ class SoAKernel:
             self._max_batch = n
             if n > stats.soa_max_batch:
                 stats.soa_max_batch = n
-        if table.raw_slots():
-            accepts, pruned = self._combine_seeded(table, batch, is_or,
-                                                   view_a, view_b)
-        elif self._pareto and self._pbe:
-            accepts, pruned = self._reduce_pareto(table, batch, is_or,
-                                                  view_a, view_b)
-        else:
-            # Without PBE bookkeeping every p field is constant across a
-            # slot, so pareto dominance collapses to "key not worse":
-            # the front is always the strict running (key, p_dis)
-            # minimum — exactly single-mode selection.
-            accepts, pruned = self._reduce_single(table, batch, is_or,
-                                                  view_a, view_b)
+
+    def _count(self, n: int, pruned: int) -> None:
+        stats = self._stats
         stats.tuples_created += n
         stats.tuples_pruned += pruned
         stats.bound_skips += pruned
-        return
 
     # ------------------------------------------------------------------
     # candidate generation (selection columns only)
     # ------------------------------------------------------------------
-    def _gen_or(self, view_a, view_b):
-        aW, aH, aWC, aLV, aPD = self._cols(view_a)[:5]
-        bW, bH, bWC, bLV, bPD = self._cols(view_b)[:5]
-        # Row-major nonzero == the reference's a-major, b-minor loop.
-        ai, bi = np.nonzero(aW[:, None] + bW[None, :] <= self._w_max)
-        n = ai.size
+    def _generate(self, items):
+        """The candidate columns of a batch of nodes, OR nodes first.
+
+        Pairs are enumerated ragged and row-major over the concatenated
+        view matrices: node by node, and within a node a-major then b,
+        exactly the reference's loops.  ``pair_a``/``pair_b`` index the
+        concatenated rows, ``node`` is each candidate's item index, and
+        the OR candidates come first (``n_or`` of them).
+        """
+        views_a = [item[2] for item in items]
+        views_b = [item[3] for item in items]
+        k = len(items)
+        k_or = sum(1 for item in items if item[1])
+        na = np.fromiter(map(len, views_a), dtype=np.int64, count=k)
+        nb = np.fromiter(map(len, views_b), dtype=np.int64, count=k)
+        A = self._stack(views_a)
+        B = self._stack(views_b)
+        acols = _typed(A)
+        bcols = _typed(B)
+        aW, aH, aWC, aLV, aPD = acols[:5]
+        bW, bH, bWC, bLV, bPD = bcols[:5]
+        if k == 1:
+            # One node: the feasible pairs of its grid straight from a
+            # broadcast mask (row-major nonzero), no full-grid indices.
+            if k_or:
+                feasible = aW[:, None] + bW[None, :] <= self._w_max
+            else:
+                feasible = aH[:, None] + bH[None, :] <= self._h_max
+            or_pairs = ser_pairs = np.nonzero(feasible)
+        else:
+            row_len = np.repeat(nb, na)     # candidate pairs per a-row
+            total = int(row_len.sum())
+            a = np.repeat(np.arange(A.shape[0]), row_len)
+            row_start = np.cumsum(row_len) - row_len
+            b_start = np.repeat(np.cumsum(nb) - nb, na)
+            b = np.arange(total) + np.repeat(b_start - row_start, row_len)
+            split = int(np.dot(na[:k_or], nb[:k_or]))
+            ai, bi = a[:split], b[:split]
+            keep = np.flatnonzero(aW[ai] + bW[bi] <= self._w_max)
+            or_pairs = ai[keep], bi[keep]
+            ai, bi = a[split:], b[split:]
+            keep = np.flatnonzero(aH[ai] + bH[bi] <= self._h_max)
+            ser_pairs = ai[keep], bi[keep]
+        parts = []
+        if k_or:
+            ai, bi = or_pairs
+            # Inside a parallel stack every potential point rides on the
+            # stack's shared bottom node: p_tail == p_dis, par_b True.
+            p_dis = aPD[ai] + bPD[bi] if self._pbe else None
+            parts.append({
+                "sid": ((aW[ai] + bW[bi]) * self._hstride
+                        + np.maximum(aH[ai], bH[bi])),
+                "wcost": aWC[ai] + bWC[bi],
+                "levels": np.maximum(aLV[ai], bLV[bi]),
+                "p_dis": p_dis, "p_tail": p_dis, "par_b": None,
+                "committed": None, "top_is_b": None,
+                "pair_a": ai, "pair_b": bi})
+        n_or = parts[0]["sid"].size if parts else 0
+        if k_or < k:
+            parts.append(self._gen_ser(*ser_pairs, acols, bcols))
+        cols = parts[0] if len(parts) == 1 else _merge(*parts)
+        n = cols["sid"].size
         if n == 0:
             return None
-        sid = ((aW[ai] + bW[bi]) * self._hstride
-               + np.maximum(aH[ai], bH[bi]))
-        wcost = aWC[ai] + bWC[bi]
-        levels = np.maximum(aLV[ai], bLV[bi])
-        # Inside a parallel stack every potential point rides on the
-        # stack's shared bottom node: p_tail == p_dis, par_b True.
-        p_dis = aPD[ai] + bPD[bi] if self._pbe else None
-        return {"n": n, "sid": sid, "key": self._metric(wcost, levels),
-                "p_dis": p_dis, "p_tail": p_dis, "par_b": None,
-                "pair_a": ai, "pair_b": bi, "top_is_b": None,
-                "wcost": wcost, "levels": levels, "committed": None}
+        cols["key"] = self._metric(cols["wcost"], cols["levels"])
+        node_of_row = np.repeat(
+            np.arange(k, dtype=np.int16 if k < 32768 else np.int64), na)
+        cols.update(n=n, n_or=n_or, node=node_of_row[cols["pair_a"]],
+                    A=A, B=B, views_a=views_a, views_b=views_b)
+        return cols
 
-    def _gen_ser(self, view_a, view_b):
-        aW, aH, aWC, aLV, aPD, aPT, aPB, aEP = self._cols(view_a)[:8]
-        bW, bH, bWC, bLV, bPD, bPT, bPB, bEP = self._cols(view_b)[:8]
-        ai, bi = np.nonzero(aH[:, None] + bH[None, :] <= self._h_max)
+    def _gen_ser(self, ai, bi, acols, bcols):
+        aW, aH, aWC, aLV, aPD, aPT, aPB, aEP = acols
+        bW, bH, bWC, bLV, bPD, bPT, bPB, bEP = bcols
         n0 = ai.size
-        if n0 == 0:
-            return None
         # Shape, base cost and levels are symmetric in the operands, so
         # they never need the top/bottom pick below.
         sid = (np.maximum(aW[ai], bW[bi]) * self._hstride
@@ -280,12 +462,11 @@ class SoAKernel:
         if not self._pbe:
             # No committed discharges: both stacking orders share every
             # scalar, the ordering rule only affects provenance.
-            top_is_b = (bEP[bi] & ~aEP[ai]) if self._adverse else None
-            return {"n": n0, "sid": sid,
-                    "key": self._metric(wbase, levels),
+            top_is_b = bEP[bi] & ~aEP[ai] if self._adverse else None
+            return {"sid": sid, "wcost": wbase, "levels": levels,
                     "p_dis": None, "p_tail": None, "par_b": None,
-                    "pair_a": ai, "pair_b": bi, "top_is_b": top_is_b,
-                    "wcost": wbase, "levels": levels, "committed": None}
+                    "committed": None, "top_is_b": top_is_b,
+                    "pair_a": ai, "pair_b": bi}
 
         aPDs, bPDs = aPD[ai], bPD[bi]
         aPTs, bPTs = aPT[ai], bPT[bi]
@@ -307,8 +488,7 @@ class SoAKernel:
             levels = np.repeat(levels, 2)
             pair_a = np.repeat(ai, 2)
             pair_b = np.repeat(bi, 2)
-            top_is_b = np.tile(self._ft, n0)
-            n = 2 * n0
+            top_is_b = np.tile(np.array([False, True]), n0)
         else:
             if self._adverse:
                 # Bulk-CMOS habit: the parallel stack rises toward the
@@ -330,7 +510,6 @@ class SoAKernel:
                 tPT, bPT_ = np.where(swap, bPTs, aPTs), np.where(swap, aPTs, bPTs)
                 tPB, bPB_ = np.where(swap, bPBs, aPBs), np.where(swap, aPBs, bPBs)
             pair_a, pair_b, top_is_b = ai, bi, swap
-            n = n0
         # A parallel-ending top commits its trailing-stack points plus
         # the new junction; a series-ending top adds the junction to the
         # spine as a new potential point.
@@ -338,120 +517,86 @@ class SoAKernel:
         p_dis = np.where(tPB, (tPD - tPT) + bPD_, tPD + 1 + bPD_)
         # Same association as the reference: (top + bottom) + committed*d.
         wcost = wbase + committed * self._discharge
-        return {"n": n, "sid": sid, "key": self._metric(wcost, levels),
+        return {"sid": sid, "wcost": wcost, "levels": levels,
                 "p_dis": p_dis, "p_tail": bPT_, "par_b": bPB_,
-                "pair_a": pair_a, "pair_b": pair_b, "top_is_b": top_is_b,
-                "wcost": wcost, "levels": levels, "committed": committed}
+                "committed": committed, "top_is_b": top_is_b,
+                "pair_a": pair_a, "pair_b": pair_b}
 
     # ------------------------------------------------------------------
-    # survivor materialization (reference's exact scalar arithmetic)
+    # survivor materialization
     # ------------------------------------------------------------------
-    def _mat_or(self, a: MapTuple, b: MapTuple) -> MapTuple:
-        p_dis = a.p_dis + b.p_dis if self._pbe else 0
-        return MapTuple(
-            a.width + b.width, max(a.height, b.height),
-            a.wcost + b.wcost, a.trans + b.trans, a.disch + b.disch,
-            max(a.levels, b.levels), p_dis, True,
-            a.has_pi or b.has_pi, p_tail=p_dis, ends_par=True,
-            op="par", left=a, right=b)
-
-    def _mat_ser(self, top: MapTuple, bottom: MapTuple) -> MapTuple:
-        if self._pbe:
-            if top.par_b:
-                committed = top.p_tail + 1
-                p_dis = (top.p_dis - top.p_tail) + bottom.p_dis
-            else:
-                committed = 0
-                p_dis = top.p_dis + 1 + bottom.p_dis
-            p_tail = bottom.p_tail
-            par_b = bottom.par_b
-        else:
-            committed = 0
-            p_dis = 0
-            p_tail = 0
-            par_b = False
-        return MapTuple(
-            max(top.width, bottom.width), top.height + bottom.height,
-            (top.wcost + bottom.wcost) + committed * self._discharge,
-            top.trans + bottom.trans + committed,
-            top.disch + bottom.disch + committed,
-            max(top.levels, bottom.levels), p_dis, par_b,
-            top.has_pi or bottom.has_pi, p_tail=p_tail,
-            ends_par=bottom.ends_par, op="ser", left=top, right=bottom)
-
-    def _mat(self, batch, c: int, is_or: bool,
-             view_a, view_b) -> MapTuple:
-        a = view_a[int(batch["pair_a"][c])]
-        b = view_b[int(batch["pair_b"][c])]
-        if is_or:
-            return self._mat_or(a, b)
-        tib = batch["top_is_b"]
-        if tib is not None and tib[c]:
-            return self._mat_ser(b, a)
-        return self._mat_ser(a, b)
-
-    def _mat_many(self, batch, idx, is_or: bool,
-                  view_a, view_b) -> List[MapTuple]:
+    def _mat_many(self, batch, idx):
         """Materialize the tuples at batch positions ``idx``, in order.
 
-        Every scalar field is gathered from the generation columns
-        (already bit-exact); only the provenance back-pointers touch the
-        operand objects.  One vectorized gather per batch replaces the
-        per-winner scalar recompute of :meth:`_mat_ser`/:meth:`_mat_or`.
+        Returns the tuples and their ``(len(idx), 11)`` column matrix,
+        the rows a later view of these tuples starts with.  Every
+        scalar field is gathered from the generation columns (already
+        bit-exact, in the reference's association) and the operand
+        rows; only the provenance back-pointers touch the operand
+        objects.
         """
-        acols = self._cols(view_a)
-        bcols = self._cols(view_b)
+        objs = batch.get("objs")
+        if objs is None:
+            objs = batch["objs"] = tuple(
+                views[0] if len(views) == 1
+                else list(chain.from_iterable(views))
+                for views in (batch["views_a"], batch["views_b"]))
         pa = batch["pair_a"][idx]
         pb = batch["pair_b"][idx]
-        trans = acols[8][pa] + bcols[8][pb]
-        disch = acols[9][pa] + bcols[9][pb]
-        committed = batch["committed"]
-        if committed is not None:
-            cm = committed[idx]
-            trans = trans + cm
-            disch = disch + cm
+        ra = batch["A"][pa]
+        rb = batch["B"][pb]
+        is_or = idx < batch["n_or"]
         sid = batch["sid"][idx]
-        wl = (sid // self._hstride).tolist()
-        hl = (sid % self._hstride).tolist()
-        wcost = batch["wcost"][idx].tolist()
-        levels = batch["levels"][idx].tolist()
-        transl = trans.tolist()
-        dischl = disch.tolist()
-        haspil = (acols[10][pa] | bcols[10][pb]).tolist()
+        wcost = batch["wcost"][idx]
+        levels = batch["levels"][idx]
+        par_b = _take(batch["par_b"], idx, is_or)
+        m = len(sid)
+        mat = np.empty((m, 11), dtype=np.float64)
+        wa = sid // self._hstride
+        ha = sid % self._hstride
+        mat[:, _W] = wa
+        mat[:, _H] = ha
+        mat[:, _WC] = wcost
+        mat[:, _LV] = levels
         p_dis = batch["p_dis"]
         if p_dis is None:
-            pdl = ptl = None
-        else:
-            pdl = p_dis[idx].tolist()
-            p_tail = batch["p_tail"]
-            ptl = pdl if p_tail is p_dis else p_tail[idx].tolist()
-        par_b = batch["par_b"]
-        parl = par_b[idx].tolist() if par_b is not None else None
-        m = len(wl)
-        if pdl is None:
+            mat[:, _PD] = 0.0
+            mat[:, _PT] = 0.0
             pdl = ptl = [0] * m
+        else:
+            pd = p_dis[idx]
+            pt = batch["p_tail"][idx]
+            mat[:, _PD] = pd
+            mat[:, _PT] = pt
+            pdl = pd.tolist()
+            ptl = pt.tolist()
+        mat[:, _PB] = par_b
+        # ends_par is the bottom operand's: b's unless swapped on top.
+        tib = _take(batch["top_is_b"], idx, False)
+        mat[:, _EP] = np.where(is_or, 1.0,
+                               np.where(tib, ra[:, _EP], rb[:, _EP]))
+        committed = _take(batch["committed"], idx, 0)
+        mat[:, _TR] = ra[:, _TR] + rb[:, _TR] + committed
+        mat[:, _DI] = ra[:, _DI] + rb[:, _DI] + committed
+        mat[:, _HP] = np.maximum(ra[:, _HP], rb[:, _HP])
+        lefts = list(map(objs[0].__getitem__, pa.tolist()))
+        rights = list(map(objs[1].__getitem__, pb.tolist()))
+        for j in np.flatnonzero(tib).tolist():
+            lefts[j], rights[j] = rights[j], lefts[j]
         nones = [None] * m
         # ``map(MapTuple, ...)`` drives the construction loop in C with
         # all-positional calls (structure=None slot included) — no
-        # per-tuple bytecode, measurable at this call volume.
-        lefts = list(map(view_a.__getitem__, pa.tolist()))
-        rights = list(map(view_b.__getitem__, pb.tolist()))
-        if is_or:
-            trues = [True] * m
-            return list(map(MapTuple, wl, hl, wcost, transl, dischl,
-                            levels, pdl, trues, haspil, nones, ptl,
-                            trues, ["par"] * m, lefts, rights))
-        if parl is None:
-            parl = [False] * m
-        tib = batch["top_is_b"]
-        if tib is not None:
-            for j in np.flatnonzero(tib[idx]).tolist():
-                lefts[j], rights[j] = rights[j], lefts[j]
-        # ends_par (the second ``nones``) is derived in
-        # MapTuple.__init__ from right.ends_par, exactly the bottom's.
-        return list(map(MapTuple, wl, hl, wcost, transl, dischl,
-                        levels, pdl, parl, haspil, nones, ptl, nones,
-                        ["ser"] * m, lefts, rights))
+        # per-tuple bytecode, measurable at this call volume.  ends_par
+        # (the second ``nones``) is derived in MapTuple.__init__: True
+        # for "par", the bottom's (right's) for "ser".
+        tuples = list(map(
+            MapTuple, wa.tolist(), ha.tolist(), wcost.tolist(),
+            mat[:, _TR].astype(np.int64).tolist(),
+            mat[:, _DI].astype(np.int64).tolist(), levels.tolist(), pdl,
+            par_b.tolist(), (mat[:, _HP] != 0.0).tolist(), nones, ptl,
+            nones, list(map(_OPS.__getitem__, is_or.tolist())), lefts,
+            rights))
+        return tuples, mat
 
     # ------------------------------------------------------------------
     # sorting (shared by both reducers)
@@ -473,17 +618,19 @@ class SoAKernel:
     # ------------------------------------------------------------------
     # the two reducers
     # ------------------------------------------------------------------
-    def _reduce_single(self, table, batch, is_or, view_a, view_b):
+    def _reduce_single(self, tables, batch) -> int:
         """Single-mode selection: one stable sort, first element per slot.
 
-        Stable lexsort: primary shape, then (key, p_dis), ties in
-        arrival order — the first element of each shape group is the
-        first occurrence of the lexicographic minimum, exactly the
-        incumbent the reference's strict-< replacement ends up with.
+        Stable lexsort: primary node, then shape, then (key, p_dis),
+        ties in arrival order — the first element of each (node, shape)
+        group is the first occurrence of the lexicographic minimum,
+        exactly the incumbent the reference's strict-< replacement ends
+        up with.  Returns the pruned count.
         """
         n = batch["n"]
         sid = batch["sid"]
         key = batch["key"]
+        node = batch["node"]
         sid_s, pd_s = self._sort_cols(batch)
         # With int16 sort columns the key enters as its radix digits and
         # the whole lexsort runs on numpy's radix path; otherwise every
@@ -491,11 +638,13 @@ class SoAKernel:
         cols = (_key_cols(key) if self._i16 else (key,)) + (sid_s,)
         if pd_s is not None:
             cols = (pd_s,) + cols
+        if len(tables) > 1:
+            cols += (node,)
         order = np.lexsort(cols)
-        sid_o = sid_s[order]
+        grp_o = (node.astype(np.int64) * self._nshape + sid)[order]
         newgrp = np.empty(n, dtype=bool)
         newgrp[0] = True
-        np.not_equal(sid_o[1:], sid_o[:-1], out=newgrp[1:])
+        np.not_equal(grp_o[1:], grp_o[:-1], out=newgrp[1:])
         starts = np.flatnonzero(newgrp)
         G = starts.size
         seg = np.cumsum(newgrp)
@@ -510,20 +659,28 @@ class SoAKernel:
         accepts = 1 + int(np.count_nonzero(rr[1:] < cm[:-1]))
         # First lex element per group is the winner; slots are created
         # in each shape's first-*arrival* order (= ascending group
-        # minimum of the arrival index).
+        # minimum of the arrival index), which is node-major because
+        # each node's candidates are one contiguous arrival range.
         first_arrival = np.minimum.reduceat(order, starts)
         winners = order[starts][np.argsort(first_arrival, kind="stable")]
-        slots = table.raw_slots()
         ws = sid[winners]
-        wl = (ws // self._hstride).tolist()
-        hl = (ws % self._hstride).tolist()
-        kl = key[winners].tolist()
-        mats = self._mat_many(batch, winners, is_or, view_a, view_b)
-        for w_, h_, k_, m_ in zip(wl, hl, kl, mats):
-            slots[(w_, h_)] = [(k_, m_)]
-        return accepts, n - accepts
+        wnode = node[winners]
+        mats, rows = self._mat_many(batch, winners)
+        slot_maps = [table.raw_slots() for table in tables]
+        for nd, w_, h_, k_, m_ in zip(wnode.tolist(),
+                                      (ws // self._hstride).tolist(),
+                                      (ws % self._hstride).tolist(),
+                                      key[winners].tolist(), mats):
+            slot_maps[nd][(w_, h_)] = [(k_, m_)]
+        p0 = 0
+        ends = np.cumsum(np.bincount(wnode, minlength=len(tables)))
+        for table, p1 in zip(tables, ends.tolist()):
+            self._tcols[id(table)] = (table, rows[p0:p1])
+            p0 = p1
+        return n - accepts
 
-    def _reduce_pareto(self, table, batch, is_or, view_a, view_b):
+    def _reduce_pareto(self, table, batch) -> int:
+        """The change-point reducer for one node; returns the pruned count."""
         n = batch["n"]
         key = batch["key"]
         p_dis = batch["p_dis"]
@@ -554,9 +711,9 @@ class SoAKernel:
         np.not_equal(sk[1:], sk[:-1], out=newv[1:])
         rank = np.empty(n, dtype=np.int64)
         rank[korder] = np.cumsum(newv)
-        # OR combines have par_b uniformly True and p_tail aliasing
+        # OR combines have par_b uniformly True and p_tail equal to
         # p_dis, so dominance and eviction reduce to (key, p_dis).
-        full = par_b is not None
+        full = batch["n_or"] < n
         max_front = table.max_front
         # Guarded bit-field pack (lsb->msb: par_b, p_tail, stamp,
         # p_dis, key rank; one zero guard bit above each field).  One
@@ -578,8 +735,7 @@ class SoAKernel:
             # structure, or a batch with ~2**20 distinct keys and as
             # many candidates in one slot): the exact scalar path costs
             # nothing extra at that point.
-            return self._combine_seeded(table, batch, is_or,
-                                        view_a, view_b)
+            return self._combine_seeded(table, batch)
         if full:
             gmA = ((1 << 2) | (1 << (sh_t + BT)) | (1 << (sh_s + BS))
                    | (1 << (sh_d + BD)) | (1 << (sh_k + BK)))
@@ -638,7 +794,6 @@ class SoAKernel:
             PF[:, cols] = sub
             nord[cols] = max_front
 
-        accepts = 0
         pruned = 0
         while True:
             rem = end - pos
@@ -673,7 +828,6 @@ class SoAKernel:
             nat = (run & ~rej).sum(axis=1)
             kt = int(k.sum())
             at = int(nat.sum())
-            accepts += at
             pruned += kt - at
             if at:
                 restamp(np.flatnonzero(nat))
@@ -685,7 +839,6 @@ class SoAKernel:
             if ch.size:
                 kc = k[ch]
                 c = cand[ch, kc]
-                accepts += ch.size
                 # The dominance test with the roles swapped; the
                 # candidate also "dominates" every dead row, harmlessly.
                 sub = PF[:, ch]
@@ -732,7 +885,8 @@ class SoAKernel:
         srt = np.lexsort((PF_out[fr_, rw] & SM, pos_of[rw]))
         fa = FI_out[fr_, rw][srt].astype(np.int64)
         keys = key[fa].tolist()
-        mats = self._mat_many(batch, fa, is_or, view_a, view_b)
+        mats, rows = self._mat_many(batch, fa)
+        self._tcols[id(table)] = (table, rows)
         cnts = np.bincount(rw, minlength=G)[slot_rank].tolist()
         shapel = sid_g[starts][slot_rank].tolist()
         hstride = self._hstride
@@ -742,36 +896,35 @@ class SoAKernel:
             table.install_front((s_ // hstride, s_ % hstride),
                                 zip(keys[p0:p1], mats[p0:p1]))
             p0 = p1
-        return accepts, pruned
+        return pruned
 
-    def _combine_seeded(self, table, batch, is_or, view_a, view_b):
+    def _combine_seeded(self, table, batch) -> int:
         """Exact slow path for a table that already holds tuples.
 
         The engine always combines into a fresh table, but the kernel
         contract doesn't require it; replaying through ``admits`` /
         ``insert`` keeps decisions and stats literal for any caller.
+        Returns the pruned count.
         """
         n = batch["n"]
         sid = batch["sid"].tolist()
         key = batch["key"].tolist()
         if batch["p_dis"] is None:
             gd = gt = [0] * n
-            gp = [is_or] * n
         else:
             gd = batch["p_dis"].tolist()
             gt = batch["p_tail"].tolist()
-            gp = ([True] * n if batch["par_b"] is None
-                  else batch["par_b"].tolist())
+        par_b = batch["par_b"]
+        gp = (np.arange(n) < batch["n_or"] if par_b is None
+              else par_b).tolist()
         hstride = self._hstride
-        accepts = 0
         pruned = 0
         for c in range(n):
             s_ = sid[c]
             shape = (s_ // hstride, s_ % hstride)
             if table.admits(shape, key[c], gd[c], gt[c], gp[c]):
-                table.insert(self._mat(batch, c, is_or, view_a, view_b),
+                table.insert(self._mat_many(batch, np.array([c]))[0][0],
                              key=key[c])
-                accepts += 1
             else:
                 pruned += 1
-        return accepts, pruned
+        return pruned

@@ -145,6 +145,23 @@ class MapTuple:
                 f"p_dis={self.p_dis}, par_b={self.par_b})")
 
 
+class FaninView(list):
+    """A node's tuples as its fanouts see them.
+
+    The source table's tuples in slot order, then optionally the
+    node's formed-gate leaf.  ``table`` names that source, so a kernel
+    that filled the table can reuse what it knows about those tuples
+    (the soa kernel's column rows) instead of reading them back.
+    Every kernel may treat a view as a plain list.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: "TupleTable"):
+        super().__init__(table.all_tuples())
+        self.table = table
+
+
 class TupleTable:
     """Per-node table of sub-solutions, keyed by ``(W, H)``.
 

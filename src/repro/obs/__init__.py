@@ -16,7 +16,7 @@ layer every part of the mapping stack reports through:
   ``soidomino map --json``, ``batch --json``, and the bench payload.
 
 `FlowPipeline` opens one span per pass, `MappingEngine` records
-thresholded per-node spans and sampled histograms, `BatchRunner`
+thresholded per-batch ``level:<k>`` spans and histograms, `BatchRunner`
 workers ship their span trees across the process pool, and the CLI's
 ``--trace FILE`` flags export the result.
 """

@@ -29,7 +29,7 @@ from ..pipeline.metrics import MAX_MERGED_FIELDS, MappingStats
 TUPLES_PER_NODE_BUCKETS: Tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 
-#: Fixed buckets for per-node DP / combine-call latency (seconds).
+#: Fixed buckets for the engine's combine latency per kernel batch (seconds).
 NODE_SECONDS_BUCKETS: Tuple[float, ...] = (
     1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0)
 

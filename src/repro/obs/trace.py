@@ -1,10 +1,10 @@
 """Hierarchical span tracing for the mapping stack.
 
 A :class:`Span` is one named, timed interval — a flow, a pass, a DP
-node, a batch task — with attributes and nested children.  A
+kernel batch, a batch task — with attributes and nested children.  A
 :class:`Tracer` builds span trees with a context-manager API over a
 monotonic clock (``time.perf_counter``), records already-measured
-intervals retroactively (the engine's per-node hot path measures first
+intervals retroactively (the engine's DP loop measures first
 and records only survivors of the duration threshold), and adopts
 finished trees produced elsewhere (batch workers pickle their trees
 across the process pool; the parent stitches them under per-circuit
@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 #: Engine nodes faster than this produce no span (hot-path guard).
 DEFAULT_NODE_SPAN_THRESHOLD_S = 1e-4
 
-#: The engine observes its per-node histograms every Nth node.
+#: The engine observes its tuples-per-node histogram every Nth node.
 DEFAULT_SAMPLE_EVERY = 8
 
 
@@ -136,10 +136,11 @@ class Tracer:
     name:
         Label for the tracer (carried into exports as the process name).
     node_span_threshold_s:
-        Engine nodes whose DP finished faster than this emit no span —
-        the guard that keeps tracing off the kernel's hot path.
+        Engine kernel batches (chunks of a topological level) that
+        finished faster than this emit no span — the guard that keeps
+        tracing off the kernel's hot path.
     sample_every:
-        The engine observes its per-node histograms every Nth node.
+        The engine observes its tuples-per-node histogram every Nth node.
     """
 
     def __init__(self, name: str = "repro", *,
@@ -212,8 +213,8 @@ class Tracer:
                    attributes: Optional[Dict[str, object]] = None) -> Span:
         """Retroactively record an interval measured with ``perf_counter``.
 
-        The engine's per-node path times every node anyway (for
-        :class:`~repro.pipeline.MappingStats`); nodes that clear the
+        The engine times every kernel batch anyway (for
+        :class:`~repro.pipeline.MappingStats`); batches that clear the
         duration threshold are recorded here after the fact, so the
         fast path never opens a context manager.
         """

@@ -3,7 +3,7 @@
 A :class:`MappingStats` object rides along one :class:`MappingEngine` run
 and counts the events that dominate mapping cost: DP tuples created and
 pruned, combine calls, gate formations, tree-cache hits/misses, and
-per-node wall time.  The counters are plain integers/floats so a stats
+DP wall time.  The counters are plain integers/floats so a stats
 object pickles cleanly across the :class:`~repro.pipeline.BatchRunner`
 process pool and merges cheaply when aggregating a sweep.
 
@@ -52,26 +52,32 @@ class MappingStats:
     nodes_processed:
         AND/OR nodes the DP visited.
     node_time_s, max_node_time_s:
-        Total and worst single-node wall time spent in the per-node DP.
+        Total wall time spent in the DP's level loop, and the slowest
+        kernel batch: one chunk of a topological level, timed through
+        its remaining fanin views, the kernel call, cache stores and
+        gate formations.  (The DP runs level by level, so there is no
+        per-node wall time any more; the field keeps its name.)
     combine_time_s:
         The subset of ``node_time_s`` spent inside the DP kernel's
         combine step — the denominator for kernel tuple-throughput
         comparisons (gate formation, fanin views and cache traffic are
         excluded because they are identical across kernels).
     soa_batches, soa_candidates, soa_max_batch:
-        Vectorized-kernel activity: combine calls executed by the
-        structure-of-arrays kernel, candidates those calls processed as
-        numpy columns, and the largest single vectorized batch.  All
-        zero for pure reference-kernel runs.
+        Vectorized-kernel activity: batches the structure-of-arrays
+        kernel reduced (a chunk of a level, or one node of a PBE pareto
+        or pre-filled table), candidates those batches processed as
+        numpy columns, and the largest single batch.  All zero for
+        pure reference-kernel runs.
     kernel_fallbacks:
         Runs where the soa kernel was requested (or auto-eligible) but
         the cost model was not vectorizable, so the reference kernel
         ran instead (once per affected engine construction).
     auto_routed_soa, auto_routed_reference:
-        The ``"auto"`` kernel's per-call routing decisions: combine
-        calls sent to the soa kernel (batch at least
-        ``MapperConfig.auto_threshold`` candidate pairs) versus kept on
-        the reference kernel.  Both zero unless the hybrid ran.
+        The ``"auto"`` kernel's routing decisions, in nodes: nodes of
+        batches sent to the soa kernel (at least
+        ``MapperConfig.auto_threshold`` candidate pairs per batch)
+        versus kept on the reference kernel.  Both zero unless the
+        hybrid ran.
     """
 
     tuples_created: int = 0

@@ -26,6 +26,7 @@ the gate count and never increases the number of logic levels.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -76,6 +77,18 @@ def unate_convert(network: LogicNetwork,
         ``unate_network`` contains only PI/PO and 2-input AND/OR nodes and
         satisfies ``unate_network.is_mappable()``.
     """
+    out, report = _convert(network, neg_suffix)
+    return out, _with_depth(report, out)
+
+
+def _convert(network: LogicNetwork,
+             neg_suffix: str) -> Tuple[LogicNetwork, UnateReport]:
+    """:func:`unate_convert` with ``unate_depth`` left at 0.
+
+    The depth is a full network walk that only the caller reporting it
+    should pay for: :func:`unate_with_sweep` reports the swept
+    network's depth instead.
+    """
     out = LogicNetwork(network.name)
     # (original uid, phase) -> uid in out.  phase True = positive.
     memo: Dict[Tuple[int, bool], int] = {}
@@ -106,9 +119,13 @@ def unate_convert(network: LogicNetwork,
         duplicated_nodes=duplicated,
         negated_pis=len(neg_pi),
         original_depth=_andor_depth(network),
-        unate_depth=_andor_depth(out),
+        unate_depth=0,
     )
     return out, report
+
+
+def _with_depth(report: UnateReport, network: LogicNetwork) -> UnateReport:
+    return dataclasses.replace(report, unate_depth=_andor_depth(network))
 
 
 def _realize_iterative(network, out, root, root_phase, memo, pos_pi, neg_pi,
@@ -177,19 +194,12 @@ def unate_with_sweep(network: LogicNetwork,
 
     The report's gate counts refer to the swept result.
     """
-    unate, report = unate_convert(network, neg_suffix=neg_suffix)
+    unate, report = _convert(network, neg_suffix)
     swept = sweep(unate)
     swept_gates = sum(1 for n in swept
                       if n.type in (NodeType.AND, NodeType.OR))
-    report = UnateReport(
-        original_gates=report.original_gates,
-        unate_gates=swept_gates,
-        duplicated_nodes=report.duplicated_nodes,
-        negated_pis=report.negated_pis,
-        original_depth=report.original_depth,
-        unate_depth=_andor_depth(swept),
-    )
-    return swept, report
+    report = dataclasses.replace(report, unate_gates=swept_gates)
+    return swept, _with_depth(report, swept)
 
 
 def check_unate_equivalent(original: LogicNetwork, unate: LogicNetwork,

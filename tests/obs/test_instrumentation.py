@@ -54,34 +54,41 @@ def test_pass_span_durations_are_the_pass_records(flow):
 
 
 def test_node_spans_nest_under_dp_map():
-    tracer = Tracer(node_span_threshold_s=0.0)  # record every node
+    tracer = Tracer(node_span_threshold_s=0.0)  # record every batch
     result = map_network(_net(), flow="soi", tracer=tracer)
     dp = result.trace.find("dp-map")
-    node_spans = [c for c in dp.children if c.category == "node"]
-    assert len(node_spans) == result.stats.nodes_processed
-    for span in node_spans:
-        assert span.name.startswith("node:")
-        assert "uid" in span.attributes
+    level_spans = [c for c in dp.children if c.category == "level"]
+    assert len(level_spans) > 1
+    assert (sum(s.attributes["nodes"] for s in level_spans)
+            == result.stats.nodes_processed)
+    assert (sum(s.attributes["candidates"] for s in level_spans)
+            == result.stats.tuples_created)
+    for span in level_spans:
+        assert re.fullmatch(r"level:\d+", span.name)
     # nowhere else in the tree
     strays = [s for s in result.trace.walk()
-              if s.category == "node" and s not in node_spans]
+              if s.category == "level" and s not in level_spans]
     assert strays == []
 
 
 def test_node_span_threshold_suppresses_fast_nodes():
     blocked = Tracer(node_span_threshold_s=1e9)
     result = map_network(_net(), flow="soi", tracer=blocked)
-    assert all(s.category != "node" for s in result.trace.walk())
+    assert all(s.category != "level" for s in result.trace.walk())
 
 
 def test_engine_histograms_are_sampled_into_the_registry():
-    tracer = Tracer(sample_every=1)
+    tracer = Tracer(sample_every=1, node_span_threshold_s=0.0)
     metrics = MetricsRegistry()
     result = map_network(_net(), flow="soi", tracer=tracer, metrics=metrics)
     hist = metrics.get("repro_mapping_tuples_per_node")
     assert hist is not None
+    # per-node samples, read off each batch's per-node counts
     assert hist.count == result.stats.nodes_processed
-    assert metrics.get("repro_mapping_combine_seconds").count == hist.count
+    assert hist.sum == result.stats.tuples_created
+    # one combine-latency sample per kernel batch
+    batches = [s for s in result.trace.walk() if s.category == "level"]
+    assert metrics.get("repro_mapping_combine_seconds").count == len(batches)
 
 
 def test_worker_span_tree_survives_pickling_and_stitches(tmp_path):

@@ -72,3 +72,43 @@ def test_resource_limit_failure_leaves_no_cycles():
     unreachable, error = _unreachable_after(task)
     assert error is not None and error.startswith("ResourceLimitError")
     assert unreachable == 0
+
+
+def test_dp_tables_are_freed_before_the_pause_closes(monkeypatch):
+    """The dp-map pass drops the DP heap while the collector is still off.
+
+    Every table the run builds must be gone — freed by reference
+    counting — by the time the pause re-enables the collector, so the
+    young collection that follows walks only what the plan keeps.
+    """
+    import weakref
+
+    import repro.mapping.engine as engine_module
+    from repro.mapping.tuples import TupleTable
+
+    tables = []
+    init = TupleTable.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(weakref.ref(self))
+
+    alive_at_enable = []
+
+    class Gc:
+        """``gc`` as the pause sees it, checking the tables on enable."""
+
+        def __getattr__(self, name):
+            return getattr(gc, name)
+
+        def enable(self):
+            alive_at_enable.append(sum(ref() is not None for ref in tables))
+            gc.enable()
+
+    monkeypatch.setattr(TupleTable, "__init__", tracked)
+    monkeypatch.setattr(engine_module, "gc", Gc())
+    gc.enable()
+    result = execute_task(BatchTask(CIRCUIT, flow="soi"))
+    assert result.error is None
+    assert tables
+    assert alive_at_enable == [0]

@@ -96,3 +96,49 @@ class TestEquivalence:
         unate, _ = unate_with_sweep(sweep(decompose(net)))
         unate.validate()
         assert unate.is_mappable()
+
+
+def _depth(network):
+    """AND/OR depth recomputed from scratch (inverters are free)."""
+    level = {}
+    for uid in network.topological_order():
+        node = network.node(uid)
+        bump = 1 if node.type in (NodeType.AND, NodeType.OR) else 0
+        level[uid] = bump + max((level[f] for f in node.fanins), default=0)
+    return max((level[p] for p in network.pos), default=0)
+
+
+def _gates(network):
+    return sum(1 for n in network if n.type in (NodeType.AND, NodeType.OR))
+
+
+@pytest.mark.parametrize("name", ["mux", "cm150", "z4ml", "c432", "9symml"])
+def test_reports_keep_every_field_on_registry_circuits(name, monkeypatch):
+    """Each depth is computed where it is reported, and only there."""
+    import repro.synth.unate as unate_module
+    from repro.bench_suite import load_circuit
+
+    cleaned = sweep(decompose(load_circuit(name)))
+    unate, report = unate_convert(cleaned)
+    assert report.unate_depth == _depth(unate)
+    assert report.original_depth == _depth(cleaned)
+    assert report.unate_gates == _gates(unate)
+    assert report.original_gates == _gates(cleaned)
+
+    walks = []
+    real = unate_module._andor_depth
+
+    def counted(network):
+        walks.append(network)
+        return real(network)
+
+    monkeypatch.setattr(unate_module, "_andor_depth", counted)
+    swept, swept_report = unate_with_sweep(cleaned)
+    # the pre-sweep network's depth is never walked: one walk for the
+    # input, one for the swept result
+    assert len(walks) == 2
+    assert swept_report.unate_depth == _depth(swept)
+    assert swept_report.unate_gates == _gates(swept)
+    for field in ("original_gates", "duplicated_nodes", "negated_pis",
+                  "original_depth"):
+        assert getattr(swept_report, field) == getattr(report, field)
