@@ -526,35 +526,51 @@ class MappingEngine:
         self._process_nodes(k, uids)
 
     def _process_nodes(self, k: int, uids: List[int]) -> None:
-        """Serve cache hits, then run the misses through the kernel."""
-        started = time.perf_counter()
-        misses, later = self._fetch_cached(uids)
-        for chunk, items, chunk_started in self._chunks(misses):
-            self._run_batch(k, chunk, items, chunk_started)
-        self.stats.node_time_s += time.perf_counter() - started
-        if later:
-            self._process_nodes(k, later)
+        """Serve cache hits, then run the misses through the kernel.
+
+        Nodes held back behind a same-signature miss (see
+        :meth:`_fetch_cached`) take another round, fetched once that
+        miss is stored.
+        """
+        while uids:
+            started = time.perf_counter()
+            misses, uids = self._fetch_cached(uids)
+            for chunk, items, chunk_started in self._chunks(misses):
+                self._run_batch(k, chunk, items, chunk_started)
+            self.stats.node_time_s += time.perf_counter() - started
 
     def _fetch_cached(self, uids: List[int]):
         """Finish the cache hits; return ``(misses, later)``.
 
         A node whose cone signature matches an earlier miss of this
-        round goes to ``later``, the next round, when that miss is
-        stored: the cache then serves it, as it would have node by node.
+        round goes to ``later`` when the cache will store that miss: the
+        next round fetches it after the store, so the cache serves it as
+        it would have node by node.  A miss the cache cannot store (its
+        cone repeats a primary input, or the cache is off) changes
+        nothing a later fetch sees, so it holds no node back.  Only LRU
+        eviction of a stored entry before its next round can make a
+        held-back node miss and hold others back again.
         """
         misses = []
         later = []
-        pending = set()
+        last_miss = {}   # signature -> this round's latest miss of it
+        held = set()     # signatures whose miss will be stored
         for uid in uids:
             sig = self._signatures.get(uid)
-            if sig is not None and sig in pending:
+            if sig in held:
+                later.append(uid)
+                continue
+            first = last_miss.pop(sig, None)
+            if first is not None and self.cache.storable(self.network,
+                                                         first):
+                held.add(sig)
                 later.append(uid)
                 continue
             table = self._cached_table(uid)
             if table is None:
                 misses.append(uid)
                 if sig is not None:
-                    pending.add(sig)
+                    last_miss[sig] = uid
             else:
                 self._finish_node(uid, table)
         return misses, later
@@ -617,8 +633,8 @@ class MappingEngine:
             for j, count in enumerate(created):
                 if (base + j) % every == 0:
                     self._h_tuples.observe(count)
-        self._guard_tuples()
-        for uid, (table, _, _, _) in zip(uids, items):
+        done = self._within_tuple_limit(created)
+        for uid, (table, _, _, _) in zip(uids[:done], items[:done]):
             if not table.raw_slots():   # a slot never holds zero tuples
                 raise MappingError(
                     f"no feasible {{W,H}} tuple for node "
@@ -627,6 +643,8 @@ class MappingEngine:
                     f"h_max={self.config.h_max} are too tight")
             self._store_table(uid, table)
             self._finish_node(uid, table)
+        if done < len(uids):
+            self._guard_tuples()
         ended = time.perf_counter()
         stats.max_node_time_s = max(stats.max_node_time_s, ended - started)
         # Batch spans are thresholded: slow batches (the ones worth
@@ -638,6 +656,27 @@ class MappingEngine:
                 f"level:{k}", started, ended, category="level",
                 attributes={"nodes": len(uids),
                             "candidates": sum(created)})
+
+    def _within_tuple_limit(self, created: List[int]) -> int:
+        """How many of a batch's nodes finish before ``max_tuples`` trips.
+
+        ``created`` holds the batch's per-node candidate counts, already
+        added to ``tuples_created``.  As node by node, the nodes before
+        the one whose candidates cross the limit are finished and the
+        guard fires after that node, so ``nodes_processed`` in the error
+        counts every node before it.  (The chunk cut makes that node
+        the batch's last.)
+        """
+        limit = self.config.max_tuples
+        total = self.stats.tuples_created
+        if limit is None or total <= limit:
+            return len(created)
+        total -= sum(created)
+        for j, count in enumerate(created):
+            total += count
+            if total > limit:
+                return j
+        return len(created)  # pragma: no cover - the sum crossed it
 
     def _finish_node(self, uid: int, table: TupleTable) -> None:
         self._tables[uid] = table

@@ -36,7 +36,7 @@ run via :meth:`KernelProtocol.build`.  The engine walks the network one
 topological level at a time: every AND/OR node of a level depends only
 on lower levels, so the level's uncached nodes reach the kernel
 together, cut into chunks under a fixed candidate budget, through
-:meth:`KernelProtocol.combine_many`.  A kernel that only implements the
+:meth:`BatchKernel.combine_many`.  A kernel that only implements the
 per-node :meth:`KernelProtocol.combine` gets :func:`combine_batch`'s
 loop instead, so per-node kernels (the reference among them) need no
 batch code.  :meth:`KernelProtocol.finalize` runs once after the DP;
@@ -189,6 +189,22 @@ class KernelProtocol(Protocol):
                 view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
         """Fill ``table`` with the surviving combinations of the views."""
 
+    def finalize(self) -> None:
+        """Flush any buffered per-run state (called once after the DP)."""
+
+    def stats(self) -> dict:
+        """Per-kernel diagnostics for reports (JSON-ready)."""
+
+
+@runtime_checkable
+class BatchKernel(KernelProtocol, Protocol):
+    """A kernel that also combines a whole batch of nodes in one call.
+
+    Optional: :func:`combine_batch` calls :meth:`combine_many` when a
+    kernel has it and otherwise loops over :meth:`combine`, so a kernel
+    satisfying only :class:`KernelProtocol` runs unchanged.
+    """
+
     def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
         """Fill every item's table; return each item's candidate count.
 
@@ -197,15 +213,8 @@ class KernelProtocol(Protocol):
         on each item in turn: the same tables and the same aggregate
         counters.  The returned list holds each item's contribution to
         ``tuples_created``, in item order (the engine's per-node
-        histogram samples it).  Optional: the engine runs
-        :func:`combine_batch`'s per-item loop for a kernel without it.
+        histogram samples it).
         """
-
-    def finalize(self) -> None:
-        """Flush any buffered per-run state (called once after the DP)."""
-
-    def stats(self) -> dict:
-        """Per-kernel diagnostics for reports (JSON-ready)."""
 
 
 class ReferenceKernel:
@@ -530,10 +539,7 @@ class AutoKernel:
     ``MapperConfig.auto_threshold`` (via ``resolve_kernel``); the nodes
     of every batch are tallied into ``stats.auto_routed_soa`` /
     ``stats.auto_routed_reference`` so reports can show how a hybrid
-    run actually split its work.  PBE pareto runs route node by node:
-    the soa kernel reduces their bounded fronts one node at a time, so
-    a batch would buy them nothing and would send small nodes past the
-    reference kernel.
+    run actually split its work.
     """
 
     name = "auto"
@@ -543,29 +549,19 @@ class AutoKernel:
         self._reference = reference
         self._soa = soa
         self._threshold = AUTO_THRESHOLD if threshold is None else threshold
-        self._per_node = False
         # Replaced by the engine's stats on build(); a throwaway default
         # keeps an unbuilt hybrid (unit tests, ad-hoc harnesses) usable.
         self._stats = MappingStats()
 
     def build(self, engine) -> None:
         self._stats = engine.stats
-        self._per_node = engine.config.pareto and engine.config.pbe_aware
         self._reference.build(engine)
         self._soa.build(engine)
 
     def combine(self, table, is_or, view_a, view_b) -> None:
-        self._route([(table, is_or, view_a, view_b)])
+        self.combine_many([(table, is_or, view_a, view_b)])
 
     def combine_many(self, items) -> List[int]:
-        if not self._per_node:
-            return self._route(items)
-        created = []
-        for item in items:
-            created.extend(self._route([item]))
-        return created
-
-    def _route(self, items) -> List[int]:
         pairs = sum(len(a) * len(b) for _, _, a, b in items)
         if pairs >= self._threshold:
             self._stats.auto_routed_soa += len(items)

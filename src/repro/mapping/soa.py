@@ -174,37 +174,10 @@ def _typed(m):
             m[:, _PB] != 0.0, m[:, _EP] != 0.0)
 
 
-def _take(col, idx, uniform):
-    """``col[idx]``; a ``None`` column stands for ``uniform`` everywhere.
-
-    Generation leaves a column ``None`` where its value is fixed by the
-    candidate's kind: ``par_b`` is True exactly on OR candidates,
-    ``committed`` is 0 and ``top_is_b`` False.
-    """
-    if col is None:
-        return np.broadcast_to(uniform, idx.shape)
-    return col[idx]
-
-
 def _merge(or_part, ser_part):
     """The OR then the series candidate columns of a mixed batch."""
-    fill = {"par_b": (True, False), "committed": (0, 0),
-            "top_is_b": (False, False)}
-    cols = {}
-    for f, x in or_part.items():
-        y = ser_part[f]
-        if x is None and y is None:
-            cols[f] = None
-            continue
-        if x is None or y is None:
-            dtype = (x if y is None else y).dtype
-            uniform = fill[f]
-            if x is None:
-                x = np.full(or_part["sid"].size, uniform[0], dtype=dtype)
-            else:
-                y = np.full(ser_part["sid"].size, uniform[1], dtype=dtype)
-        cols[f] = np.concatenate((x, y))
-    return cols
+    return {f: x if x is None else np.concatenate((x, ser_part[f]))
+            for f, x in or_part.items()}
 
 
 class SoAKernel:
@@ -431,8 +404,10 @@ class SoAKernel:
                         + np.maximum(aH[ai], bH[bi])),
                 "wcost": aWC[ai] + bWC[bi],
                 "levels": np.maximum(aLV[ai], bLV[bi]),
-                "p_dis": p_dis, "p_tail": p_dis, "par_b": None,
-                "committed": None, "top_is_b": None,
+                "p_dis": p_dis, "p_tail": p_dis,
+                "par_b": np.ones(ai.size, dtype=bool),
+                "committed": np.zeros(ai.size, dtype=np.int64),
+                "top_is_b": np.zeros(ai.size, dtype=bool),
                 "pair_a": ai, "pair_b": bi})
         n_or = parts[0]["sid"].size if parts else 0
         if k_or < k:
@@ -462,11 +437,13 @@ class SoAKernel:
         if not self._pbe:
             # No committed discharges: both stacking orders share every
             # scalar, the ordering rule only affects provenance.
-            top_is_b = bEP[bi] & ~aEP[ai] if self._adverse else None
+            top_is_b = (bEP[bi] & ~aEP[ai] if self._adverse
+                        else np.zeros(n0, dtype=bool))
             return {"sid": sid, "wcost": wbase, "levels": levels,
-                    "p_dis": None, "p_tail": None, "par_b": None,
-                    "committed": None, "top_is_b": top_is_b,
-                    "pair_a": ai, "pair_b": bi}
+                    "p_dis": None, "p_tail": None,
+                    "par_b": np.zeros(n0, dtype=bool),
+                    "committed": np.zeros(n0, dtype=np.int64),
+                    "top_is_b": top_is_b, "pair_a": ai, "pair_b": bi}
 
         aPDs, bPDs = aPD[ai], bPD[bi]
         aPTs, bPTs = aPT[ai], bPT[bi]
@@ -495,20 +472,15 @@ class SoAKernel:
                 # dynamic node.
                 swap = bEP[bi] & ~aEP[ai]
             elif self._naive:
-                swap = None
+                swap = np.zeros(n0, dtype=bool)
             else:
                 # The paper's rule: a parallel-stack-bearing operand
                 # sinks to the bottom; with both or neither, the operand
                 # with more potential discharge points sinks.
                 swap = np.where(aPBs != bPBs, aPBs, aPDs >= bPDs)
-            if swap is None:
-                tPD, bPD_ = aPDs, bPDs
-                tPT, bPT_ = aPTs, bPTs
-                tPB, bPB_ = aPBs, bPBs
-            else:
-                tPD, bPD_ = np.where(swap, bPDs, aPDs), np.where(swap, aPDs, bPDs)
-                tPT, bPT_ = np.where(swap, bPTs, aPTs), np.where(swap, aPTs, bPTs)
-                tPB, bPB_ = np.where(swap, bPBs, aPBs), np.where(swap, aPBs, bPBs)
+            tPD, bPD_ = np.where(swap, bPDs, aPDs), np.where(swap, aPDs, bPDs)
+            tPT, bPT_ = np.where(swap, bPTs, aPTs), np.where(swap, aPTs, bPTs)
+            tPB, bPB_ = np.where(swap, bPBs, aPBs), np.where(swap, aPBs, bPBs)
             pair_a, pair_b, top_is_b = ai, bi, swap
         # A parallel-ending top commits its trailing-stack points plus
         # the new junction; a series-ending top adds the junction to the
@@ -549,7 +521,7 @@ class SoAKernel:
         sid = batch["sid"][idx]
         wcost = batch["wcost"][idx]
         levels = batch["levels"][idx]
-        par_b = _take(batch["par_b"], idx, is_or)
+        par_b = batch["par_b"][idx]
         m = len(sid)
         mat = np.empty((m, 11), dtype=np.float64)
         wa = sid // self._hstride
@@ -572,10 +544,10 @@ class SoAKernel:
             ptl = pt.tolist()
         mat[:, _PB] = par_b
         # ends_par is the bottom operand's: b's unless swapped on top.
-        tib = _take(batch["top_is_b"], idx, False)
+        tib = batch["top_is_b"][idx]
         mat[:, _EP] = np.where(is_or, 1.0,
                                np.where(tib, ra[:, _EP], rb[:, _EP]))
-        committed = _take(batch["committed"], idx, 0)
+        committed = batch["committed"][idx]
         mat[:, _TR] = ra[:, _TR] + rb[:, _TR] + committed
         mat[:, _DI] = ra[:, _DI] + rb[:, _DI] + committed
         mat[:, _HP] = np.maximum(ra[:, _HP], rb[:, _HP])
@@ -914,9 +886,7 @@ class SoAKernel:
         else:
             gd = batch["p_dis"].tolist()
             gt = batch["p_tail"].tolist()
-        par_b = batch["par_b"]
-        gp = (np.arange(n) < batch["n_or"] if par_b is None
-              else par_b).tolist()
+        gp = batch["par_b"].tolist()
         hstride = self._hstride
         pruned = 0
         for c in range(n):

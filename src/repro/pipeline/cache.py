@@ -227,6 +227,11 @@ class TreeCache:
         self.hits += 1
         return TupleTable.from_slots(key_fn, pareto, slots)
 
+    def storable(self, network: LogicNetwork, uid: int) -> bool:
+        """Whether :meth:`put` could cache ``uid``'s table: the cache is
+        on and the cone names each primary input at one leaf only."""
+        return self.enabled and _subtree_maps(network, uid) is not None
+
     def put(self, prefix: tuple, sig: int, network: LogicNetwork,
             uid: int, table: TupleTable) -> bool:
         """Store ``uid``'s finished table; returns True if cached."""

@@ -21,9 +21,12 @@ from repro import TreeCache  # noqa: E402
 from repro.bench_suite.generators import random_network  # noqa: E402
 from repro.mapping import CostModel, MapperConfig, MappingEngine  # noqa: E402
 from repro.mapping import engine as engine_module  # noqa: E402
-from repro.mapping.kernel import (ReferenceKernel, register_kernel,  # noqa: E402
+from repro.mapping.kernel import (BatchKernel, KernelProtocol,  # noqa: E402
+                                  ReferenceKernel, register_kernel,
                                   unregister_kernel)
-from repro.network import NodeType, network_from_expression  # noqa: E402
+from repro.mapping.soa import SoAKernel  # noqa: E402
+from repro.network import (LogicNetwork, NodeType,  # noqa: E402
+                           network_from_expression)
 from repro.synth import decompose, sweep, unate_with_sweep  # noqa: E402
 
 
@@ -152,6 +155,93 @@ def test_same_cone_twice_in_a_level_is_served_by_the_cache():
     assert tables == reference[0]
 
 
+def _node_by_node_cache_counts(engine):
+    """Cache hits and misses of the per-node walk over the same tables.
+
+    Fetch each AND/OR node in topological order and store each miss
+    before the next fetch, as the DP did one node at a time.
+    """
+    cache = TreeCache()
+    network = engine.network
+    sigs = cache.signatures(network)
+    for uid in network.topological_order():
+        sig = sigs[uid]
+        if sig is None or network.node(uid).type not in (NodeType.AND,
+                                                         NodeType.OR):
+            continue
+        if cache.fetch(engine._cache_prefix, sig, network, uid,
+                       engine.model.tuple_key, engine.config.pareto) is None:
+            cache.put(engine._cache_prefix, sig, network, uid,
+                      engine._tables[uid])
+    return cache.hits, cache.misses
+
+
+def _repeated_pi_cones(k: int) -> LogicNetwork:
+    """``AND(OR(a, b), OR(c, d))`` cones sharing one shape signature.
+
+    ``k`` cones name one input at two leaves, which the cache never
+    stores; then four cones it can store, then three more that repeat
+    an input.
+    """
+    net = LogicNetwork("reppi")
+    outs = []
+
+    def cone(tag, repeat):
+        a, b, c = (net.add_pi(f"{tag}_{i}") for i in range(3))
+        d = a if repeat else net.add_pi(f"{tag}_3")
+        outs.append(net.add_gate(NodeType.AND, [
+            net.add_gate(NodeType.OR, [a, b]),
+            net.add_gate(NodeType.OR, [c, d])]))
+
+    for i in range(k):
+        cone(f"r{i}", repeat=True)
+    for i in range(4):
+        cone(f"s{i}", repeat=False)
+    for i in range(3):
+        cone(f"t{i}", repeat=True)
+    for j, uid in enumerate(outs):
+        net.add_po(uid, f"o{j}")
+    return net
+
+
+def test_a_miss_the_cache_cannot_store_holds_no_node_back(monkeypatch):
+    """Same-signature cones the cache skips share one kernel batch.
+
+    Only a miss the cache will store holds its signature's later nodes
+    back for a second round, so a level of ``k`` repeated-input cones
+    takes one batch, not ``k`` rounds, with the per-node hit/miss
+    counts.
+    """
+    calls = []
+    original = MappingEngine._combine_into
+
+    def combine_into(self, items):
+        calls.append(len(items))
+        return original(self, items)
+
+    monkeypatch.setattr(MappingEngine, "_combine_into", combine_into)
+    k = 40
+    network = _repeated_pi_cones(k)
+    (tables, digest, _), engine = _run(
+        network, MapperConfig(kernel="soa"), cache=TreeCache())
+    # level 0: one OR miss, the rest hit in round two; level 1: the k
+    # skipped cones and the first storable one, then the three skipped
+    # cones held back behind it
+    assert calls == [1, k + 1, 3]
+    hits, misses = _node_by_node_cache_counts(engine)
+    assert (engine.stats.cache_hits, engine.stats.cache_misses) \
+        == (hits, misses) == (2 * (k + 7) - 1 + 3, 1 + k + 1 + 3)
+    reference, _ = _run(network, MapperConfig(kernel="reference"))
+    assert digest == reference[1]
+    assert tables == reference[0]
+
+
+def test_batching_is_optional_in_the_kernel_protocol():
+    assert isinstance(ReferenceKernel(), KernelProtocol)
+    assert not isinstance(ReferenceKernel(), BatchKernel)
+    assert isinstance(SoAKernel(), BatchKernel)
+
+
 def test_kernel_with_only_combine_maps_like_the_batched_soa_kernel():
     class PerNode:
         """A third-party kernel: no combine_many, a combine per node."""
@@ -177,6 +267,7 @@ def test_kernel_with_only_combine_maps_like_the_batched_soa_kernel():
             return {"active": self.active}
 
     assert not hasattr(PerNode, "combine_many")
+    assert isinstance(PerNode(), KernelProtocol)
     register_kernel("test-per-node", lambda engine: PerNode())
     try:
         network = _unate(11)

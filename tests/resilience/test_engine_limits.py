@@ -58,3 +58,44 @@ def test_injected_exhaustion_mimics_a_real_ceiling():
         uninstall()
     assert info.value.limit == "injected"
     assert info.value.stats is not None
+
+
+@pytest.mark.parametrize("kernel", ["reference", "soa"])
+@pytest.mark.parametrize("share", [0.2, 0.5, 0.9])
+def test_max_tuples_error_counts_the_nodes_before_the_crossing(
+        monkeypatch, kernel, share):
+    """The guard fires after the node that crosses ``max_tuples``.
+
+    Kernel batches hold many nodes; the nodes of a batch before the
+    crossing node are finished first, so the error's partial stats are
+    the ones a node-by-node walk reports.
+    """
+    from repro.mapping import CostModel, MappingEngine
+    from repro.synth import decompose, sweep, unate_with_sweep
+
+    network = unate_with_sweep(sweep(decompose(load_circuit("cm150"))))[0]
+    counts = []
+    original = MappingEngine._combine_into
+
+    def combine_into(self, items):
+        created = original(self, items)
+        counts.extend(created)
+        return created
+
+    monkeypatch.setattr(MappingEngine, "_combine_into", combine_into)
+    MappingEngine(network, CostModel(), MapperConfig(kernel=kernel)).run_dp()
+    limit = int(sum(counts) * share)
+    total = crossing = 0
+    for crossing, count in enumerate(counts):
+        total += count
+        if total > limit:
+            break
+    counts.clear()
+    engine = MappingEngine(network, CostModel(),
+                           MapperConfig(kernel=kernel, max_tuples=limit))
+    with pytest.raises(ResourceLimitError) as info:
+        engine.run_dp()
+    stats = info.value.stats
+    assert stats.tuples_created == total
+    assert stats.nodes_processed == crossing == len(engine._tables)
+    assert f"created after {crossing} nodes" in str(info.value)
