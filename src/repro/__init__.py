@@ -76,16 +76,13 @@ from .mapping import (
     MapperConfig,
     MappingEngine,
     MappingResult,
-    available_kernels,
     domino_map,
     flow_config,
     flow_passes,
     map_network,
     prepare_network,
-    register_kernel,
     rs_map,
     soi_domino_map,
-    unregister_kernel,
 )
 from .obs import (
     MetricsRegistry,
@@ -114,7 +111,7 @@ from .resilience import (
     plan_from_spec,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BatchDeadlineError",
@@ -171,9 +168,6 @@ __all__ = [
     "MapperConfig",
     "MappingEngine",
     "MappingResult",
-    "available_kernels",
-    "register_kernel",
-    "unregister_kernel",
     "domino_map",
     "flow_config",
     "map_network",

@@ -28,7 +28,7 @@ a deterministic fault plan for the process — the hook chaos tooling and
 operators use to rehearse failures against the real CLI surfaces.
 
 ``map``, ``batch`` and ``bench`` all speak the unified
-``soidomino-report/2`` JSON schema (:mod:`repro.obs.report`) via
+``soidomino-report/3`` JSON schema (:mod:`repro.obs.report`) via
 ``--json`` / their payload files, and all accept ``--trace FILE`` to
 export the run's span tree — ``.json``/``.trace`` writes Chrome
 ``trace_event`` format (load in Perfetto or ``chrome://tracing``),
@@ -46,7 +46,7 @@ from .bench_suite import circuit_names, get_spec, load_circuit
 from .errors import ReproError
 from .io import circuit_netlist, circuit_to_dot, load_bench, load_blif, load_pla
 from .mapping import FLOW_PRESETS, ClockWeightedCost, DepthCost, map_network
-from .mapping.kernel import available_kernels
+from .mapping.kernel import KERNELS
 from .network import LogicNetwork, network_stats
 from .pbe import random_stress
 from .resilience import FAULT_POINTS, install_from_env
@@ -90,10 +90,8 @@ def _cmd_map(args) -> int:
 
     network = _load_network(args.circuit)
     model = _cost_model(args.cost, args.k)
-    kernel_kw = ({} if args.auto_threshold is None
-                 else {"auto_threshold": args.auto_threshold})
     config = MapperConfig(w_max=args.w_max, h_max=args.h_max,
-                          kernel=args.kernel, **kernel_kw)
+                          kernel=args.kernel)
     profiler = None
     if args.profile:
         import cProfile
@@ -163,9 +161,7 @@ def _cmd_batch(args) -> int:
     tasks = BatchRunner.sweep_tasks(
         circuits=args.circuits or None, flows=flows,
         cost_models=[_cost_model(args.cost, args.k)],
-        config=MapperConfig(kernel=args.kernel, **(
-            {} if args.auto_threshold is None
-            else {"auto_threshold": args.auto_threshold})))
+        config=MapperConfig(kernel=args.kernel))
     try:
         report = (runner.run_serial(tasks) if args.serial
                   else runner.run(tasks))
@@ -505,16 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="clock-transistor weight for --cost clock")
     p_map.add_argument("--w-max", type=int, default=5)
     p_map.add_argument("--h-max", type=int, default=8)
-    p_map.add_argument("--kernel", choices=list(available_kernels()),
+    p_map.add_argument("--kernel", choices=list(KERNELS),
                        default="auto",
                        help="DP combine kernel: reference (scalar oracle), "
-                            "soa (numpy, bit-identical), auto (hybrid), "
-                            "or any registered kernel")
-    p_map.add_argument("--auto-threshold", type=int, default=None,
-                       metavar="N",
-                       help="auto kernel routing cutoff: kernel batches "
-                            "with at least N candidate pairs go to the "
-                            "soa kernel (default 64)")
+                            "soa (numpy, bit-identical), auto (hybrid)")
     p_map.add_argument("--netlist", action="store_true",
                        help="print the SPICE-style transistor netlist")
     p_map.add_argument("--dot", action="store_true",
@@ -553,13 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-task timeout in seconds (pool mode)")
     p_batch.add_argument("--retries", type=int, default=1,
                          help="retries per task on worker failure")
-    p_batch.add_argument("--kernel", choices=list(available_kernels()),
+    p_batch.add_argument("--kernel", choices=list(KERNELS),
                          default="auto",
                          help="DP combine kernel for every task")
-    p_batch.add_argument("--auto-threshold", type=int, default=None,
-                         metavar="N",
-                         help="auto kernel routing cutoff in candidate "
-                              "pairs (default 64)")
     p_batch.add_argument("--store", metavar="PATH", default=None,
                          help="mount the persistent cone cache at PATH "
                               "under every worker (see 'soidomino cache')")
@@ -589,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--modes", nargs="+", choices=["single", "pareto"],
                          default=["single", "pareto"],
                          help="tuple-table modes to sweep")
-    p_bench.add_argument("--kernels", nargs="+", choices=list(available_kernels()),
+    p_bench.add_argument("--kernels", nargs="+", choices=list(KERNELS),
                          default=None,
                          help="DP kernels to sweep (default: reference "
                               "and soa when numpy is installed, else "

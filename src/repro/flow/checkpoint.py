@@ -165,9 +165,13 @@ class FlowCheckpoint:
         """Load artifacts into ``ctx``; returns the completed-pass prefix.
 
         Raises :class:`FlowError` when the checkpoint does not belong to
-        this pipeline/configuration (different flow, pass list, config,
-        or a completed list that is not a prefix of the pass list) —
-        those mismatches are deliberate refusals, never recovered.
+        this pipeline/configuration (different flow, pass list, semantic
+        config field, or a completed list that is not a prefix of the
+        pass list) — those mismatches are deliberate refusals, never
+        recovered.  Only :meth:`MapperConfig.semantic_fields` are
+        compared, by name: a checkpoint taken under another kernel
+        resumes, and so does one whose manifest carries a config field
+        that no longer exists.
 
         Corruption is recovered instead: each artifact's bytes are
         verified against the manifest checksum (and must unpickle); when
@@ -190,7 +194,9 @@ class FlowCheckpoint:
                 f"checkpoint {self.directory} was taken for pass list "
                 f"{manifest.get('passes')}, cannot resume "
                 f"{pipeline.pass_names}")
-        if manifest.get("config") != asdict(ctx.config):
+        stored = manifest.get("config") or {}
+        if any(name not in stored or stored[name] != value
+               for name, value in ctx.config.semantic_fields().items()):
             raise FlowError(
                 f"checkpoint {self.directory} was taken under a different "
                 f"mapper config; refusing to resume (delete the "

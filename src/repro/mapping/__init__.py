@@ -1,12 +1,7 @@
 """Technology mapping: the paper's algorithms and their cost models."""
 
 from .cost import AreaCost, ClockWeightedCost, CostModel, DepthCost
-from .kernel import (
-    KernelProtocol,
-    available_kernels,
-    register_kernel,
-    unregister_kernel,
-)
+from .kernel import KernelProtocol
 from .tuples import MapTuple, TupleTable
 from .engine import (
     GateRecord,
@@ -40,9 +35,6 @@ __all__ = [
     "CostModel",
     "DepthCost",
     "KernelProtocol",
-    "available_kernels",
-    "register_kernel",
-    "unregister_kernel",
     "MapTuple",
     "TupleTable",
     "GateRecord",

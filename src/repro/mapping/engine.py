@@ -48,8 +48,7 @@ from ..network import LogicNetwork, NodeType
 from ..pipeline.metrics import MappingStats
 from ..resilience.faults import fire
 from .cost import CostModel
-from .kernel import (AUTO_THRESHOLD, available_kernels, combine_batch,
-                     metric_fast_path, resolve_kernel)
+from .kernel import KERNELS, metric_fast_path, resolve_kernel
 from .tuples import FaninView, MapTuple, TupleTable
 
 _gc_lock = threading.Lock()
@@ -145,30 +144,18 @@ class MapperConfig:
         pathological input degrades into a reportable per-task failure
         instead of unbounded memory growth taking the whole batch down.
     kernel:
-        Which DP combine kernel runs the inner loop — any name in
-        :func:`repro.mapping.kernel.available_kernels`.  Built in:
-        ``"reference"`` — the scalar Python oracle; ``"soa"`` — the
-        structure-of-arrays numpy kernel (bit-identical tables,
-        requires numpy); ``"auto"`` (the default) — a hybrid routing
-        each kernel batch by candidate-pair count, soa when numpy is
-        importable and the batch is large enough to amortize the array
-        overhead.
-        Third-party kernels registered via
-        :func:`~repro.mapping.kernel.register_kernel` are selected the
-        same way.  Excluded from :meth:`fingerprint` because the kernel
-        is execution strategy, not mapping semantics: all kernels
-        produce bit-identical tables, so cached/checkpointed artifacts
-        are shared across them.
-    auto_threshold:
-        The ``"auto"`` kernel's routing cutoff: a kernel batch goes to
-        the soa kernel when its nodes' ``len(view_a) * len(view_b)``
-        sum to at least this many candidate pairs, to the reference
-        kernel otherwise (PBE pareto runs route node by node; default
-        :data:`~repro.mapping.kernel.AUTO_THRESHOLD`).  Pure
-        execution strategy like ``kernel`` — any setting yields
-        bit-identical tables — so it is likewise excluded from
-        :meth:`fingerprint`; the decision tally is observable in
-        ``stats.auto_routed_soa`` / ``stats.auto_routed_reference``.
+        Which DP combine kernel runs the inner loop, one of
+        :data:`repro.mapping.kernel.KERNELS`: ``"reference"`` — the
+        scalar Python oracle; ``"soa"`` — the structure-of-arrays numpy
+        kernel (bit-identical tables, requires numpy); ``"auto"`` (the
+        default) — a hybrid routing each kernel batch by candidate-pair
+        count (:data:`~repro.mapping.kernel.AUTO_THRESHOLD`), soa when
+        numpy is importable and the batch is large enough to amortize
+        the array overhead, the reference kernel otherwise (and always
+        without numpy).  Excluded from :meth:`fingerprint` because the
+        kernel is execution strategy, not mapping semantics: all
+        kernels produce bit-identical tables, so cached/checkpointed
+        artifacts are shared across them.
     duplication:
         Fanout handling.  ``True`` (the paper's regime, following [23]):
         every consumer of a multi-fanout node sees the node's full tuple
@@ -190,17 +177,12 @@ class MapperConfig:
     max_nodes: Optional[int] = None
     max_tuples: Optional[int] = None
     kernel: str = "auto"
-    auto_threshold: int = AUTO_THRESHOLD
 
     def __post_init__(self):
-        if self.kernel not in available_kernels():
+        if self.kernel not in KERNELS:
             raise MappingError(
-                f"unknown kernel {self.kernel!r}; available kernels: "
-                f"{', '.join(available_kernels())} "
-                "(register_kernel() adds custom ones)")
-        if self.auto_threshold < 1:
-            raise MappingError(
-                f"auto_threshold must be >= 1, got {self.auto_threshold}")
+                f"unknown kernel {self.kernel!r}; expected one of "
+                f"{', '.join(KERNELS)}")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise MappingError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if self.max_tuples is not None and self.max_tuples < 1:
@@ -218,20 +200,23 @@ class MapperConfig:
                 f"unknown ground policy {self.ground_policy!r}; "
                 f"expected one of {', '.join(GROUND_POLICIES)}")
 
-    #: Fields :meth:`fingerprint` skips — execution strategy, not
+    #: Fields :meth:`semantic_fields` skips — execution strategy, not
     #: mapping semantics.
-    _NON_SEMANTIC_FIELDS = frozenset({"kernel", "auto_threshold"})
+    _NON_SEMANTIC_FIELDS = frozenset({"kernel"})
+
+    def semantic_fields(self) -> Dict[str, object]:
+        """Every field that can change the mapping, by name.
+
+        ``kernel`` is excluded: every kernel produces bit-identical
+        tables, so cache entries and checkpoints written under one
+        kernel are valid — and shared — under any other.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in self._NON_SEMANTIC_FIELDS}
 
     def fingerprint(self) -> tuple:
-        """Hashable identity of every *semantic* field (tree-cache key).
-
-        ``kernel`` and ``auto_threshold`` are excluded: every kernel
-        (and any routing split) produces bit-identical tables, so cache
-        entries and checkpoints written under one kernel are valid —
-        and shared — under any other.
-        """
-        return tuple(getattr(self, f.name) for f in fields(self)
-                     if f.name not in self._NON_SEMANTIC_FIELDS)
+        """Hashable identity of :meth:`semantic_fields` (tree-cache key)."""
+        return tuple(self.semantic_fields().values())
 
 
 @dataclass
@@ -448,7 +433,7 @@ class MappingEngine:
         ``mapping/kernel.py``); kept as an engine method so profiles of
         any kernel still show one frame covering the combine step.
         """
-        return combine_batch(self.kernel, items, self.stats)
+        return self.kernel.combine_many(items)
 
     # ------------------------------------------------------------------
     # the DP, one topological level at a time

@@ -1,9 +1,9 @@
-"""DP kernel selection: the kernel registry and the reference kernel.
+"""DP kernels: the fixed kernel set and the reference kernel.
 
-The combine/dominance inner loop of the mapping DP is pluggable: a
-*kernel registry* maps the spellings :attr:`MapperConfig.kernel`
-accepts to factories producing :class:`KernelProtocol` implementations.
-Three kernels ship built in:
+The combine/dominance inner loop of the mapping DP runs in one of three
+kernels, named by :attr:`MapperConfig.kernel`; :data:`KERNELS` maps
+each name to its factory and is the one list every config, CLI and
+service check validates against:
 
 * ``"reference"`` — the scalar Python kernel (this module), a literal
   transcription of :meth:`TupleTable.insert` with the lazy-structure and
@@ -14,21 +14,20 @@ Three kernels ship built in:
   filtering as broadcasted column arithmetic over a whole batch of
   nodes, bit-identical to the reference by construction (see DESIGN.md
   §12).
-* ``"auto"`` — a hybrid that routes each batch to the soa kernel when
-  numpy is importable and the batch's candidate pairs are enough
-  (``MapperConfig.auto_threshold``) to amortize the array overhead, and
-  to the reference kernel otherwise.  Sound because both kernels
-  produce identical tables *and* identical stats counters; the routed
-  node tally lands in ``stats.auto_routed_soa`` /
-  ``stats.auto_routed_reference`` and the report kernel block.
+* ``"auto"`` (the default) — a hybrid that routes each batch to the soa
+  kernel when numpy is importable and the batch's candidate pairs
+  reach :data:`AUTO_THRESHOLD`, and to the reference kernel otherwise.
+  Sound because both kernels produce identical tables *and* identical
+  stats counters; the routed node tally lands in
+  ``stats.auto_routed_soa`` / ``stats.auto_routed_reference`` and the
+  report kernel block.
 
-Third-party kernels plug in via :func:`register_kernel` and are
-selected with ``MapperConfig(kernel="<name>")`` like the built-ins.
-They inherit the same parity obligations: identical tables (slot
-insertion order included — the tree cache serializes it) and identical
-``tuples_created``/``tuples_pruned``/``bound_skips`` counters, so runs
-mixing kernels stay bit-identical.  The dual-kernel digest sweep and
-the fuzzed slot-for-slot harness in ``tests/mapping`` are the reusable
+The kernel contract: a kernel fills *empty* tables (the engine builds
+every table fresh) with exactly the reference's slots — slot insertion
+order included, since the tree cache serializes it — and reproduces
+its ``tuples_created``/``tuples_pruned``/``bound_skips`` counters, so
+runs mixing kernels stay bit-identical.  The dual-kernel digest sweep
+and the fuzzed slot-for-slot harness in ``tests/mapping`` are the
 parity witnesses.
 
 A kernel is bound to one :class:`~repro.mapping.engine.MappingEngine`
@@ -36,18 +35,14 @@ run via :meth:`KernelProtocol.build`.  The engine walks the network one
 topological level at a time: every AND/OR node of a level depends only
 on lower levels, so the level's uncached nodes reach the kernel
 together, cut into chunks under a fixed candidate budget, through
-:meth:`BatchKernel.combine_many`.  A kernel that only implements the
-per-node :meth:`KernelProtocol.combine` gets :func:`combine_batch`'s
-loop instead, so per-node kernels (the reference among them) need no
-batch code.  :meth:`KernelProtocol.finalize` runs once after the DP;
-:meth:`KernelProtocol.stats` exposes per-kernel diagnostics for
-reports.
+:meth:`KernelProtocol.combine_many`.  :meth:`KernelProtocol.finalize`
+runs once after the DP; :meth:`KernelProtocol.stats` exposes
+per-kernel diagnostics for reports.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, List, Protocol, Sequence, Tuple,
-                    runtime_checkable)
+from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
 try:  # numpy is an optional dependency: the soa kernel needs it,
     import numpy as np  # everything else runs without it.
@@ -59,72 +54,14 @@ from ..pipeline.metrics import MappingStats
 from .cost import CostModel
 from .tuples import MapTuple, TupleTable
 
-#: The built-in kernel spellings (CLI choices; the registry may hold
-#: more — ``available_kernels()`` is the authoritative list).
-KERNELS = ("reference", "soa", "auto")
-
-#: Default for ``MapperConfig.auto_threshold``: minimum candidate pairs
-#: (``len(view_a) * len(view_b)`` summed over a batch's nodes) for the
-#: auto kernel to route a batch to the soa kernel; smaller batches stay
-#: on the reference kernel, whose per-pair cost beats the fixed numpy
-#: dispatch overhead.
+#: Minimum candidate pairs (``len(view_a) * len(view_b)`` summed over a
+#: batch's nodes) for the auto kernel to route a batch to the soa
+#: kernel; smaller batches stay on the reference kernel, whose per-pair
+#: cost beats the fixed numpy dispatch overhead (DESIGN.md §12).
 AUTO_THRESHOLD = 64
 
 #: One node of a kernel batch: ``(table, is_or, view_a, view_b)``.
 BatchItem = Tuple[TupleTable, bool, List[MapTuple], List[MapTuple]]
-
-#: name -> factory.  A factory is called with the bound-to-be
-#: :class:`~repro.mapping.engine.MappingEngine` and returns an
-#: *unbuilt* kernel instance; ``resolve_kernel`` calls ``build`` on it.
-_REGISTRY: Dict[str, Callable] = {}
-
-
-def register_kernel(name: str, factory: Callable, *,
-                    replace: bool = False) -> None:
-    """Register a DP kernel factory under ``name``.
-
-    ``factory(engine)`` must return an object satisfying
-    :class:`KernelProtocol`; it receives the engine *before* ``build``
-    so it can inspect ``engine.config`` / ``engine.model`` and choose
-    what to instantiate (the built-in ``"soa"`` factory, for example,
-    degrades to the reference kernel for non-vectorizable cost models).
-    The returned kernel carries the full parity obligations spelled out
-    in the module docstring — bit-identical tables and work counters.
-
-    Registered names become valid ``MapperConfig(kernel=...)`` values
-    immediately.  Re-registering an existing name raises
-    :class:`~repro.errors.MappingError` unless ``replace=True`` — the
-    guard that keeps a plugin from silently shadowing a built-in.
-    """
-    if not isinstance(name, str) or not name:
-        raise MappingError("kernel name must be a non-empty string, "
-                           f"got {name!r}")
-    if not callable(factory):
-        raise MappingError(f"kernel factory for {name!r} must be callable, "
-                           f"got {factory!r}")
-    if name in _REGISTRY and not replace:
-        raise MappingError(
-            f"kernel {name!r} is already registered; pass replace=True "
-            "to override it")
-    _REGISTRY[name] = factory
-
-
-def unregister_kernel(name: str) -> None:
-    """Remove a registered kernel (built-ins refuse to unregister)."""
-    if name in KERNELS:
-        raise MappingError(f"cannot unregister built-in kernel {name!r}")
-    if name not in _REGISTRY:
-        raise MappingError(f"kernel {name!r} is not registered")
-    del _REGISTRY[name]
-
-
-def available_kernels() -> tuple:
-    """Registered kernel names, built-ins first, in registration order.
-
-    This is the list ``MapperConfig`` validates ``kernel=`` against and
-    the list error messages cite.
-    """
-    return tuple(_REGISTRY)
 
 
 def metric_fast_path(model: CostModel):
@@ -185,9 +122,15 @@ class KernelProtocol(Protocol):
         freed by reference counting (DESIGN.md §15).
         """
 
-    def combine(self, table: TupleTable, is_or: bool,
-                view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
-        """Fill ``table`` with the surviving combinations of the views."""
+    def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
+        """Fill every item's empty table; return each item's candidates.
+
+        ``items`` are independent nodes (one topological level, or a
+        chunk of one).  Every table must end up exactly as the reference
+        kernel fills it, with the same aggregate counters.  The returned
+        list holds each item's contribution to ``tuples_created``, in
+        item order (the engine's per-node histogram samples it).
+        """
 
     def finalize(self) -> None:
         """Flush any buffered per-run state (called once after the DP)."""
@@ -196,31 +139,10 @@ class KernelProtocol(Protocol):
         """Per-kernel diagnostics for reports (JSON-ready)."""
 
 
-@runtime_checkable
-class BatchKernel(KernelProtocol, Protocol):
-    """A kernel that also combines a whole batch of nodes in one call.
-
-    Optional: :func:`combine_batch` calls :meth:`combine_many` when a
-    kernel has it and otherwise loops over :meth:`combine`, so a kernel
-    satisfying only :class:`KernelProtocol` runs unchanged.
-    """
-
-    def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
-        """Fill every item's table; return each item's candidate count.
-
-        ``items`` are independent nodes (one topological level, or a
-        chunk of one).  The result must equal calling :meth:`combine`
-        on each item in turn: the same tables and the same aggregate
-        counters.  The returned list holds each item's contribution to
-        ``tuples_created``, in item order (the engine's per-node
-        histogram samples it).
-        """
-
-
 class ReferenceKernel:
     """The scalar oracle kernel.
 
-    ``combine`` is deliberately written flat: configuration, cost
+    ``_combine_node`` is deliberately written flat: configuration, cost
     prices, and the table's slot map are bound to locals once per node,
     the fanin view is pre-filtered per ``{W,H}`` budget so the inner
     loop touches only feasible pairs, and a candidate's scalar metrics
@@ -253,8 +175,11 @@ class ReferenceKernel:
     def stats(self) -> dict:
         return {"active": self.active}
 
-    def combine(self, table: TupleTable, is_or: bool,
-                view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
+    def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
+        return [self._combine_node(*item) for item in items]
+
+    def _combine_node(self, table: TupleTable, is_or: bool,
+                      view_a: List[MapTuple], view_b: List[MapTuple]) -> int:
         config = self._config
         w_max = config.w_max
         h_max = config.h_max
@@ -527,6 +452,7 @@ class ReferenceKernel:
         stats.tuples_created += created
         stats.tuples_pruned += pruned
         stats.bound_skips += skips
+        return created
 
 
 class AutoKernel:
@@ -536,19 +462,17 @@ class AutoKernel:
     tables and identical stats counters — the routing decision is pure
     execution strategy.  A batch goes to the soa kernel when its
     candidate pairs, summed over its nodes, reach
-    ``MapperConfig.auto_threshold`` (via ``resolve_kernel``); the nodes
-    of every batch are tallied into ``stats.auto_routed_soa`` /
-    ``stats.auto_routed_reference`` so reports can show how a hybrid
-    run actually split its work.
+    :data:`AUTO_THRESHOLD`; the nodes of every batch are tallied into
+    ``stats.auto_routed_soa`` / ``stats.auto_routed_reference`` so
+    reports can show how a hybrid run actually split its work.
     """
 
     name = "auto"
     active = "hybrid"
 
-    def __init__(self, reference, soa, threshold=None):
+    def __init__(self, reference, soa):
         self._reference = reference
         self._soa = soa
-        self._threshold = AUTO_THRESHOLD if threshold is None else threshold
         # Replaced by the engine's stats on build(); a throwaway default
         # keeps an unbuilt hybrid (unit tests, ad-hoc harnesses) usable.
         self._stats = MappingStats()
@@ -558,16 +482,13 @@ class AutoKernel:
         self._reference.build(engine)
         self._soa.build(engine)
 
-    def combine(self, table, is_or, view_a, view_b) -> None:
-        self.combine_many([(table, is_or, view_a, view_b)])
-
     def combine_many(self, items) -> List[int]:
         pairs = sum(len(a) * len(b) for _, _, a, b in items)
-        if pairs >= self._threshold:
+        if pairs >= AUTO_THRESHOLD:
             self._stats.auto_routed_soa += len(items)
-            return combine_batch(self._soa, items, self._stats)
+            return self._soa.combine_many(items)
         self._stats.auto_routed_reference += len(items)
-        return combine_batch(self._reference, items, self._stats)
+        return self._reference.combine_many(items)
 
     def finalize(self) -> None:
         self._reference.finalize()
@@ -575,34 +496,11 @@ class AutoKernel:
 
     def stats(self) -> dict:
         routed = self._stats
-        return {"active": self.active, "threshold": self._threshold,
+        return {"active": self.active,
                 "routed_soa": routed.auto_routed_soa,
                 "routed_reference": routed.auto_routed_reference,
                 **{k: v for k, v in self._soa.stats().items()
                    if k != "active"}}
-
-
-def combine_batch(kernel, items: Sequence[BatchItem],
-                  stats: MappingStats) -> List[int]:
-    """Run ``items`` through ``kernel``; return per-item candidate counts.
-
-    Calls the kernel's own ``combine_many`` when it has one, else
-    ``combine`` once per item, reading each item's count off the
-    ``tuples_created`` counter the kernel maintains.
-    """
-    many = getattr(kernel, "combine_many", None)
-    if many is not None:
-        return many(items)
-    created = []
-    for table, is_or, view_a, view_b in items:
-        before = stats.tuples_created
-        kernel.combine(table, is_or, view_a, view_b)
-        created.append(stats.tuples_created - before)
-    return created
-
-
-def _reference_factory(engine):
-    return ReferenceKernel()
 
 
 def _soa_factory(engine):
@@ -616,8 +514,8 @@ def _soa_factory(engine):
     if np is None:
         raise MappingError(
             "kernel='soa' requires numpy, which is not importable; "
-            "install numpy or pick another registered kernel "
-            f"(available_kernels(): {', '.join(available_kernels())})")
+            "install numpy or pick another kernel "
+            f"({', '.join(KERNELS)})")
     if not metric_vectorizable(engine.model):
         # The model overrides tuple_key directly or its metric form is
         # not elementwise-exact on arrays: the soa kernel cannot match
@@ -638,31 +536,25 @@ def _auto_factory(engine):
         return ReferenceKernel()
     from .soa import SoAKernel
 
-    return AutoKernel(ReferenceKernel(), SoAKernel(),
-                      threshold=engine.config.auto_threshold)
+    return AutoKernel(ReferenceKernel(), SoAKernel())
 
 
-register_kernel("reference", _reference_factory)
-register_kernel("soa", _soa_factory)
-register_kernel("auto", _auto_factory)
+#: The kernel names ``MapperConfig.kernel``, the CLI and the service
+#: accept, each with the factory that turns a bound-to-be
+#: :class:`~repro.mapping.engine.MappingEngine` into an unbuilt kernel.
+KERNELS = {
+    "reference": lambda engine: ReferenceKernel(),
+    "soa": _soa_factory,
+    "auto": _auto_factory,
+}
 
 
 def resolve_kernel(engine):
     """The kernel instance a configured engine runs, already built.
 
-    Looks ``engine.config.kernel`` up in the registry, calls the
-    factory with the engine, and binds the returned kernel via
-    ``build``.  ``MapperConfig`` validates the spelling eagerly, so an
-    unknown name here means the registry changed between config
-    construction and the run — still a typed error, never a
-    ``KeyError``.
+    ``MapperConfig`` validates ``kernel`` against :data:`KERNELS`
+    eagerly, so the lookup here cannot miss.
     """
-    choice = engine.config.kernel
-    factory = _REGISTRY.get(choice)
-    if factory is None:
-        raise MappingError(
-            f"unknown kernel {choice!r}; available kernels: "
-            f"{', '.join(available_kernels())}")
-    kernel = factory(engine)
+    kernel = KERNELS[engine.config.kernel](engine)
     kernel.build(engine)
     return kernel

@@ -89,7 +89,8 @@ and it holds per node, whatever else shares the batch:
   Python object is touched until binding.  PBE pareto nodes are
   reduced one node at a time: the reducer's state is per slot already,
   and a one-node batch keeps its arrays no larger than the node's own
-  candidates.
+  candidates.  A node whose fields overflow one packed word (far
+  beyond any feasible structure) goes to the reference kernel.
 * Slot dict order is the shapes' first-candidate order, matching the
   reference's create-on-first-arrival — load-bearing because the tree
   cache serializes tables in slot-insertion order.  Each node's
@@ -97,21 +98,23 @@ and it holds per node, whatever else shares the batch:
   winners by first arrival is node-major and splits back into per-node
   tables in order.
 
-Stats parity: ``tuples_created``/``tuples_pruned``/``bound_skips`` are
-reproduced exactly, so the auto kernel can mix both kernels within one
-run without observable drift.
+Every table enters empty, as the kernel contract in
+:mod:`repro.mapping.kernel` guarantees, so each reducer builds its slots
+from scratch.  Stats parity: ``tuples_created``/``tuples_pruned``/
+``bound_skips`` are reproduced exactly, so the auto kernel can mix both
+kernels within one run without observable drift.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .kernel import BatchItem, metric_fast_path
-from .tuples import MapTuple, TupleTable
+from .kernel import BatchItem, ReferenceKernel, metric_fast_path
+from .tuples import MapTuple
 
 
 #: The MapTuple fields of a view's column matrix, in column order.
@@ -230,6 +233,8 @@ class SoAKernel:
             raise RuntimeError(
                 "SoAKernel requires the scalar metric fast path")
         self._metric = metric
+        self._exact = ReferenceKernel()
+        self._exact.build(engine)
 
     def finalize(self) -> None:
         self._vcols.clear()
@@ -276,33 +281,23 @@ class SoAKernel:
     # ------------------------------------------------------------------
     # the combine step
     # ------------------------------------------------------------------
-    def combine(self, table: TupleTable, is_or: bool,
-                view_a: List[MapTuple], view_b: List[MapTuple]) -> None:
-        self.combine_many([(table, is_or, view_a, view_b)])
-
     def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
         """Fill every item's table; return per-item candidate counts.
 
-        Fresh single-mode (and non-PBE pareto) tables share one batch:
-        one generation, one sort, one materialization.  PBE pareto
-        fronts and pre-filled tables go one node at a time.
+        Single-mode (and non-PBE pareto) tables share one batch: one
+        generation, one sort, one materialization.  PBE pareto fronts
+        go one node at a time.
         """
+        if self._pareto and self._pbe:
+            return [self._combine_node(item) for item in items]
+        # OR nodes first, so one split point separates the two
+        # generation formulas; node order is otherwise free, since the
+        # nodes of a batch are independent.
+        order = sorted(range(len(items)), key=lambda j: not items[j][1])
+        counts = self._combine_fresh([items[j] for j in order])
         created = [0] * len(items)
-        batched = []
-        per_node = self._pareto and self._pbe
-        for j, item in enumerate(items):
-            if per_node or item[0].raw_slots():
-                created[j] = self._combine_node(item)
-            else:
-                batched.append(j)
-        if batched:
-            # OR nodes first, so one split point separates the two
-            # generation formulas; node order is otherwise free, since
-            # the nodes of a batch are independent.
-            batched.sort(key=lambda j: not items[j][1])
-            counts = self._combine_fresh([items[j] for j in batched])
-            for j, count in zip(batched, counts):
-                created[j] = count
+        for j, count in zip(order, counts):
+            created[j] = count
         return created
 
     def _combine_fresh(self, items) -> List[int]:
@@ -315,15 +310,15 @@ class SoAKernel:
         return np.bincount(batch["node"], minlength=len(items)).tolist()
 
     def _combine_node(self, item) -> int:
-        table = item[0]
         batch = self._generate([item])
         self._record(batch)
         if batch is None:
             return 0
-        if table.raw_slots():
-            pruned = self._combine_seeded(table, batch)
-        else:
-            pruned = self._reduce_pareto(table, batch)
+        pruned = self._reduce_pareto(item[0], batch)
+        if pruned is None:
+            # The front's packed words cannot hold this node's fields:
+            # the reference kernel fills the table (and counts) instead.
+            return self._exact.combine_many([item])[0]
         self._count(batch["n"], pruned)
         return batch["n"]
 
@@ -651,8 +646,12 @@ class SoAKernel:
             p0 = p1
         return n - accepts
 
-    def _reduce_pareto(self, table, batch) -> int:
-        """The change-point reducer for one node; returns the pruned count."""
+    def _reduce_pareto(self, table, batch) -> Optional[int]:
+        """The change-point reducer for one node; returns the pruned count.
+
+        ``None`` (table untouched) when the node's dominance fields do
+        not fit one packed int64 word.
+        """
         n = batch["n"]
         key = batch["key"]
         p_dis = batch["p_dis"]
@@ -705,9 +704,9 @@ class SoAKernel:
         if sh_k + BK + 1 > 63:
             # Pathological field widths (p_dis beyond any feasible
             # structure, or a batch with ~2**20 distinct keys and as
-            # many candidates in one slot): the exact scalar path costs
-            # nothing extra at that point.
-            return self._combine_seeded(table, batch)
+            # many candidates in one slot): the caller hands the node to
+            # the reference kernel, which costs nothing extra by then.
+            return None
         if full:
             gmA = ((1 << 2) | (1 << (sh_t + BT)) | (1 << (sh_s + BS))
                    | (1 << (sh_d + BD)) | (1 << (sh_k + BK)))
@@ -868,33 +867,4 @@ class SoAKernel:
             table.install_front((s_ // hstride, s_ % hstride),
                                 zip(keys[p0:p1], mats[p0:p1]))
             p0 = p1
-        return pruned
-
-    def _combine_seeded(self, table, batch) -> int:
-        """Exact slow path for a table that already holds tuples.
-
-        The engine always combines into a fresh table, but the kernel
-        contract doesn't require it; replaying through ``admits`` /
-        ``insert`` keeps decisions and stats literal for any caller.
-        Returns the pruned count.
-        """
-        n = batch["n"]
-        sid = batch["sid"].tolist()
-        key = batch["key"].tolist()
-        if batch["p_dis"] is None:
-            gd = gt = [0] * n
-        else:
-            gd = batch["p_dis"].tolist()
-            gt = batch["p_tail"].tolist()
-        gp = batch["par_b"].tolist()
-        hstride = self._hstride
-        pruned = 0
-        for c in range(n):
-            s_ = sid[c]
-            shape = (s_ // hstride, s_ % hstride)
-            if table.admits(shape, key[c], gd[c], gt[c], gp[c]):
-                table.insert(self._mat_many(batch, np.array([c]))[0][0],
-                             key=key[c])
-            else:
-                pruned += 1
         return pruned

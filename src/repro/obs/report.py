@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from .metrics import MetricsRegistry
 
 #: Unified report format identifier; bump on breaking schema changes.
-REPORT_SCHEMA_VERSION = "soidomino-report/2"
+REPORT_SCHEMA_VERSION = "soidomino-report/3"
 
 #: Top-level keys every report kind shares (tests pin these).
 SHARED_REPORT_KEYS = ("schema_version", "kind", "circuit", "flow",
@@ -72,7 +72,6 @@ def flow_report(result, *, cost_objective: Optional[str] = None,
         "kernel": {
             "requested": result.config.kernel,
             "active": result.mapping.kernel,
-            "auto_threshold": result.config.auto_threshold,
             "routed": {
                 "soa": (result.stats.auto_routed_soa
                         if result.stats is not None else 0),

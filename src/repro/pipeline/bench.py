@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..mapping.engine import ORDERING_RULES, MapperConfig
 from ..mapping.flows import flow_config
-from ..mapping.kernel import available_kernels
+from ..mapping.kernel import KERNELS
 from .runner import BatchReport, BatchRunner, BatchTask
 
 #: Payload format identifier; bump on breaking schema changes.
@@ -54,7 +54,7 @@ DEFAULT_MODES = TABLE_MODES
 #: witness, and the per-kernel aggregates are what kernel PRs regress
 #: against.  Without numpy the *default* drops to the reference kernel
 #: alone — an explicit ``kernels=("soa",)`` request still hard-errors
-#: through the registry rather than silently downgrading.
+#: rather than silently downgrading.
 try:
     import numpy as _np  # noqa: F401
 
@@ -100,10 +100,10 @@ def bench_tasks(circuits: Sequence[str],
             raise ValueError(f"unknown table mode {mode!r}; expected one "
                              f"of {', '.join(TABLE_MODES)}")
     for kernel in kernels:
-        if kernel not in available_kernels():
+        if kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of "
-                f"{', '.join(available_kernels())}")
+                f"{', '.join(KERNELS)}")
     limits = {}
     if w_max is not None:
         limits["w_max"] = w_max

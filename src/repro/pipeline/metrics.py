@@ -65,19 +65,20 @@ class MappingStats:
     soa_batches, soa_candidates, soa_max_batch:
         Vectorized-kernel activity: batches the structure-of-arrays
         kernel reduced (a chunk of a level, or one node of a PBE pareto
-        or pre-filled table), candidates those batches processed as
-        numpy columns, and the largest single batch.  All zero for
-        pure reference-kernel runs.
+        table), candidates those batches processed as numpy columns,
+        and the largest single batch.  All zero for pure
+        reference-kernel runs.
     kernel_fallbacks:
-        Runs where the soa kernel was requested (or auto-eligible) but
-        the cost model was not vectorizable, so the reference kernel
-        ran instead (once per affected engine construction).
+        Engine constructions where ``kernel="soa"`` or ``"auto"`` met a
+        cost model that is not vectorizable, so the reference kernel
+        ran instead.  ``"auto"`` without numpy also runs the reference
+        kernel but is not counted: there it is the only choice.
     auto_routed_soa, auto_routed_reference:
         The ``"auto"`` kernel's routing decisions, in nodes: nodes of
         batches sent to the soa kernel (at least
-        ``MapperConfig.auto_threshold`` candidate pairs per batch)
-        versus kept on the reference kernel.  Both zero unless the
-        hybrid ran.
+        :data:`~repro.mapping.kernel.AUTO_THRESHOLD` candidate pairs
+        per batch) versus kept on the reference kernel.  Both zero
+        unless the hybrid ran.
     """
 
     tuples_created: int = 0

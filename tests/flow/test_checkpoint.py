@@ -90,6 +90,35 @@ def test_resume_refuses_different_config(monkeypatch, tmp_path):
                     checkpoint_dir=ckpt_dir)
 
 
+def test_resume_under_another_kernel(tmp_path):
+    """The kernel is execution strategy: its checkpoints are shared."""
+    ckpt_dir = tmp_path / "ckpt"
+    first = map_network(load_circuit("cm150"), flow="soi",
+                        config=MapperConfig(kernel="auto"),
+                        checkpoint_dir=ckpt_dir)
+    again = map_network(load_circuit("cm150"), flow="soi",
+                        config=MapperConfig(kernel="reference"),
+                        checkpoint_dir=ckpt_dir)
+    assert all(r.status == "resumed" for r in again.passes)
+    assert again.circuit.digest() == first.circuit.digest()
+
+
+def test_resume_ignores_config_fields_that_no_longer_exist(monkeypatch,
+                                                           tmp_path):
+    """A manifest from before ``auto_threshold`` was removed resumes."""
+    uninterrupted = map_network(load_circuit("cm150"), flow="soi",
+                                config=CONFIG)
+    ckpt_dir = _interrupt(monkeypatch, tmp_path)
+    path = ckpt_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["auto_threshold"] = 128
+    path.write_text(json.dumps(manifest))
+    resumed = map_network(load_circuit("cm150"), flow="soi", config=CONFIG,
+                          checkpoint_dir=ckpt_dir)
+    assert resumed.circuit.digest() == uninterrupted.circuit.digest()
+    assert resumed.passes[3].status == "resumed"
+
+
 def test_manifest_records_artifact_checksums(monkeypatch, tmp_path):
     ckpt_dir = _interrupt(monkeypatch, tmp_path)
     manifest = FlowCheckpoint(ckpt_dir).load_manifest()

@@ -1,8 +1,8 @@
-"""The public kernel registry: registration, validation, round-trips.
+"""The fixed kernel set: every surface validates against ``KERNELS``.
 
 Unlike ``test_soa_kernel.py`` this module runs without numpy — the
-registry itself (and the reference kernel it always holds) has no numpy
-dependency, and the no-numpy CI leg exercises everything here.
+kernel names and their validation have no numpy dependency, and the
+no-numpy CI leg exercises everything here.
 """
 
 from __future__ import annotations
@@ -10,137 +10,24 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MappingError
-from repro.mapping import MapperConfig, map_network
-from repro.mapping.kernel import (
-    KERNELS,
-    ReferenceKernel,
-    available_kernels,
-    register_kernel,
-    unregister_kernel,
-)
-from repro.network import network_from_expression
-
-
-def _net():
-    return network_from_expression("(a + b) * (c + d) + e * f")
-
-
-@pytest.fixture
-def scratch_registry():
-    """Yield a name guaranteed free, unregister it on the way out."""
-    name = "test-scratch-kernel"
-    yield name
-    if name in available_kernels():
-        unregister_kernel(name)
-
-
-def test_builtins_are_registered_first():
-    names = available_kernels()
-    assert names[:len(KERNELS)] == KERNELS
-    assert isinstance(names, tuple)
-
-
-def test_registered_kernel_maps_bit_identically(scratch_registry):
-    """A third-party kernel selected by name reproduces the reference."""
-    built = []
-
-    class TracingKernel(ReferenceKernel):
-        def build(self, engine):
-            built.append(engine.config.kernel)
-            super().build(engine)
-
-    register_kernel(scratch_registry, lambda engine: TracingKernel())
-    assert scratch_registry in available_kernels()
-
-    ref = map_network(_net(), config=MapperConfig(kernel="reference"))
-    custom = map_network(_net(),
-                         config=MapperConfig(kernel=scratch_registry))
-    assert built == [scratch_registry]
-    assert custom.circuit.digest() == ref.circuit.digest()
-    assert custom.stats.tuples_created == ref.stats.tuples_created
-    assert custom.stats.tuples_pruned == ref.stats.tuples_pruned
-    assert custom.stats.bound_skips == ref.stats.bound_skips
-
-
-def test_factory_sees_engine_before_build(scratch_registry):
-    """Factories can read config/model to decide what to instantiate."""
-    seen = {}
-
-    def factory(engine):
-        seen["auto_threshold"] = engine.config.auto_threshold
-        seen["model"] = type(engine.model).__name__
-        return ReferenceKernel()
-
-    register_kernel(scratch_registry, factory)
-    map_network(_net(), config=MapperConfig(kernel=scratch_registry,
-                                            auto_threshold=17))
-    assert seen == {"auto_threshold": 17, "model": "CostModel"}
+from repro.mapping import MapperConfig
+from repro.mapping.kernel import KERNELS
+from repro.service import JobSpec, JobSpecError
 
 
 def test_unknown_kernel_rejected_at_config_validation():
     with pytest.raises(MappingError, match=r"simd.*reference"):
         MapperConfig(kernel="simd")
-    # the message names the extension point
-    with pytest.raises(MappingError, match="register_kernel"):
+
+
+def test_config_and_job_spec_reject_a_kernel_outside_the_fixed_set():
+    assert tuple(KERNELS) == ("reference", "soa", "auto")
+    names = ", ".join(KERNELS)
+    with pytest.raises(MappingError) as config_error:
         MapperConfig(kernel="simd")
-
-
-def test_duplicate_registration_guard(scratch_registry):
-    register_kernel(scratch_registry, lambda engine: ReferenceKernel())
-    with pytest.raises(MappingError, match="already registered"):
-        register_kernel(scratch_registry,
-                        lambda engine: ReferenceKernel())
-    # replace=True is the explicit override
-    register_kernel(scratch_registry, lambda engine: ReferenceKernel(),
-                    replace=True)
-
-
-def test_builtin_shadowing_requires_replace():
-    with pytest.raises(MappingError, match="already registered"):
-        register_kernel("reference", lambda engine: ReferenceKernel())
-
-
-def test_register_kernel_validates_arguments():
-    with pytest.raises(MappingError, match="non-empty string"):
-        register_kernel("", lambda engine: ReferenceKernel())
-    with pytest.raises(MappingError, match="non-empty string"):
-        register_kernel(None, lambda engine: ReferenceKernel())
-    with pytest.raises(MappingError, match="callable"):
-        register_kernel("not-callable", "nope")
-
-
-def test_unregister_rules(scratch_registry):
-    for builtin in KERNELS:
-        with pytest.raises(MappingError, match="built-in"):
-            unregister_kernel(builtin)
-    with pytest.raises(MappingError, match="not registered"):
-        unregister_kernel(scratch_registry)
-    register_kernel(scratch_registry, lambda engine: ReferenceKernel())
-    unregister_kernel(scratch_registry)
-    assert scratch_registry not in available_kernels()
-
-
-def test_unregistered_name_becomes_invalid_config(scratch_registry):
-    register_kernel(scratch_registry, lambda engine: ReferenceKernel())
-    MapperConfig(kernel=scratch_registry)  # valid while registered
-    unregister_kernel(scratch_registry)
-    with pytest.raises(MappingError):
-        MapperConfig(kernel=scratch_registry)
-
-
-def test_auto_threshold_validation():
-    with pytest.raises(MappingError, match="auto_threshold"):
-        MapperConfig(auto_threshold=0)
-    cfg = MapperConfig(auto_threshold=128)
-    assert cfg.auto_threshold == 128
-    # execution strategy, not semantics: excluded from the fingerprint
-    assert cfg.fingerprint() == MapperConfig().fingerprint()
-
-
-def test_registry_api_exported_at_package_root():
-    import repro
-
-    for name in ("register_kernel", "unregister_kernel",
-                 "available_kernels", "KernelProtocol"):
-        assert name in repro.__all__
-        assert getattr(repro, name) is not None
+    with pytest.raises(JobSpecError) as spec_error:
+        JobSpec.from_payload({"circuits": ["mux"], "kernel": "simd"})
+    for error in (config_error, spec_error):
+        message = str(error.value)
+        assert "'simd'" in message
+        assert message.endswith(f"one of {names}")

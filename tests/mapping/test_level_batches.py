@@ -8,7 +8,8 @@ primary key and splits the winners back into per-node tables.  Each
 test here compares those tables node by node against a per-node
 computation, where batching could break them: levels that mix node
 types, single-tuple and large views, chunk boundaries, a warm cache
-that serves part of a level, and kernels that only combine one node.
+that serves part of a level, and the per-item candidate counts every
+kernel returns.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from repro import TreeCache  # noqa: E402
 from repro.bench_suite.generators import random_network  # noqa: E402
 from repro.mapping import CostModel, MapperConfig, MappingEngine  # noqa: E402
 from repro.mapping import engine as engine_module  # noqa: E402
-from repro.mapping.kernel import (BatchKernel, KernelProtocol,  # noqa: E402
-                                  ReferenceKernel, register_kernel,
-                                  unregister_kernel)
+from repro.mapping.kernel import (AutoKernel, KernelProtocol,  # noqa: E402
+                                  ReferenceKernel)
 from repro.mapping.soa import SoAKernel  # noqa: E402
 from repro.network import (LogicNetwork, NodeType,  # noqa: E402
                            network_from_expression)
@@ -236,48 +236,33 @@ def test_a_miss_the_cache_cannot_store_holds_no_node_back(monkeypatch):
     assert tables == reference[0]
 
 
-def test_batching_is_optional_in_the_kernel_protocol():
-    assert isinstance(ReferenceKernel(), KernelProtocol)
-    assert not isinstance(ReferenceKernel(), BatchKernel)
-    assert isinstance(SoAKernel(), BatchKernel)
+def test_every_builtin_kernel_implements_the_batch_protocol():
+    kernels = (ReferenceKernel(), SoAKernel(),
+               AutoKernel(ReferenceKernel(), SoAKernel()))
+    for kernel in kernels:
+        assert isinstance(kernel, KernelProtocol)
+        assert not hasattr(kernel, "combine")
 
 
-def test_kernel_with_only_combine_maps_like_the_batched_soa_kernel():
-    class PerNode:
-        """A third-party kernel: no combine_many, a combine per node."""
+def test_reference_and_soa_batches_return_the_same_per_item_counts(
+        monkeypatch):
+    returned = []
+    original = MappingEngine._combine_into
 
-        name = "per-node"
-        active = "per-node"
+    def combine_into(self, items):
+        created = original(self, items)
+        returned.append(created)
+        return created
 
-        def __init__(self):
-            self._inner = ReferenceKernel()
-            self.calls = 0
-
-        def build(self, engine):
-            self._inner.build(engine)
-
-        def combine(self, table, is_or, view_a, view_b):
-            self.calls += 1
-            self._inner.combine(table, is_or, view_a, view_b)
-
-        def finalize(self):
-            pass
-
-        def stats(self):
-            return {"active": self.active}
-
-    assert not hasattr(PerNode, "combine_many")
-    assert isinstance(PerNode(), KernelProtocol)
-    register_kernel("test-per-node", lambda engine: PerNode())
-    try:
-        network = _unate(11)
-        runs = {}
-        for kernel in ("test-per-node", "soa"):
-            config = MapperConfig(w_max=6, h_max=9, ordering="exhaustive",
-                                  kernel=kernel)
-            runs[kernel], engine = _run(network, config)
-            if kernel == "test-per-node":
-                assert engine.kernel.calls == engine.stats.nodes_processed
-        assert runs["test-per-node"] == runs["soa"]
-    finally:
-        unregister_kernel("test-per-node")
+    monkeypatch.setattr(MappingEngine, "_combine_into", combine_into)
+    network = _unate(11)
+    runs = {}
+    for kernel in ("reference", "soa"):
+        returned.clear()
+        config = MapperConfig(w_max=6, h_max=9, ordering="exhaustive",
+                              kernel=kernel)
+        runs[kernel], engine = _run(network, config)
+        assert sum(map(sum, returned)) == engine.stats.tuples_created
+        assert sum(map(len, returned)) == engine.stats.nodes_processed
+        runs[kernel] += (list(returned),)
+    assert runs["reference"] == runs["soa"]

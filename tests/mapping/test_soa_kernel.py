@@ -16,7 +16,7 @@ Three layers of checks:
   the reference digests and stats on real networks (the broader sweep
   lives in ``test_lazy_equivalence.py``, which runs every pinned seed
   digest under both kernels).
-* **Resolution edges** — auto-threshold routing, the vectorizability
+* **Resolution edges** — auto-kernel routing, the vectorizability
   fallback (custom ``tuple_key`` -> reference kernel +
   ``kernel_fallbacks``), and ``kernel="soa"`` without numpy being a
   hard :class:`MappingError` rather than a silent downgrade.
@@ -37,8 +37,9 @@ from repro.domino.structure import Leaf  # noqa: E402
 from repro.errors import MappingError  # noqa: E402
 from repro.mapping import CostModel, DepthCost, MapperConfig  # noqa: E402
 from repro.mapping import MappingEngine, map_network  # noqa: E402
-from repro.mapping.kernel import (AutoKernel, ReferenceKernel,  # noqa: E402
-                                  metric_fast_path, resolve_kernel)
+from repro.mapping.kernel import (AUTO_THRESHOLD, AutoKernel,  # noqa: E402
+                                  ReferenceKernel, metric_fast_path,
+                                  resolve_kernel)
 from repro.mapping.soa import SoAKernel, _key_cols  # noqa: E402
 from repro.mapping.tuples import MapTuple, TupleTable  # noqa: E402
 from repro.network import network_from_expression  # noqa: E402
@@ -84,8 +85,7 @@ def _snapshot(table: TupleTable):
             for shape, entries in table.raw_slots().items()]
 
 
-def _run_both(config, model, view_a, view_b, is_or, seed_table=None,
-              max_front=4):
+def _run_both(config, model, view_a, view_b, is_or, max_front=4):
     outs = []
     for make_kernel in (ReferenceKernel, SoAKernel):
         engine = _fake_engine(config, model)
@@ -93,10 +93,7 @@ def _run_both(config, model, view_a, view_b, is_or, seed_table=None,
         kernel.build(engine)
         table = TupleTable(key_fn=model.tuple_key, pareto=config.pareto,
                            max_front=max_front)
-        if seed_table is not None:
-            for shape, entries in seed_table:
-                table.raw_slots()[shape] = list(entries)
-        kernel.combine(table, is_or, view_a, view_b)
+        kernel.combine_many([(table, is_or, view_a, view_b)])
         kernel.finalize()
         outs.append((_snapshot(table),
                      (engine.stats.tuples_created,
@@ -287,22 +284,39 @@ def test_pareto_tie_at_front_max_evicts_the_tied_entry():
                              (10.0, 10, 0, False), (13.0, 7, 1, True)]
 
 
-def test_seeded_table_path_bit_identical():
-    """A pre-populated table routes through the exact fallback path."""
-    model = CostModel()
+def test_pareto_pack_overflow_falls_back_to_the_reference_kernel(
+        monkeypatch):
+    """Fields too wide for one packed word: the reference fills the table.
+
+    Potential-point counts near 2**50 are far beyond any feasible
+    structure, but they are what makes ``p_dis`` overflow the
+    change-point reducer's packed int64 front words.
+    """
+    verdicts = []
+    reduce_pareto = SoAKernel._reduce_pareto
+
+    def spy(self, table, batch):
+        verdicts.append(reduce_pareto(self, table, batch))
+        return verdicts[-1]
+
+    monkeypatch.setattr(SoAKernel, "_reduce_pareto", spy)
     rng = random.Random(11)
     config = MapperConfig(w_max=5, h_max=8, ordering="paper", pareto=True,
                           pbe_aware=True)
-    seeds = [_random_tuple(rng, 200 + i, config, True) for i in range(4)]
-    seed_table = [((t.width, t.height), [(model.tuple_key(t), t)])
-                  for t in seeds]
-    view_a = [_random_tuple(rng, i, config, True) for i in range(12)]
-    view_b = [_random_tuple(rng, 60 + i, config, True) for i in range(12)]
+
+    def wide(idx):
+        t = _random_tuple(rng, idx, config, True)
+        t.p_dis += 1 << 50
+        return t
+
+    view_a = [wide(i) for i in range(12)]
+    view_b = [wide(60 + i) for i in range(12)]
     for is_or in (True, False):
         (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
-            config, model, view_a, view_b, is_or, seed_table=seed_table)
+            config, CostModel(), view_a, view_b, is_or)
         assert soa_slots == ref_slots
         assert soa_stats == ref_stats
+    assert verdicts == [None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +443,9 @@ def test_auto_kernel_routes_by_view_product():
         def build(self, engine):
             pass
 
-        def combine(self, table, is_or, view_a, view_b):
+        def combine_many(self, items):
             calls.append(self.tag)
+            return [0] * len(items)
 
         def finalize(self):
             pass
@@ -438,10 +453,16 @@ def test_auto_kernel_routes_by_view_product():
         def stats(self):
             return {"active": self.tag}
 
-    auto = AutoKernel(Spy("ref"), Spy("soa"), threshold=10)
-    auto.combine(None, False, [None] * 3, [None] * 3)    # 9 < 10
-    auto.combine(None, False, [None] * 5, [None] * 2)    # 10 >= 10
-    assert calls == ["ref", "soa"]
+    assert AUTO_THRESHOLD == 64
+    auto = AutoKernel(Spy("ref"), Spy("soa"))
+    auto.combine_many([(None, False, [None] * 7, [None] * 9)])   # 63 pairs
+    auto.combine_many([(None, False, [None] * 8, [None] * 8)])   # 64 pairs
+    # the batch's pairs add up: 40 + 24 reach the threshold together
+    auto.combine_many([(None, False, [None] * 5, [None] * 8),
+                       (None, True, [None] * 4, [None] * 6)])
+    assert calls == ["ref", "soa", "soa"]
+    assert (auto._stats.auto_routed_reference,
+            auto._stats.auto_routed_soa) == (1, 3)
 
 
 def test_auto_kernel_mixes_both_kernels_on_real_circuit():
@@ -483,9 +504,9 @@ def test_soa_without_numpy_is_hard_error(monkeypatch):
     import repro.mapping.kernel as kernel_mod
 
     monkeypatch.setattr(kernel_mod, "np", None)
-    # the error points at the registry so the fix is discoverable
+    # the error names the other kernels so the fix is discoverable
     with pytest.raises(MappingError,
-                       match=r"numpy.*available_kernels\(\).*reference"):
+                       match=r"numpy.*reference, soa, auto"):
         map_network(network_from_expression("a * b + c"),
                     config=MapperConfig(kernel="soa"))
     # auto degrades silently instead

@@ -70,6 +70,8 @@ def test_max_tuples_error_counts_the_nodes_before_the_crossing(
     crossing node are finished first, so the error's partial stats are
     the ones a node-by-node walk reports.
     """
+    if kernel == "soa":
+        pytest.importorskip("numpy")
     from repro.mapping import CostModel, MappingEngine
     from repro.synth import decompose, sweep, unate_with_sweep
 

@@ -38,10 +38,10 @@ def test_helper_is_silent_under_simplefilter_ignore():
 
 
 def test_shim_table_holds_the_live_deprecations():
-    # 0.7 retired the last shim (the SoAKernel constructor the kernel
-    # registry replaced).  A new deprecation must add itself here with
-    # a removal release.
-    assert repro.__version__.startswith("0.7")
+    # 0.7 retired the last shim (the deprecated SoAKernel
+    # constructor), and 0.8 added none.  A new deprecation must add
+    # itself here with a removal release.
+    assert repro.__version__.startswith("0.8")
     assert SHIMS == ()
 
 
