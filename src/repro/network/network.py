@@ -8,20 +8,24 @@ conversion) and the technology mappers.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import NetworkError
-from .nodes import LogicNode, NodeType
+from .nodes import _FANIN_BOUNDS, LogicNode, NodeType, _check_fanin_count
+
+_PO = NodeType.PO
 
 
 class LogicNetwork:
     """A technology-independent combinational logic network.
 
     Nodes are created through the ``add_*`` methods, which return node ids.
-    Fanins must exist before the node that references them, which makes the
-    construction order a topological order by design; an explicit
-    :meth:`topological_order` is still provided (and verified) for networks
-    assembled by readers.
+    Fanins must exist before the node that references them, so every fanin
+    id is lower than its node's id and ascending id order is a topological
+    order by construction; :meth:`topological_order` checks that in one
+    scan and falls back to a full walk for networks that
+    :meth:`replace_fanin` has rewired against it.
     """
 
     def __init__(self, name: str = "network"):
@@ -36,16 +40,29 @@ class LogicNetwork:
     # construction
     # ------------------------------------------------------------------
     def _add(self, node_type: NodeType, fanins: Sequence[int], name: str) -> int:
+        """The one construction path: check, then store a new node.
+
+        Every fanin must exist and must not be a PO (``NetworkError``),
+        and the fanin count must be legal for the type (``ValueError``,
+        worded by :func:`~repro.network.nodes._check_fanin_count`).
+        Having checked, it builds the node without ``__post_init__``.
+        """
+        nodes = self._nodes
         for f in fanins:
-            if f not in self._nodes:
+            fanin = nodes.get(f)
+            if fanin is None:
                 raise NetworkError(
                     f"fanin {f} of new {node_type.value} node does not exist"
                 )
-            if self._nodes[f].is_po:
+            if fanin.type is _PO:
                 raise NetworkError("a PO node cannot be used as a fanin")
+        fanins = tuple(fanins)
+        low, high = _FANIN_BOUNDS[node_type]
+        if not low <= len(fanins) <= high:
+            _check_fanin_count(node_type, len(fanins))
         uid = self._next_uid
-        self._next_uid += 1
-        self._nodes[uid] = LogicNode(uid, node_type, tuple(fanins), name)
+        self._next_uid = uid + 1
+        nodes[uid] = LogicNode._prechecked(uid, node_type, fanins, name)
         self._fanouts = None
         return uid
 
@@ -121,14 +138,24 @@ class LogicNetwork:
         return [n for n in self if n.type.is_gate]
 
     def fanouts(self, uid: int) -> Tuple[int, ...]:
-        """Ids of nodes that use ``uid`` as a fanin (POs included)."""
+        """Ids of nodes that use ``uid`` as a fanin (POs included).
+
+        Raises :class:`NetworkError` if ``uid`` is not a node, as
+        :meth:`node` does.
+        """
+        try:
+            return tuple(self._fanout_table()[uid])
+        except KeyError:
+            raise NetworkError(f"no node with id {uid}") from None
+
+    def _fanout_table(self) -> Dict[int, List[int]]:
         if self._fanouts is None:
             table: Dict[int, List[int]] = {u: [] for u in self._nodes}
             for n in self._nodes.values():
                 for f in n.fanins:
                     table[f].append(n.uid)
             self._fanouts = table
-        return tuple(self._fanouts[uid])
+        return self._fanouts
 
     def fanout_count(self, uid: int) -> int:
         return len(self.fanouts(uid))
@@ -139,20 +166,36 @@ class LogicNetwork:
     def topological_order(self) -> List[int]:
         """Node ids in topological order (fanins before fanouts).
 
+        The order is the lexicographically smallest topological order:
+        of the nodes whose fanins are all placed, the lowest id goes
+        next.  When every fanin id is lower than its node's id — always
+        true of a network built by the ``add_*`` methods, since a fanin
+        must exist first — ascending id order is topological, and as the
+        smallest permutation of the ids it *is* that order: one O(E) scan
+        proves it and the sorted ids are returned.  A network with a back
+        edge (a fanin id at or above its node's, which only
+        :meth:`replace_fanin` can create) takes the min-id-first heap
+        walk of Kahn's algorithm instead.
+
         Raises :class:`NetworkError` if the graph has a cycle.
         """
+        for uid, node in self._nodes.items():
+            for f in node.fanins:
+                if f >= uid:
+                    return self._heap_order()
+        return sorted(self._nodes)
+
+    def _heap_order(self) -> List[int]:
+        """Min-id-first Kahn walk; raises ``NetworkError`` on a cycle."""
         indeg = {u: len(n.fanins) for u, n in self._nodes.items()}
         ready = [u for u, d in indeg.items() if d == 0]
-        # Deterministic order: process in id order within each wavefront.
-        ready.sort()
-        order: List[int] = []
-        import heapq
-
         heapq.heapify(ready)
+        fanouts = self._fanout_table()
+        order: List[int] = []
         while ready:
             u = heapq.heappop(ready)
             order.append(u)
-            for v in self.fanouts(u):
+            for v in fanouts[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     heapq.heappush(ready, v)
@@ -178,8 +221,9 @@ class LogicNetwork:
     def depth(self) -> int:
         """Maximum number of gate nodes on any PI-to-PO path."""
         level: Dict[int, int] = {}
+        nodes = self._nodes
         for u in self.topological_order():
-            n = self.node(u)
+            n = nodes[u]
             if not n.fanins:
                 level[u] = 0
             else:
@@ -199,12 +243,13 @@ class LogicNetwork:
         records without building a gate).
         """
         for n in self:
-            if n.type in (NodeType.PI, NodeType.PO):
+            t = n.type
+            if t is NodeType.PI or t is _PO:
                 continue
-            if n.type in (NodeType.AND, NodeType.OR) and len(n.fanins) == 2:
+            if (t is NodeType.AND or t is NodeType.OR) and len(n.fanins) == 2:
                 continue
-            if n.type in (NodeType.CONST0, NodeType.CONST1) and all(
-                    self.node(f).is_po for f in self.fanouts(n.uid)):
+            if n.is_const and all(
+                    self._nodes[f].type is _PO for f in self.fanouts(n.uid)):
                 continue
             return False
         return True
@@ -236,6 +281,8 @@ class LogicNetwork:
             raise NetworkError(f"node {uid} has no fanin {old}")
         if new not in self._nodes:
             raise NetworkError(f"replacement fanin {new} does not exist")
+        if self._nodes[new].type is _PO:
+            raise NetworkError("a PO node cannot be used as a fanin")
         n.fanins = tuple(new if f == old else f for f in n.fanins)
         self._fanouts = None
 
@@ -248,6 +295,7 @@ class LogicNetwork:
         # One DFS from every PO at once: shared cones are walked once,
         # not once per PO that reaches them.  PIs have no fanins, so
         # seeding them as live cannot cut the walk short.
+        nodes = self._nodes
         live = set(self._pis)
         stack = list(self._pos)
         while stack:
@@ -255,7 +303,7 @@ class LogicNetwork:
             if u in live:
                 continue
             live.add(u)
-            stack.extend(self.node(u).fanins)
+            stack.extend(nodes[u].fanins)
         dead = [u for u in self._nodes if u not in live]
         for u in dead:
             del self._nodes[u]
@@ -266,7 +314,7 @@ class LogicNetwork:
         """Deep structural copy (node ids are preserved)."""
         dup = LogicNetwork(self.name)
         dup._nodes = {
-            u: LogicNode(n.uid, n.type, n.fanins, n.name)
+            u: LogicNode._prechecked(n.uid, n.type, n.fanins, n.name)
             for u, n in self._nodes.items()
         }
         dup._pis = list(self._pis)

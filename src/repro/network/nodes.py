@@ -8,6 +8,7 @@ and wide gates produced by the netlist readers before decomposition.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -31,35 +32,52 @@ class NodeType(enum.Enum):
     @property
     def is_source(self) -> bool:
         """True for nodes that take no fanins (PIs and constants)."""
-        return self in (NodeType.PI, NodeType.CONST0, NodeType.CONST1)
+        return self in _SOURCE_TYPES
 
     @property
     def is_gate(self) -> bool:
         """True for nodes that compute a logic function of their fanins."""
-        return self in (
-            NodeType.AND, NodeType.OR, NodeType.NAND, NodeType.NOR,
-            NodeType.XOR, NodeType.XNOR, NodeType.INV, NodeType.BUF,
-        )
+        return self in _GATE_TYPES
 
     @property
     def is_monotone(self) -> bool:
         """True for gates a domino pulldown network can realize directly."""
-        return self in (NodeType.AND, NodeType.OR, NodeType.BUF)
+        return self in _MONOTONE_TYPES
 
     @property
     def dual(self) -> "NodeType":
         """The DeMorgan dual used by bubble pushing (AND <-> OR, etc.)."""
-        pairs = {
-            NodeType.AND: NodeType.OR,
-            NodeType.OR: NodeType.AND,
-            NodeType.NAND: NodeType.NOR,
-            NodeType.NOR: NodeType.NAND,
-            NodeType.CONST0: NodeType.CONST1,
-            NodeType.CONST1: NodeType.CONST0,
-        }
-        if self not in pairs:
-            raise ValueError(f"{self} has no DeMorgan dual")
-        return pairs[self]
+        try:
+            return _DUALS[self]
+        except KeyError:
+            raise ValueError(f"{self} has no DeMorgan dual") from None
+
+
+# Built once for NodeType's properties.  The classes are tuples, not
+# frozensets: tuple membership compares members by identity, where a set
+# would call the Python-level ``Enum.__hash__``.
+_SOURCE_TYPES = (NodeType.PI, NodeType.CONST0, NodeType.CONST1)
+_GATE_TYPES = (NodeType.AND, NodeType.OR, NodeType.NAND, NodeType.NOR,
+               NodeType.XOR, NodeType.XNOR, NodeType.INV, NodeType.BUF)
+_MONOTONE_TYPES = (NodeType.AND, NodeType.OR, NodeType.BUF)
+_DUALS = {
+    NodeType.AND: NodeType.OR,
+    NodeType.OR: NodeType.AND,
+    NodeType.NAND: NodeType.NOR,
+    NodeType.NOR: NodeType.NAND,
+    NodeType.CONST0: NodeType.CONST1,
+    NodeType.CONST1: NodeType.CONST0,
+}
+
+#: Node type -> (min, max) legal fanin count; :func:`_check_fanin_count`
+#: words the error for a count outside it.
+_FANIN_BOUNDS = {
+    **{t: (0, 0) for t in _SOURCE_TYPES},
+    **{t: (1, 1) for t in (NodeType.PO, NodeType.INV, NodeType.BUF)},
+    **{t: (1, sys.maxsize) for t in (NodeType.AND, NodeType.OR,
+                                     NodeType.NAND, NodeType.NOR,
+                                     NodeType.XOR, NodeType.XNOR)},
+}
 
 
 #: Node types permitted in a mapper-ready network (2-input AND/OR + sources).
@@ -69,6 +87,12 @@ MAPPABLE_TYPES = frozenset({NodeType.PI, NodeType.PO, NodeType.AND, NodeType.OR}
 @dataclass
 class LogicNode:
     """One node of a logic network.
+
+    A direct ``LogicNode(...)`` call checks the fanin count against the
+    type.  :class:`~repro.network.network.LogicNetwork` builds its nodes
+    through :meth:`_prechecked` instead: ``_add`` has already made that
+    check (plus the fanin-existence and no-PO-fanin checks), so the node
+    is built without running :meth:`__post_init__` a second time.
 
     Attributes
     ----------
@@ -91,6 +115,17 @@ class LogicNode:
         self.fanins = tuple(self.fanins)
         _check_fanin_count(self.type, len(self.fanins))
 
+    @classmethod
+    def _prechecked(cls, uid: int, node_type: NodeType,
+                    fanins: Tuple[int, ...], name: str) -> "LogicNode":
+        """A node whose ``fanins`` tuple the caller has already checked."""
+        node = object.__new__(cls)
+        node.uid = uid
+        node.type = node_type
+        node.fanins = fanins
+        node.name = name
+        return node
+
     @property
     def is_pi(self) -> bool:
         return self.type is NodeType.PI
@@ -101,7 +136,8 @@ class LogicNode:
 
     @property
     def is_const(self) -> bool:
-        return self.type in (NodeType.CONST0, NodeType.CONST1)
+        t = self.type
+        return t is NodeType.CONST0 or t is NodeType.CONST1
 
     @property
     def label(self) -> str:
@@ -129,7 +165,7 @@ class LogicNode:
             return sum(bool(v) for v in values) % 2 == 0
         if t is NodeType.INV:
             return not values[0]
-        if t in (NodeType.BUF, NodeType.PO):
+        if t is NodeType.BUF or t is NodeType.PO:
             return bool(values[0])
         if t is NodeType.CONST0:
             return False
@@ -140,10 +176,11 @@ class LogicNode:
 
 def _check_fanin_count(node_type: NodeType, count: int) -> None:
     """Raise ``ValueError`` if ``count`` fanins is illegal for ``node_type``."""
-    if node_type.is_source and count != 0:
+    low, high = _FANIN_BOUNDS[node_type]
+    if low <= count <= high:
+        return
+    if high == 0:
         raise ValueError(f"{node_type} node must have no fanins, got {count}")
-    if node_type in (NodeType.PO, NodeType.INV, NodeType.BUF) and count != 1:
+    if high == 1:
         raise ValueError(f"{node_type} node must have exactly 1 fanin, got {count}")
-    if node_type in (NodeType.AND, NodeType.OR, NodeType.NAND, NodeType.NOR,
-                     NodeType.XOR, NodeType.XNOR) and count < 1:
-        raise ValueError(f"{node_type} node must have at least 1 fanin")
+    raise ValueError(f"{node_type} node must have at least 1 fanin")

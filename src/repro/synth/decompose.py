@@ -17,17 +17,23 @@ from typing import Dict, List, Sequence
 from ..errors import NetworkError
 from ..network import LogicNetwork, NodeType
 
+PI, PO, INV, BUF = NodeType.PI, NodeType.PO, NodeType.INV, NodeType.BUF
+AND, OR, NAND, NOR = NodeType.AND, NodeType.OR, NodeType.NAND, NodeType.NOR
+XOR, XNOR = NodeType.XOR, NodeType.XNOR
+CONST0, CONST1 = NodeType.CONST0, NodeType.CONST1
+
 
 def _balanced_tree(network: LogicNetwork, op: NodeType,
                    leaves: Sequence[int], name: str = "") -> int:
     """Reduce ``leaves`` with 2-input ``op`` gates arranged as a balanced tree."""
     if not leaves:
         raise NetworkError(f"cannot build {op.value} tree with no leaves")
+    add = network.add_and if op is AND else network.add_or
     layer: List[int] = list(leaves)
     while len(layer) > 1:
         nxt: List[int] = []
         for i in range(0, len(layer) - 1, 2):
-            nxt.append(network.add_gate(op, (layer[i], layer[i + 1])))
+            nxt.append(add(layer[i], layer[i + 1]))
         if len(layer) % 2:
             nxt.append(layer[-1])
         layer = nxt
@@ -44,35 +50,37 @@ def decompose(network: LogicNetwork) -> LogicNetwork:
     """
     out = LogicNetwork(network.name)
     new_id: Dict[int, int] = {}
+    nodes = network._nodes
+    add_inv = out.add_inv
 
     for uid in network.topological_order():
-        node = network.node(uid)
+        node = nodes[uid]
         t = node.type
         fanins = [new_id[f] for f in node.fanins]
 
-        if t is NodeType.PI:
-            new_id[uid] = out.add_pi(node.name)
-        elif t is NodeType.PO:
-            new_id[uid] = out.add_po(fanins[0], node.name)
-        elif t in (NodeType.CONST0, NodeType.CONST1):
-            new_id[uid] = out.add_const(t is NodeType.CONST1, node.name)
-        elif t is NodeType.BUF:
-            new_id[uid] = fanins[0]
-        elif t is NodeType.INV:
-            new_id[uid] = out.add_inv(fanins[0], node.name)
-        elif t in (NodeType.AND, NodeType.OR):
+        if t is AND or t is OR:
             if len(fanins) == 1:
                 new_id[uid] = fanins[0]
             else:
                 new_id[uid] = _balanced_tree(out, t, fanins, node.name)
-        elif t in (NodeType.NAND, NodeType.NOR):
-            base = NodeType.AND if t is NodeType.NAND else NodeType.OR
+        elif t is INV:
+            new_id[uid] = add_inv(fanins[0], node.name)
+        elif t is PI:
+            new_id[uid] = out.add_pi(node.name)
+        elif t is PO:
+            new_id[uid] = out.add_po(fanins[0], node.name)
+        elif t is CONST0 or t is CONST1:
+            new_id[uid] = out.add_const(t is CONST1, node.name)
+        elif t is BUF:
+            new_id[uid] = fanins[0]
+        elif t is NAND or t is NOR:
+            base = AND if t is NAND else OR
             inner = fanins[0] if len(fanins) == 1 else _balanced_tree(
                 out, base, fanins)
-            new_id[uid] = out.add_inv(inner, node.name)
-        elif t in (NodeType.XOR, NodeType.XNOR):
+            new_id[uid] = add_inv(inner, node.name)
+        elif t is XOR or t is XNOR:
             new_id[uid] = _decompose_xor_chain(
-                out, fanins, invert=(t is NodeType.XNOR), name=node.name)
+                out, fanins, invert=(t is XNOR), name=node.name)
         else:  # pragma: no cover - the enum is closed
             raise NetworkError(f"cannot decompose node type {t}")
 
@@ -104,10 +112,9 @@ def is_decomposed(network: LogicNetwork) -> bool:
     """True if the network is 2-input AND/OR + INV (plus PI/PO/constants)."""
     for node in network:
         t = node.type
-        if t in (NodeType.PI, NodeType.PO, NodeType.INV,
-                 NodeType.CONST0, NodeType.CONST1):
+        if t in (PI, PO, INV, CONST0, CONST1):
             continue
-        if t in (NodeType.AND, NodeType.OR) and len(node.fanins) == 2:
+        if (t is AND or t is OR) and len(node.fanins) == 2:
             continue
         return False
     return True

@@ -24,7 +24,7 @@ from ..conventions import NEG_SUFFIX
 from ..errors import UnateConversionError
 from ..network import LogicNetwork, NodeType
 from .sweep import sweep
-from .unate import UnateReport, _andor_depth, _realize_iterative
+from .unate import UnateReport, _andor_count, _andor_depth, _realize_iterative
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,9 @@ def unate_with_phase_assignment(network: LogicNetwork,
         out = sweep(out)
 
     duplicated = sum(1 for p in phases_used.values() if len(p) == 2)
-    original_gates = sum(1 for n in network
-                         if n.type in (NodeType.AND, NodeType.OR))
-    unate_gates = sum(1 for n in out if n.type in (NodeType.AND, NodeType.OR))
     report = UnateReport(
-        original_gates=original_gates,
-        unate_gates=unate_gates,
+        original_gates=_andor_count(network),
+        unate_gates=_andor_count(out),
         duplicated_nodes=duplicated,
         negated_pis=len(neg_pi),
         original_depth=_andor_depth(network),

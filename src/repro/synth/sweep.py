@@ -11,6 +11,10 @@ from typing import Dict, Tuple
 
 from ..network import LogicNetwork, NodeType
 
+PI, PO, INV, BUF = NodeType.PI, NodeType.PO, NodeType.INV, NodeType.BUF
+AND, OR = NodeType.AND, NodeType.OR
+CONST0, CONST1 = NodeType.CONST0, NodeType.CONST1
+
 
 def sweep(network: LogicNetwork) -> LogicNetwork:
     """Return a cleaned structural copy of ``network``.
@@ -28,23 +32,21 @@ def sweep(network: LogicNetwork) -> LogicNetwork:
     """
     out = LogicNetwork(network.name)
     new_id: Dict[int, int] = {}
-    strash: Dict[Tuple, int] = {}
+    # (is_and, low id, high id) -> gate: keyed on a bool, not the
+    # NodeType, so hashing a key never calls the Python-level Enum.__hash__.
+    strash: Dict[Tuple[bool, int, int], int] = {}
     const_cache: Dict[bool, int] = {}
+    const_of: Dict[int, bool] = {}  # constant new-id -> its value
     inv_of: Dict[int, int] = {}   # new-id -> id of its inverter output
     inv_src: Dict[int, int] = {}  # inverter new-id -> its fanin new-id
+    const_value = const_of.get    # new-id -> True/False, None if not constant
 
     def make_const(value: bool) -> int:
         if value not in const_cache:
-            const_cache[value] = out.add_const(value)
+            uid = out.add_const(value)
+            const_cache[value] = uid
+            const_of[uid] = value
         return const_cache[value]
-
-    def const_value(uid: int):
-        t = out.node(uid).type
-        if t is NodeType.CONST0:
-            return False
-        if t is NodeType.CONST1:
-            return True
-        return None
 
     def make_inv(fanin: int, name: str = "") -> int:
         value = const_value(fanin)
@@ -64,7 +66,8 @@ def sweep(network: LogicNetwork) -> LogicNetwork:
 
     def make_gate(t: NodeType, a: int, b: int, name: str = "") -> int:
         ca, cb = const_value(a), const_value(b)
-        if t is NodeType.AND:
+        is_and = t is AND
+        if is_and:
             if ca is False or cb is False:
                 return make_const(False)
             if ca is True:
@@ -84,38 +87,39 @@ def sweep(network: LogicNetwork) -> LogicNetwork:
                 return make_const(True)
         if a == b:
             return a
-        key = (t, min(a, b), max(a, b))
-        if key in strash:
-            return strash[key]
-        uid = out.add_gate(t, (a, b), name)
-        strash[key] = uid
+        key = (is_and, a, b) if a < b else (is_and, b, a)
+        uid = strash.get(key)
+        if uid is None:
+            uid = (out.add_and if is_and else out.add_or)(a, b, name=name)
+            strash[key] = uid
         return uid
 
+    nodes = network._nodes
     for uid in network.topological_order():
-        node = network.node(uid)
+        node = nodes[uid]
         t = node.type
-        if t is NodeType.PI:
+        fanins = node.fanins
+        andor = t is AND or t is OR
+        if andor and len(fanins) == 2:
+            new_id[uid] = make_gate(t, new_id[fanins[0]], new_id[fanins[1]],
+                                    node.name)
+        elif t is INV:
+            new_id[uid] = make_inv(new_id[fanins[0]], node.name)
+        elif t is PI:
             new_id[uid] = out.add_pi(node.name)
-        elif t is NodeType.PO:
-            new_id[uid] = out.add_po(new_id[node.fanins[0]], node.name)
-        elif t is NodeType.CONST0:
+        elif t is PO:
+            new_id[uid] = out.add_po(new_id[fanins[0]], node.name)
+        elif t is CONST0:
             new_id[uid] = make_const(False)
-        elif t is NodeType.CONST1:
+        elif t is CONST1:
             new_id[uid] = make_const(True)
-        elif t is NodeType.BUF:
-            new_id[uid] = new_id[node.fanins[0]]
-        elif t is NodeType.INV:
-            new_id[uid] = make_inv(new_id[node.fanins[0]], node.name)
-        elif t in (NodeType.AND, NodeType.OR) and len(node.fanins) == 2:
-            a, b = (new_id[f] for f in node.fanins)
-            new_id[uid] = make_gate(t, a, b, node.name)
-        elif t in (NodeType.AND, NodeType.OR) and len(node.fanins) == 1:
-            new_id[uid] = new_id[node.fanins[0]]
+        elif t is BUF or (andor and len(fanins) == 1):
+            new_id[uid] = new_id[fanins[0]]
         else:
             # Wider or non-AND/OR gates: copy verbatim (sweep may be called
             # before decomposition).
             new_id[uid] = out.add_gate(
-                t, tuple(new_id[f] for f in node.fanins), node.name)
+                t, tuple(new_id[f] for f in fanins), node.name)
 
     out.remove_unused()
     return out

@@ -37,6 +37,9 @@ from .sweep import sweep
 
 from ..conventions import NEG_SUFFIX
 
+PI, INV, AND, OR = NodeType.PI, NodeType.INV, NodeType.AND, NodeType.OR
+CONST0, CONST1 = NodeType.CONST0, NodeType.CONST1
+
 
 @dataclass(frozen=True)
 class UnateReport:
@@ -104,18 +107,16 @@ def _convert(network: LogicNetwork,
     # The phase realization is iterative (explicit worklist) because the
     # recursion depth would exceed Python's limit on deep benchmark circuits.
     for po in network.pos:
-        _realize_iterative(network, out, network.node(po).fanins[0], True,
+        po_node = network.node(po)
+        driver = po_node.fanins[0]
+        _realize_iterative(network, out, driver, True,
                            memo, pos_pi, neg_pi, phases_used, neg_suffix)
-        out.add_po(memo[(network.node(po).fanins[0], True)],
-                   network.node(po).label)
+        out.add_po(memo[(driver, True)], po_node.label)
 
     duplicated = sum(1 for phases in phases_used.values() if len(phases) == 2)
-    original_gates = sum(1 for n in network
-                         if n.type in (NodeType.AND, NodeType.OR))
-    unate_gates = sum(1 for n in out if n.type in (NodeType.AND, NodeType.OR))
     report = UnateReport(
-        original_gates=original_gates,
-        unate_gates=unate_gates,
+        original_gates=_andor_count(network),
+        unate_gates=_andor_count(out),
         duplicated_nodes=duplicated,
         negated_pis=len(neg_pi),
         original_depth=_andor_depth(network),
@@ -128,18 +129,52 @@ def _with_depth(report: UnateReport, network: LogicNetwork) -> UnateReport:
     return dataclasses.replace(report, unate_depth=_andor_depth(network))
 
 
+def _andor_count(network: LogicNetwork) -> int:
+    """Number of AND/OR gates (the report's gate counts exclude INVs)."""
+    return sum(1 for n in network if n.type is AND or n.type is OR)
+
+
 def _realize_iterative(network, out, root, root_phase, memo, pos_pi, neg_pi,
                        phases_used, neg_suffix):
-    """Iterative version of the recursive ``realize`` above."""
+    """Realize ``(root, root_phase)`` in ``out`` with an explicit worklist.
+
+    Every (node, phase) pair the root needs is created in ``out`` once,
+    fanins first, and recorded in ``memo``; a negative-phase AND/OR
+    becomes its DeMorgan dual over the fanins' negative phases.
+    """
+    nodes = network._nodes
+    add_and, add_or = out.add_and, out.add_or
     stack = [(root, root_phase, False)]
+    pop, push = stack.pop, stack.append
     while stack:
-        uid, phase, expanded = stack.pop()
+        uid, phase, expanded = pop()
         key = (uid, phase)
         if key in memo:
             continue
-        node = network.node(uid)
+        node = nodes[uid]
         t = node.type
-        if t is NodeType.PI:
+        if t is AND or t is OR:
+            fanins = node.fanins
+            if expanded or all((f, phase) in memo for f in fanins):
+                phases_used.setdefault(uid, set()).add(phase)
+                # AND in the positive phase or OR in the negative one.
+                add = add_and if (t is AND) == phase else add_or
+                memo[key] = add(*[memo[(f, phase)] for f in fanins])
+            else:
+                push((uid, phase, True))
+                for f in fanins:
+                    if (f, phase) not in memo:
+                        push((f, phase, False))
+            continue
+        if t is INV:
+            child = (node.fanins[0], not phase)
+            if child in memo:
+                memo[key] = memo[child]
+            else:
+                push((uid, phase, False))
+                push((node.fanins[0], not phase, False))
+            continue
+        if t is PI:
             if phase:
                 memo[key] = pos_pi[uid]
             else:
@@ -147,28 +182,8 @@ def _realize_iterative(network, out, root, root_phase, memo, pos_pi, neg_pi,
                     neg_pi[uid] = out.add_pi(node.label + neg_suffix)
                 memo[key] = neg_pi[uid]
             continue
-        if t in (NodeType.CONST0, NodeType.CONST1):
-            memo[key] = out.add_const((t is NodeType.CONST1) == phase)
-            continue
-        if t is NodeType.INV:
-            child = (node.fanins[0], not phase)
-            if child in memo:
-                memo[key] = memo[child]
-            else:
-                stack.append((uid, phase, False))
-                stack.append((node.fanins[0], not phase, False))
-            continue
-        if t in (NodeType.AND, NodeType.OR):
-            children = [(f, phase) for f in node.fanins]
-            if expanded or all(c in memo for c in children):
-                phases_used.setdefault(uid, set()).add(phase)
-                op = t if phase else t.dual
-                memo[key] = out.add_gate(op, tuple(memo[c] for c in children))
-            else:
-                stack.append((uid, phase, True))
-                for c in children:
-                    if c not in memo:
-                        stack.append((c[0], c[1], False))
+        if t is CONST0 or t is CONST1:
+            memo[key] = out.add_const((t is CONST1) == phase)
             continue
         raise UnateConversionError(
             f"node {node.label} has type {t.value}; run decompose() first")
@@ -177,14 +192,16 @@ def _realize_iterative(network, out, root, root_phase, memo, pos_pi, neg_pi,
 def _andor_depth(network: LogicNetwork) -> int:
     """Depth counting only AND/OR gates (inverters are free in this metric)."""
     level: Dict[int, int] = {}
+    nodes = network._nodes
     for uid in network.topological_order():
-        node = network.node(uid)
-        if not node.fanins:
+        node = nodes[uid]
+        fanins = node.fanins
+        if not fanins:
             level[uid] = 0
         else:
-            base = max(level[f] for f in node.fanins)
-            bump = 1 if node.type in (NodeType.AND, NodeType.OR) else 0
-            level[uid] = base + bump
+            base = max([level[f] for f in fanins])
+            t = node.type
+            level[uid] = base + 1 if t is AND or t is OR else base
     return max((level[p] for p in network.pos), default=0)
 
 
@@ -196,9 +213,7 @@ def unate_with_sweep(network: LogicNetwork,
     """
     unate, report = _convert(network, neg_suffix)
     swept = sweep(unate)
-    swept_gates = sum(1 for n in swept
-                      if n.type in (NodeType.AND, NodeType.OR))
-    report = dataclasses.replace(report, unate_gates=swept_gates)
+    report = dataclasses.replace(report, unate_gates=_andor_count(swept))
     return swept, _with_depth(report, swept)
 
 

@@ -32,6 +32,20 @@ class TestConstruction:
         with pytest.raises(NetworkError):
             simple.add_inv(po)
 
+    def test_bad_fanin_count_keeps_its_error_and_leaves_no_trace(self, simple):
+        a, b = simple.pis
+        before = (len(simple), simple.add_pi("probe"))
+        with pytest.raises(ValueError, match="must have exactly 1 fanin, got 2"):
+            simple.add_gate(NodeType.INV, (a, b))
+        with pytest.raises(ValueError, match="must have at least 1 fanin"):
+            simple.add_and()
+        with pytest.raises(ValueError, match="must have no fanins, got 1"):
+            simple.add_gate(NodeType.CONST0, (a,))
+        # A refused node takes no id: the next node gets the one after
+        # the last accepted node.
+        assert len(simple) == before[0] + 1
+        assert simple.add_pi("next") == before[1] + 1
+
     def test_ids_unique_and_increasing(self):
         net = LogicNetwork()
         ids = [net.add_pi(f"p{i}") for i in range(5)]
@@ -51,6 +65,24 @@ class TestTraversal:
         gate = simple.node(simple.pos[0]).fanins[0]
         assert simple.fanouts(a) == (gate,)
         assert simple.fanout_count(gate) == 1
+
+    def test_fanouts_of_unknown_id_raise_network_error(self, simple):
+        with pytest.raises(NetworkError, match="no node with id 99"):
+            LogicNetwork().fanouts(99)
+        with pytest.raises(NetworkError, match="no node with id 99"):
+            LogicNetwork().fanout_count(99)
+        simple.fanouts(simple.pis[0])  # the fanout table is built now
+        with pytest.raises(NetworkError, match="no node with id 99"):
+            simple.fanouts(99)
+
+    def test_order_with_a_back_edge_still_puts_fanins_first(self, simple):
+        a, b = simple.pis
+        gate = simple.node(simple.pos[0]).fanins[0]
+        late = simple.add_or(a, b, name="late")
+        simple.replace_fanin(gate, a, late)  # edge from a higher id
+        order = simple.topological_order()
+        assert order.index(late) < order.index(gate)
+        assert order == [a, b, late, gate, simple.pos[0]]
 
     def test_transitive_fanin(self, simple):
         po = simple.pos[0]
@@ -81,6 +113,24 @@ class TestEditing:
         gate = simple.node(simple.pos[0]).fanins[0]
         with pytest.raises(NetworkError):
             simple.replace_fanin(gate, 999, simple.pis[0])
+
+    def test_replace_fanin_rejects_a_po(self, simple):
+        a, _ = simple.pis
+        gate = simple.node(simple.pos[0]).fanins[0]
+        spare = simple.add_po(a, "spare")
+        with pytest.raises(NetworkError,
+                           match="a PO node cannot be used as a fanin"):
+            simple.replace_fanin(gate, a, spare)
+        assert a in simple.node(gate).fanins
+        simple.validate()
+
+    def test_replace_fanin_cycle_is_detected(self, simple):
+        a, _ = simple.pis
+        gate = simple.node(simple.pos[0]).fanins[0]
+        inner = simple.add_and(gate, a)
+        simple.replace_fanin(gate, a, inner)
+        with pytest.raises(NetworkError, match="cycle"):
+            simple.topological_order()
 
     def test_remove_unused(self):
         net = LogicNetwork()

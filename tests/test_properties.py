@@ -8,7 +8,10 @@ optimality argument rests on.
 
 from __future__ import annotations
 
+import heapq
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.domino import Leaf, analyse, parallel, rearrange, series
@@ -21,7 +24,8 @@ from repro.mapping import (
     rs_map,
     soi_domino_map,
 )
-from repro.network import network_from_expression
+from repro.errors import NetworkError
+from repro.network import LogicNetwork, NodeType, network_from_expression
 from repro.sim import check_circuit_against_network
 from repro.synth import check_unate_equivalent
 
@@ -169,3 +173,86 @@ def test_combine_and_arithmetic_matches_structural_analysis(structure):
         expected_potential = top.p_dis + 1
     assert len(combined.committed) == expected_committed
     assert combined.p_dis == expected_potential
+
+
+# --------------------------------------------------------------------------
+# topological order: the ascending-id fast path against a heap walk
+# --------------------------------------------------------------------------
+def _reference_order(net):
+    """Min-id-first Kahn walk, independent of ``LogicNetwork``'s own."""
+    fanouts = {n.uid: [] for n in net}
+    indeg = {}
+    for n in net:
+        indeg[n.uid] = len(n.fanins)
+        for f in n.fanins:
+            fanouts[f].append(n.uid)
+    ready = [u for u, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in fanouts[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    return order
+
+
+def _downstream(net, uid):
+    """Ids whose transitive fanin contains ``uid`` (``uid`` included)."""
+    return {n.uid for n in net if uid in net.transitive_fanin(n.uid)}
+
+
+@st.composite
+def _networks(draw):
+    """A random AND/OR/INV network; returns ``(net, signals, gates)``."""
+    net = LogicNetwork("random")
+    signals = [net.add_pi(f"i{k}") for k in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from((NodeType.AND, NodeType.OR,
+                                     NodeType.INV)))
+        if kind is NodeType.INV:
+            fanins = [draw(st.sampled_from(signals))]
+        else:
+            fanins = draw(st.lists(st.sampled_from(signals),
+                                   min_size=1, max_size=3))
+        signals.append(net.add_gate(kind, fanins))
+    for uid in draw(st.lists(st.sampled_from(signals), min_size=1,
+                             max_size=3)):
+        net.add_po(uid)
+    gates = [u for u in signals if net.node(u).fanins]
+    return net, signals, gates
+
+
+@settings(max_examples=150, deadline=None)
+@given(_networks(), st.data())
+def test_topological_order_matches_a_min_heap_walk(built, data):
+    net, signals, gates = built
+    assert net.topological_order() == _reference_order(net)
+    # Rewire fanins to later nodes: each such edge runs from a higher id
+    # to a lower one, so the ascending-id shortcut no longer applies.
+    for _ in range(data.draw(st.integers(0, 3))):
+        uid = data.draw(st.sampled_from(gates))
+        below = _downstream(net, uid)
+        later = [s for s in signals if s > uid and s not in below]
+        if not later:
+            continue
+        old = data.draw(st.sampled_from(net.node(uid).fanins))
+        net.replace_fanin(uid, old, data.draw(st.sampled_from(later)))
+        order = net.topological_order()
+        assert order == _reference_order(net)
+        assert sorted(order) == sorted(net.node_ids)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_networks(), st.data())
+def test_replace_fanin_cycle_raises(built, data):
+    net, signals, gates = built
+    uid = data.draw(st.sampled_from(gates))
+    cycle_end = data.draw(st.sampled_from(
+        sorted(s for s in _downstream(net, uid) if s in signals)))
+    old = data.draw(st.sampled_from(net.node(uid).fanins))
+    net.replace_fanin(uid, old, cycle_end)
+    with pytest.raises(NetworkError, match="cycle"):
+        net.topological_order()
