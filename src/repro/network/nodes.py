@@ -165,7 +165,7 @@ class LogicNode:
             return sum(bool(v) for v in values) % 2 == 0
         if t is NodeType.INV:
             return not values[0]
-        if t is NodeType.BUF or t is NodeType.PO:
+        if t in (NodeType.BUF, NodeType.PO):
             return bool(values[0])
         if t is NodeType.CONST0:
             return False
