@@ -34,17 +34,17 @@ class TestConstruction:
 
     def test_bad_fanin_count_keeps_its_error_and_leaves_no_trace(self, simple):
         a, b = simple.pis
-        before = (len(simple), simple.add_pi("probe"))
+        last = simple.add_pi("last")
+        size = len(simple)
         with pytest.raises(ValueError, match="must have exactly 1 fanin, got 2"):
             simple.add_gate(NodeType.INV, (a, b))
         with pytest.raises(ValueError, match="must have at least 1 fanin"):
             simple.add_and()
         with pytest.raises(ValueError, match="must have no fanins, got 1"):
             simple.add_gate(NodeType.CONST0, (a,))
-        # A refused node takes no id: the next node gets the one after
-        # the last accepted node.
-        assert len(simple) == before[0] + 1
-        assert simple.add_pi("next") == before[1] + 1
+        assert len(simple) == size
+        # A refused node takes no id.
+        assert simple.add_pi("next") == last + 1
 
     def test_ids_unique_and_increasing(self):
         net = LogicNetwork()
