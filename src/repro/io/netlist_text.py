@@ -11,7 +11,7 @@ netlist corresponds device-for-device to what the PBE simulator simulates
 
 from __future__ import annotations
 
-from typing import TextIO
+from typing import List, TextIO
 
 from ..domino.circuit import DominoCircuit
 from ..domino.gate import DominoGate
@@ -20,6 +20,11 @@ from ..pbe.netlist import FOOT, GND, TOP, flatten_gate
 
 def write_gate_netlist(gate: DominoGate, handle: TextIO) -> int:
     """Write one gate as a SPICE subcircuit; returns the device count."""
+    return _write_gate(gate, handle)[0]
+
+
+def _write_gate(gate: DominoGate, handle: TextIO):
+    """Write one gate's subcircuit; ``(device count, port signals)``."""
     flat = flatten_gate(gate)
     ports = sorted({t.signal for t in flat.transistors})
     handle.write(f".subckt {gate.name} out clk {' '.join(ports)}\n")
@@ -47,7 +52,7 @@ def write_gate_netlist(gate: DominoGate, handle: TextIO) -> int:
     for i, node in enumerate(flat.discharge_nodes):
         emit(f"MPD{i} {node} clk {GND} vdd pmos_soi")
     handle.write(f".ends {gate.name}\n")
-    return count
+    return count, ports
 
 
 def write_circuit_netlist(circuit: DominoCircuit, handle: TextIO) -> int:
@@ -62,11 +67,13 @@ def write_circuit_netlist(circuit: DominoCircuit, handle: TextIO) -> int:
     handle.write(f"* outputs: "
                  f"{' '.join(f'{po}<-{sig}' for po, sig in circuit.outputs.items())}\n")
     total = 0
+    gate_ports: List[List[str]] = []
     for gate in circuit.gates:
-        total += write_gate_netlist(gate, handle)
+        count, ports = _write_gate(gate, handle)
+        total += count
+        gate_ports.append(ports)
     handle.write("* instance wiring\n")
-    for gate in circuit.gates:
-        ports = sorted({t.signal for t in flatten_gate(gate).transistors})
+    for gate, ports in zip(circuit.gates, gate_ports):
         handle.write(f"X{gate.name} {gate.name} clk {' '.join(ports)} "
                      f"{gate.name}\n")
     handle.write(".end\n")

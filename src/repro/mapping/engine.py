@@ -33,6 +33,7 @@ Discharge transistors:
 from __future__ import annotations
 
 import gc
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -48,8 +49,10 @@ from ..network import LogicNetwork, NodeType
 from ..pipeline.metrics import MappingStats
 from ..resilience.faults import fire
 from .cost import CostModel
-from .kernel import KERNELS, metric_fast_path, resolve_kernel
-from .tuples import FaninView, MapTuple, TupleTable
+from .kernel import (KERNELS, gate_vectorizable, metric_fast_path,
+                     resolve_kernel)
+from .tuples import (DI, HP, KEY, LV, NCOL, OP_GATE, OP_LEAF, PD, TR, WC,
+                     Arena, MapTuple, TupleTable, np, ragged_ids)
 
 _gc_lock = threading.Lock()
 _gc_depth = 0
@@ -60,11 +63,13 @@ _gc_was_enabled = False
 def _gc_paused():
     """Keep the cyclic garbage collector out of the enclosed block.
 
-    The DP allocates millions of short-lived candidates, and each
-    allocation burst would otherwise trigger collections that traverse
-    every live table.  Pausing is safe because a mapping run's state is
-    acyclic (a DAG of tuples, tables and views; DESIGN.md §15), so
-    reference counting alone frees every discarded candidate.
+    The DP keeps its tuples as arena rows, but plan selection builds
+    structures and records, the reference kernel and the tree cache
+    allocate per candidate or per row, and any allocation burst would
+    otherwise trigger collections that traverse every live object of
+    the process.  Pausing is safe because a mapping run's state is
+    acyclic (an arena, tables and gate records; DESIGN.md §15), so
+    reference counting alone frees everything the run drops.
 
     It covers :meth:`MappingEngine.run_dp`, and with
     :meth:`MappingEngine.run_to_plan` also the plan selection and the
@@ -233,6 +238,29 @@ class GateRecord:
     footed: bool
 
 
+class _FormedGates:
+    """Every finished node's formed gate, kept as plain values.
+
+    Gate formation records ``(row, wcost, trans, disch, levels,
+    footed)`` per node in :attr:`formed`, ``row`` being the arena row
+    the gate is formed from; a lookup builds the :class:`GateRecord`,
+    its tuple materialized with its structure.  Plan selection looks up
+    only the gates it selects.
+    """
+
+    __slots__ = ("_arena", "formed")
+
+    def __init__(self, arena: Arena):
+        self._arena = arena
+        self.formed: Dict[int, tuple] = {}
+
+    def __getitem__(self, uid: int) -> GateRecord:
+        row, wcost, trans, disch, levels, footed = self.formed[uid]
+        return GateRecord(node_id=uid, tuple=self._arena.tuple(row),
+                          wcost=wcost, trans=trans, disch=disch,
+                          levels=levels, footed=footed)
+
+
 @dataclass
 class PlannedGate:
     """One gate the DP selected, before post-processing.
@@ -360,67 +388,35 @@ class MappingEngine:
         else:
             self._h_tuples = None
             self._h_combine = None
+        #: every tuple of the run, one row each (DESIGN.md §17); at the
+        #: paper's limits a registry circuit keeps 3-25 rows per node
+        self.arena = Arena(max(1024, 16 * len(network)))
         self._tables: Dict[int, TupleTable] = {}
-        self._gates: Dict[int, GateRecord] = {}
-        self._forced: Dict[int, bool] = {}
+        self._gates = _FormedGates(self.arena)
+        #: per AND/OR node: 0 for a forced gate boundary, else its fanout
+        #: count (at least 1), which amortizes its optional gate's cost
+        self._share: Dict[int, int] = {}
         self._signatures: Dict[int, Optional[int]] = {}
         self._cache_prefix: Optional[tuple] = None
-        #: memoized per-node fanin views (a multi-fanout node's table is
-        #: listed once, not once per consumer)
-        self._views: Dict[int, List[MapTuple]] = {}
+        #: per-node fanin views: the arena rows a node's fanouts combine
+        self._views: Dict[int, range] = {}
         #: candidates per pair of a series combine: exhaustive ordering
         #: stacks each pair both ways (the max_tuples chunk estimate)
         self._series_orders = (2 if self.config.pbe_aware
                                and self.config.ordering == "exhaustive"
                                else 1)
         # Scalar fast path: candidates are priced from raw metrics and
-        # bound-checked before any MapTuple is allocated.  Only sound
-        # when tuple_key is the base-class delegation to
-        # tuple_key_metrics; a model overriding tuple_key directly falls
-        # back to the allocate-then-insert path.
+        # bound-checked before anything is allocated.  Only sound when
+        # tuple_key is the base-class delegation to tuple_key_metrics; a
+        # model overriding tuple_key directly falls back to the
+        # allocate-then-insert path.
         self._metric_key = metric_fast_path(cost_model)
+        #: gate formation as one column reduction per batch (else the
+        #: scalar loop): numpy importable and gate_key elementwise
+        self._gate_columns = gate_vectorizable(cost_model)
+        self._leaf_cost = cost_model.leaf_cost()
         #: the DP combine kernel this run executes (KernelProtocol)
         self.kernel = resolve_kernel(self)
-
-    # ------------------------------------------------------------------
-    # leaf tuples
-    # ------------------------------------------------------------------
-    def _pi_tuple(self, uid: int) -> MapTuple:
-        node = self.network.node(uid)
-        return MapTuple(
-            width=1, height=1,
-            wcost=self.model.leaf_cost(), trans=1, disch=0, levels=0,
-            p_dis=0, par_b=False, has_pi=True,
-            structure=Leaf(node.label, is_primary=True),
-        )
-
-    def _gate_input_tuple(self, record: GateRecord, sunk: bool,
-                          fanout: int = 1) -> MapTuple:
-        """A formed gate seen as a ``{1,1}`` input of the next level.
-
-        ``sunk=True`` for forced boundaries (multi-fanout / PO drivers in
-        duplication-free mode): the gate exists exactly once regardless of
-        the fanout's choices, so only the driven transistor is charged
-        here.  ``sunk=False`` for an optional gate, whose subtree cost
-        must compete against the node's unformed structures; a shared gate
-        is built once but seen by ``fanout`` consumers, so its cost is
-        amortized (the classical area-flow estimate) — without this the
-        DP systematically over-duplicates shared logic.
-        """
-        share = max(1, fanout)
-        base_w = 0.0 if sunk else record.wcost / share
-        base_t = 0 if sunk else record.trans
-        base_d = 0 if sunk else record.disch
-        return MapTuple(
-            width=1, height=1,
-            wcost=base_w + self.model.leaf_cost(),
-            trans=base_t + 1,
-            disch=base_d,
-            levels=record.levels,
-            p_dis=0, par_b=False, has_pi=False,
-            structure=Leaf(f"g{record.node_id}", is_primary=False,
-                           source_gate=record.node_id),
-        )
 
     # ------------------------------------------------------------------
     # combination
@@ -438,31 +434,39 @@ class MappingEngine:
     # ------------------------------------------------------------------
     # the DP, one topological level at a time
     # ------------------------------------------------------------------
-    def _fanin_view(self, uid: int) -> List[MapTuple]:
+    def _add_pi_rows(self) -> None:
+        """One ``{1,1}`` row per primary input, with its leaf structure."""
+        network = self.network
+        pis = network.pis
+        arena = self.arena
+        base = arena.reserve(len(pis))
+        arena.write_rows(
+            base,
+            [(1, 1, self._leaf_cost, 0, 0, 0, False, False, 1, 0, True)]
+            * len(pis),
+            [math.nan] * len(pis), [(OP_LEAF, -1, -1)] * len(pis))
+        for row, uid in enumerate(pis, base):
+            arena.set_structure(row, Leaf(network.node(uid).label,
+                                          is_primary=True))
+            self._views[uid] = range(row, row + 1)
+
+    def _fanin_view(self, uid: int) -> range:
+        """The arena rows node ``uid``'s fanouts combine.
+
+        A primary input's row; a forced gate boundary's gate row; else
+        the node's table rows followed by its gate row (the optional
+        gate).
+        """
         view = self._views.get(uid)
         if view is None:
-            view = self._views[uid] = self._build_fanin_view(uid)
+            node = self.network.node(uid)
+            if node.type in (NodeType.AND, NodeType.OR):  # pragma: no cover
+                raise MappingError(f"gate for node {uid} not yet formed")
+            raise MappingError(
+                f"node {node.label} of type {node.type.value} cannot feed "
+                "a domino pulldown (constants must be swept before "
+                "mapping)")
         return view
-
-    def _build_fanin_view(self, uid: int) -> List[MapTuple]:
-        node = self.network.node(uid)
-        if node.type is NodeType.PI:
-            return [self._pi_tuple(uid)]
-        if node.type in (NodeType.AND, NodeType.OR):
-            record = self._gates.get(uid)
-            if self._forced[uid]:
-                if record is None:  # pragma: no cover - topological order
-                    raise MappingError(f"gate for node {uid} not yet formed")
-                return [self._gate_input_tuple(record, sunk=True)]
-            view = FaninView(self._tables[uid])
-            if record is not None:
-                view.append(self._gate_input_tuple(
-                    record, sunk=False,
-                    fanout=self.network.fanout_count(uid)))
-            return view
-        raise MappingError(
-            f"node {node.label} of type {node.type.value} cannot feed a "
-            "domino pulldown (constants must be swept before mapping)")
 
     def _guard_nodes(self) -> None:
         limit = self.config.max_nodes
@@ -538,6 +542,8 @@ class MappingEngine:
         """
         misses = []
         later = []
+        hits = []
+        tables = []
         last_miss = {}   # signature -> this round's latest miss of it
         held = set()     # signatures whose miss will be stored
         for uid in uids:
@@ -557,7 +563,9 @@ class MappingEngine:
                 if sig is not None:
                     last_miss[sig] = uid
             else:
-                self._finish_node(uid, table)
+                hits.append(uid)
+                tables.append(table)
+        self._finish_nodes(hits, tables)
         return misses, later
 
     def _chunks(self, uids: List[int]):
@@ -592,7 +600,8 @@ class MappingEngine:
             is_or = node.type is NodeType.OR
             chunk.append(uid)
             items.append((TupleTable(self.model.tuple_key,
-                                     pareto=self.config.pareto),
+                                     pareto=self.config.pareto,
+                                     arena=self.arena),
                           is_or, view_a, view_b))
             pairs += size
             estimate += size if is_or else size * self._series_orders
@@ -619,15 +628,8 @@ class MappingEngine:
                 if (base + j) % every == 0:
                     self._h_tuples.observe(count)
         done = self._within_tuple_limit(created)
-        for uid, (table, _, _, _) in zip(uids[:done], items[:done]):
-            if not table.raw_slots():   # a slot never holds zero tuples
-                raise MappingError(
-                    f"no feasible {{W,H}} tuple for node "
-                    f"{self.network.node(uid).label}: "
-                    f"limits w_max={self.config.w_max}, "
-                    f"h_max={self.config.h_max} are too tight")
-            self._store_table(uid, table)
-            self._finish_node(uid, table)
+        self._finish_nodes(uids[:done], [item[0] for item in items[:done]],
+                           store=True)
         if done < len(uids):
             self._guard_tuples()
         ended = time.perf_counter()
@@ -663,10 +665,160 @@ class MappingEngine:
                 return j
         return len(created)  # pragma: no cover - the sum crossed it
 
-    def _finish_node(self, uid: int, table: TupleTable) -> None:
-        self._tables[uid] = table
-        self._gates[uid] = self._form_gate(uid, table)
-        self.stats.nodes_processed += 1
+    def _finish_nodes(self, uids: List[int], tables: List[TupleTable],
+                      store: bool = False) -> None:
+        """Finish a batch's nodes: store their tables, form their gates.
+
+        The nodes before an empty table (no feasible ``{W,H}`` tuple)
+        finish; the empty one raises.
+        """
+        for j, table in enumerate(tables):
+            if table.stop == table.start:
+                self._finish_nodes(uids[:j], tables[:j], store)
+                raise MappingError(
+                    f"no feasible {{W,H}} tuple for node "
+                    f"{self.network.node(uids[j]).label}: "
+                    f"limits w_max={self.config.w_max}, "
+                    f"h_max={self.config.h_max} are too tight")
+        if not uids:
+            return
+        if store and self.cache is not None:
+            for uid, table in zip(uids, tables):
+                self._store_table(uid, table)
+        self._tables.update(zip(uids, tables))
+        self.stats.gate_formations += len(uids)
+        if not (self._gate_columns and self._form_gates_columns(uids,
+                                                                tables)):
+            self._form_gates_scalar(uids, tables)
+        share = self._share
+        views = self._views
+        for uid, table in zip(uids, tables):
+            stop = table.stop
+            views[uid] = (range(table.start, stop + 1) if share[uid]
+                          else range(stop, stop + 1))
+        self.stats.nodes_processed += len(uids)
+
+    # ------------------------------------------------------------------
+    # gate formation
+    # ------------------------------------------------------------------
+    # A node's gate is formed from the first tuple, in slot order, that
+    # minimizes ``(gate_key(wcost + overhead [+ p_dis * d]), p_dis)``:
+    # p-clock, output inverter and keeper, an n-clock foot when the
+    # pulldown touches a primary input, and under an ungrounded policy
+    # (PBE-aware) a discharge transistor per residual potential point.
+    #
+    # The formed gate is written to the row after the node's table as a
+    # ``{1,1}`` input of the next level.  A forced boundary (multi-fanout
+    # or PO driver in duplication-free mode) is *sunk*: the gate exists
+    # exactly once regardless of the fanout's choices, so only the driven
+    # transistor is charged there.  An optional gate's subtree cost must
+    # compete against the node's unformed structures; a shared gate is
+    # built once but seen by ``fanout`` consumers, so its cost is
+    # amortized (the classical area-flow estimate) — without this the DP
+    # systematically over-duplicates shared logic.
+    def _form_gates_columns(self, uids: List[int],
+                            tables: List[TupleTable]) -> bool:
+        """Gate formation as one column reduction over the batch's rows.
+
+        Same arithmetic, association and first-minimum choice as
+        :meth:`_form_gates_scalar`.  Returns False (nothing written)
+        when a key is NaN, whose scalar comparisons the reduction does
+        not reproduce.
+        """
+        model = self.model
+        k = len(tables)
+        starts = np.fromiter([t.start for t in tables], np.int64, k)
+        stops = np.fromiter([t.stop for t in tables], np.int64, k)
+        counts = stops - starts
+        rows = ragged_ids(starts, counts)
+        block = self.arena.gather(rows)
+        has_pi = block[:, HP] != 0.0
+        p_dis = block[:, PD]
+        wcost = block[:, WC] + np.where(has_pi,
+                                        model.gate_overhead_cost(True),
+                                        model.gate_overhead_cost(False))
+        trans = block[:, TR] + np.where(has_pi, 5.0, 4.0)
+        disch = block[:, DI]
+        policy = self.config.ground_policy
+        if self.config.pbe_aware and policy != "optimistic":
+            ungrounded = has_pi if policy == "footless" else True
+            wcost = np.where(ungrounded,
+                             wcost + p_dis * model.discharge_cost(), wcost)
+            disch = np.where(ungrounded, disch + p_dis, disch)
+            trans = np.where(ungrounded, trans + p_dis, trans)
+        levels = block[:, LV].astype(np.int64) + 1
+        key = model.gate_key(wcost, levels)
+        if np.isnan(key).any():
+            return False
+        # Per node, the first row of the least (key, p_dis).
+        first = np.cumsum(counts) - counts
+        least = key == np.repeat(np.minimum.reduceat(key, first), counts)
+        least &= p_dis == np.repeat(
+            np.minimum.reduceat(np.where(least, p_dis, np.inf), first),
+            counts)
+        best = np.minimum.reduceat(
+            np.where(least, np.arange(rows.size), rows.size), first)
+        wcost = wcost[best]
+        trans = trans[best]
+        disch = disch[best]
+        levels = levels[best]
+        self._gates.formed.update(zip(uids, zip(
+            rows[best].tolist(), wcost.tolist(),
+            trans.astype(np.int64).tolist(),
+            disch.astype(np.int64).tolist(), levels.tolist(),
+            has_pi[best].tolist())))
+        share = np.fromiter([self._share[uid] for uid in uids], np.float64, k)
+        sunk = share == 0.0
+        gate = np.zeros((k, NCOL), dtype=np.float64)
+        gate[:, :2] = 1.0
+        gate[:, WC] = (np.where(sunk, 0.0, wcost / np.where(sunk, 1.0, share))
+                       + self._leaf_cost)
+        gate[:, LV] = levels
+        gate[:, TR] = np.where(sunk, 0.0, trans) + 1.0
+        gate[:, DI] = np.where(sunk, 0.0, disch)
+        gate[:, KEY] = np.nan
+        prov = np.empty((k, 3), dtype=np.intc)
+        prov[:, 0] = OP_GATE
+        prov[:, 1] = uids
+        prov[:, 2] = -1
+        self.arena.write(stops, gate, prov)
+        return True
+
+    def _form_gates_scalar(self, uids: List[int],
+                           tables: List[TupleTable]) -> None:
+        """Gate formation one node and one row at a time."""
+        model = self.model
+        policy = self.config.ground_policy
+        pbe = self.config.pbe_aware
+        arena = self.arena
+        for uid, table in zip(uids, tables):
+            best = None
+            best_key = None
+            for t in arena.rows(range(table.start, table.stop)):
+                overhead = model.gate_overhead_cost(t.has_pi)
+                wcost = t.wcost + overhead
+                disch = t.disch
+                trans = t.trans + (5 if t.has_pi else 4)
+                ungrounded = (policy == "pessimistic"
+                              or (policy == "footless" and t.has_pi))
+                if ungrounded and pbe:
+                    wcost += t.p_dis * model.discharge_cost()
+                    disch += t.p_dis
+                    trans += t.p_dis
+                levels = t.levels + 1
+                key = (model.gate_key(wcost, levels), t.p_dis)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (t.id, wcost, trans, disch, levels, t.has_pi)
+            self._gates.formed[uid] = best
+            _, wcost, trans, disch, levels, _ = best
+            share = self._share[uid]
+            arena.write_rows(
+                table.stop,
+                [(1, 1, (wcost / share if share else 0.0) + self._leaf_cost,
+                  levels, 0, 0, False, False, (trans if share else 0) + 1,
+                  disch if share else 0, False)],
+                [math.nan], [(OP_GATE, uid, -1)])
 
     # ------------------------------------------------------------------
     # tree-cache hooks
@@ -676,7 +828,8 @@ class MappingEngine:
         if sig is None or self.cache is None:
             return None
         table = self.cache.fetch(self._cache_prefix, sig, self.network, uid,
-                                 self.model.tuple_key, self.config.pareto)
+                                 self.model.tuple_key, self.config.pareto,
+                                 arena=self.arena)
         if table is None:
             self.stats.cache_misses += 1
         else:
@@ -687,32 +840,6 @@ class MappingEngine:
         sig = self._signatures.get(uid)
         if sig is not None and self.cache is not None:
             self.cache.put(self._cache_prefix, sig, self.network, uid, table)
-
-    def _form_gate(self, uid: int, table: TupleTable) -> GateRecord:
-        """Build the ``{1,1}`` formed-gate record from the best tuple."""
-        self.stats.gate_formations += 1
-        best = None
-        best_key = None
-        policy = self.config.ground_policy
-        for t in table.all_tuples():
-            overhead = self.model.gate_overhead_cost(t.has_pi)
-            wcost = t.wcost + overhead
-            disch = t.disch
-            trans = t.trans + (5 if t.has_pi else 4)
-            ungrounded = (policy == "pessimistic"
-                          or (policy == "footless" and t.has_pi))
-            if ungrounded and self.config.pbe_aware:
-                wcost += t.p_dis * self.model.discharge_cost()
-                disch += t.p_dis
-                trans += t.p_dis
-            levels = t.levels + 1
-            key = (self.model.gate_key(wcost, levels), t.p_dis)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (t, wcost, trans, disch, levels)
-        t, wcost, trans, disch, levels = best
-        return GateRecord(node_id=uid, tuple=t, wcost=wcost, trans=trans,
-                          disch=disch, levels=levels, footed=t.has_pi)
 
     # ------------------------------------------------------------------
     # top level
@@ -750,11 +877,11 @@ class MappingEngine:
         for uid in network.node_ids:
             node = network.node(uid)
             if node.type in (NodeType.AND, NodeType.OR):
-                if self.config.duplication:
-                    self._forced[uid] = False
-                else:
-                    self._forced[uid] = (network.fanout_count(uid) > 1
-                                         or uid in po_drivers)
+                fanout = network.fanout_count(uid)
+                forced = (not self.config.duplication
+                          and (fanout > 1 or uid in po_drivers))
+                self._share[uid] = 0 if forced else max(1, fanout)
+        self._add_pi_rows()
         with _gc_paused():
             for k, uids in enumerate(self._levels()):
                 self._process_level(k, uids)
@@ -767,10 +894,10 @@ class MappingEngine:
     def run_to_plan(self) -> MappingPlan:
         """:meth:`run_dp` and :meth:`plan` under one collector pause.
 
-        The engine's tables, views and gate records are released before
-        the pause closes, so reference counting frees the DP heap inside
-        it and the young collection that follows ``gc.enable()`` walks
-        only what the plan keeps.  The engine cannot plan again.
+        The engine's arena, tables, views and gate records are released
+        before the pause closes, so reference counting frees the DP heap
+        inside it and the young collection that follows ``gc.enable()``
+        walks only what the plan keeps.  The engine cannot plan again.
         """
         with _gc_paused():
             self.run_dp()
@@ -778,6 +905,7 @@ class MappingEngine:
             self._tables = {}
             self._views = {}
             self._gates = {}
+            self.arena = None
         return plan
 
     def plan(self) -> MappingPlan:
@@ -871,7 +999,7 @@ def materialize_plan(plan: MappingPlan) -> MappingResult:
     )
 
 
-def _require_gate(uid: int, gates: Dict[int, GateRecord],
+def _require_gate(uid: int, gates: _FormedGates,
                   used: Dict[int, GateRecord]) -> GateRecord:
     """Select gate ``uid`` and, depth-first, every gate its structure reads.
 
@@ -880,10 +1008,10 @@ def _require_gate(uid: int, gates: Dict[int, GateRecord],
     through its own cell, a cycle that would keep the plan's frame (and
     with it the engine) alive until the cyclic collector runs.
     """
-    record = gates[uid]
-    if uid in used:
+    record = used.get(uid)
+    if record is not None:
         return record
-    used[uid] = record
+    record = used[uid] = gates[uid]
     for ref in _structure_gate_refs(record.tuple.structure):
         _require_gate(ref, gates, used)
     return record

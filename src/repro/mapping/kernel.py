@@ -6,9 +6,9 @@ each name to its factory and is the one list every config, CLI and
 service check validates against:
 
 * ``"reference"`` — the scalar Python kernel (this module), a literal
-  transcription of :meth:`TupleTable.insert` with the lazy-structure and
-  incumbent-bound optimizations of PR 2.  It is the oracle: every other
-  kernel must reproduce its tables bit-for-bit.
+  transcription of :meth:`TupleTable.insert` that prices and
+  bound-checks each candidate before allocating it.  It is the oracle:
+  every other kernel must reproduce its tables bit-for-bit.
 * ``"soa"`` — the structure-of-arrays numpy kernel
   (:mod:`repro.mapping.soa`): candidate generation and dominance
   filtering as broadcasted column arithmetic over a whole batch of
@@ -26,7 +26,11 @@ The kernel contract: a kernel fills *empty* tables (the engine builds
 every table fresh) with exactly the reference's slots — slot insertion
 order included, since the tree cache serializes it — and reproduces
 its ``tuples_created``/``tuples_pruned``/``bound_skips`` counters, so
-runs mixing kernels stay bit-identical.  The dual-kernel digest sweep
+runs mixing kernels stay bit-identical.  Operand views are ranges of
+rows in the tables' :class:`~repro.mapping.tuples.Arena`; a kernel
+fills a table by writing its rows there, in slot order, followed by one
+row reserved for the node's formed-gate leaf, and setting the table's
+``start``/``stop`` (DESIGN.md §17).  The dual-kernel digest sweep
 and the fuzzed slot-for-slot harness in ``tests/mapping`` are the
 parity witnesses.
 
@@ -42,7 +46,9 @@ per-kernel diagnostics for reports.
 
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence, Tuple, runtime_checkable
+import math
+from typing import (List, NamedTuple, Protocol, Sequence, Tuple,
+                    runtime_checkable)
 
 try:  # numpy is an optional dependency: the soa kernel needs it,
     import numpy as np  # everything else runs without it.
@@ -52,7 +58,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch
 from ..errors import MappingError
 from ..pipeline.metrics import MappingStats
 from .cost import CostModel
-from .tuples import MapTuple, TupleTable
+from .tuples import KEY, OP_LEAF, OP_PAR, OP_SER, MapTuple, Row, TupleTable
 
 #: Minimum candidate pairs (``len(view_a) * len(view_b)`` summed over a
 #: batch's nodes) for the auto kernel to route a batch to the soa
@@ -60,8 +66,9 @@ from .tuples import MapTuple, TupleTable
 #: cost beats the fixed numpy dispatch overhead (DESIGN.md §12).
 AUTO_THRESHOLD = 64
 
-#: One node of a kernel batch: ``(table, is_or, view_a, view_b)``.
-BatchItem = Tuple[TupleTable, bool, List[MapTuple], List[MapTuple]]
+#: One node of a kernel batch: ``(table, is_or, view_a, view_b)``, the
+#: views being ranges of arena row ids in the table's arena.
+BatchItem = Tuple[TupleTable, bool, range, range]
 
 
 def metric_fast_path(model: CostModel):
@@ -88,19 +95,35 @@ def metric_vectorizable(model: CostModel) -> bool:
     using non-ufunc arithmetic fails closed.
     """
     metric = metric_fast_path(model)
-    if metric is None or np is None:
+    return metric is not None and _elementwise(metric)
+
+
+def gate_vectorizable(model: CostModel) -> bool:
+    """True when ``gate_key`` prices numpy columns elementwise.
+
+    The same probe as :func:`metric_vectorizable`, for the key gate
+    formation minimizes: when it passes, the engine forms a batch's
+    gates with one column reduction, otherwise with the scalar loop.
+    """
+    return _elementwise(model.gate_key)
+
+
+def _elementwise(fn) -> bool:
+    """``fn(wcost, levels)`` on float64/int64 columns is a float64 column
+    equal, element by element, to its scalar calls."""
+    if np is None:
         return False
     wcost = np.array([0.0, 1.5], dtype=np.float64)
     levels = np.array([0, 3], dtype=np.int64)
     try:
-        out = metric(wcost, levels)
+        out = fn(wcost, levels)
+        if not (isinstance(out, np.ndarray) and out.shape == (2,)
+                and out.dtype == np.float64):
+            return False
+        return (float(out[0]) == float(fn(0.0, 0))
+                and float(out[1]) == float(fn(1.5, 3)))
     except Exception:
         return False
-    if not (isinstance(out, np.ndarray) and out.shape == (2,)
-            and out.dtype == np.float64):
-        return False
-    return (float(out[0]) == float(metric(0.0, 0))
-            and float(out[1]) == float(metric(1.5, 3)))
 
 
 @runtime_checkable
@@ -139,17 +162,43 @@ class KernelProtocol(Protocol):
         """Per-kernel diagnostics for reports (JSON-ready)."""
 
 
+class _Cand(NamedTuple):
+    """A candidate the reference kernel keeps: the arena's tuple
+    columns (:data:`~repro.mapping.tuples.COLUMNS` order), then its
+    provenance — the op and the top/left and bottom/right rows."""
+
+    width: int
+    height: int
+    wcost: float
+    levels: int
+    p_dis: int
+    p_tail: int
+    par_b: bool
+    ends_par: bool
+    trans: int
+    disch: int
+    has_pi: bool
+    op: int
+    left: int
+    right: int
+
+
+#: The placeholder contents of a table's reserved gate row.
+_GATE_ROW = ((0,) * KEY, math.nan, (OP_LEAF, -1, -1))
+
+
 class ReferenceKernel:
     """The scalar oracle kernel.
 
     ``_combine_node`` is deliberately written flat: configuration, cost
-    prices, and the table's slot map are bound to locals once per node,
+    prices, and the node's slot map are bound to locals once per node,
     the fanin view is pre-filtered per ``{W,H}`` budget so the inner
     loop touches only feasible pairs, and a candidate's scalar metrics
     are priced and bound-checked against the slot incumbent *before*
-    any MapTuple is allocated.  Survivors are allocated lazily: a
-    provenance back-pointer (op/left/right) instead of a built
-    structure tree.
+    anything is allocated.  Operands are arena rows read as Python
+    values (:meth:`Arena.rows`); a survivor is a row-to-be carrying
+    provenance row ids, and every table of the batch is written to the
+    arena at the end, in one write.
 
     Bit-identity with the eager seed kernel is load-bearing and rests
     on three invariants: (1) feasible pairs are visited in exactly the
@@ -176,10 +225,47 @@ class ReferenceKernel:
         return {"active": self.active}
 
     def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
-        return [self._combine_node(*item) for item in items]
+        if not items:
+            return []
+        arena = items[0][0].arena
+        read = {}
+
+        def rows(view):
+            got = read.get((view.start, view.stop))
+            if got is None:
+                got = read[(view.start, view.stop)] = arena.rows(view)
+            return got
+
+        created = []
+        fills = []
+        for table, is_or, view_a, view_b in items:
+            slots = {}
+            created.append(self._combine_node(table, is_or, rows(view_a),
+                                              rows(view_b), slots))
+            fills.append((table, [e for slot in slots.values()
+                                  for e in slot]))
+        # One write for the batch: each table's rows in slot order, then
+        # the row reserved for its gate.
+        base = arena.reserve(sum(len(entries) + 1 for _, entries in fills))
+        fields, keys, prov = [], [], []
+        row = base
+        for table, entries in fills:
+            table.start = row
+            table.stop = row = row + len(entries)
+            row += 1
+            for key, cand in entries:
+                fields.append(cand[:KEY])
+                keys.append(key)
+                prov.append(cand[KEY:])
+            fields.append(_GATE_ROW[0])
+            keys.append(_GATE_ROW[1])
+            prov.append(_GATE_ROW[2])
+        arena.write_rows(base, fields, keys, prov)
+        return created
 
     def _combine_node(self, table: TupleTable, is_or: bool,
-                      view_a: List[MapTuple], view_b: List[MapTuple]) -> int:
+                      view_a: List[Row], view_b: List[Row],
+                      slots: dict) -> int:
         config = self._config
         w_max = config.w_max
         h_max = config.h_max
@@ -191,13 +277,12 @@ class ReferenceKernel:
         exhaustive = not adverse and not naive and ordering == "exhaustive"
         metric = self._metric
         key_fn = table.key_fn
+        arena = table.arena
         discharge = self._discharge
-        slots = table.raw_slots()
         slots_get = slots.get
         max_front = table.max_front
         created = 0
         pruned = 0
-        skips = 0
         if is_or:
             # Parallel composition: W adds, so b must fit the remaining
             # width budget (heights are both within h_max already).
@@ -215,6 +300,7 @@ class ReferenceKernel:
                 a_lv = a.levels
                 a_pd = a.p_dis
                 a_hp = a.has_pi
+                a_id = a.id
                 for b in by_budget[budget]:
                     created += 1
                     width = a_w + b.width
@@ -229,42 +315,28 @@ class ReferenceKernel:
                     p_dis = (a_pd + b.p_dis) if pbe else 0
                     if metric is not None:
                         key = metric(wcost, levels)
-                        cand = None
                     else:
-                        cand = MapTuple(width, height, wcost, a_tr + b.trans,
-                                        a_di + b.disch, levels, p_dis, True,
-                                        a_hp or b.has_pi, p_tail=p_dis,
-                                        ends_par=True, op="par",
-                                        left=a, right=b)
-                        key = key_fn(cand)
+                        key = key_fn(_lazy_tuple(arena, _Cand(
+                            width, height, wcost, levels, p_dis, p_dis,
+                            True, True, a_tr + b.trans, a_di + b.disch,
+                            a_hp or b.has_pi, OP_PAR, a_id, b.id)))
                     slot = slots_get((width, height))
                     if slot is None:
-                        if cand is None:
-                            cand = MapTuple(width, height, wcost,
-                                            a_tr + b.trans, a_di + b.disch,
-                                            levels, p_dis, True,
-                                            a_hp or b.has_pi, p_tail=p_dis,
-                                            ends_par=True, op="par",
-                                            left=a, right=b)
-                        slots[(width, height)] = [(key, cand)]
+                        slots[(width, height)] = [(key, _Cand(
+                            width, height, wcost, levels, p_dis, p_dis,
+                            True, True, a_tr + b.trans, a_di + b.disch,
+                            a_hp or b.has_pi, OP_PAR, a_id, b.id))]
                         continue
                     if not pareto:
                         inc_key, inc = slot[0]
                         if key < inc_key or (key == inc_key
                                              and p_dis < inc.p_dis):
-                            if cand is None:
-                                cand = MapTuple(width, height, wcost,
-                                                a_tr + b.trans,
-                                                a_di + b.disch,
-                                                levels, p_dis, True,
-                                                a_hp or b.has_pi,
-                                                p_tail=p_dis, ends_par=True,
-                                                op="par", left=a, right=b)
-                            slot[0] = (key, cand)
+                            slot[0] = (key, _Cand(
+                                width, height, wcost, levels, p_dis, p_dis,
+                                True, True, a_tr + b.trans, a_di + b.disch,
+                                a_hp or b.has_pi, OP_PAR, a_id, b.id))
                         else:
                             pruned += 1
-                            if cand is None:
-                                skips += 1
                         continue
                     # Pareto front; the candidate has par_b True and
                     # p_tail == p_dis, which simplifies both dominance
@@ -277,20 +349,15 @@ class ReferenceKernel:
                             break
                     if dominated:
                         pruned += 1
-                        if cand is None:
-                            skips += 1
                         continue
-                    if cand is None:
-                        cand = MapTuple(width, height, wcost, a_tr + b.trans,
-                                        a_di + b.disch, levels, p_dis, True,
-                                        a_hp or b.has_pi, p_tail=p_dis,
-                                        ends_par=True, op="par",
-                                        left=a, right=b)
                     slot[:] = [e for e in slot
                                if not (key <= e[0] and p_dis <= e[1].p_dis
                                        and p_dis <= e[1].p_tail
                                        and e[1].par_b)]
-                    slot.append((key, cand))
+                    slot.append((key, _Cand(
+                        width, height, wcost, levels, p_dis, p_dis, True,
+                        True, a_tr + b.trans, a_di + b.disch,
+                        a_hp or b.has_pi, OP_PAR, a_id, b.id)))
                     if len(slot) > max_front:
                         slot.sort(key=lambda e: (e[0], e[1].p_dis))
                         del slot[max_front:]
@@ -364,57 +431,37 @@ class ReferenceKernel:
                         levels = t_lv if t_lv > b_lv else b_lv
                         if metric is not None:
                             key = metric(wcost, levels)
-                            cand = None
                         else:
-                            cand = MapTuple(width, height, wcost,
-                                            top.trans + bottom.trans
-                                            + committed,
-                                            top.disch + bottom.disch
-                                            + committed,
-                                            levels, p_dis, par_b,
-                                            top.has_pi or bottom.has_pi,
-                                            p_tail=p_tail,
-                                            ends_par=bottom.ends_par,
-                                            op="ser", left=top, right=bottom)
-                            key = key_fn(cand)
+                            key = key_fn(_lazy_tuple(arena, _Cand(
+                                width, height, wcost, levels, p_dis,
+                                p_tail, par_b, bottom.ends_par,
+                                top.trans + bottom.trans + committed,
+                                top.disch + bottom.disch + committed,
+                                top.has_pi or bottom.has_pi, OP_SER,
+                                top.id, bottom.id)))
                         slot = slots_get((width, height))
                         if slot is None:
-                            if cand is None:
-                                cand = MapTuple(width, height, wcost,
-                                                top.trans + bottom.trans
-                                                + committed,
-                                                top.disch + bottom.disch
-                                                + committed,
-                                                levels, p_dis, par_b,
-                                                top.has_pi or bottom.has_pi,
-                                                p_tail=p_tail,
-                                                ends_par=bottom.ends_par,
-                                                op="ser", left=top,
-                                                right=bottom)
-                            slots[(width, height)] = [(key, cand)]
+                            slots[(width, height)] = [(key, _Cand(
+                                width, height, wcost, levels, p_dis,
+                                p_tail, par_b, bottom.ends_par,
+                                top.trans + bottom.trans + committed,
+                                top.disch + bottom.disch + committed,
+                                top.has_pi or bottom.has_pi, OP_SER,
+                                top.id, bottom.id))]
                             continue
                         if not pareto:
                             inc_key, inc = slot[0]
                             if key < inc_key or (key == inc_key
                                                  and p_dis < inc.p_dis):
-                                if cand is None:
-                                    cand = MapTuple(width, height, wcost,
-                                                    top.trans + bottom.trans
-                                                    + committed,
-                                                    top.disch + bottom.disch
-                                                    + committed,
-                                                    levels, p_dis, par_b,
-                                                    top.has_pi
-                                                    or bottom.has_pi,
-                                                    p_tail=p_tail,
-                                                    ends_par=bottom.ends_par,
-                                                    op="ser", left=top,
-                                                    right=bottom)
-                                slot[0] = (key, cand)
+                                slot[0] = (key, _Cand(
+                                    width, height, wcost, levels, p_dis,
+                                    p_tail, par_b, bottom.ends_par,
+                                    top.trans + bottom.trans + committed,
+                                    top.disch + bottom.disch + committed,
+                                    top.has_pi or bottom.has_pi, OP_SER,
+                                    top.id, bottom.id))
                             else:
                                 pruned += 1
-                                if cand is None:
-                                    skips += 1
                             continue
                         dominated = False
                         for kept_key, kept in slot:
@@ -425,34 +472,40 @@ class ReferenceKernel:
                                 break
                         if dominated:
                             pruned += 1
-                            if cand is None:
-                                skips += 1
                             continue
-                        if cand is None:
-                            cand = MapTuple(width, height, wcost,
-                                            top.trans + bottom.trans
-                                            + committed,
-                                            top.disch + bottom.disch
-                                            + committed,
-                                            levels, p_dis, par_b,
-                                            top.has_pi or bottom.has_pi,
-                                            p_tail=p_tail,
-                                            ends_par=bottom.ends_par,
-                                            op="ser", left=top, right=bottom)
                         slot[:] = [e for e in slot
                                    if not (key <= e[0]
                                            and p_dis <= e[1].p_dis
                                            and p_tail <= e[1].p_tail
                                            and (not par_b or e[1].par_b))]
-                        slot.append((key, cand))
+                        slot.append((key, _Cand(
+                            width, height, wcost, levels, p_dis, p_tail,
+                            par_b, bottom.ends_par,
+                            top.trans + bottom.trans + committed,
+                            top.disch + bottom.disch + committed,
+                            top.has_pi or bottom.has_pi, OP_SER, top.id,
+                            bottom.id)))
                         if len(slot) > max_front:
                             slot.sort(key=lambda e: (e[0], e[1].p_dis))
                             del slot[max_front:]
         stats = self._stats
         stats.tuples_created += created
         stats.tuples_pruned += pruned
-        stats.bound_skips += skips
+        # With the metric fast path a rejected candidate was never
+        # allocated: every prune is a bound skip.
+        stats.bound_skips += pruned if metric is not None else 0
         return created
+
+
+def _lazy_tuple(arena, cand: _Cand) -> MapTuple:
+    """``cand`` as the lazy :class:`MapTuple` a ``tuple_key`` override
+    prices (the models without the metric fast path)."""
+    return MapTuple(cand.width, cand.height, cand.wcost, cand.trans,
+                    cand.disch, cand.levels, cand.p_dis, cand.par_b,
+                    cand.has_pi, p_tail=cand.p_tail, ends_par=cand.ends_par,
+                    op="par" if cand.op == OP_PAR else "ser",
+                    left=arena.tuple(cand.left),
+                    right=arena.tuple(cand.right))
 
 
 class AutoKernel:

@@ -7,21 +7,17 @@ kernel instead materializes the candidates of a whole *batch of nodes*
 (:meth:`SoAKernel.combine_many`) — as parallel numpy columns: just the
 *selection* columns (node, shape id, key, ``p_dis``, ``p_tail``,
 ``par_b``) plus operand-index provenance, reduced with one vectorized
-selection for all the batch's slots.  Only the surviving tuples (a
-handful per slot) are ever materialized back into :class:`MapTuple`
-objects, their scalar fields gathered straight from the generation
-columns (whose arithmetic is the reference's, so the values are
-bit-equal), so the per-candidate Python object overhead disappears from
-the hot path, and one batch pays numpy's fixed per-call cost for many
-nodes.
+selection for all the batch's slots.  The surviving tuples (a handful
+per slot) are written back to the run's
+:class:`~repro.mapping.tuples.Arena` as one block of rows, their
+scalar fields gathered straight from the generation columns (whose
+arithmetic is the reference's, so the values are bit-equal) and their
+provenance as operand row ids, so no Python object is made per
+candidate or per winner, and one batch pays numpy's fixed per-call cost
+for many nodes.
 
-Views enter as ``(len(view), 11)`` float64 column matrices, built once
-per view (memoized by ``id(view)`` for the run).  The matrix rows of a
-table this kernel filled come from its winners' materialization, which
-computes them anyway; a :class:`~repro.mapping.tuples.FaninView` names
-its table, so only the rows after them (the formed-gate leaf) and the
-views of other tables (cache hits) and of leaves are read off the
-tuples.
+Operand views are ranges of arena rows; a batch gathers the rows of all
+its views with one fancy index per side (``arena.gather``).
 
 Bit-identity with the reference kernel is the contract (DESIGN.md §12),
 and it holds per node, whatever else shares the batch:
@@ -84,9 +80,8 @@ and it holds per node, whatever else shares the batch:
   integer rank of the shifted word — the stamp tie-break reproduces
   the reference's stable list sort (list order == insertion order)
   bit-exactly.  Finished slots leave the state arrays in batches, so a
-  step costs about what its active slots cost; winning tuples
-  materialize through one batched gather at the end, and no operand
-  Python object is touched until binding.  PBE pareto nodes are
+  step costs about what its active slots cost; the winning rows are
+  written through one batched gather at the end.  PBE pareto nodes are
   reduced one node at a time: the reducer's state is per slot already,
   and a one-node batch keeps its arrays no larger than the node's own
   candidates.  A node whose fields overflow one packed word (far
@@ -95,8 +90,8 @@ and it holds per node, whatever else shares the batch:
   reference's create-on-first-arrival — load-bearing because the tree
   cache serializes tables in slot-insertion order.  Each node's
   candidates are one contiguous arrival range, so sorting the batch's
-  winners by first arrival is node-major and splits back into per-node
-  tables in order.
+  winners by first arrival is node-major, and each node's rows land
+  contiguously, followed by the row reserved for its gate.
 
 Every table enters empty, as the kernel contract in
 :mod:`repro.mapping.kernel` guarantees, so each reducer builds its slots
@@ -107,23 +102,14 @@ kernels within one run without observable drift.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .kernel import BatchItem, ReferenceKernel, metric_fast_path
-from .tuples import MapTuple
-
-
-#: The MapTuple fields of a view's column matrix, in column order.
-_COL_FIELDS = attrgetter("width", "height", "wcost", "levels", "p_dis",
-                         "p_tail", "par_b", "ends_par", "trans", "disch",
-                         "has_pi")
-_W, _H, _WC, _LV, _PD, _PT, _PB, _EP, _TR, _DI, _HP = range(11)
-#: MapTuple.op by "is an OR candidate".
-_OPS = ("ser", "par")
+from .tuples import (DI as _DI, EP as _EP, H as _H, HP as _HP, KEY as _KEY,
+                     LV as _LV, NCOL, OP_PAR, OP_SER, PB as _PB, PD as _PD,
+                     PT as _PT, TR as _TR, W as _W, WC as _WC, ragged_ids)
 
 #: uint16 digits of a uint64, least significant first (endian-aware).
 _DIGITS = (0, 1, 2, 3) if np.little_endian else (3, 2, 1, 0)
@@ -136,17 +122,6 @@ _U63 = np.uint64(63)
 #: dispatches, so a thin step should look further ahead).
 _WINDOW = 32
 _STEP_CELLS = 1024
-
-
-def _rows(tuples) -> np.ndarray:
-    """``(len(tuples), 11)`` float64 columns read off the tuples.
-
-    One C-level attrgetter pass + one float64 matrix: every field is
-    exact in a double (ints bounded far below 2**53), so casting a
-    column back reproduces the original values bit-for-bit.
-    """
-    return np.array([_COL_FIELDS(t) for t in tuples],
-                    dtype=np.float64).reshape(len(tuples), 11)
 
 
 def _key_cols(key):
@@ -167,7 +142,7 @@ def _key_cols(key):
 
 
 def _typed(m):
-    """The generation columns of a view matrix, in their numpy types.
+    """The generation columns of gathered arena rows, in their numpy types.
 
     ``(width, height, wcost, levels, p_dis, p_tail, par_b, ends_par)``:
     int64 counts, the float64 cost, bool flags.
@@ -194,19 +169,9 @@ class SoAKernel:
         self._batches = 0
         self._candidates = 0
         self._max_batch = 0
-        #: id(view) -> the view's ``(len(view), 11)`` column matrix; views
-        #: are memoized per node by the engine for the whole run, so ids
-        #: are stable until finalize().
-        self._vcols = {}
-        #: id(table) -> (table, column matrix of its tuples in slot
-        #: order), for every table this kernel filled whose view is not
-        #: built yet: the rows that view starts with.
-        self._tcols = {}
 
     def build(self, engine) -> None:
         self._stats = engine.stats
-        self._vcols.clear()
-        self._tcols.clear()
         config = engine.config
         self._w_max = config.w_max
         self._h_max = config.h_max
@@ -237,46 +202,12 @@ class SoAKernel:
         self._exact.build(engine)
 
     def finalize(self) -> None:
-        self._vcols.clear()
-        self._tcols.clear()
+        pass
 
     def stats(self) -> dict:
         return {"active": self.active, "soa_batches": self._batches,
                 "soa_candidates": self._candidates,
                 "soa_max_batch": self._max_batch}
-
-    # ------------------------------------------------------------------
-    # column extraction
-    # ------------------------------------------------------------------
-    def _vmat(self, view: List[MapTuple]):
-        """The view's column matrix, built once per view.
-
-        A view of a table this kernel filled starts with that table's
-        rows, already computed when its winners materialized; only the
-        rows after them (a formed-gate leaf) and views of other tables
-        (cache hits, reference-routed nodes) and leaves take an
-        attrgetter pass.
-        """
-        m = self._vcols.get(id(view))
-        if m is None:
-            table = getattr(view, "table", None)
-            # the engine builds one view per table: the rows are handed
-            # over, not kept twice
-            entry = (self._tcols.pop(id(table), None)
-                     if table is not None else None)
-            if entry is not None and entry[0] is table:
-                head = entry[1]
-                m = (head if len(view) == len(head) else
-                     np.concatenate((head, _rows(view[len(head):]))))
-            else:
-                m = _rows(view)
-            self._vcols[id(view)] = m
-        return m
-
-    def _stack(self, views):
-        if len(views) == 1:
-            return self._vmat(views[0])
-        return np.concatenate([self._vmat(v) for v in views])
 
     # ------------------------------------------------------------------
     # the combine step
@@ -285,8 +216,8 @@ class SoAKernel:
         """Fill every item's table; return per-item candidate counts.
 
         Single-mode (and non-PBE pareto) tables share one batch: one
-        generation, one sort, one materialization.  PBE pareto fronts
-        go one node at a time.
+        generation, one sort, one write of the winning rows.  PBE
+        pareto fronts go one node at a time.
         """
         if self._pareto and self._pbe:
             return [self._combine_node(item) for item in items]
@@ -348,11 +279,12 @@ class SoAKernel:
     def _generate(self, items):
         """The candidate columns of a batch of nodes, OR nodes first.
 
-        Pairs are enumerated ragged and row-major over the concatenated
-        view matrices: node by node, and within a node a-major then b,
-        exactly the reference's loops.  ``pair_a``/``pair_b`` index the
-        concatenated rows, ``node`` is each candidate's item index, and
-        the OR candidates come first (``n_or`` of them).
+        Pairs are enumerated ragged and row-major over the views' rows
+        gathered side by side: node by node, and within a node a-major
+        then b, exactly the reference's loops.  ``pair_a``/``pair_b``
+        index the gathered rows (``ids_a``/``ids_b`` map them back to
+        arena rows), ``node`` is each candidate's item index, and the
+        OR candidates come first (``n_or`` of them).
         """
         views_a = [item[2] for item in items]
         views_b = [item[3] for item in items]
@@ -360,8 +292,11 @@ class SoAKernel:
         k_or = sum(1 for item in items if item[1])
         na = np.fromiter(map(len, views_a), dtype=np.int64, count=k)
         nb = np.fromiter(map(len, views_b), dtype=np.int64, count=k)
-        A = self._stack(views_a)
-        B = self._stack(views_b)
+        arena = items[0][0].arena
+        ids_a = _view_ids(views_a, na)
+        ids_b = _view_ids(views_b, nb)
+        A = arena.gather(ids_a)
+        B = arena.gather(ids_b)
         acols = _typed(A)
         bcols = _typed(B)
         aW, aH, aWC, aLV, aPD = acols[:5]
@@ -415,7 +350,7 @@ class SoAKernel:
         node_of_row = np.repeat(
             np.arange(k, dtype=np.int16 if k < 32768 else np.int64), na)
         cols.update(n=n, n_or=n_or, node=node_of_row[cols["pair_a"]],
-                    A=A, B=B, views_a=views_a, views_b=views_b)
+                    A=A, B=B, ids_a=ids_a, ids_b=ids_b)
         return cols
 
     def _gen_ser(self, ai, bi, acols, bcols):
@@ -490,80 +425,53 @@ class SoAKernel:
                 "pair_a": pair_a, "pair_b": pair_b}
 
     # ------------------------------------------------------------------
-    # survivor materialization
+    # the winners' rows
     # ------------------------------------------------------------------
-    def _mat_many(self, batch, idx):
-        """Materialize the tuples at batch positions ``idx``, in order.
+    def _winner_rows(self, batch, idx):
+        """The arena rows of the candidates at batch positions ``idx``.
 
-        Returns the tuples and their ``(len(idx), 11)`` column matrix,
-        the rows a later view of these tuples starts with.  Every
-        scalar field is gathered from the generation columns (already
-        bit-exact, in the reference's association) and the operand
-        rows; only the provenance back-pointers touch the operand
-        objects.
+        Returns the ``(len(idx), NCOL)`` column block and the
+        ``(len(idx), 3)`` provenance.  Every scalar field is gathered
+        from the generation columns (already bit-exact, in the
+        reference's association) and the operand rows; provenance names
+        the operand rows, top first.
         """
-        objs = batch.get("objs")
-        if objs is None:
-            objs = batch["objs"] = tuple(
-                views[0] if len(views) == 1
-                else list(chain.from_iterable(views))
-                for views in (batch["views_a"], batch["views_b"]))
         pa = batch["pair_a"][idx]
         pb = batch["pair_b"][idx]
         ra = batch["A"][pa]
         rb = batch["B"][pb]
         is_or = idx < batch["n_or"]
         sid = batch["sid"][idx]
-        wcost = batch["wcost"][idx]
-        levels = batch["levels"][idx]
-        par_b = batch["par_b"][idx]
         m = len(sid)
-        mat = np.empty((m, 11), dtype=np.float64)
-        wa = sid // self._hstride
-        ha = sid % self._hstride
-        mat[:, _W] = wa
-        mat[:, _H] = ha
-        mat[:, _WC] = wcost
-        mat[:, _LV] = levels
+        block = np.empty((m, NCOL), dtype=np.float64)
+        block[:, _W] = sid // self._hstride
+        block[:, _H] = sid % self._hstride
+        block[:, _WC] = batch["wcost"][idx]
+        block[:, _LV] = batch["levels"][idx]
         p_dis = batch["p_dis"]
         if p_dis is None:
-            mat[:, _PD] = 0.0
-            mat[:, _PT] = 0.0
-            pdl = ptl = [0] * m
+            block[:, _PD] = 0.0
+            block[:, _PT] = 0.0
         else:
-            pd = p_dis[idx]
-            pt = batch["p_tail"][idx]
-            mat[:, _PD] = pd
-            mat[:, _PT] = pt
-            pdl = pd.tolist()
-            ptl = pt.tolist()
-        mat[:, _PB] = par_b
+            block[:, _PD] = p_dis[idx]
+            block[:, _PT] = batch["p_tail"][idx]
+        block[:, _PB] = batch["par_b"][idx]
         # ends_par is the bottom operand's: b's unless swapped on top.
         tib = batch["top_is_b"][idx]
-        mat[:, _EP] = np.where(is_or, 1.0,
-                               np.where(tib, ra[:, _EP], rb[:, _EP]))
+        block[:, _EP] = np.where(is_or, 1.0,
+                                 np.where(tib, ra[:, _EP], rb[:, _EP]))
         committed = batch["committed"][idx]
-        mat[:, _TR] = ra[:, _TR] + rb[:, _TR] + committed
-        mat[:, _DI] = ra[:, _DI] + rb[:, _DI] + committed
-        mat[:, _HP] = np.maximum(ra[:, _HP], rb[:, _HP])
-        lefts = list(map(objs[0].__getitem__, pa.tolist()))
-        rights = list(map(objs[1].__getitem__, pb.tolist()))
-        for j in np.flatnonzero(tib).tolist():
-            lefts[j], rights[j] = rights[j], lefts[j]
-        nones = [None] * m
-        # ``map(MapTuple, ...)`` drives the construction loop in C with
-        # all-positional calls (structure=None slot included) — no
-        # per-tuple bytecode, measurable at this call volume.  ends_par
-        # (the second ``nones``) is derived in MapTuple.__init__: True
-        # for "par", the bottom's (right's) for "ser".
-        tuples = list(map(
-            MapTuple, wa.tolist(), ha.tolist(), wcost.tolist(),
-            mat[:, _TR].astype(np.int64).tolist(),
-            mat[:, _DI].astype(np.int64).tolist(), levels.tolist(), pdl,
-            par_b.tolist(), (mat[:, _HP] != 0.0).tolist(), nones, ptl,
-            nones, list(map(_OPS.__getitem__, is_or.tolist())), lefts,
-            rights))
-        return tuples, mat
+        block[:, _TR] = ra[:, _TR] + rb[:, _TR] + committed
+        block[:, _DI] = ra[:, _DI] + rb[:, _DI] + committed
+        block[:, _HP] = np.maximum(ra[:, _HP], rb[:, _HP])
+        block[:, _KEY] = batch["key"][idx]
+        left = batch["ids_a"][pa]
+        right = batch["ids_b"][pb]
+        prov = np.empty((m, 3), dtype=np.intc)
+        prov[:, 0] = np.where(is_or, OP_PAR, OP_SER)
+        prov[:, 1] = np.where(tib, right, left)
+        prov[:, 2] = np.where(tib, left, right)
+        return block, prov
 
     # ------------------------------------------------------------------
     # sorting (shared by both reducers)
@@ -630,20 +538,20 @@ class SoAKernel:
         # each node's candidates are one contiguous arrival range.
         first_arrival = np.minimum.reduceat(order, starts)
         winners = order[starts][np.argsort(first_arrival, kind="stable")]
-        ws = sid[winners]
         wnode = node[winners]
-        mats, rows = self._mat_many(batch, winners)
-        slot_maps = [table.raw_slots() for table in tables]
-        for nd, w_, h_, k_, m_ in zip(wnode.tolist(),
-                                      (ws // self._hstride).tolist(),
-                                      (ws % self._hstride).tolist(),
-                                      key[winners].tolist(), mats):
-            slot_maps[nd][(w_, h_)] = [(k_, m_)]
-        p0 = 0
-        ends = np.cumsum(np.bincount(wnode, minlength=len(tables)))
-        for table, p1 in zip(tables, ends.tolist()):
-            self._tcols[id(table)] = (table, rows[p0:p1])
-            p0 = p1
+        # Each node's rows, then its gate row: winner j of node t lands
+        # t rows further than its rank.
+        k = len(tables)
+        counts = np.bincount(wnode, minlength=k)
+        arena = tables[0].arena
+        base = arena.reserve(winners.size + k)
+        arena.write(base + np.arange(winners.size) + wnode,
+                    *self._winner_rows(batch, winners))
+        firsts = base + np.cumsum(counts) - counts + np.arange(k)
+        for table, first, count in zip(tables, firsts.tolist(),
+                                       counts.tolist()):
+            table.start = first
+            table.stop = first + count
         return n - accepts
 
     def _reduce_pareto(self, table, batch) -> Optional[int]:
@@ -843,28 +751,29 @@ class SoAKernel:
                 pos = pos[keep]
                 end = end[keep]
                 slot = slot[keep]
-        # Assemble slots in each shape's first-arrival order (the
-        # reference's create-on-first-arrival dict order), entries in
-        # stamp order (= the reference's list order), one batched
-        # materialization for all winners; stored keys gather from the
-        # generation column, so they stay the exact doubles the
-        # reference would have cached.
+        # The rows in each shape's first-arrival order (the reference's
+        # create-on-first-arrival dict order), entries in stamp order
+        # (= the reference's list order), written as one block; stored
+        # keys gather from the generation column, so they stay the
+        # exact doubles the reference would have cached.
         slot_rank = np.argsort(gorder[starts], kind="stable")
         pos_of = np.empty(G, dtype=np.int64)
         pos_of[slot_rank] = np.arange(G)
         fr_, rw = np.nonzero(PF_out != HUGE)
         srt = np.lexsort((PF_out[fr_, rw] & SM, pos_of[rw]))
         fa = FI_out[fr_, rw][srt].astype(np.int64)
-        keys = key[fa].tolist()
-        mats, rows = self._mat_many(batch, fa)
-        self._tcols[id(table)] = (table, rows)
-        cnts = np.bincount(rw, minlength=G)[slot_rank].tolist()
-        shapel = sid_g[starts][slot_rank].tolist()
-        hstride = self._hstride
-        p0 = 0
-        for s_, cnum in zip(shapel, cnts):
-            p1 = p0 + cnum
-            table.install_front((s_ // hstride, s_ % hstride),
-                                zip(keys[p0:p1], mats[p0:p1]))
-            p0 = p1
+        base = table.arena.reserve(fa.size + 1)
+        table.arena.write(base + np.arange(fa.size),
+                          *self._winner_rows(batch, fa))
+        table.start = base
+        table.stop = base + fa.size
         return pruned
+
+
+def _view_ids(views: Sequence[range], counts) -> np.ndarray:
+    """The arena rows of ``views`` (row-id ranges), concatenated."""
+    if len(views) == 1:
+        return np.arange(views[0].start, views[0].stop)
+    starts = np.fromiter((v.start for v in views), dtype=np.int64,
+                         count=len(views))
+    return ragged_ids(starts, counts)

@@ -71,7 +71,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..domino.structure import Leaf, Pulldown
-from ..mapping.tuples import MapTuple, TupleTable
+from ..mapping.tuples import Arena, MapTuple, TupleTable
 from ..network import LogicNetwork, NodeType
 from ..resilience.faults import emit_recovery, fire
 from .store import SCHEMA_VERSION, CacheStore
@@ -186,8 +186,14 @@ class TreeCache:
     # lookup / store
     # ------------------------------------------------------------------
     def fetch(self, prefix: tuple, sig: int, network: LogicNetwork,
-              uid: int, key_fn, pareto: bool) -> Optional[TupleTable]:
-        """Rebuild the cached table for ``uid``'s cone, or None on miss."""
+              uid: int, key_fn, pareto: bool,
+              arena: Optional[Arena] = None) -> Optional[TupleTable]:
+        """Rebuild the cached table for ``uid``'s cone, or None on miss.
+
+        The rebuilt tuples become rows of ``arena`` (the mapping run's;
+        a table of its own when omitted) that carry their instantiated
+        structures eagerly.
+        """
         if not self.enabled:
             return None
         key = (prefix, sig)
@@ -225,7 +231,7 @@ class TreeCache:
         slots = [(shape, [_instantiate(t, labels, uids) for t in slot])
                  for shape, slot in template]
         self.hits += 1
-        return TupleTable.from_slots(key_fn, pareto, slots)
+        return TupleTable.from_slots(key_fn, pareto, slots, arena=arena)
 
     def storable(self, network: LogicNetwork, uid: int) -> bool:
         """Whether :meth:`put` could cache ``uid``'s table: the cache is
@@ -234,7 +240,11 @@ class TreeCache:
 
     def put(self, prefix: tuple, sig: int, network: LogicNetwork,
             uid: int, table: TupleTable) -> bool:
-        """Store ``uid``'s finished table; returns True if cached."""
+        """Store ``uid``'s finished table; returns True if cached.
+
+        The table's rows materialize here, with their structures, into
+        the template's tuples.
+        """
         if not self.enabled:
             return False
         key = (prefix, sig)

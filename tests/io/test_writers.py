@@ -63,3 +63,26 @@ def test_netlist_discharge_devices_emitted():
     assert result.cost.t_disch > 0
     text = circuit_netlist(result.circuit)
     assert "MPD0" in text
+
+
+def test_netlist_flattens_each_gate_once(monkeypatch):
+    """Writing a circuit flattens each gate once, for its subcircuit and
+    its instance line both."""
+    import repro.io.netlist_text as netlist_text
+    from repro.bench_suite import load_circuit
+
+    calls = []
+    flatten = netlist_text.flatten_gate
+
+    def counting(gate):
+        calls.append(gate.name)
+        return flatten(gate)
+
+    monkeypatch.setattr(netlist_text, "flatten_gate", counting)
+    for name in ("cm150", "mux", "z4ml"):
+        circuit = soi_domino_map(load_circuit(name)).circuit
+        calls.clear()
+        text = circuit_netlist(circuit)
+        assert sorted(calls) == sorted(g.name for g in circuit.gates)
+        for gate in circuit.gates:
+            assert f"X{gate.name} {gate.name} clk " in text

@@ -41,7 +41,7 @@ def _snapshot(engine):
                             t.disch, t.levels, t.p_dis, t.p_tail, t.par_b,
                             t.ends_par, t.has_pi)
                            for key, t in entries])
-                  for shape, entries in table.raw_slots().items()]
+                  for shape, entries in table.keyed_slots()]
             for uid, table in engine._tables.items()}
 
 

@@ -41,7 +41,7 @@ from repro.mapping.kernel import (AUTO_THRESHOLD, AutoKernel,  # noqa: E402
                                   ReferenceKernel, metric_fast_path,
                                   resolve_kernel)
 from repro.mapping.soa import SoAKernel, _key_cols  # noqa: E402
-from repro.mapping.tuples import MapTuple, TupleTable  # noqa: E402
+from repro.mapping.tuples import Arena, MapTuple, TupleTable  # noqa: E402
 from repro.network import network_from_expression  # noqa: E402
 from repro.pipeline import MappingStats  # noqa: E402
 from repro.synth import decompose, sweep, unate_with_sweep  # noqa: E402
@@ -82,18 +82,26 @@ def _snapshot(table: TupleTable):
                       t.levels, t.p_dis, t.p_tail, t.par_b, t.ends_par,
                       t.has_pi)
                      for key, t in entries])
-            for shape, entries in table.raw_slots().items()]
+            for shape, entries in table.keyed_slots()]
 
 
 def _run_both(config, model, view_a, view_b, is_or, max_front=4):
+    """Both kernels fill one table from the same two views.
+
+    The views' tuples become rows of a fresh arena per kernel, and the
+    kernel sees them as the row ranges the engine hands it.
+    """
     outs = []
     for make_kernel in (ReferenceKernel, SoAKernel):
         engine = _fake_engine(config, model)
         kernel = make_kernel()
         kernel.build(engine)
+        arena = Arena()
+        rows_a = arena.append_tuples(view_a)
+        rows_b = arena.append_tuples(view_b)
         table = TupleTable(key_fn=model.tuple_key, pareto=config.pareto,
-                           max_front=max_front)
-        kernel.combine_many([(table, is_or, view_a, view_b)])
+                           max_front=max_front, arena=arena)
+        kernel.combine_many([(table, is_or, rows_a, rows_b)])
         kernel.finalize()
         outs.append((_snapshot(table),
                      (engine.stats.tuples_created,

@@ -124,8 +124,5 @@ class TestAdmitsFastPath:
 
 def _fresh(table):
     """A throwaway copy of ``table`` with the same contents."""
-    clone = TupleTable(table.key_fn, pareto=table.pareto,
-                       max_front=table.max_front)
-    clone.raw_slots().update(
-        {shape: list(slot) for shape, slot in table.raw_slots().items()})
-    return clone
+    return TupleTable.from_slots(table.key_fn, table.pareto, table.slots(),
+                                 max_front=table.max_front)
