@@ -19,7 +19,7 @@ Run:  python examples/future_work.py [circuit]
 import sys
 
 from repro.bench_suite import load_circuit
-from repro.mapping import domino_map, soi_domino_map
+from repro.mapping import MapperConfig, domino_map, soi_domino_map
 from repro.pbe import prune_discharges, random_stress
 from repro.synth import (
     decompose,
@@ -57,7 +57,8 @@ def main() -> None:
     # --- 3. footless-aware grounding -----------------------------------
     print("\n3. grounding-policy sweep (SOI mapper)")
     for policy in ("optimistic", "footless", "pessimistic"):
-        cost = soi_domino_map(network, ground_policy=policy).cost
+        config = MapperConfig(ground_policy=policy)
+        cost = soi_domino_map(network, config=config).cost
         print(f"   {policy:12s}: {cost}")
 
 

@@ -111,7 +111,7 @@ from .resilience import (
     plan_from_spec,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "BatchDeadlineError",

@@ -39,6 +39,7 @@ checkpoint/resume via ``--checkpoint DIR``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -62,6 +63,19 @@ def _load_network(source: str) -> LogicNetwork:
     if source.endswith(".pla"):
         return load_pla(source)
     return load_circuit(source)
+
+
+def _clock_weight(text: str) -> float:
+    """``-k``: a positive, finite clock-transistor weight."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _cost_model(cost: str, k: float):
@@ -497,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="soi")
     p_map.add_argument("-c", "--cost", choices=["area", "clock", "depth"],
                        default="area")
-    p_map.add_argument("-k", type=float, default=2.0,
+    p_map.add_argument("-k", type=_clock_weight, default=2.0,
                        help="clock-transistor weight for --cost clock")
     p_map.add_argument("--w-max", type=int, default=5)
     p_map.add_argument("--h-max", type=int, default=8)
@@ -534,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="flow to run (repeatable; default: soi)")
     p_batch.add_argument("-c", "--cost", choices=["area", "clock", "depth"],
                          default="area")
-    p_batch.add_argument("-k", type=float, default=2.0,
+    p_batch.add_argument("-k", type=_clock_weight, default=2.0,
                          help="clock-transistor weight for --cost clock")
     p_batch.add_argument("-j", "--jobs", type=int, default=None,
                          help="worker processes (default: CPU count; "
@@ -634,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("-c", "--cost",
                            choices=["area", "clock", "depth"],
                            default="area")
-    p_metrics.add_argument("-k", type=float, default=2.0,
+    p_metrics.add_argument("-k", type=_clock_weight, default=2.0,
                            help="clock-transistor weight for --cost clock")
     p_metrics.add_argument("--json", action="store_true",
                            help="emit the registry as JSON instead of "

@@ -18,7 +18,7 @@ dynamic program exact.
 
 from __future__ import annotations
 
-from .tuples import MapTuple
+import math
 
 #: Non-clock part of the domino gate overhead: output inverter (2) + keeper.
 _STATIC_OVERHEAD = 3.0
@@ -37,9 +37,19 @@ class CostModel:
 
     name = "area"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for retired in ("tuple_key", "gate_key"):
+            if retired in vars(cls):
+                raise TypeError(
+                    f"{cls.__qualname__}.{retired} is no longer called: "
+                    "override tuple_key_metrics(wcost, levels), the one "
+                    "selection key")
+
     def __init__(self, k_clock: float = 1.0):
-        if k_clock <= 0:
-            raise ValueError(f"k_clock must be positive, got {k_clock}")
+        if not (math.isfinite(k_clock) and k_clock > 0):
+            raise ValueError(
+                f"k_clock must be positive and finite, got {k_clock}")
         self.k_clock = float(k_clock)
 
     # -- event prices ---------------------------------------------------
@@ -60,30 +70,18 @@ class CostModel:
         clock_devices = 2.0 if footed else 1.0
         return _STATIC_OVERHEAD + self.k_clock * clock_devices
 
-    # -- selection keys --------------------------------------------------
+    # -- the selection key -----------------------------------------------
     def tuple_key_metrics(self, wcost: float, levels: int) -> float:
-        """Selection key from raw scalars, before any tuple exists.
+        """The one selection key (lower is better).
 
-        The engine's hot loop prices a candidate from its scalar metrics
-        and asks the table whether it would even be kept — skipping the
-        allocation of dominated candidates entirely.  Subclasses that
-        change the objective override *this* method; :meth:`tuple_key`
-        delegates here, so the two can never disagree.
+        The DP picks each ``{W,H}`` slot's tuples and the tuple a gate
+        is formed from by the least ``(key, p_dis)``.  The key is priced
+        from a candidate's raw scalars, before anything is allocated;
+        subclasses that change the objective override this method.  The
+        soa kernel and the column gate formation call it on numpy
+        columns, so a key that is not elementwise-exact on arrays runs
+        on the reference kernel (``stats.kernel_fallbacks``).
         """
-        return wcost
-
-    def tuple_key(self, t: MapTuple) -> float:
-        """Comparable key for choosing among tuples (lower is better).
-
-        Overriding this directly (instead of :meth:`tuple_key_metrics`)
-        still works but disables the engine's scalar fast path, which
-        only trusts the metric form when ``tuple_key`` is the base-class
-        delegation.
-        """
-        return self.tuple_key_metrics(t.wcost, t.levels)
-
-    def gate_key(self, wcost: float, levels: int) -> float:
-        """Comparable key for choosing the tuple a gate is formed from."""
         return wcost
 
     def fingerprint(self) -> tuple:
@@ -140,14 +138,12 @@ class DepthCost(CostModel):
 
     def __init__(self, level_weight: float = 10.0, k_clock: float = 1.0):
         super().__init__(k_clock=k_clock)
-        if level_weight <= 0:
-            raise ValueError(f"level_weight must be positive, got {level_weight}")
+        if not (math.isfinite(level_weight) and level_weight > 0):
+            raise ValueError("level_weight must be positive and finite, "
+                             f"got {level_weight}")
         self.level_weight = float(level_weight)
 
     def tuple_key_metrics(self, wcost: float, levels: int) -> float:
-        return self.level_weight * levels + wcost
-
-    def gate_key(self, wcost: float, levels: int) -> float:
         return self.level_weight * levels + wcost
 
     def fingerprint(self) -> tuple:

@@ -49,8 +49,7 @@ from ..network import LogicNetwork, NodeType
 from ..pipeline.metrics import MappingStats
 from ..resilience.faults import fire
 from .cost import CostModel
-from .kernel import (KERNELS, gate_vectorizable, metric_fast_path,
-                     resolve_kernel)
+from .kernel import KERNELS, key_vectorizable, resolve_kernel
 from .tuples import (DI, HP, KEY, LV, NCOL, OP_GATE, OP_LEAF, PD, TR, WC,
                      Arena, MapTuple, TupleTable, np, ragged_ids)
 
@@ -405,15 +404,10 @@ class MappingEngine:
         self._series_orders = (2 if self.config.pbe_aware
                                and self.config.ordering == "exhaustive"
                                else 1)
-        # Scalar fast path: candidates are priced from raw metrics and
-        # bound-checked before anything is allocated.  Only sound when
-        # tuple_key is the base-class delegation to tuple_key_metrics; a
-        # model overriding tuple_key directly falls back to the
-        # allocate-then-insert path.
-        self._metric_key = metric_fast_path(cost_model)
-        #: gate formation as one column reduction per batch (else the
-        #: scalar loop): numpy importable and gate_key elementwise
-        self._gate_columns = gate_vectorizable(cost_model)
+        #: the selection key prices numpy columns elementwise: the soa
+        #: kernel may run, and gate formation is one column reduction
+        #: per batch (else the reference kernel and the scalar loop)
+        self._key_columns = key_vectorizable(cost_model)
         self._leaf_cost = cost_model.leaf_cost()
         #: the DP combine kernel this run executes (KernelProtocol)
         self.kernel = resolve_kernel(self)
@@ -599,7 +593,7 @@ class MappingEngine:
                 started = time.perf_counter()
             is_or = node.type is NodeType.OR
             chunk.append(uid)
-            items.append((TupleTable(self.model.tuple_key,
+            items.append((TupleTable(self.model.tuple_key_metrics,
                                      pareto=self.config.pareto,
                                      arena=self.arena),
                           is_or, view_a, view_b))
@@ -687,8 +681,8 @@ class MappingEngine:
                 self._store_table(uid, table)
         self._tables.update(zip(uids, tables))
         self.stats.gate_formations += len(uids)
-        if not (self._gate_columns and self._form_gates_columns(uids,
-                                                                tables)):
+        if not (self._key_columns and self._form_gates_columns(uids,
+                                                               tables)):
             self._form_gates_scalar(uids, tables)
         share = self._share
         views = self._views
@@ -702,8 +696,9 @@ class MappingEngine:
     # gate formation
     # ------------------------------------------------------------------
     # A node's gate is formed from the first tuple, in slot order, that
-    # minimizes ``(gate_key(wcost + overhead [+ p_dis * d]), p_dis)``:
-    # p-clock, output inverter and keeper, an n-clock foot when the
+    # minimizes ``(tuple_key_metrics(wcost + overhead [+ p_dis * d],
+    # levels + 1), p_dis)``, the tables' own selection key.  The overhead
+    # is the p-clock, output inverter and keeper, an n-clock foot when the
     # pulldown touches a primary input, and under an ungrounded policy
     # (PBE-aware) a discharge transistor per residual potential point.
     #
@@ -747,7 +742,7 @@ class MappingEngine:
             disch = np.where(ungrounded, disch + p_dis, disch)
             trans = np.where(ungrounded, trans + p_dis, trans)
         levels = block[:, LV].astype(np.int64) + 1
-        key = model.gate_key(wcost, levels)
+        key = model.tuple_key_metrics(wcost, levels)
         if np.isnan(key).any():
             return False
         # Per node, the first row of the least (key, p_dis).
@@ -806,7 +801,7 @@ class MappingEngine:
                     disch += t.p_dis
                     trans += t.p_dis
                 levels = t.levels + 1
-                key = (model.gate_key(wcost, levels), t.p_dis)
+                key = (model.tuple_key_metrics(wcost, levels), t.p_dis)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (t.id, wcost, trans, disch, levels, t.has_pi)
@@ -828,8 +823,8 @@ class MappingEngine:
         if sig is None or self.cache is None:
             return None
         table = self.cache.fetch(self._cache_prefix, sig, self.network, uid,
-                                 self.model.tuple_key, self.config.pareto,
-                                 arena=self.arena)
+                                 self.model.tuple_key_metrics,
+                                 self.config.pareto, arena=self.arena)
         if table is None:
             self.stats.cache_misses += 1
         else:

@@ -25,14 +25,13 @@ service check validates against:
 The kernel contract: a kernel fills *empty* tables (the engine builds
 every table fresh) with exactly the reference's slots — slot insertion
 order included, since the tree cache serializes it — and reproduces
-its ``tuples_created``/``tuples_pruned``/``bound_skips`` counters, so
-runs mixing kernels stay bit-identical.  Operand views are ranges of
-rows in the tables' :class:`~repro.mapping.tuples.Arena`; a kernel
-fills a table by writing its rows there, in slot order, followed by one
-row reserved for the node's formed-gate leaf, and setting the table's
-``start``/``stop`` (DESIGN.md §17).  The dual-kernel digest sweep
-and the fuzzed slot-for-slot harness in ``tests/mapping`` are the
-parity witnesses.
+its ``tuples_created``/``tuples_pruned`` counters, so runs mixing
+kernels stay bit-identical.  Operand views are ranges of rows in the
+tables' :class:`~repro.mapping.tuples.Arena`; a kernel fills a table by
+writing its rows there, in slot order, followed by one row reserved for
+the node's formed-gate leaf, and setting the table's ``start``/``stop``
+(DESIGN.md §17).  The dual-kernel digest sweep and the fuzzed
+slot-for-slot harness in ``tests/mapping`` are the parity witnesses.
 
 A kernel is bound to one :class:`~repro.mapping.engine.MappingEngine`
 run via :meth:`KernelProtocol.build`.  The engine walks the network one
@@ -58,7 +57,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch
 from ..errors import MappingError
 from ..pipeline.metrics import MappingStats
 from .cost import CostModel
-from .tuples import KEY, OP_LEAF, OP_PAR, OP_SER, MapTuple, Row, TupleTable
+from .tuples import KEY, OP_LEAF, OP_PAR, OP_SER, Row, TupleTable
 
 #: Minimum candidate pairs (``len(view_a) * len(view_b)`` summed over a
 #: batch's nodes) for the auto kernel to route a batch to the soa
@@ -71,48 +70,21 @@ AUTO_THRESHOLD = 64
 BatchItem = Tuple[TupleTable, bool, range, range]
 
 
-def metric_fast_path(model: CostModel):
-    """``model.tuple_key_metrics`` when the scalar fast path is sound.
+def key_vectorizable(model: CostModel) -> bool:
+    """True when ``model.tuple_key_metrics`` prices numpy columns
+    elementwise.
 
-    The fast path prices candidates from raw ``(wcost, levels)`` metrics
-    without allocating a tuple.  It is only trusted when ``tuple_key``
-    is the base-class delegation to ``tuple_key_metrics``; a model
-    overriding ``tuple_key`` directly gets ``None`` (and the reference
-    kernel's allocate-then-insert path).
+    Probes the key with small arrays and checks the result is a float64
+    column that agrees with the scalar spelling: the condition under
+    which the soa kernel's vectorized keys, and gate formation's column
+    reduction, are bit-identical to the scalar keys of the reference
+    kernel.  Both shipped key forms (plain ``wcost`` and
+    ``level_weight * levels + wcost``) pass; a subclass using non-ufunc
+    arithmetic fails closed, and so does every model without numpy.
     """
-    return (model.tuple_key_metrics
-            if type(model).tuple_key is CostModel.tuple_key else None)
-
-
-def metric_vectorizable(model: CostModel) -> bool:
-    """True when ``tuple_key_metrics`` prices numpy columns elementwise.
-
-    Probes the metric with small arrays and checks the result is a
-    float64 column that agrees with the scalar spelling — the condition
-    under which the soa kernel's vectorized keys are bit-identical to
-    the reference kernel's scalar keys.  Both shipped key forms (plain
-    ``wcost`` and ``level_weight * levels + wcost``) pass; a subclass
-    using non-ufunc arithmetic fails closed.
-    """
-    metric = metric_fast_path(model)
-    return metric is not None and _elementwise(metric)
-
-
-def gate_vectorizable(model: CostModel) -> bool:
-    """True when ``gate_key`` prices numpy columns elementwise.
-
-    The same probe as :func:`metric_vectorizable`, for the key gate
-    formation minimizes: when it passes, the engine forms a batch's
-    gates with one column reduction, otherwise with the scalar loop.
-    """
-    return _elementwise(model.gate_key)
-
-
-def _elementwise(fn) -> bool:
-    """``fn(wcost, levels)`` on float64/int64 columns is a float64 column
-    equal, element by element, to its scalar calls."""
     if np is None:
         return False
+    fn = model.tuple_key_metrics
     wcost = np.array([0.0, 1.5], dtype=np.float64)
     levels = np.array([0, 3], dtype=np.int64)
     try:
@@ -214,7 +186,7 @@ class ReferenceKernel:
 
     def build(self, engine) -> None:
         self._config = engine.config
-        self._metric = engine._metric_key
+        self._metric = engine.model.tuple_key_metrics
         self._discharge = engine.model.discharge_cost()
         self._stats = engine.stats
 
@@ -276,8 +248,6 @@ class ReferenceKernel:
         naive = not adverse and (not pbe or ordering == "naive")
         exhaustive = not adverse and not naive and ordering == "exhaustive"
         metric = self._metric
-        key_fn = table.key_fn
-        arena = table.arena
         discharge = self._discharge
         slots_get = slots.get
         max_front = table.max_front
@@ -313,13 +283,7 @@ class ReferenceKernel:
                     # on the stack's shared bottom node: all of them are
                     # "tail" points (p_tail == p_dis, par_b True).
                     p_dis = (a_pd + b.p_dis) if pbe else 0
-                    if metric is not None:
-                        key = metric(wcost, levels)
-                    else:
-                        key = key_fn(_lazy_tuple(arena, _Cand(
-                            width, height, wcost, levels, p_dis, p_dis,
-                            True, True, a_tr + b.trans, a_di + b.disch,
-                            a_hp or b.has_pi, OP_PAR, a_id, b.id)))
+                    key = metric(wcost, levels)
                     slot = slots_get((width, height))
                     if slot is None:
                         slots[(width, height)] = [(key, _Cand(
@@ -429,16 +393,7 @@ class ReferenceKernel:
                         t_lv = top.levels
                         b_lv = bottom.levels
                         levels = t_lv if t_lv > b_lv else b_lv
-                        if metric is not None:
-                            key = metric(wcost, levels)
-                        else:
-                            key = key_fn(_lazy_tuple(arena, _Cand(
-                                width, height, wcost, levels, p_dis,
-                                p_tail, par_b, bottom.ends_par,
-                                top.trans + bottom.trans + committed,
-                                top.disch + bottom.disch + committed,
-                                top.has_pi or bottom.has_pi, OP_SER,
-                                top.id, bottom.id)))
+                        key = metric(wcost, levels)
                         slot = slots_get((width, height))
                         if slot is None:
                             slots[(width, height)] = [(key, _Cand(
@@ -491,21 +446,7 @@ class ReferenceKernel:
         stats = self._stats
         stats.tuples_created += created
         stats.tuples_pruned += pruned
-        # With the metric fast path a rejected candidate was never
-        # allocated: every prune is a bound skip.
-        stats.bound_skips += pruned if metric is not None else 0
         return created
-
-
-def _lazy_tuple(arena, cand: _Cand) -> MapTuple:
-    """``cand`` as the lazy :class:`MapTuple` a ``tuple_key`` override
-    prices (the models without the metric fast path)."""
-    return MapTuple(cand.width, cand.height, cand.wcost, cand.trans,
-                    cand.disch, cand.levels, cand.p_dis, cand.par_b,
-                    cand.has_pi, p_tail=cand.p_tail, ends_par=cand.ends_par,
-                    op="par" if cand.op == OP_PAR else "ser",
-                    left=arena.tuple(cand.left),
-                    right=arena.tuple(cand.right))
 
 
 class AutoKernel:
@@ -569,10 +510,10 @@ def _soa_factory(engine):
             "kernel='soa' requires numpy, which is not importable; "
             "install numpy or pick another kernel "
             f"({', '.join(KERNELS)})")
-    if not metric_vectorizable(engine.model):
-        # The model overrides tuple_key directly or its metric form is
-        # not elementwise-exact on arrays: the soa kernel cannot match
-        # the oracle, so the run degrades to the reference kernel.
+    if not engine._key_columns:
+        # The model's key is not elementwise-exact on arrays: the soa
+        # kernel cannot match the oracle, so the run degrades to the
+        # reference kernel.
         engine.stats.kernel_fallbacks += 1
         return ReferenceKernel()
     from .soa import SoAKernel
@@ -584,7 +525,7 @@ def _auto_factory(engine):
     """``kernel="auto"``: the hybrid when numpy and the model allow."""
     if np is None:
         return ReferenceKernel()
-    if not metric_vectorizable(engine.model):
+    if not engine._key_columns:
         engine.stats.kernel_fallbacks += 1
         return ReferenceKernel()
     from .soa import SoAKernel

@@ -95,9 +95,9 @@ and it holds per node, whatever else shares the batch:
 
 Every table enters empty, as the kernel contract in
 :mod:`repro.mapping.kernel` guarantees, so each reducer builds its slots
-from scratch.  Stats parity: ``tuples_created``/``tuples_pruned``/
-``bound_skips`` are reproduced exactly, so the auto kernel can mix both
-kernels within one run without observable drift.
+anew.  Stats parity: ``tuples_created``/``tuples_pruned`` are reproduced
+exactly, so the auto kernel can mix both kernels within one run without
+observable drift.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .kernel import BatchItem, ReferenceKernel, metric_fast_path
+from .kernel import BatchItem, ReferenceKernel
 from .tuples import (DI as _DI, EP as _EP, H as _H, HP as _HP, KEY as _KEY,
                      LV as _LV, NCOL, OP_PAR, OP_SER, PB as _PB, PD as _PD,
                      PT as _PT, TR as _TR, W as _W, WC as _WC, ragged_ids)
@@ -193,11 +193,7 @@ class SoAKernel:
         # <=16-bit integers, and the radix path sorts ~4x faster than a
         # comparison sort, so it is worth gating on.
         self._i16 = self._nshape < 32000
-        metric = metric_fast_path(engine.model)
-        if metric is None:  # resolve_kernel guarantees otherwise
-            raise RuntimeError(
-                "SoAKernel requires the scalar metric fast path")
-        self._metric = metric
+        self._metric = engine.model.tuple_key_metrics
         self._exact = ReferenceKernel()
         self._exact.build(engine)
 
@@ -271,7 +267,6 @@ class SoAKernel:
         stats = self._stats
         stats.tuples_created += n
         stats.tuples_pruned += pruned
-        stats.bound_skips += pruned
 
     # ------------------------------------------------------------------
     # candidate generation (selection columns only)

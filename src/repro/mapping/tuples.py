@@ -202,7 +202,7 @@ class Arena:
     run's state stays acyclic (DESIGN.md §15).
     """
 
-    __slots__ = ("_f", "_p", "_n", "_cap", "_lens", "_structs", "_okeys")
+    __slots__ = ("_f", "_p", "_n", "_cap", "_lens", "_structs")
 
     def __init__(self, capacity: int = 1024):
         self._f = array("d", bytes(8 * NCOL * capacity))
@@ -212,8 +212,6 @@ class Arena:
         self._lens = None
         #: row -> Pulldown: eager structures and memoized rebuilt ones
         self._structs: Dict[int, Pulldown] = {}
-        #: row -> key, for selection keys that are not floats
-        self._okeys: Dict[int, object] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -246,28 +244,24 @@ class Arena:
                 for i, r in zip(ids, zip(*[iter(flat)] * NCOL))]
 
     def write_rows(self, base: int, fields: Sequence[tuple],
-                   keys: Sequence, prov: Sequence[tuple]) -> None:
+                   keys: Sequence[float], prov: Sequence[tuple]) -> None:
         """Write consecutive rows from ``base``.
 
         ``fields`` hold the eleven tuple columns in :data:`COLUMNS`
-        order, ``prov`` the ``(op, left, right)`` triples.  A key that
-        is not a float is kept beside the column.
+        order, ``keys`` the selection keys, ``prov`` the
+        ``(op, left, right)`` triples.
         """
         flat: List[float] = []
-        for row, (values, key) in enumerate(zip(fields, keys), base):
+        for values, key in zip(fields, keys):
             flat.extend(values)
-            if type(key) is float:
-                flat.append(key)
-            else:
-                flat.append(math.nan)
-                self._okeys[row] = key
+            flat.append(key)
         end = base + len(fields)
         self._f[base * NCOL:end * NCOL] = array("d", flat)
         self._p[base * 3:end * 3] = array(
             "i", [x for triple in prov for x in triple])
 
     def append_tuples(self, tuples: Sequence[MapTuple],
-                      keys: Optional[Sequence] = None) -> range:
+                      keys: Optional[Sequence[float]] = None) -> range:
         """Append ``tuples`` as rows with eager structures; their ids."""
         base = self.reserve(len(tuples))
         self.write_rows(base, [_FIELDS(t) for t in tuples],
@@ -277,10 +271,9 @@ class Arena:
             self._structs[row] = t.structure
         return range(base, base + len(tuples))
 
-    def key(self, row: int):
+    def key(self, row: int) -> float:
         """The selection key stored with ``row``."""
-        key = self._okeys.get(row)
-        return self._f[row * NCOL + KEY] if key is None else key
+        return self._f[row * NCOL + KEY]
 
     def structure(self, row: int) -> Pulldown:
         """The pulldown of ``row``, rebuilt from provenance and memoized.
@@ -359,9 +352,9 @@ class TupleTable:
     Parameters
     ----------
     key_fn:
-        Maps a :class:`MapTuple` to a comparable selection key (provided
-        by the cost model).  Lower is better.  Each stored row keeps its
-        key, computed once.
+        Maps a tuple's ``(wcost, levels)`` to its float selection key
+        (:meth:`CostModel.tuple_key_metrics`).  Lower is better.  Each
+        stored row keeps its key, computed once.
     pareto:
         When true, each slot keeps every tuple that is Pareto-optimal in
         ``(key, p_dis)`` (capped at ``max_front``); otherwise each slot
@@ -407,10 +400,11 @@ class TupleTable:
         keep the tuples' structures as eager structures.
         """
         table = cls(key_fn, pareto=pareto, max_front=max_front, arena=arena)
-        table._load([(key_fn(t), t) for _, tuples in slots for t in tuples])
+        table._load([(key_fn(t.wcost, t.levels), t)
+                     for _, tuples in slots for t in tuples])
         return table
 
-    def _load(self, entries: List[Tuple[object, MapTuple]]) -> None:
+    def _load(self, entries: List[Tuple[float, MapTuple]]) -> None:
         """Write ``(key, tuple)`` entries (slot order) as this table's
         rows, and reserve the gate row after them."""
         rows = self.arena.append_tuples([t for _, t in entries],
@@ -422,7 +416,7 @@ class TupleTable:
     # read accessors (materialize on demand)
     # ------------------------------------------------------------------
     def keyed_slots(self) -> List[Tuple[Tuple[int, int],
-                                        List[Tuple[object, MapTuple]]]]:
+                                        List[Tuple[float, MapTuple]]]]:
         """Contents as ``(shape, [(key, tuple), ...])`` in slot order."""
         arena = self.arena
         out: List[Tuple[Tuple[int, int], list]] = []
@@ -470,28 +464,8 @@ class TupleTable:
     # ------------------------------------------------------------------
     # the keep/evict rule, one candidate at a time
     # ------------------------------------------------------------------
-    def admits(self, shape: Tuple[int, int], key, p_dis: int,
-               p_tail: int = 0, par_b: bool = False) -> bool:
-        """Would :meth:`insert` keep a candidate with these scalars?
-
-        The decision is exactly :meth:`insert`'s, taken on raw scalars,
-        so a dominated candidate is rejected before a :class:`MapTuple`
-        exists.
-        """
-        slot = dict(self.keyed_slots()).get(shape)
-        if not slot:
-            return True
-        if not self._pareto:
-            inc_key, incumbent = slot[0]
-            return (key, p_dis) < (inc_key, incumbent.p_dis)
-        for kept_key, kept in slot:
-            if (kept_key <= key and kept.p_dis <= p_dis
-                    and kept.p_tail <= p_tail
-                    and (not kept.par_b or par_b)):
-                return False
-        return True
-
-    def insert(self, candidate: MapTuple, key=None) -> bool:
+    def insert(self, candidate: MapTuple,
+               key: Optional[float] = None) -> bool:
         """Offer ``candidate``; returns True if it was kept.
 
         The specification of the DP's keep/evict rule, which the
@@ -501,7 +475,7 @@ class TupleTable:
         A kept candidate rewrites the table's rows.
         """
         if key is None:
-            key = self._key_fn(candidate)
+            key = self._key_fn(candidate.wcost, candidate.levels)
         slots = dict(self.keyed_slots())
         slot = slots.setdefault(candidate.shape, [])
         if not self._pareto:

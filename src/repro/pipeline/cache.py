@@ -365,7 +365,7 @@ def _structure_key(structure: Pulldown) -> tuple:
             tuple(_structure_key(c) for c in structure.children))
 
 
-def _tuple_key(t: MapTuple) -> tuple:
+def _tuple_identity(t: MapTuple) -> tuple:
     return (t.width, t.height, t.wcost, t.trans, t.disch, t.levels,
             t.p_dis, t.par_b, t.has_pi, t.p_tail, t.ends_par,
             _structure_key(t.structure))
@@ -377,7 +377,7 @@ def _template_fingerprint(template: _Template) -> int:
     any later mutation of the shared entry is detected before its bytes
     are instantiated into a live DP table.  In-process only (uses
     ``hash``), which matches the cache's lifetime."""
-    return hash(tuple((shape, tuple(_tuple_key(t) for t in slot))
+    return hash(tuple((shape, tuple(_tuple_identity(t) for t in slot))
                       for shape, slot in template))
 
 

@@ -31,12 +31,10 @@ class MappingStats:
         ``{W, H}`` combinations, whether or not a tuple was allocated).
     tuples_pruned:
         Candidates rejected at table insertion (dominated or beaten by
-        the incumbent of their ``{W, H}`` slot), including those the
-        incumbent-bound fast path rejected before allocation.
-    bound_skips:
-        The subset of ``tuples_pruned`` rejected by the scalar
-        incumbent-bound check before a ``MapTuple`` was ever allocated
-        (the lazy kernel's cheap rejections).
+        the incumbent of their ``{W, H}`` slot).  Both kernels price a
+        candidate and check it against the slot before anything is
+        allocated, so every prune is also a bound skip:
+        :attr:`bound_skips` is this count under its older name.
     combine_calls:
         Fanin-pair combinations attempted (each may yield 0-2 tuples).
     gate_formations:
@@ -83,7 +81,6 @@ class MappingStats:
 
     tuples_created: int = 0
     tuples_pruned: int = 0
-    bound_skips: int = 0
     combine_calls: int = 0
     gate_formations: int = 0
     cache_hits: int = 0
@@ -103,6 +100,11 @@ class MappingStats:
     @property
     def tuples_kept(self) -> int:
         return self.tuples_created - self.tuples_pruned
+
+    @property
+    def bound_skips(self) -> int:
+        """Candidates rejected before allocation: every prune."""
+        return self.tuples_pruned
 
     @property
     def cache_requests(self) -> int:
@@ -128,12 +130,14 @@ class MappingStats:
     def as_dict(self) -> Dict[str, float]:
         """All counters plus every derived property.
 
-        ``tuples_kept`` and ``cache_requests`` are included so JSON
-        consumers (batch/bench payloads) never have to recompute them.
+        ``tuples_kept``, ``bound_skips`` and ``cache_requests`` are
+        included so JSON consumers (batch/bench payloads) never have to
+        recompute them.
         """
         data: Dict[str, float] = {f.name: getattr(self, f.name)
                                   for f in fields(self)}
         data["tuples_kept"] = self.tuples_kept
+        data["bound_skips"] = self.bound_skips
         data["cache_requests"] = self.cache_requests
         data["cache_hit_rate"] = self.cache_hit_rate
         return data

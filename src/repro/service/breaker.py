@@ -54,7 +54,7 @@ class CircuitBreaker:
         """May a new job be admitted right now?
 
         Transitions open → half-open once the reset window elapses, and
-        admits exactly one probe job while half-open.
+        lets exactly one probe job in while half-open.
         """
         if self.state == OPEN:
             if time.time() - self.opened_s >= self.reset_s:

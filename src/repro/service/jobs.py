@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 import time
 import uuid
 from collections import deque
@@ -145,8 +146,11 @@ class JobSpec:
             raise JobSpecError(f"unknown cost {cost!r}; expected one of "
                                f"{', '.join(_COSTS)}")
         k = payload.get("k", 2.0)
-        if not isinstance(k, (int, float)) or isinstance(k, bool) or k <= 0:
-            raise JobSpecError(f"'k' must be a positive number, got {k!r}")
+        # NaN, the infinities and ints beyond any float fail the bounds.
+        if (not isinstance(k, (int, float)) or isinstance(k, bool)
+                or not 0 < k <= sys.float_info.max):
+            raise JobSpecError(
+                f"'k' must be a positive finite number, got {k!r}")
         kernel = payload.get("kernel", "auto")
         if kernel not in KERNELS:
             raise JobSpecError(f"unknown kernel {kernel!r}; expected one "

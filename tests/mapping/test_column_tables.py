@@ -85,12 +85,6 @@ def test_rows_survive_growth_and_read_back_typed():
                           [t.wcost for t in tuples])
 
 
-def test_non_float_keys_are_kept_beside_the_column():
-    arena = Arena()
-    [row] = arena.append_tuples([_leaf_tuple("a")], keys=[(3.0, 1)])
-    assert arena.key(row) == (3.0, 1)
-
-
 def test_structures_rebuild_from_provenance_and_memoize():
     arena = Arena()
     a, b, c = arena.append_tuples([_leaf_tuple(x) for x in "abc"])
@@ -116,7 +110,7 @@ def test_a_table_is_a_row_range_followed_by_its_gate_row():
                                 disch=0, levels=0, p_dis=0, par_b=True,
                                 has_pi=True,
                                 structure=parallel(Leaf("a"), Leaf("b")))])]
-    table = TupleTable.from_slots(lambda t: t.wcost, True, slots,
+    table = TupleTable.from_slots(lambda wcost, levels: wcost, True, slots,
                                   arena=arena)
     assert (table.start, table.stop, len(arena)) == (1, 4, 5)
     assert [(shape, [t.wcost for t in ts]) for shape, ts in table.slots()] \

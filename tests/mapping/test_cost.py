@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.domino import Leaf
 from repro.mapping import AreaCost, ClockWeightedCost, CostModel, DepthCost
-from repro.mapping.tuples import MapTuple
-
-
-def make_tuple(wcost=1.0, levels=0):
-    return MapTuple(width=1, height=1, wcost=wcost, trans=1, disch=0,
-                    levels=levels, p_dis=0, par_b=False, has_pi=True,
-                    structure=Leaf("x"))
 
 
 class TestAreaCost:
@@ -23,7 +15,7 @@ class TestAreaCost:
 
     def test_key_is_wcost(self):
         model = AreaCost()
-        assert model.tuple_key(make_tuple(wcost=7.0)) == 7.0
+        assert model.tuple_key_metrics(7.0, 3) == 7.0
 
 
 class TestClockWeightedCost:
@@ -47,27 +39,38 @@ class TestClockWeightedCost:
         with pytest.raises(ValueError):
             CostModel(k_clock=-1)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"),
+                                   float("-inf")])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(ValueError, match="finite"):
+            ClockWeightedCost(k)
+        with pytest.raises(ValueError, match="finite"):
+            DepthCost(k_clock=k)
+
 
 class TestDepthCost:
     def test_levels_dominate(self):
         model = DepthCost(level_weight=10.0)
-        shallow = make_tuple(wcost=9.0, levels=1)
-        deep = make_tuple(wcost=1.0, levels=2)
-        assert model.tuple_key(shallow) < model.tuple_key(deep)
+        assert (model.tuple_key_metrics(9.0, 1)
+                < model.tuple_key_metrics(1.0, 2))
 
     def test_transistors_break_level_ties(self):
         model = DepthCost(level_weight=10.0)
-        a = make_tuple(wcost=3.0, levels=2)
-        b = make_tuple(wcost=5.0, levels=2)
-        assert model.tuple_key(a) < model.tuple_key(b)
+        assert (model.tuple_key_metrics(3.0, 2)
+                < model.tuple_key_metrics(5.0, 2))
 
-    def test_gate_key_consistent(self):
+    def test_key_prices_levels_and_transistors(self):
         model = DepthCost(level_weight=10.0)
-        assert model.gate_key(4.0, 2) == 24.0
+        assert model.tuple_key_metrics(4.0, 2) == 24.0
 
     def test_invalid_weight_rejected(self):
         with pytest.raises(ValueError):
             DepthCost(level_weight=0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            DepthCost(level_weight=weight)
 
     def test_repr_mentions_parameters(self):
         assert "level_weight" in repr(DepthCost())

@@ -2,11 +2,11 @@
 
 The engine forms every node of a kernel batch at once, as one column
 reduction over the batch's arena rows, whenever the cost model's
-``gate_key`` prices numpy columns elementwise, and one row at a time
+selection key prices numpy columns elementwise, and one row at a time
 otherwise.  Both must choose what the one-node-at-a-time
 ``_form_gate`` loop below (kept here as the oracle) chooses: the first
-tuple, in slot order, of the least ``(gate_key(...), p_dis)``, with
-``wcost + overhead`` plus, under an ungrounded policy, ``p_dis``
+tuple, in slot order, of the least ``(tuple_key_metrics(...), p_dis)``,
+with ``wcost + overhead`` plus, under an ungrounded policy, ``p_dis``
 discharge transistors, in that association.  The gate row each node's
 fanouts see is checked the same way, sunk or fanout-amortized.
 """
@@ -44,7 +44,7 @@ def _oracle_form_gate(model, config, tuples):
             disch += t.p_dis
             trans += t.p_dis
         levels = t.levels + 1
-        key = (model.gate_key(wcost, levels), t.p_dis)
+        key = (model.tuple_key_metrics(wcost, levels), t.p_dis)
         if best_key is None or key < best_key:
             best_key = key
             best = (index, wcost, trans, disch, levels, t.has_pi)
@@ -62,10 +62,10 @@ def _oracle_gate_input(model, wcost, trans, disch, levels, share):
 # ---------------------------------------------------------------------------
 # random tables
 # ---------------------------------------------------------------------------
-class _ScalarGateKey(DepthCost):
-    """``gate_key`` with a Python branch: numpy columns fail the probe."""
+class _ScalarKey(DepthCost):
+    """A key with a Python branch: numpy columns fail the probe."""
 
-    def gate_key(self, wcost, levels):
+    def tuple_key_metrics(self, wcost, levels):
         return (self.level_weight * levels + wcost if levels > 1
                 else wcost + 0.5)
 
@@ -122,8 +122,8 @@ def _form(model, config, batch):
                            for i, row in enumerate(rows)])
                   for shape, rows in zip([(1, 1), (2, 1), (1, 2), (2, 2)],
                                          slots)]
-        tables.append(TupleTable.from_slots(model.tuple_key, True, shaped,
-                                            arena=engine.arena))
+        tables.append(TupleTable.from_slots(model.tuple_key_metrics, True,
+                                            shaped, arena=engine.arena))
         contents.append([t for _, ts in shaped for t in ts])
         engine._share[uid] = share
         uids.append(uid)
@@ -165,27 +165,27 @@ def test_column_gate_formation_matches_the_scalar_oracle(model_name, policy,
     model = MODELS[model_name]
     config = MapperConfig(pbe_aware=pbe, ground_policy=policy, pareto=True)
     engine, contents, got = _form(model, config, batch)
-    assert engine._gate_columns
+    assert engine._key_columns
     assert got == _expected(model, config, batch, contents)
 
 
 @pytest.mark.parametrize("policy", GROUND_POLICIES)
 @settings(max_examples=30, deadline=None)
 @given(batch=_BATCH)
-def test_gate_key_failing_the_probe_takes_the_scalar_path(policy, batch):
-    model = _ScalarGateKey(level_weight=2.5)
+def test_key_failing_the_probe_takes_the_scalar_path(policy, batch):
+    model = _ScalarKey(level_weight=2.5)
     config = MapperConfig(pbe_aware=True, ground_policy=policy, pareto=True)
     engine, contents, got = _form(model, config, batch)
-    assert not engine._gate_columns
+    assert not engine._key_columns
     assert got == _expected(model, config, batch, contents)
 
 
-def test_a_nan_gate_key_falls_back_to_the_scalar_loop():
+def test_a_nan_key_falls_back_to_the_scalar_loop():
     """NaN keys compare as the scalar loop does, not as a column min."""
     np = pytest.importorskip("numpy")
 
     class NanKey(CostModel):
-        def gate_key(self, wcost, levels):
+        def tuple_key_metrics(self, wcost, levels):
             # elementwise, and NaN at levels 2 (0 * inf)
             return wcost + (levels - 2) * float("inf")
 
@@ -197,7 +197,7 @@ def test_a_nan_gate_key_falls_back_to_the_scalar_loop():
                      has_pi=False, par_b=False)]], 1)]
     with np.errstate(invalid="ignore"):
         engine, contents, got = _form(model, config, batch)
-    assert engine._gate_columns
+    assert engine._key_columns
     # the first row's key is NaN: no later key compares below it
     assert got[0][0][0] == 0
     assert got == _expected(model, config, batch, contents)

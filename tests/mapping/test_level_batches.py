@@ -170,7 +170,8 @@ def _node_by_node_cache_counts(engine):
                                                          NodeType.OR):
             continue
         if cache.fetch(engine._cache_prefix, sig, network, uid,
-                       engine.model.tuple_key, engine.config.pareto) is None:
+                       engine.model.tuple_key_metrics,
+                       engine.config.pareto) is None:
             cache.put(engine._cache_prefix, sig, network, uid,
                       engine._tables[uid])
     return cache.hits, cache.misses

@@ -17,13 +17,14 @@ Three layers of checks:
   lives in ``test_lazy_equivalence.py``, which runs every pinned seed
   digest under both kernels).
 * **Resolution edges** — auto-kernel routing, the vectorizability
-  fallback (custom ``tuple_key`` -> reference kernel +
+  fallback (a key that is not elementwise -> reference kernel +
   ``kernel_fallbacks``), and ``kernel="soa"`` without numpy being a
   hard :class:`MappingError` rather than a silent downgrade.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -38,8 +39,7 @@ from repro.errors import MappingError  # noqa: E402
 from repro.mapping import CostModel, DepthCost, MapperConfig  # noqa: E402
 from repro.mapping import MappingEngine, map_network  # noqa: E402
 from repro.mapping.kernel import (AUTO_THRESHOLD, AutoKernel,  # noqa: E402
-                                  ReferenceKernel, metric_fast_path,
-                                  resolve_kernel)
+                                  ReferenceKernel, resolve_kernel)
 from repro.mapping.soa import SoAKernel, _key_cols  # noqa: E402
 from repro.mapping.tuples import Arena, MapTuple, TupleTable  # noqa: E402
 from repro.network import network_from_expression  # noqa: E402
@@ -52,8 +52,7 @@ from repro.synth import decompose, sweep, unate_with_sweep  # noqa: E402
 # ---------------------------------------------------------------------------
 def _fake_engine(config: MapperConfig, model: CostModel):
     return SimpleNamespace(config=config, model=model,
-                           stats=MappingStats(),
-                           _metric_key=metric_fast_path(model))
+                           stats=MappingStats())
 
 
 def _random_tuple(rng: random.Random, idx: int, config: MapperConfig,
@@ -99,7 +98,8 @@ def _run_both(config, model, view_a, view_b, is_or, max_front=4):
         arena = Arena()
         rows_a = arena.append_tuples(view_a)
         rows_b = arena.append_tuples(view_b)
-        table = TupleTable(key_fn=model.tuple_key, pareto=config.pareto,
+        table = TupleTable(key_fn=model.tuple_key_metrics,
+                           pareto=config.pareto,
                            max_front=max_front, arena=arena)
         kernel.combine_many([(table, is_or, rows_a, rows_b)])
         kernel.finalize()
@@ -482,23 +482,23 @@ def test_auto_kernel_mixes_both_kernels_on_real_circuit():
     assert 0 < r.stats.soa_batches < r.stats.combine_calls
 
 
-def test_custom_tuple_key_falls_back_to_reference():
-    class OpaqueModel(CostModel):
-        def tuple_key(self, t):  # overrides the base delegation
-            return (t.wcost, t.levels)
+def test_non_elementwise_key_falls_back_to_reference():
+    class BranchingModel(CostModel):
+        def tuple_key_metrics(self, wcost, levels):  # a Python branch
+            return wcost if levels < 2 else wcost + 1.0
 
     r = map_network(network_from_expression("(a + b) * (c + d)"),
-                    cost_model=OpaqueModel(),
+                    cost_model=BranchingModel(),
                     config=MapperConfig(kernel="soa"))
     assert r.mapping.kernel == "reference"
     assert r.stats.kernel_fallbacks == 1
     assert r.stats.soa_batches == 0
 
 
-def test_custom_tuple_key_auto_falls_back_with_counter():
+def test_non_elementwise_key_auto_falls_back_with_counter():
     class FractionalModel(CostModel):
-        def tuple_key(self, t):  # fanout-amortized fractional key
-            return t.wcost + t.levels / 7.0
+        def tuple_key_metrics(self, wcost, levels):  # scalars only
+            return math.fsum((wcost, levels / 7.0))
 
     r = map_network(network_from_expression("(a + b) * (c + d) + e"),
                     cost_model=FractionalModel(),
@@ -526,15 +526,15 @@ def test_soa_without_numpy_is_hard_error(monkeypatch):
 def test_resolve_kernel_shapes():
     engine = SimpleNamespace(config=MapperConfig(kernel="reference"),
                              model=CostModel(), stats=MappingStats(),
-                             _metric_key=None)
+                             _key_columns=True)
     assert isinstance(resolve_kernel(engine), ReferenceKernel)
     engine = SimpleNamespace(config=MapperConfig(kernel="soa"),
                              model=CostModel(), stats=MappingStats(),
-                             _metric_key=None)
+                             _key_columns=True)
     assert isinstance(resolve_kernel(engine), SoAKernel)
     engine = SimpleNamespace(config=MapperConfig(kernel="auto"),
                              model=CostModel(), stats=MappingStats(),
-                             _metric_key=None)
+                             _key_columns=True)
     assert isinstance(resolve_kernel(engine), AutoKernel)
 
 

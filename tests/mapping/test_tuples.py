@@ -10,8 +10,8 @@ def make_tuple(w=1, h=1, wcost=1.0, p_dis=0, par_b=False):
                     has_pi=True, structure=Leaf("x"))
 
 
-def key(t):
-    return t.wcost
+def key(wcost, levels):
+    return wcost
 
 
 class TestSingleBestMode:
@@ -74,37 +74,15 @@ class TestParetoMode:
         assert len(table.get(1, 1)) == 3
 
 
-class TestAdmitsFastPath:
-    """admits() must answer exactly what insert() would decide."""
-
-    def test_empty_slot_admits(self):
-        assert TupleTable(key).admits((1, 1), 9.0, p_dis=5)
-
-    def test_single_mode_matches_insert(self):
-        table = TupleTable(key)
-        table.insert(make_tuple(wcost=3.0, p_dis=1))
-        cases = [(2.0, 0), (2.0, 2), (3.0, 0), (3.0, 1), (3.0, 2), (4.0, 0)]
-        for wcost, p_dis in cases:
-            predicted = table.admits((1, 1), wcost, p_dis)
-            assert predicted == _fresh(table).insert(
-                make_tuple(wcost=wcost, p_dis=p_dis))
-
-    def test_pareto_mode_matches_insert(self):
-        table = TupleTable(key, pareto=True)
-        table.insert(make_tuple(wcost=3.0, p_dis=2))
-        table.insert(make_tuple(wcost=5.0, p_dis=0))
-        cases = [(2.0, 3), (4.0, 1), (4.0, 2), (5.0, 1), (6.0, 0), (6.0, 3)]
-        for wcost, p_dis in cases:
-            predicted = table.admits((1, 1), wcost, p_dis)
-            assert predicted == _fresh(table).insert(
-                make_tuple(wcost=wcost, p_dis=p_dis))
+class TestStoredKeys:
+    """A row's key is computed once, from ``(wcost, levels)``."""
 
     def test_key_cached_not_recomputed(self):
         calls = []
 
-        def counting_key(t):
-            calls.append(t)
-            return t.wcost
+        def counting_key(wcost, levels):
+            calls.append(wcost)
+            return wcost
 
         table = TupleTable(counting_key)
         table.insert(make_tuple(wcost=3.0))
@@ -115,14 +93,9 @@ class TestAdmitsFastPath:
         assert len(calls) == 2
 
     def test_insert_accepts_precomputed_key(self):
-        def exploding_key(t):
+        def exploding_key(wcost, levels):
             raise AssertionError("key_fn must not be called")
 
         table = TupleTable(exploding_key)
         assert table.insert(make_tuple(wcost=3.0), key=3.0)
 
-
-def _fresh(table):
-    """A throwaway copy of ``table`` with the same contents."""
-    return TupleTable.from_slots(table.key_fn, table.pareto, table.slots(),
-                                 max_front=table.max_front)

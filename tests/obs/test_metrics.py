@@ -97,7 +97,7 @@ def test_merge_rejects_kind_and_bucket_conflicts():
 
 def test_mapping_stats_round_trip_through_registry():
     stats = MappingStats(tuples_created=100, tuples_pruned=40,
-                         bound_skips=25, combine_calls=80,
+                         combine_calls=80,
                          gate_formations=30, cache_hits=5, cache_misses=3,
                          nodes_processed=30, node_time_s=0.25,
                          max_node_time_s=0.02)

@@ -1,5 +1,7 @@
 """JobSpec validation and JobQueue fairness/priority/quota semantics."""
 
+import json
+
 import pytest
 
 from repro.service import Job, JobQueue, JobSpec, JobSpecError
@@ -41,12 +43,23 @@ class TestJobSpec:
         ({"circuits": ["mux"], "cost": "nope"}, "unknown cost"),
         ({"circuits": ["mux"], "kernel": "nope"}, "unknown kernel"),
         ({"circuits": ["mux"], "k": -1}, "'k'"),
+        ({"circuits": ["mux"], "k": 0}, "'k'"),
+        ({"circuits": ["mux"], "k": float("nan")}, "'k'"),
+        ({"circuits": ["mux"], "k": float("inf")}, "'k'"),
+        ({"circuits": ["mux"], "k": 10 ** 400}, "'k'"),
         ({"circuits": ["mux"], "tenant": ""}, "tenant"),
         ({"circuits": ["mux"], "priority": "high"}, "priority"),
         ({"circuits": ["mux"], "bogus": 1}, "unknown job field"),
     ])
     def test_invalid_payloads(self, payload, needle):
         with pytest.raises(JobSpecError, match=needle):
+            JobSpec.from_payload(payload)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_k_rejected(self, literal):
+        # Python's json module parses these non-standard literals
+        payload = json.loads(f'{{"circuits": ["mux"], "k": {literal}}}')
+        with pytest.raises(JobSpecError, match="positive finite"):
             JobSpec.from_payload(payload)
 
 

@@ -237,3 +237,20 @@ def test_error_reported_cleanly(capsys):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "cm150", "--cost", "clock", "-k", "nan"],
+    ["map", "cm150", "--cost", "clock", "-k", "inf"],
+    ["map", "cm150", "--cost", "clock", "-k", "0"],
+    ["map", "cm150", "-k", "x"],
+    ["batch", "cm150", "--cost", "clock", "-k", "nan"],
+    ["metrics", "cm150", "--cost", "clock", "-k", "-inf"],
+])
+def test_bad_clock_weight_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument -k:" in err
+    assert "Traceback" not in err
