@@ -110,7 +110,10 @@ def read_bench(source: Union[str, TextIO], name: str = "",
         node_type, args, gate_line = gates[signal]
         fanins = [build(a, gate_line) for a in args]
         resolving[signal] = 0
-        ids[signal] = network.add_gate(node_type, fanins, signal)
+        try:
+            ids[signal] = network.add_gate(node_type, fanins, signal)
+        except ValueError as exc:  # a fanin count the gate type forbids
+            raise ParseError(str(exc), filename, gate_line) from None
         return ids[signal]
 
     import sys

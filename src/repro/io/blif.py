@@ -55,7 +55,7 @@ def read_blif(source: Union[str, TextIO], name: str = "",
             pending = ""
         else:
             lines.append((lineno, line))
-    if pending:
+    if pending.strip():
         lines.append((pending_line, pending))
 
     model_name = name
@@ -107,6 +107,9 @@ def read_blif(source: Union[str, TextIO], name: str = "",
             if len(tokens) != 2:
                 raise ParseError(f"bad cover row {line!r}", filename, lineno)
             cube, out = tokens
+            if out not in ("0", "1"):
+                raise ParseError(f"bad output phase {out!r}",
+                                 filename, lineno)
             if len(cube) != len(current.inputs):
                 raise ParseError(
                     f"cube width {len(cube)} != {len(current.inputs)} inputs",

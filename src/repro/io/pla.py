@@ -13,6 +13,23 @@ from ..errors import ParseError
 from ..network import LogicNetwork
 
 
+#: Largest ``.i``/``.o`` count accepted: far above any real PLA, and a
+#: bound on the labels and nodes a bogus count alone makes the reader build.
+_MAX_COLUMNS = 1 << 16
+
+
+def _count(tokens: List[str], filename: str, lineno: int) -> int:
+    """The count argument of a ``.i``/``.o`` directive."""
+    try:
+        value = int(tokens[1]) if len(tokens) == 2 else -1
+    except ValueError:
+        value = -1
+    if not 0 <= value <= _MAX_COLUMNS:
+        raise ParseError(f"{tokens[0]} needs one count in 0..{_MAX_COLUMNS}",
+                         filename, lineno)
+    return value
+
+
 def read_pla(source: Union[str, TextIO], name: str = "pla",
              filename: str = "<string>") -> LogicNetwork:
     """Parse PLA text (string or file object) into a network."""
@@ -35,9 +52,9 @@ def read_pla(source: Union[str, TextIO], name: str = "pla",
         tokens = line.split()
         key = tokens[0]
         if key == ".i":
-            num_in = int(tokens[1])
+            num_in = _count(tokens, filename, lineno)
         elif key == ".o":
-            num_out = int(tokens[1])
+            num_out = _count(tokens, filename, lineno)
         elif key == ".ilb":
             in_labels = tokens[1:]
         elif key == ".ob":

@@ -99,6 +99,9 @@ class FlowResult:
     #: the run's :class:`~repro.obs.MetricsRegistry`; ``stats`` is
     #: re-derivable from it (``metrics.mapping_stats()``)
     metrics: Optional[object] = None
+    #: the unate network the DP mapped (with ``unate_report``, the
+    #: front-end result another flow can start from via ``prepared=``)
+    unate_network: Optional[LogicNetwork] = None
 
     @property
     def circuit(self):
@@ -198,7 +201,10 @@ def map_network(network: LogicNetwork,
                 passes: Optional[Sequence[str]] = None,
                 checkpoint_dir: Optional[str] = None,
                 tracer=None,
-                metrics=None) -> FlowResult:
+                metrics=None,
+                prepared: Optional[Tuple[LogicNetwork,
+                                         Optional[UnateReport]]] = None
+                ) -> FlowResult:
     """Map ``network`` end-to-end: the unified entry point.
 
     Parameters
@@ -236,6 +242,13 @@ def map_network(network: LogicNetwork,
         :attr:`FlowResult.metrics`.  The run's
         :class:`~repro.pipeline.MappingStats` counters are published
         into it, so summaries can be re-derived from the registry.
+    prepared:
+        Optional ``(unate_network, unate_report)``: the synthesis front
+        end's result for ``network``, as :func:`prepare_network` or an
+        earlier run's :attr:`FlowResult.unate_network` /
+        :attr:`FlowResult.unate_report` give it.  The front-end passes
+        then skip and the DP maps that network.  The front end reads
+        only the network, so one result serves every flow and config.
     """
     if isinstance(flow, CostModel):
         # removed in 0.5 (was a pre-1.1 deprecation shim): the second
@@ -256,6 +269,9 @@ def map_network(network: LogicNetwork,
                                   flow=flow or "custom", cache=cache,
                                   stats=stats, tracer=tracer,
                                   metrics=metrics)
+    if prepared is not None:
+        ctx.set("unate_network", prepared[0])
+        ctx.set("unate_report", prepared[1])
     checkpoint = (FlowCheckpoint(checkpoint_dir)
                   if checkpoint_dir is not None else None)
     with tracer.span(f"flow:{network.name}", category="flow",
@@ -269,7 +285,8 @@ def map_network(network: LogicNetwork,
                       elapsed_s=time.perf_counter() - started,
                       passes=records,
                       trace=flow_span,
-                      metrics=metrics)
+                      metrics=metrics,
+                      unate_network=ctx.artifacts.get("unate_network"))
 
 
 def domino_map(network: LogicNetwork,

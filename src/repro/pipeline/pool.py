@@ -40,7 +40,7 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -286,8 +286,16 @@ class WorkerPool:
         def submit(index: int, count_attempt: bool = True) -> None:
             if count_attempt:
                 attempts[index] += 1
-            inflight.append((index, pool.submit(_pool_execute, tasks[index],
-                                                attempts[index])))
+            try:
+                future = pool.submit(_pool_execute, tasks[index],
+                                     attempts[index])
+            except BrokenExecutor as exc:
+                # a worker died since an earlier submission: hold the
+                # failure as this task's future, so the BrokenExecutor
+                # path below rebuilds the pool and resubmits the task
+                future = Future()
+                future.set_exception(exc)
+            inflight.append((index, future))
 
         def schedule_retry(index: int, reason: str) -> None:
             delay = self._backoff_s(tasks[index].label, attempts[index],

@@ -59,7 +59,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..domino.circuit import CircuitCost
 from ..errors import ParseError, WorkerCrashError, is_retryable
@@ -74,6 +74,7 @@ from ..resilience.faults import (
     fire,
     install,
 )
+from ..synth import UnateReport
 from .cache import TreeCache
 from .metrics import MappingStats
 from .pool import WorkerPool
@@ -235,56 +236,90 @@ def _load_network(source: str):
     return load_circuit(source)
 
 
-#: Per-process memo of parsed/generated networks, so retries of the same
-#: task — and warm-pool re-runs of the same circuit — skip the parse.
-#: Safe because the mapping flow never mutates its input network (every
-#: front-end pass returns a fresh network).  Bounded LRU.
-_NETWORK_MEMO: "OrderedDict[object, LogicNetwork]" = OrderedDict()
-_NETWORK_MEMO_MAX = 256
-_network_memo_hits = 0
-_network_memo_misses = 0
+@dataclass
+class _MemoEntry:
+    """One memoized circuit source: its parsed network and, once a task
+    has run the synthesis front end on it, ``(unate_network,
+    unate_report)`` — the input every flow maps."""
+
+    network: LogicNetwork
+    prepared: Optional[Tuple[LogicNetwork, Optional[UnateReport]]] = None
 
 
-def _network_memo_key(source: str):
-    """Memo key for a circuit source; files key on (path, mtime, size)
-    so an edited file re-parses, ``None`` marks unkeyable sources."""
-    if source.endswith((".bench", ".blif", ".pla")):
-        try:
-            stat = os.stat(source)
-        except OSError:
-            return None  # let the loader raise its structured error
-        return (source, stat.st_mtime_ns, stat.st_size)
-    return source
+class _NetworkMemo:
+    """Per-process LRU memo of circuit sources.
+
+    Retries of a task, the other flows of the same circuit and warm-pool
+    re-runs skip the parse, and all but the first skip the synthesis
+    front end too.  Sharing is safe because the mapping flow never
+    mutates a network it is handed (every front-end pass returns a fresh
+    network, and the DP only reads the unate network), and the front
+    end reads nothing but the network, so one prepared network serves
+    every :class:`MapperConfig` and cost model.
+    """
+
+    def __init__(self, max_entries: int = 256):
+        self.max_entries = max_entries
+        self.entries: "OrderedDict[object, _MemoEntry]" = OrderedDict()
+        self.clear()
+
+    @staticmethod
+    def key(source: str):
+        """Memo key for a circuit source; files key on (path, mtime,
+        size) so an edited file re-parses, ``None`` marks unkeyable
+        sources."""
+        if source.endswith((".bench", ".blif", ".pla")):
+            try:
+                stat = os.stat(source)
+            except OSError:
+                return None  # let the loader raise its structured error
+            return (source, stat.st_mtime_ns, stat.st_size)
+        return source
+
+    def entry(self, source: str) -> _MemoEntry:
+        """The memo entry of ``source``, parsing it on a miss.  A source
+        that fails to load raises and leaves no entry."""
+        key = self.key(source)
+        entry = self.entries.get(key) if key is not None else None
+        if entry is not None:
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return entry
+        entry = _MemoEntry(_load_network(source))
+        self.misses += 1
+        if key is not None:
+            self.entries[key] = entry
+            while len(self.entries) > self.max_entries:
+                self.entries.popitem(last=False)
+        return entry
+
+    def stats(self) -> Dict[str, int]:
+        return {"entries": len(self.entries), "hits": self.hits,
+                "misses": self.misses, "frontend_hits": self.frontend_hits,
+                "frontend_misses": self.frontend_misses}
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.hits = self.misses = 0
+        self.frontend_hits = self.frontend_misses = 0
+
+
+_NETWORK_MEMO = _NetworkMemo()
 
 
 def load_network_cached(source: str) -> LogicNetwork:
     """:func:`_load_network` with the per-process memo in front."""
-    global _network_memo_hits, _network_memo_misses
-    key = _network_memo_key(source)
-    if key is not None and key in _NETWORK_MEMO:
-        _NETWORK_MEMO.move_to_end(key)
-        _network_memo_hits += 1
-        return _NETWORK_MEMO[key]
-    network = _load_network(source)
-    _network_memo_misses += 1
-    if key is not None:
-        _NETWORK_MEMO[key] = network
-        while len(_NETWORK_MEMO) > _NETWORK_MEMO_MAX:
-            _NETWORK_MEMO.popitem(last=False)
-    return network
+    return _NETWORK_MEMO.entry(source).network
 
 
 def network_memo_stats() -> Dict[str, int]:
-    """This process's parse-memo counters (observable warmth)."""
-    return {"entries": len(_NETWORK_MEMO), "hits": _network_memo_hits,
-            "misses": _network_memo_misses}
+    """This process's memo counters (observable warmth): parse
+    ``hits``/``misses`` and synthesis ``frontend_hits``/``frontend_misses``."""
+    return _NETWORK_MEMO.stats()
 
 
 def clear_network_memo() -> None:
-    global _network_memo_hits, _network_memo_misses
     _NETWORK_MEMO.clear()
-    _network_memo_hits = 0
-    _network_memo_misses = 0
 
 
 def execute_task(task: BatchTask, cache: Optional[TreeCache] = None,
@@ -326,11 +361,18 @@ def execute_task(task: BatchTask, cache: Optional[TreeCache] = None,
             if fire("parse.fail", task.circuit, tracer, metrics) is not None:
                 raise ParseError("injected parse failure",
                                  filename=task.circuit)
-            network = load_network_cached(task.circuit)
-            result = map_network(network, flow=task.flow,
+            entry = _NETWORK_MEMO.entry(task.circuit)
+            if entry.prepared is None:
+                _NETWORK_MEMO.frontend_misses += 1
+            else:
+                _NETWORK_MEMO.frontend_hits += 1
+            result = map_network(entry.network, flow=task.flow,
                                  cost_model=task.cost_model,
                                  config=task.config, cache=cache,
-                                 tracer=tracer, metrics=metrics)
+                                 tracer=tracer, metrics=metrics,
+                                 prepared=entry.prepared)
+            if entry.prepared is None:
+                entry.prepared = (result.unate_network, result.unate_report)
         return BatchResult(task=task, cost=result.cost, stats=result.stats,
                            digest=result.circuit.digest(),
                            pass_times=result.pass_times(),

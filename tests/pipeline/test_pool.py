@@ -1,5 +1,8 @@
 """WorkerPool: warm reuse across batches, lifecycle, runner integration."""
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro import BatchRunner, WorkerPool
@@ -111,6 +114,57 @@ class TestRunnerPoolIntegration:
             report = runner.run(_tasks())
             assert report.mode == "serial"
             assert runner.pool is None
+
+
+class _DiesOnFirstTask:
+    """An executor whose worker dies running the first task before the
+    second is submitted: the first future fails with
+    ``BrokenProcessPool`` and every later ``submit`` raises it, as a
+    broken ``ProcessPoolExecutor`` does."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits > 1:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker exited"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenSubmit:
+    def test_submit_into_broken_executor_rebuilds_the_pool(self,
+                                                           monkeypatch):
+        """A crash that breaks the executor between two submissions must
+        take the rebuild path, not degrade every task to serial."""
+        tasks = BatchRunner.sweep_tasks(circuits=["mux", "cm150"])
+        serial = BatchRunner(max_workers=1).run(tasks)
+        build = WorkerPool._build
+        stubs = []
+
+        def first_build_dies(self, plan):
+            if not stubs:
+                stubs.append(_DiesOnFirstTask())
+                return stubs[0]
+            return build(self, plan)
+
+        monkeypatch.setattr(WorkerPool, "_build", first_build_dies)
+        with BatchRunner(max_workers=2, retries=1,
+                         backoff_base_s=0.0) as runner:
+            report = runner.run(tasks)
+        assert stubs[0].submits == 2
+        assert report.ok
+        kinds = [e["kind"] for e in report.events]
+        assert "pool_rebuild" in kinds
+        assert "serial_fallback" not in kinds
+        assert all(r.mode == "pool" for r in report.results)
+        assert ([r.digest for r in report.results]
+                == [r.digest for r in serial.results])
 
 
 class TestNetworkMemo:

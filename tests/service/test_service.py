@@ -7,6 +7,7 @@ import pytest
 
 from repro import BatchRunner
 from repro.obs import batch_report
+from repro.pipeline.runner import clear_network_memo
 from repro.service import (
     MappingService,
     ServiceClient,
@@ -82,6 +83,30 @@ class TestWarmth:
         for a, b in zip(first["results"], second["results"]):
             assert a["digest"] == b["digest"]
         assert service.pool.pools_built == 1
+
+    def test_repeat_job_maps_the_memoized_unate_network(self):
+        # max_workers=1 maps in-process, where this test reads the memo
+        clear_network_memo()
+        service = MappingService(max_workers=1)
+        handle = start_in_thread(service)
+        try:
+            client = ServiceClient(port=handle.port)
+            first = _submit_and_wait(client, {"circuits": ["mux"]})
+            second = _submit_and_wait(client, {"circuits": ["mux"]})
+        finally:
+            handle.stop()
+            clear_network_memo()
+        before = first["result"]["cache"]["network_memo"]
+        after = second["result"]["cache"]["network_memo"]
+        assert after["frontend_hits"] - before["frontend_hits"] == 1
+        assert after["frontend_misses"] == before["frontend_misses"] == 1
+        ran = [set(r["result"]["results"][0]["timings"]["passes"])
+               for r in (first, second)]
+        frontend = {"decompose", "sweep", "unate"}
+        assert frontend <= ran[0]
+        assert not frontend & ran[1]    # skipped: timings list passes run
+        assert (second["result"]["results"][0]["digest"]
+                == first["result"]["results"][0]["digest"])
 
     def test_fresh_memory_tier_hits_persistent_store(self, tmp_path):
         db = str(tmp_path / "cones.sqlite")

@@ -29,9 +29,8 @@ from repro.synth import decompose, sweep, unate_with_sweep
 DATA = Path(__file__).resolve().parents[1] / "data" / "prepared_networks.json"
 
 
-def prepared_digest(name: str) -> str:
-    """sha256 over the prepared network and unate report of ``name``."""
-    network, report = unate_with_sweep(sweep(decompose(load_circuit(name))))
+def fingerprint(network, report) -> str:
+    """sha256 over a prepared network and its unate report."""
     payload = {
         "nodes": [[n.uid, n.type.value, list(n.fanins), n.name]
                   for n in network],
@@ -42,6 +41,12 @@ def prepared_digest(name: str) -> str:
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def prepared_digest(name: str) -> str:
+    """The :func:`fingerprint` of ``name``'s front-end output."""
+    return fingerprint(
+        *unate_with_sweep(sweep(decompose(load_circuit(name)))))
 
 
 def combined_digest(digests) -> str:
