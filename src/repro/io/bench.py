@@ -58,6 +58,14 @@ def read_bench(source: Union[str, TextIO], name: str = "",
     outputs: List[str] = []
     gates: Dict[str, Tuple[NodeType, List[str], int]] = {}
     dff_pairs: List[Tuple[str, str]] = []  # (q_name, d_signal)
+    defined: Dict[str, int] = {}  # input, DFF or gate output -> its line
+
+    def define(signal: str, lineno: int) -> None:
+        if signal in defined:
+            raise ParseError(
+                f"signal {signal!r} defined twice (first on line "
+                f"{defined[signal]})", filename, lineno)
+        defined[signal] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -68,6 +76,7 @@ def read_bench(source: Union[str, TextIO], name: str = "",
             raise ParseError(f"cannot parse line {raw!r}", filename, lineno)
         if m.group("io"):
             if m.group("io").upper() == "INPUT":
+                define(m.group("io_name"), lineno)
                 inputs.append(m.group("io_name"))
             else:
                 outputs.append(m.group("io_name"))
@@ -79,12 +88,12 @@ def read_bench(source: Union[str, TextIO], name: str = "",
             if len(args) != 1:
                 raise ParseError(f"DFF takes one input, got {args}",
                                  filename, lineno)
+            define(lhs, lineno)
             dff_pairs.append((lhs, args[0]))
             continue
         if op not in _GATE_TYPES:
             raise ParseError(f"unknown gate type {op!r}", filename, lineno)
-        if lhs in gates:
-            raise ParseError(f"signal {lhs!r} defined twice", filename, lineno)
+        define(lhs, lineno)
         gates[lhs] = (_GATE_TYPES[op], args, lineno)
 
     network = LogicNetwork(name or filename)

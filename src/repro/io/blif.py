@@ -64,6 +64,14 @@ def read_blif(source: Union[str, TextIO], name: str = "",
     covers: List[_Cover] = []
     latches: List[Tuple[str, str]] = []  # (data_in, q_out)
     current: Optional[_Cover] = None
+    defined: Dict[str, int] = {}  # input, latch or cover output -> its line
+
+    def define(signal: str, lineno: int) -> None:
+        if signal in defined:
+            raise ParseError(
+                f"signal {signal!r} defined twice (first on line "
+                f"{defined[signal]})", filename, lineno)
+        defined[signal] = lineno
 
     for lineno, line in lines:
         tokens = line.split()
@@ -73,6 +81,8 @@ def read_blif(source: Union[str, TextIO], name: str = "",
         if key == ".model":
             model_name = model_name or (tokens[1] if len(tokens) > 1 else "")
         elif key == ".inputs":
+            for signal in tokens[1:]:
+                define(signal, lineno)
             inputs.extend(tokens[1:])
         elif key == ".outputs":
             outputs.extend(tokens[1:])
@@ -80,12 +90,14 @@ def read_blif(source: Union[str, TextIO], name: str = "",
             if len(tokens) < 2:
                 raise ParseError(".names needs at least an output",
                                  filename, lineno)
+            define(tokens[-1], lineno)
             current = _Cover(tokens[1:-1], tokens[-1], lineno)
             covers.append(current)
         elif key == ".latch":
             if len(tokens) < 3:
                 raise ParseError(".latch needs input and output",
                                  filename, lineno)
+            define(tokens[2], lineno)
             latches.append((tokens[1], tokens[2]))
         elif key == ".end":
             break
@@ -128,12 +140,7 @@ def read_blif(source: Union[str, TextIO], name: str = "",
     for _d, q in latches:
         ids[q] = network.add_pi(q)
 
-    by_output = {}
-    for cover in covers:
-        if cover.output in by_output:
-            raise ParseError(f"signal {cover.output!r} defined twice",
-                             filename, cover.lineno)
-        by_output[cover.output] = cover
+    by_output = {cover.output: cover for cover in covers}
 
     def build(signal: str, lineno: int, resolving: set) -> int:
         if signal in ids:

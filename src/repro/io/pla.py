@@ -13,6 +13,10 @@ from ..errors import ParseError
 from ..network import LogicNetwork
 
 
+#: Output-plane characters: ``1`` puts the cube in that output's on-set;
+#: ``0``/``~`` (off-set) and ``-``/``2`` (don't-care) leave it out.
+_OUTPUT_CHARS = frozenset("10~-2")
+
 #: Largest ``.i``/``.o`` count accepted: far above any real PLA, and a
 #: bound on the labels and nodes a bogus count alone makes the reader build.
 _MAX_COLUMNS = 1 << 16
@@ -57,6 +61,12 @@ def read_pla(source: Union[str, TextIO], name: str = "pla",
             num_out = _count(tokens, filename, lineno)
         elif key == ".ilb":
             in_labels = tokens[1:]
+            seen = set()
+            for label in in_labels:
+                if label in seen:
+                    raise ParseError(f"input {label!r} defined twice",
+                                     filename, lineno)
+                seen.add(label)
         elif key == ".ob":
             out_labels = tokens[1:]
         elif key in (".p", ".type", ".phase", ".pair", ".symbolic"):
@@ -75,7 +85,12 @@ def read_pla(source: Union[str, TextIO], name: str = "pla",
                 raise ParseError(
                     f"cube width {len(joined)} != .i + .o = "
                     f"{num_in + num_out}", filename, lineno)
-            rows.append((joined[:num_in], joined[num_in:], lineno))
+            outs = joined[num_in:]
+            for char in outs:
+                if char not in _OUTPUT_CHARS:
+                    raise ParseError(f"bad output-plane character {char!r}",
+                                     filename, lineno)
+            rows.append((joined[:num_in], outs, lineno))
 
     if num_in is None or num_out is None:
         raise ParseError("missing .i/.o declarations", filename)
@@ -120,9 +135,8 @@ def read_pla(source: Union[str, TextIO], name: str = "pla",
         terms: List[int] = []
         tautology = False
         for pattern, out_bits, lineno in rows:
-            bit = out_bits[out_index]
-            if bit in ("0", "~", "-"):
-                continue  # '0'/'~' in fr-type: not part of the on-set
+            if out_bits[out_index] != "1":
+                continue  # not part of this output's on-set
             term = build_cube(pattern, lineno)
             if term is None:
                 tautology = True

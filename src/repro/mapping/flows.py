@@ -96,8 +96,8 @@ class FlowResult:
     #: root :class:`~repro.obs.Span` of the run (pass spans nested
     #: inside, thresholded node spans under ``dp-map``)
     trace: Optional[object] = None
-    #: the run's :class:`~repro.obs.MetricsRegistry`; ``stats`` is
-    #: re-derivable from it (``metrics.mapping_stats()``)
+    #: the run's :class:`~repro.obs.MetricsRegistry`, into which
+    #: ``stats`` was published at the end of the run
     metrics: Optional[object] = None
     #: the unate network the DP mapped (with ``unate_report``, the
     #: front-end result another flow can start from via ``prepared=``)
@@ -241,7 +241,8 @@ def map_network(network: LogicNetwork,
         private registry is created otherwise and exposed on
         :attr:`FlowResult.metrics`.  The run's
         :class:`~repro.pipeline.MappingStats` counters are published
-        into it, so summaries can be re-derived from the registry.
+        into it once, at the end of the run; a registry shared by
+        several runs accumulates their sum.
     prepared:
         Optional ``(unate_network, unate_report)``: the synthesis front
         end's result for ``network``, as :func:`prepare_network` or an

@@ -39,8 +39,7 @@ topological level at a time: every AND/OR node of a level depends only
 on lower levels, so the level's uncached nodes reach the kernel
 together, cut into chunks under a fixed candidate budget, through
 :meth:`KernelProtocol.combine_many`.  :meth:`KernelProtocol.finalize`
-runs once after the DP; :meth:`KernelProtocol.stats` exposes
-per-kernel diagnostics for reports.
+runs once after the DP.
 """
 
 from __future__ import annotations
@@ -130,9 +129,6 @@ class KernelProtocol(Protocol):
     def finalize(self) -> None:
         """Flush any buffered per-run state (called once after the DP)."""
 
-    def stats(self) -> dict:
-        """Per-kernel diagnostics for reports (JSON-ready)."""
-
 
 class _Cand(NamedTuple):
     """A candidate the reference kernel keeps: the arena's tuple
@@ -192,9 +188,6 @@ class ReferenceKernel:
 
     def finalize(self) -> None:
         pass
-
-    def stats(self) -> dict:
-        return {"active": self.active}
 
     def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
         if not items:
@@ -487,14 +480,6 @@ class AutoKernel:
     def finalize(self) -> None:
         self._reference.finalize()
         self._soa.finalize()
-
-    def stats(self) -> dict:
-        routed = self._stats
-        return {"active": self.active,
-                "routed_soa": routed.auto_routed_soa,
-                "routed_reference": routed.auto_routed_reference,
-                **{k: v for k, v in self._soa.stats().items()
-                   if k != "active"}}
 
 
 def _soa_factory(engine):

@@ -166,9 +166,6 @@ class SoAKernel:
 
     def __init__(self):
         self._stats = None
-        self._batches = 0
-        self._candidates = 0
-        self._max_batch = 0
 
     def build(self, engine) -> None:
         self._stats = engine.stats
@@ -199,11 +196,6 @@ class SoAKernel:
 
     def finalize(self) -> None:
         pass
-
-    def stats(self) -> dict:
-        return {"active": self.active, "soa_batches": self._batches,
-                "soa_candidates": self._candidates,
-                "soa_max_batch": self._max_batch}
 
     # ------------------------------------------------------------------
     # the combine step
@@ -251,17 +243,13 @@ class SoAKernel:
 
     def _record(self, batch) -> None:
         stats = self._stats
-        self._batches += 1
         stats.soa_batches += 1
         if batch is None:
             return
         n = batch["n"]
-        self._candidates += n
         stats.soa_candidates += n
-        if n > self._max_batch:
-            self._max_batch = n
-            if n > stats.soa_max_batch:
-                stats.soa_max_batch = n
+        if n > stats.soa_max_batch:
+            stats.soa_max_batch = n
 
     def _count(self, n: int, pruned: int) -> None:
         stats = self._stats

@@ -8,8 +8,8 @@ layer every part of the mapping stack reports through:
   retroactive hot-path recording, cross-process tree stitching);
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with typed
   counters, gauges, and fixed-bucket histograms that merge
-  deterministically across batch workers, plus the bridge that keeps
-  :class:`~repro.pipeline.MappingStats` re-derivable from the registry;
+  deterministically across batch workers, plus the one-way export of
+  :class:`~repro.pipeline.MappingStats` into ``repro_mapping_*`` families;
 * :mod:`repro.obs.export` — JSONL spans, Chrome ``trace_event`` JSON
   (Perfetto / ``chrome://tracing``), Prometheus text exposition;
 * :mod:`repro.obs.report` — the shared JSON report schema behind

@@ -8,12 +8,11 @@ creation, which makes :meth:`MetricsRegistry.merge` deterministic:
 merging worker registries in any order yields identical counts, the
 property the batch pipeline's process-pool fan-out relies on.
 
-The registry is also the single source of truth behind
-:class:`~repro.pipeline.MappingStats`: a finished run publishes its
-stats into the registry (:meth:`record_mapping_stats`) and summaries
-re-derive them (:meth:`mapping_stats`), so the two surfaces cannot
-disagree.  ``obs/export.py`` renders a registry in Prometheus text
-exposition format.
+The registry is an export of :class:`~repro.pipeline.MappingStats`,
+not a second record of it: a finished run publishes its stats into the
+registry once (:meth:`record_mapping_stats`), and reports read the
+stats record itself.  ``obs/export.py`` renders a registry in
+Prometheus text exposition format.
 """
 
 from __future__ import annotations
@@ -241,7 +240,7 @@ class MetricsRegistry:
         return {name: metric.as_dict()
                 for name, metric in self._metrics.items()}
 
-    # -- the MappingStats bridge ----------------------------------------
+    # -- the MappingStats export ----------------------------------------
     def record_mapping_stats(self, stats: MappingStats,
                              prefix: str = MAPPING_STATS_PREFIX) -> None:
         """Publish a run's stats counters into the registry.
@@ -250,8 +249,9 @@ class MetricsRegistry:
         ``_total``) except the max-aggregated fields
         (:data:`~repro.pipeline.metrics.MAX_MERGED_FIELDS`, e.g.
         ``max_node_time_s``/``soa_max_batch``), which are max-mode
-        gauges.  Summary surfaces then re-derive their stats through
-        :meth:`mapping_stats`, keeping one source of truth.
+        gauges.  Publishing is one-way: the counters add up across every
+        run that shares the registry, so no run's stats are read back
+        from it.
         """
         for f in fields(stats):
             value = getattr(stats, f.name)
@@ -259,19 +259,6 @@ class MetricsRegistry:
                 self.gauge(f"{prefix}{f.name}", mode="max").set(value)
             else:
                 self.counter(f"{prefix}{f.name}_total").inc(value)
-
-    def mapping_stats(self,
-                      prefix: str = MAPPING_STATS_PREFIX) -> MappingStats:
-        """Re-derive a :class:`MappingStats` from the published counters."""
-        values: Dict[str, float] = {}
-        for f in fields(MappingStats):
-            if f.name in MAX_MERGED_FIELDS:
-                metric = self.get(f"{prefix}{f.name}")
-            else:
-                metric = self.get(f"{prefix}{f.name}_total")
-            raw = metric.value if metric is not None else 0
-            values[f.name] = raw if f.type in ("float", float) else int(raw)
-        return MappingStats(**values)
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._metrics)} metrics)"

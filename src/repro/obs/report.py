@@ -11,10 +11,11 @@ shapes.  Every report now shares the same top-level keys:
     The mapped circuit and flow preset (a single name for ``map``,
     the swept name lists for ``batch``/``bench``).
 ``stats``
-    :class:`~repro.pipeline.MappingStats` counters.  Re-derived from
-    the run's :class:`~repro.obs.MetricsRegistry` whenever one is
-    attached, so the summary API and the metrics registry cannot
-    disagree.
+    The run's :class:`~repro.pipeline.MappingStats` record
+    (``as_dict()``: every counter plus the derived ratios), or the
+    merge of the runs' records for ``batch``/``bench``.  The
+    :class:`~repro.obs.MetricsRegistry` only exports these counters; a
+    report never reads them back from it.
 ``timings``
     ``elapsed_s`` / ``wall_s`` plus a ``passes`` name→seconds map.
 
@@ -29,27 +30,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .metrics import MetricsRegistry
-
 #: Unified report format identifier; bump on breaking schema changes.
 REPORT_SCHEMA_VERSION = "soidomino-report/3"
 
 #: Top-level keys every report kind shares (tests pin these).
 SHARED_REPORT_KEYS = ("schema_version", "kind", "circuit", "flow",
                       "stats", "timings")
-
-
-def _stats_dict(stats, metrics: Optional[MetricsRegistry]) -> Optional[Dict]:
-    """The ``stats`` block: registry-derived whenever a registry exists.
-
-    The registry is authoritative — when a run carries one, its
-    published counters are what the report serializes, so the stable
-    :class:`MappingStats` summary and the metrics registry can never
-    disagree.  Runs without a registry fall back to the stats object.
-    """
-    if metrics is not None:
-        return metrics.mapping_stats().as_dict()
-    return stats.as_dict() if stats is not None else None
 
 
 def flow_report(result, *, cost_objective: Optional[str] = None,
@@ -68,15 +54,13 @@ def flow_report(result, *, cost_objective: Optional[str] = None,
         "kind": "map",
         "circuit": result.circuit.name,
         "flow": result.flow,
-        "stats": _stats_dict(result.stats, getattr(result, "metrics", None)),
+        "stats": result.stats.as_dict(),
         "kernel": {
             "requested": result.config.kernel,
             "active": result.mapping.kernel,
             "routed": {
-                "soa": (result.stats.auto_routed_soa
-                        if result.stats is not None else 0),
-                "reference": (result.stats.auto_routed_reference
-                              if result.stats is not None else 0),
+                "soa": result.stats.auto_routed_soa,
+                "reference": result.stats.auto_routed_reference,
             },
         },
         "timings": {
@@ -123,7 +107,7 @@ def batch_report(report, *,
             "circuit": r.task.circuit,
             "flow": r.task.flow,
             "ok": r.ok,
-            "stats": _stats_dict(r.stats, getattr(r, "metrics", None)),
+            "stats": r.stats.as_dict() if r.stats is not None else None,
             "timings": {
                 "elapsed_s": r.elapsed_s,
                 "passes": dict(r.pass_times or {}),
@@ -146,8 +130,7 @@ def batch_report(report, *,
         "kind": "batch",
         "circuit": circuits,
         "flow": flows,
-        "stats": _stats_dict(report.total_stats(),
-                             report.total_metrics() or None),
+        "stats": report.total_stats().as_dict(),
         "timings": {
             "wall_s": report.wall_s,
             "task_time_s": report.task_time_s,
@@ -178,13 +161,13 @@ def job_report(job) -> Dict[str, object]:
     }
 
 
-def extend_bench_payload(payload: Dict, *,
-                         metrics: Optional[MetricsRegistry] = None) -> Dict:
+def extend_bench_payload(payload: Dict, *, stats=None) -> Dict:
     """Graft the shared report header onto a bench payload, in place.
 
     The bench payload keeps its committed ``soidomino-bench/1`` schema
     (CI validates it; ``--baseline`` compares it) and additionally
     carries the unified header so all three CLI surfaces parse alike.
+    ``stats`` is the sweep's merged :class:`~repro.pipeline.MappingStats`.
     """
     aggregate = payload.get("aggregate", {})
     sweep = payload.get("sweep", {})
@@ -192,8 +175,7 @@ def extend_bench_payload(payload: Dict, *,
     payload["kind"] = "bench"
     payload["circuit"] = list(sweep.get("circuits", []))
     payload["flow"] = list(sweep.get("flows", []))
-    payload["stats"] = (metrics.mapping_stats().as_dict()
-                        if metrics is not None else None)
+    payload["stats"] = stats.as_dict() if stats is not None else None
     payload["timings"] = {
         "wall_s": payload.get("wall_s"),
         "task_time_s": aggregate.get("task_time_s"),

@@ -364,7 +364,6 @@ def run_bench(circuits: Optional[Sequence[str]] = None,
         tracer.attach(stitch("bench", repeat_trees, category="bench",
                              attributes={"tasks": len(tasks),
                                          "repeat": repeat}))
-    total_metrics = first.total_metrics()
 
     flow_list = list(dict.fromkeys(flows))
     payload = {
@@ -408,7 +407,7 @@ def run_bench(circuits: Optional[Sequence[str]] = None,
     }
     from ..obs import extend_bench_payload
 
-    return extend_bench_payload(payload, metrics=total_metrics)
+    return extend_bench_payload(payload, stats=first.total_stats())
 
 
 def attach_baseline(payload: Dict, baseline: Dict) -> Dict:

@@ -24,6 +24,19 @@ MAX_MERGED_FIELDS = ("max_node_time_s", "soa_max_batch")
 class MappingStats:
     """Counters for one mapping run (or an aggregate of several).
 
+    This record is the one source of the DP's work counters.  Reports
+    serialize it directly; the metrics registry is a one-way export
+    (``MetricsRegistry.record_mapping_stats``), never read back.
+
+    * The dataclass fields are the one counter list: :meth:`merge`,
+      ``FlowContext.stats_delta`` and the registry publish all
+      enumerate them.
+    * :attr:`tuples_kept`, :attr:`bound_skips`, :attr:`cache_requests`
+      and :attr:`cache_hit_rate` are derived properties that appear
+      only in JSON (:meth:`as_dict`, :meth:`summary`).  ``bound_skips``
+      stays because the staged benchmark and the ``BENCH_mapping.json``
+      rows read it.
+
     Attributes
     ----------
     tuples_created:

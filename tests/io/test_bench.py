@@ -106,3 +106,16 @@ def test_roundtrip_all_gate_types():
     write_bench(net, buf)
     back = read_bench(buf.getvalue(), name="types")
     assert truth_table(net) == truth_table(back)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", 2),
+    ("INPUT(a)\nOUTPUT(y)\na = DFF(y)\ny = NOT(a)\n", 3),
+    ("INPUT(a)\nINPUT(b)\nOUTPUT(y)\na = AND(b, b)\ny = NOT(a)\n", 4),
+    ("INPUT(b)\nOUTPUT(y)\na = DFF(y)\na = AND(b, b)\ny = NOT(a)\n", 4),
+], ids=["input-twice", "dff-output-shadows-input", "gate-shadows-input",
+        "gate-shadows-dff-output"])
+def test_repeated_input_name_raises(text, line):
+    with pytest.raises(ParseError, match="'a' defined twice") as info:
+        read_bench(text)
+    assert info.value.lineno == line

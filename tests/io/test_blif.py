@@ -122,3 +122,17 @@ def test_roundtrip_random_networks():
         write_blif(net, buf)
         back = read_blif(buf.getvalue(), name=net.name)
         assert_equivalent(net, back, vectors=256)
+
+
+@pytest.mark.parametrize("body, line", [
+    (".inputs a a\n.outputs y\n.names a y\n0 1", 2),
+    (".inputs a\n.inputs a\n.outputs y\n.names a y\n0 1", 3),
+    (".inputs a b\n.outputs y\n.names b a\n1 1\n.names a y\n0 1", 4),
+    (".inputs b\n.outputs y\n.latch y a 0\n.names b a\n1 1\n"
+     ".names a y\n0 1", 5),
+], ids=["one-line", "two-lines", "cover-shadows-input",
+        "cover-shadows-latch-output"])
+def test_repeated_input_name_raises(body, line):
+    with pytest.raises(ParseError, match="'a' defined twice") as info:
+        read_blif(f".model m\n{body}\n.end\n")
+    assert info.value.lineno == line

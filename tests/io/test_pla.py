@@ -58,3 +58,24 @@ def test_tautology_cube():
 def test_bad_pla_raises(bad):
     with pytest.raises(ParseError):
         read_pla(bad)
+
+
+def test_output_plane_only_one_is_on_set():
+    # espresso's '2' is a don't-care output: the cube stays off the on-set
+    net = read_pla(".i 1\n.o 1\n1 2\n.e\n")
+    assert truth_table(net)["out0"] == 0
+    for char in "0~-":
+        net = read_pla(f".i 1\n.o 1\n1 {char}\n0 1\n.e\n")
+        assert truth_table(net)["out0"] == 0b01  # only the `0 1` row
+
+
+def test_bad_output_plane_character_raises_with_its_line():
+    with pytest.raises(ParseError, match="'x'") as info:
+        read_pla(".i 1\n.o 1\n1 2\n0 x\n.e\n")
+    assert info.value.lineno == 4
+
+
+def test_repeated_input_label_raises():
+    with pytest.raises(ParseError, match="'a' defined twice") as info:
+        read_pla(".i 2\n.o 1\n.ilb a a\n11 1\n.e\n")
+    assert info.value.lineno == 3

@@ -458,9 +458,6 @@ def test_auto_kernel_routes_by_view_product():
         def finalize(self):
             pass
 
-        def stats(self):
-            return {"active": self.tag}
-
     assert AUTO_THRESHOLD == 64
     auto = AutoKernel(Spy("ref"), Spy("soa"))
     auto.combine_many([(None, False, [None] * 7, [None] * 9)])   # 63 pairs

@@ -1,4 +1,6 @@
-"""Metrics registry: typing, deterministic merge, the MappingStats bridge."""
+"""Metrics registry: typing, deterministic merge, the MappingStats export."""
+
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.obs import (
     MetricsRegistry,
 )
 from repro.pipeline import MappingStats
+from repro.pipeline.metrics import MAX_MERGED_FIELDS
 
 
 def test_counter_accumulates_and_rejects_decrease():
@@ -95,20 +98,36 @@ def test_merge_rejects_kind_and_bucket_conflicts():
         c.merge(d)
 
 
+def _published(reg):
+    """The registry's repro_mapping_* families, by family name."""
+    return {name: metric["value"] for name, metric in reg.as_dict().items()
+            if name.startswith(MAPPING_STATS_PREFIX)}
+
+
+def _families(stats):
+    """The family values publishing ``stats`` must produce: counters
+    carry the _total suffix, the max gauges do not."""
+    return {f"{MAPPING_STATS_PREFIX}{f.name}"
+            f"{'' if f.name in MAX_MERGED_FIELDS else '_total'}":
+            getattr(stats, f.name) for f in fields(MappingStats)}
+
+
 def test_mapping_stats_round_trip_through_registry():
     stats = MappingStats(tuples_created=100, tuples_pruned=40,
                          combine_calls=80,
                          gate_formations=30, cache_hits=5, cache_misses=3,
                          nodes_processed=30, node_time_s=0.25,
-                         max_node_time_s=0.02)
+                         max_node_time_s=0.02, soa_max_batch=7)
     reg = MetricsRegistry()
     reg.record_mapping_stats(stats)
-    again = reg.mapping_stats()
-    assert again == stats
-    # counters carry the _total suffix; the max gauge does not
-    assert f"{MAPPING_STATS_PREFIX}tuples_created_total" in reg
-    assert f"{MAPPING_STATS_PREFIX}max_node_time_s" in reg
+    # every field is published under its family name with its value
+    assert _published(reg) == _families(stats)
     assert reg.get(f"{MAPPING_STATS_PREFIX}max_node_time_s").mode == "max"
+    assert reg.get(f"{MAPPING_STATS_PREFIX}soa_max_batch").mode == "max"
+    # the derived properties are JSON-only, never registry families
+    for derived in ("tuples_kept", "bound_skips", "cache_requests",
+                    "cache_hit_rate"):
+        assert not any(derived in name for name in reg.as_dict())
 
 
 def test_mapping_stats_bridge_merges_like_stats_merge():
@@ -120,8 +139,10 @@ def test_mapping_stats_bridge_merges_like_stats_merge():
     reg.record_mapping_stats(s1)
     reg.record_mapping_stats(s2)
     merged = MappingStats().merge(s1).merge(s2)
-    assert reg.mapping_stats() == merged
-    assert reg.mapping_stats().max_node_time_s == 0.05
+    published = _published(reg)
+    assert published == _families(merged)
+    assert published[f"{MAPPING_STATS_PREFIX}tuples_created_total"] == 17
+    assert published[f"{MAPPING_STATS_PREFIX}max_node_time_s"] == 0.05
 
 
 def test_empty_registry_is_falsy():

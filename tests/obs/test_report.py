@@ -1,12 +1,11 @@
 """The unified soidomino-report/3 schema behind map/batch/bench JSON."""
 
-import pytest
-
 from repro.mapping import map_network
 from repro.network import network_from_expression
 from repro.obs import (
     REPORT_SCHEMA_VERSION,
     SHARED_REPORT_KEYS,
+    MetricsRegistry,
     batch_report,
     extend_bench_payload,
     flow_report,
@@ -43,13 +42,28 @@ def test_flow_report_shared_header_and_aliases():
     assert data["trace_summary"]["spans"] == result.trace.span_count()
 
 
-def test_flow_report_stats_re_derived_from_registry():
+def test_flow_report_stats_is_the_run_record():
     result = _flow_result()
     data = flow_report(result)
-    # the registry is authoritative; it must agree with the stats object
+    # the report serializes the run's own stats record
     assert data["stats"] == result.stats.as_dict()
     assert data["stats"]["tuples_kept"] == result.stats.tuples_kept
-    assert result.metrics.mapping_stats() == result.stats
+    assert data["stats"]["bound_skips"] == result.stats.bound_skips
+
+
+def test_shared_registry_reports_each_run_its_own_stats():
+    """Two runs publishing into one registry: each report carries its
+    own run's counters, and the registry holds their sum."""
+    reg = MetricsRegistry()
+    first = map_network(_net(), flow="soi", metrics=reg)
+    second = map_network(_net(), flow="soi", metrics=reg)
+    assert first.metrics is reg and second.metrics is reg
+    for result in (first, second):
+        assert flow_report(result)["stats"] == result.stats.as_dict()
+    assert first.stats.tuples_created == second.stats.tuples_created > 0
+    total = reg.get("repro_mapping_tuples_created_total").value
+    assert total == (first.stats.tuples_created
+                     + second.stats.tuples_created)
 
 
 def test_flow_report_kernel_block_records_routing():
@@ -90,9 +104,20 @@ def test_batch_report_shared_header_and_entries():
     assert entry["circuit"] == "z4ml"
     assert entry["stats"]["tuples_created"] > 0
     assert entry["timings"]["elapsed_s"] > 0
-    # aggregate stats equal the sum of the per-task registries
-    total = report.total_metrics().mapping_stats()
-    assert data["stats"] == total.as_dict()
+    # each entry carries its task's record; the aggregate is their merge
+    for entry, r in zip(data["results"], report.results):
+        assert entry["stats"] == r.stats.as_dict()
+    assert data["stats"] == report.total_stats().as_dict()
+
+
+def test_batch_report_failed_task_has_no_stats():
+    runner = BatchRunner(max_workers=1)
+    report = runner.run_serial(
+        BatchRunner.sweep_tasks(["z4ml", "no-such-circuit"], flows=["soi"]))
+    ok, failed = batch_report(report)["results"]
+    assert ok["ok"] and ok["stats"]["tuples_created"] > 0
+    # a task that never mapped has no counters, not zero counters
+    assert not failed["ok"] and failed["stats"] is None
 
 
 def test_extend_bench_payload_grafts_header_in_place():
@@ -113,6 +138,9 @@ def test_extend_bench_payload_grafts_header_in_place():
     assert payload["stats"] is None
     assert payload["timings"] == {"wall_s": 1.25, "task_time_s": 1.0,
                                   "passes": {"dp-map": 0.8}}
+    stats = _flow_result().stats
+    assert extend_bench_payload(payload, stats=stats)["stats"] == (
+        stats.as_dict())
 
 
 def test_all_three_kinds_share_the_header_keys():
@@ -127,13 +155,3 @@ def test_all_three_kinds_share_the_header_keys():
     assert shared <= flow_keys
     assert shared <= batch_keys
     assert shared <= bench_keys
-
-
-def test_stats_cannot_disagree_with_registry():
-    result = _flow_result()
-    # corrupt the stats object; the registry keeps the truth
-    result.mapping.stats.tuples_created += 999
-    data = flow_report(result)
-    assert data["stats"]["tuples_created"] == pytest.approx(
-        result.metrics.mapping_stats().tuples_created)
-    assert data["stats"]["tuples_created"] != result.stats.tuples_created

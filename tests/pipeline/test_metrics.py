@@ -1,13 +1,16 @@
 """MappingStats accounting: populated by every flow, merges, pickles."""
 
 import pickle
+from dataclasses import fields
 
 import pytest
 
 from repro import domino_map, map_network, rs_map, soi_domino_map
 from repro.bench_suite import load_circuit
 from repro.mapping import MapperConfig
+from repro.obs import MAPPING_STATS_PREFIX
 from repro.pipeline import MappingStats
+from repro.pipeline.metrics import MAX_MERGED_FIELDS
 
 
 def test_stats_populated_for_every_flow():
@@ -85,3 +88,39 @@ def test_stats_pickle_roundtrip_and_dict():
     assert data["tuples_created"] == stats.tuples_created
     assert "cache_hit_rate" in data
     assert "tuples=" in stats.summary()
+
+
+#: What ``bench/staged.py`` (``dp_counters``) reads off merged stats on
+#: every default ``python -m bench`` run.
+BENCH_READS = ("auto_routed_soa", "auto_routed_reference", "bound_skips",
+               "tuples_kept", "combine_time_s", "soa_candidates",
+               "gate_formations", "combine_calls", "tuples_created")
+
+
+def test_counter_surface_is_the_stats_fields():
+    """One counter list: a mapped run publishes one repro_mapping_*
+    family per MappingStats field, the staged benchmark's reads all
+    exist, and the JSON form round-trips through the fields."""
+    names = [f.name for f in fields(MappingStats)]
+    result = map_network(load_circuit("cm150"), flow="soi")
+    families = {m.name: m.kind for m in result.metrics
+                if m.name.startswith(MAPPING_STATS_PREFIX)}
+    expected = {f"{MAPPING_STATS_PREFIX}{name}_total": "counter"
+                for name in names if name not in MAX_MERGED_FIELDS}
+    expected.update({f"{MAPPING_STATS_PREFIX}{name}": "gauge"
+                     for name in MAX_MERGED_FIELDS})
+    # the engine's two histograms are the only other families
+    expected[f"{MAPPING_STATS_PREFIX}tuples_per_node"] = "histogram"
+    expected[f"{MAPPING_STATS_PREFIX}combine_seconds"] = "histogram"
+    assert families == expected
+    for name in MAX_MERGED_FIELDS:
+        assert name in names
+        assert result.metrics.get(f"{MAPPING_STATS_PREFIX}{name}").mode == (
+            "max")
+
+    stats = result.stats
+    for attr in BENCH_READS:
+        assert hasattr(stats, attr), attr
+    clone = MappingStats(**{k: v for k, v in stats.as_dict().items()
+                            if k in names})
+    assert clone == stats
