@@ -27,13 +27,12 @@ Every subcommand honours the ``REPRO_FAULTS`` environment variable
 a deterministic fault plan for the process — the hook chaos tooling and
 operators use to rehearse failures against the real CLI surfaces.
 
-``map``, ``batch`` and ``bench`` all speak the unified
-``soidomino-report/3`` JSON schema (:mod:`repro.obs.report`) via
-``--json`` / their payload files, and all accept ``--trace FILE`` to
-export the run's span tree — ``.json``/``.trace`` writes Chrome
-``trace_event`` format (load in Perfetto or ``chrome://tracing``),
-``.jsonl`` writes one span per line.  ``map`` additionally supports
-checkpoint/resume via ``--checkpoint DIR``.
+``map`` and ``batch`` both speak the unified ``soidomino-report/3``
+JSON schema (:mod:`repro.obs.report`) via ``--json``, and both accept
+``--trace FILE`` to export the run's span tree — ``.json``/``.trace``
+writes Chrome ``trace_event`` format (load in Perfetto or
+``chrome://tracing``), ``.jsonl`` writes one span per line.  ``map``
+additionally supports checkpoint/resume via ``--checkpoint DIR``.
 """
 
 from __future__ import annotations
@@ -220,108 +219,6 @@ def _cmd_batch(args) -> int:
         print(f"FAILED:    {failure.task.label}: {failure.error}",
               file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def _cmd_bench(args) -> int:
-    from .evaluation.formats import render_table
-    from .pipeline.bench import (DEFAULT_KERNELS, attach_baseline,
-                                 load_payload, run_bench, validate_payload,
-                                 write_payload)
-
-    if args.check:
-        try:
-            payload = load_payload(args.check)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.check}: {exc}", file=sys.stderr)
-            return 2
-        problems = validate_payload(payload)
-        for problem in problems:
-            print(f"invalid: {problem}", file=sys.stderr)
-        if not problems:
-            print(f"{args.check}: valid {payload['schema']} payload, "
-                  f"{payload['aggregate']['tasks']} tasks, "
-                  f"task_time={payload['aggregate']['task_time_s']:.2f}s")
-        return 0 if not problems else 1
-
-    tracer = None
-    if args.trace:
-        from .obs import Tracer
-
-        tracer = Tracer()
-    payload = run_bench(circuits=args.circuits or None,
-                        flows=args.algorithm or ["soi"],
-                        orderings=args.orderings,
-                        modes=args.modes,
-                        kernels=args.kernels or DEFAULT_KERNELS,
-                        w_max=args.w_max,
-                        h_max=args.h_max,
-                        jobs=args.jobs,
-                        use_cache=args.cache,
-                        repeat=args.repeat,
-                        tracer=tracer)
-    if tracer is not None:
-        _export_trace(tracer.roots, args.trace)
-    if args.baseline:
-        try:
-            baseline = load_payload(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        attach_baseline(payload, baseline)
-
-    headers = ["circuit", "flow", "ordering", "mode", "kernel", "time_s",
-               "combine_s", "tuples", "ktuples/s", "combines", "digest"]
-    rows = []
-    for r in payload["results"]:
-        rows.append([r["circuit"], r["flow"], r["ordering"], r["table_mode"],
-                     r["kernel"],
-                     f"{r['elapsed_s']:.3f}" if r["ok"] else "-",
-                     f"{r['combine_s']:.3f}" if r["ok"] else "-",
-                     r["tuples"], f"{r['tuples_per_s'] / 1e3:.0f}",
-                     r["combines"],
-                     (r["digest"] or "-")[:12]])
-    aggregate = payload["aggregate"]
-    print(render_table(headers, rows,
-                       title=f"bench: {aggregate['tasks']} tasks, "
-                             f"repeat={args.repeat}, "
-                             f"cache={'on' if args.cache else 'off'}"))
-    print(f"\naggregate: task_time={aggregate['task_time_s']:.2f}s "
-          f"tuples={aggregate['tuples']} "
-          f"({aggregate['tuples_per_s'] / 1e3:.0f}k tuples/s) "
-          f"tuple_heavy={aggregate['tuple_heavy_task_time_s']:.2f}s "
-          f"failures={aggregate['failures']}")
-    kernels = payload.get("kernels", {})
-    parity = kernels.get("parity", {})
-    if parity.get("configs_checked"):
-        verdict = ("IDENTICAL" if not parity["mismatches"]
-                   else f"{len(parity['mismatches'])} MISMATCHES")
-        speedups = ", ".join(
-            f"{name}={ratio:.2f}x" if ratio else f"{name}=n/a"
-            for name, ratio in sorted(
-                kernels.get("tuple_heavy_throughput_speedup", {}).items()))
-        pareto_speedups = ", ".join(
-            f"{name}={ratio:.2f}x" if ratio else f"{name}=n/a"
-            for name, ratio in sorted(
-                kernels.get("pareto_heavy_throughput_speedup", {}).items()))
-        print(f"kernels:   digests {verdict} across "
-              f"{parity['configs_checked']} configs; tuple-heavy "
-              f"throughput vs reference: {speedups or 'n/a'}; "
-              f"pareto-heavy: {pareto_speedups or 'n/a'}")
-    if "baseline" in payload:
-        base = payload["baseline"]
-
-        def fmt(x):
-            return f"{x:.2f}x" if x else "n/a"
-
-        print(f"baseline:  speedup={fmt(base['speedup'])} "
-              f"tuple_heavy={fmt(base['tuple_heavy_speedup'])}")
-    problems = validate_payload(payload)
-    for problem in problems:
-        print(f"invalid: {problem}", file=sys.stderr)
-    write_payload(payload, args.output)
-    print(f"wrote:     {args.output}")
-    return 1 if (problems or aggregate["failures"]) else 0
 
 
 def _cmd_tables(args) -> int:
@@ -573,54 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="export the stitched batch span tree "
                               "(.json/.trace = Chrome, .jsonl = lines)")
     p_batch.set_defaults(func=_cmd_batch)
-
-    p_bench = sub.add_parser(
-        "bench", help="benchmark the mapping kernel and write "
-                      "BENCH_mapping.json")
-    p_bench.add_argument("circuits", nargs="*",
-                         help="benchmark names (default: full suite)")
-    p_bench.add_argument("-a", "--algorithm", action="append",
-                         choices=_FLOW_CHOICES,
-                         help="flow to sweep (repeatable; default: soi)")
-    p_bench.add_argument("--orderings", nargs="+",
-                         choices=["paper", "naive", "adverse", "exhaustive"],
-                         default=["paper", "exhaustive"],
-                         help="series orderings to sweep")
-    p_bench.add_argument("--modes", nargs="+", choices=["single", "pareto"],
-                         default=["single", "pareto"],
-                         help="tuple-table modes to sweep")
-    p_bench.add_argument("--kernels", nargs="+", choices=list(KERNELS),
-                         default=None,
-                         help="DP kernels to sweep (default: reference "
-                              "and soa when numpy is installed, else "
-                              "reference); running both makes every "
-                              "bench a cross-kernel bit-identity check "
-                              "with per-kernel throughput")
-    p_bench.add_argument("--w-max", type=int, default=None,
-                         help="pulldown width limit (default: paper's 5); "
-                              "larger limits grow candidate batches")
-    p_bench.add_argument("--h-max", type=int, default=None,
-                         help="pulldown height limit (default: paper's 8)")
-    p_bench.add_argument("-j", "--jobs", type=int, default=1,
-                         help="worker processes (default 1: serial, the "
-                              "stable-timing mode)")
-    p_bench.add_argument("--repeat", type=int, default=1,
-                         help="sweep repetitions; per-task time is the min")
-    p_bench.add_argument("--cache", action="store_true",
-                         help="enable the tree cache (off by default so "
-                              "tasks time the raw DP kernel)")
-    p_bench.add_argument("-o", "--output", default="BENCH_mapping.json",
-                         help="payload path (default: BENCH_mapping.json)")
-    p_bench.add_argument("--baseline",
-                         help="previous payload to embed and compare "
-                              "speedup against")
-    p_bench.add_argument("--check", metavar="PAYLOAD",
-                         help="validate an existing payload's schema and "
-                              "exit (runs no benchmark)")
-    p_bench.add_argument("--trace", metavar="FILE", default=None,
-                         help="export the bench span tree "
-                              "(.json/.trace = Chrome, .jsonl = lines)")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_tab = sub.add_parser("tables", help="reproduce the paper's tables")
     p_tab.add_argument("-t", "--table", action="append",

@@ -59,13 +59,15 @@ def read_bench(source: Union[str, TextIO], name: str = "",
     gates: Dict[str, Tuple[NodeType, List[str], int]] = {}
     dff_pairs: List[Tuple[str, str]] = []  # (q_name, d_signal)
     defined: Dict[str, int] = {}  # input, DFF or gate output -> its line
+    po_lines: Dict[str, int] = {}  # OUTPUT or DFF pseudo-output -> its line
 
-    def define(signal: str, lineno: int) -> None:
-        if signal in defined:
+    def define(signal: str, lineno: int, kind: str = "signal") -> None:
+        seen = po_lines if kind == "output" else defined
+        if signal in seen:
             raise ParseError(
-                f"signal {signal!r} defined twice (first on line "
-                f"{defined[signal]})", filename, lineno)
-        defined[signal] = lineno
+                f"{kind} {signal!r} defined twice (first on line "
+                f"{seen[signal]})", filename, lineno)
+        seen[signal] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,6 +81,7 @@ def read_bench(source: Union[str, TextIO], name: str = "",
                 define(m.group("io_name"), lineno)
                 inputs.append(m.group("io_name"))
             else:
+                define(m.group("io_name"), lineno, "output")
                 outputs.append(m.group("io_name"))
             continue
         lhs = m.group("lhs")
@@ -89,6 +92,7 @@ def read_bench(source: Union[str, TextIO], name: str = "",
                 raise ParseError(f"DFF takes one input, got {args}",
                                  filename, lineno)
             define(lhs, lineno)
+            define(f"{lhs}_next", lineno, "output")
             dff_pairs.append((lhs, args[0]))
             continue
         if op not in _GATE_TYPES:

@@ -65,13 +65,15 @@ def read_blif(source: Union[str, TextIO], name: str = "",
     latches: List[Tuple[str, str]] = []  # (data_in, q_out)
     current: Optional[_Cover] = None
     defined: Dict[str, int] = {}  # input, latch or cover output -> its line
+    po_lines: Dict[str, int] = {}  # output or latch pseudo-output -> line
 
-    def define(signal: str, lineno: int) -> None:
-        if signal in defined:
+    def define(signal: str, lineno: int, kind: str = "signal") -> None:
+        seen = po_lines if kind == "output" else defined
+        if signal in seen:
             raise ParseError(
-                f"signal {signal!r} defined twice (first on line "
-                f"{defined[signal]})", filename, lineno)
-        defined[signal] = lineno
+                f"{kind} {signal!r} defined twice (first on line "
+                f"{seen[signal]})", filename, lineno)
+        seen[signal] = lineno
 
     for lineno, line in lines:
         tokens = line.split()
@@ -85,6 +87,8 @@ def read_blif(source: Union[str, TextIO], name: str = "",
                 define(signal, lineno)
             inputs.extend(tokens[1:])
         elif key == ".outputs":
+            for signal in tokens[1:]:
+                define(signal, lineno, "output")
             outputs.extend(tokens[1:])
         elif key == ".names":
             if len(tokens) < 2:
@@ -98,6 +102,7 @@ def read_blif(source: Union[str, TextIO], name: str = "",
                 raise ParseError(".latch needs input and output",
                                  filename, lineno)
             define(tokens[2], lineno)
+            define(f"{tokens[2]}_next", lineno, "output")
             latches.append((tokens[1], tokens[2]))
         elif key == ".end":
             break

@@ -34,6 +34,18 @@ def _count(tokens: List[str], filename: str, lineno: int) -> int:
     return value
 
 
+def _distinct(labels: List[str], kind: str, filename: str,
+              lineno: int) -> List[str]:
+    """``labels``, after checking that no label repeats."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ParseError(f"{kind} {label!r} defined twice",
+                             filename, lineno)
+        seen.add(label)
+    return labels
+
+
 def read_pla(source: Union[str, TextIO], name: str = "pla",
              filename: str = "<string>") -> LogicNetwork:
     """Parse PLA text (string or file object) into a network."""
@@ -60,15 +72,9 @@ def read_pla(source: Union[str, TextIO], name: str = "pla",
         elif key == ".o":
             num_out = _count(tokens, filename, lineno)
         elif key == ".ilb":
-            in_labels = tokens[1:]
-            seen = set()
-            for label in in_labels:
-                if label in seen:
-                    raise ParseError(f"input {label!r} defined twice",
-                                     filename, lineno)
-                seen.add(label)
+            in_labels = _distinct(tokens[1:], "input", filename, lineno)
         elif key == ".ob":
-            out_labels = tokens[1:]
+            out_labels = _distinct(tokens[1:], "output", filename, lineno)
         elif key in (".p", ".type", ".phase", ".pair", ".symbolic"):
             continue
         elif key in (".e", ".end"):

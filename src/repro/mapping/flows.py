@@ -239,10 +239,11 @@ def map_network(network: LogicNetwork,
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry` to publish into; a
         private registry is created otherwise and exposed on
-        :attr:`FlowResult.metrics`.  The run's
-        :class:`~repro.pipeline.MappingStats` counters are published
-        into it once, at the end of the run; a registry shared by
-        several runs accumulates their sum.
+        :attr:`FlowResult.metrics`.  The run's own
+        :class:`~repro.pipeline.MappingStats` counters (what it added to
+        ``stats``, which may carry earlier runs) are published into it
+        once, at the end of the run; a registry shared by several runs
+        accumulates their sum.
     prepared:
         Optional ``(unate_network, unate_report)``: the synthesis front
         end's result for ``network``, as :func:`prepare_network` or an
@@ -270,6 +271,7 @@ def map_network(network: LogicNetwork,
                                   flow=flow or "custom", cache=cache,
                                   stats=stats, tracer=tracer,
                                   metrics=metrics)
+    before = replace(ctx.stats)
     if prepared is not None:
         ctx.set("unate_network", prepared[0])
         ctx.set("unate_report", prepared[1])
@@ -279,7 +281,7 @@ def map_network(network: LogicNetwork,
                      circuit=network.name,
                      flow=flow or "custom") as flow_span:
         records = pipeline.run(ctx, checkpoint=checkpoint)
-    metrics.record_mapping_stats(ctx.stats)
+    metrics.record_mapping_stats(ctx.stats.since(before))
     return FlowResult(mapping=ctx.get("mapping"),
                       unate_report=ctx.artifacts.get("unate_report"),
                       flow=flow or "custom",

@@ -76,32 +76,21 @@ class MapTuple:
     has_pi:
         True when any pulldown leaf is a primary input (the formed gate
         would need an n-clock foot).
+    structure:
+        The partial pulldown network.
     ends_par:
-        Structural ``ends_in_parallel`` of the (possibly unbuilt)
-        pulldown — tracked as a scalar so the ordering rules never need
-        to materialize a structure.
-    op, left, right:
-        Optional lazy provenance: how this tuple was combined (``"ser"``:
-        ``left`` on top of ``right``; ``"par"``: ``left`` beside
-        ``right``), for a tuple built without a structure.  ``None``
-        when an eager structure is given.
+        Structural ``ends_in_parallel`` of the pulldown (the arena keeps
+        it as a column so the ordering rules never need a structure).
     """
 
     __slots__ = ("width", "height", "wcost", "trans", "disch", "levels",
                  "p_dis", "p_tail", "par_b", "has_pi", "ends_par",
-                 "op", "left", "right", "_structure")
+                 "structure")
 
     def __init__(self, width: int, height: int, wcost: float, trans: int,
                  disch: int, levels: int, p_dis: int, par_b: bool,
-                 has_pi: bool, structure: Optional[Pulldown] = None,
-                 p_tail: int = 0, ends_par: Optional[bool] = None,
-                 op: Optional[str] = None,
-                 left: Optional["MapTuple"] = None,
-                 right: Optional["MapTuple"] = None):
-        if structure is None and op is None:
-            raise ValueError(
-                "MapTuple needs an eager structure or an (op, left, right) "
-                "provenance back-pointer")
+                 has_pi: bool, structure: Pulldown, p_tail: int = 0,
+                 ends_par: Optional[bool] = None):
         self.width = width
         self.height = height
         self.wcost = wcost
@@ -112,37 +101,13 @@ class MapTuple:
         self.p_tail = p_tail
         self.par_b = par_b
         self.has_pi = has_pi
-        self.op = op
-        self.left = left
-        self.right = right
-        self._structure = structure
-        if ends_par is None:
-            if structure is not None:
-                ends_par = structure.ends_in_parallel
-            else:
-                ends_par = True if op == "par" else right.ends_par
-        self.ends_par = ends_par
+        self.structure = structure
+        self.ends_par = (structure.ends_in_parallel if ends_par is None
+                         else ends_par)
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (self.width, self.height)
-
-    @property
-    def materialized(self) -> bool:
-        """True once the pulldown tree exists."""
-        return self._structure is not None
-
-    @property
-    def structure(self) -> Pulldown:
-        """The partial pulldown network, rebuilt on demand and memoized."""
-        built = self._structure
-        if built is None:
-            if self.op == "ser":
-                built = series(self.left.structure, self.right.structure)
-            else:
-                built = parallel(self.left.structure, self.right.structure)
-            self._structure = built
-        return built
 
     def __repr__(self) -> str:
         return (f"MapTuple(W={self.width}, H={self.height}, "

@@ -13,7 +13,7 @@ layer every part of the mapping stack reports through:
 * :mod:`repro.obs.export` — JSONL spans, Chrome ``trace_event`` JSON
   (Perfetto / ``chrome://tracing``), Prometheus text exposition;
 * :mod:`repro.obs.report` — the shared JSON report schema behind
-  ``soidomino map --json``, ``batch --json``, and the bench payload.
+  ``soidomino map --json`` and ``batch --json``.
 
 `FlowPipeline` opens one span per pass, `MappingEngine` records
 thresholded per-batch ``level:<k>`` spans and histograms, `BatchRunner`
@@ -49,7 +49,6 @@ from .report import (
     REPORT_SCHEMA_VERSION,
     SHARED_REPORT_KEYS,
     batch_report,
-    extend_bench_payload,
     flow_report,
     job_report,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "TUPLES_PER_NODE_BUCKETS",
     "Tracer",
     "batch_report",
-    "extend_bench_payload",
     "flow_report",
     "infer_trace_format",
     "job_report",

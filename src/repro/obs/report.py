@@ -1,19 +1,19 @@
-"""The one JSON report schema behind ``map --json``, ``batch``, ``bench``.
+"""The one JSON report schema behind ``map --json`` and ``batch --json``.
 
-Before this module the three CLI surfaces emitted three divergent JSON
-shapes.  Every report now shares the same top-level keys:
+Before this module the CLI surfaces emitted divergent JSON shapes.
+Every report now shares the same top-level keys:
 
 ``schema_version``
     :data:`REPORT_SCHEMA_VERSION` — bump on breaking changes.
 ``kind``
-    ``"map"``, ``"batch"`` or ``"bench"``.
+    ``"map"`` or ``"batch"``.
 ``circuit`` / ``flow``
     The mapped circuit and flow preset (a single name for ``map``,
-    the swept name lists for ``batch``/``bench``).
+    the swept name lists for ``batch``).
 ``stats``
     The run's :class:`~repro.pipeline.MappingStats` record
     (``as_dict()``: every counter plus the derived ratios), or the
-    merge of the runs' records for ``batch``/``bench``.  The
+    merge of the runs' records for ``batch``.  The
     :class:`~repro.obs.MetricsRegistry` only exports these counters; a
     report never reads them back from it.
 ``timings``
@@ -22,8 +22,7 @@ shapes.  Every report now shares the same top-level keys:
 Beyond the header each surface carries its own payload: ``map`` adds
 ``config``, ``cost`` and the per-pass ``passes`` records (the only place
 the report holds the full config, the circuit cost, and each pass's
-record), ``batch`` its per-task ``results``, and ``bench`` keeps its
-``soidomino-bench/1`` body (``aggregate``, ``sweep``…) under the header.
+record), and ``batch`` its per-task ``results``.
 """
 
 from __future__ import annotations
@@ -159,26 +158,3 @@ def job_report(job) -> Dict[str, object]:
         "recovered": job.recovered,
         "idempotency_key": job.spec.idempotency_key,
     }
-
-
-def extend_bench_payload(payload: Dict, *, stats=None) -> Dict:
-    """Graft the shared report header onto a bench payload, in place.
-
-    The bench payload keeps its committed ``soidomino-bench/1`` schema
-    (CI validates it; ``--baseline`` compares it) and additionally
-    carries the unified header so all three CLI surfaces parse alike.
-    ``stats`` is the sweep's merged :class:`~repro.pipeline.MappingStats`.
-    """
-    aggregate = payload.get("aggregate", {})
-    sweep = payload.get("sweep", {})
-    payload["schema_version"] = REPORT_SCHEMA_VERSION
-    payload["kind"] = "bench"
-    payload["circuit"] = list(sweep.get("circuits", []))
-    payload["flow"] = list(sweep.get("flows", []))
-    payload["stats"] = stats.as_dict() if stats is not None else None
-    payload["timings"] = {
-        "wall_s": payload.get("wall_s"),
-        "task_time_s": aggregate.get("task_time_s"),
-        "passes": dict(aggregate.get("pass_time_s", {})),
-    }
-    return payload

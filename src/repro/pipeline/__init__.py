@@ -35,14 +35,6 @@ _LAZY = {
     "BatchReport": ("runner", "BatchReport"),
     "BatchRunner": ("runner", "BatchRunner"),
     "execute_task": ("runner", "execute_task"),
-    "BENCH_SCHEMA": ("bench", "BENCH_SCHEMA"),
-    "DEFAULT_BENCH_PATH": ("bench", "DEFAULT_BENCH_PATH"),
-    "bench_tasks": ("bench", "bench_tasks"),
-    "run_bench": ("bench", "run_bench"),
-    "attach_baseline": ("bench", "attach_baseline"),
-    "validate_payload": ("bench", "validate_payload"),
-    "write_payload": ("bench", "write_payload"),
-    "load_payload": ("bench", "load_payload"),
 }
 
 __all__ = ["MappingStats", *_LAZY]

@@ -13,7 +13,7 @@ engine imports it, and the pipeline package re-exports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict
 
 #: Stats fields that aggregate by max (not sum) when merging runs.
@@ -29,13 +29,12 @@ class MappingStats:
     (``MetricsRegistry.record_mapping_stats``), never read back.
 
     * The dataclass fields are the one counter list: :meth:`merge`,
-      ``FlowContext.stats_delta`` and the registry publish all
-      enumerate them.
+      :meth:`since`, ``FlowContext.stats_delta`` and the registry
+      publish all enumerate them.
     * :attr:`tuples_kept`, :attr:`bound_skips`, :attr:`cache_requests`
       and :attr:`cache_hit_rate` are derived properties that appear
       only in JSON (:meth:`as_dict`, :meth:`summary`).  ``bound_skips``
-      stays because the staged benchmark and the ``BENCH_mapping.json``
-      rows read it.
+      stays because the staged benchmark (``bench/staged.py``) reads it.
 
     Attributes
     ----------
@@ -140,11 +139,24 @@ class MappingStats:
                         getattr(self, f.name) + getattr(other, f.name))
         return self
 
+    def since(self, before: "MappingStats") -> "MappingStats":
+        """The counters added since ``before``, an earlier copy of self.
+
+        The inverse of :meth:`merge` for the summed fields; the
+        max-merged fields keep their current value.
+        """
+        added = replace(self)
+        for f in fields(self):
+            if f.name not in MAX_MERGED_FIELDS:
+                setattr(added, f.name,
+                        getattr(self, f.name) - getattr(before, f.name))
+        return added
+
     def as_dict(self) -> Dict[str, float]:
         """All counters plus every derived property.
 
         ``tuples_kept``, ``bound_skips`` and ``cache_requests`` are
-        included so JSON consumers (batch/bench payloads) never have to
+        included so JSON consumers (``map``/``batch`` reports) never have to
         recompute them.
         """
         data: Dict[str, float] = {f.name: getattr(self, f.name)

@@ -45,8 +45,9 @@ from typing import Dict, Optional
 from .._sqlite import WalDatabase, default_db_path
 
 #: Bump when the entry payload format (pickled template schema) changes;
-#: stores written under another version are cleared on open.
-SCHEMA_VERSION = 1
+#: stores written under another version are cleared on open.  Version 2
+#: pickles ``MapTuple`` without the ``op``/``left``/``right`` slots.
+SCHEMA_VERSION = 2
 
 _COUNTERS = ("hits", "misses", "stores", "evictions")
 

@@ -324,59 +324,10 @@ def _run_journal_corrupt(*, seed, target, baseline, **_) -> ChaosOutcome:
                         detail=detail, digests_ok=digests_ok)
 
 
-def _spawn_daemon(port: int, journal: str, faults: str,
-                  extra_env: Optional[Dict[str, str]] = None):
-    """``soidomino serve`` as a real subprocess (kill -9 drills)."""
-    import os
-    import subprocess
-    import sys
-
-    from ..service import ServiceClient
-
-    src = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env["REPRO_FAULTS"] = faults
-    env.update(extra_env or {})
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", str(port),
-         "--journal", journal, "--no-store", "-j", "1"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
-    client = ServiceClient(port=port, timeout=5.0, retries=0)
-    deadline = _now() + 30.0
-    while _now() < deadline:
-        if process.poll() is not None:
-            raise RuntimeError(
-                f"daemon exited early with code {process.returncode}")
-        try:
-            if client.health().get("status") == "ok":
-                return process
-        except OSError:
-            _sleep(0.1)
-    process.kill()
-    raise RuntimeError("chaos daemon did not become healthy within 30s")
-
-
-def _now() -> float:
-    import time
-
-    return time.monotonic()
-
-
 def _sleep(seconds: float) -> None:
     import time
 
     time.sleep(seconds)
-
-
-def _free_port() -> int:
-    import socket
-
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 def _run_service_crash(*, seed, circuits, target, baseline,
@@ -386,12 +337,15 @@ def _run_service_crash(*, seed, circuits, target, baseline,
     import subprocess
 
     from ..service import ServiceClient
+    from ..service.smoke import free_port, start_daemon, stop_daemon
 
     faults = f"seed={seed};service.crash:match={target}"
     with tempfile.TemporaryDirectory(prefix="soidomino-chaos-") as tmpdir:
         journal = f"{tmpdir}/journal.sqlite"
-        port = _free_port()
-        daemon = _spawn_daemon(port, journal, faults)
+        serve = ["--journal", journal, "--no-store", "-j", "1"]
+        env = {"REPRO_FAULTS": faults}
+        port = free_port()
+        daemon = start_daemon(port, serve, env)
         try:
             client = ServiceClient(port=port, retries=0)
             job = client.submit({"circuits": list(circuits)})
@@ -403,18 +357,13 @@ def _run_service_crash(*, seed, circuits, target, baseline,
             crashed = daemon.returncode == 86
             # the successor runs with the SAME fault env: recovery must
             # survive it (the rerun is attempt 2, past the window)
-            daemon = _spawn_daemon(port, journal, faults)
+            daemon = start_daemon(port, serve, env)
             retry_client = ServiceClient(port=port, retries=3)
             result = retry_client.wait(job["id"], timeout=120.0)
             status = retry_client.status(job["id"])
             events = list(retry_client.events(job["id"]))
         finally:
-            daemon.terminate()
-            try:
-                daemon.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                daemon.kill()
-                daemon.wait(timeout=15)
+            stop_daemon(daemon)
     digests_ok = (result["state"] == "done"
                   and _service_digests_ok(result["result"], baseline))
     replayed = status["recovered"] and status["attempts"] == 2

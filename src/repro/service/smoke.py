@@ -33,14 +33,15 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .client import ServiceClient
 
 DEFAULT_CIRCUITS = ("cm150", "mux", "z4ml")
 
 
-def _free_port() -> int:
+def free_port() -> int:
+    """An unused localhost TCP port for a daemon to bind."""
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
@@ -50,14 +51,25 @@ def _python() -> List[str]:
     return [sys.executable, "-m", "repro"]
 
 
-def _start_daemon(port: int, store: str, jobs: int,
-                  journal: str = "none") -> subprocess.Popen:
+def start_daemon(port: int, serve_args: Sequence[str],
+                 env: Optional[Dict[str, str]] = None) -> subprocess.Popen:
+    """``soidomino serve --port PORT *serve_args`` as a real subprocess.
+
+    Returns once ``/health`` answers ok (30 s at most).  ``env`` entries
+    override the inherited environment; this package's source tree is
+    put first on ``PYTHONPATH`` so the daemon runs the same code.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    child_env = os.environ.copy()
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([child_env["PYTHONPATH"]]
+                 if child_env.get("PYTHONPATH") else []))
+    child_env.update(env or {})
     process = subprocess.Popen(
-        _python() + ["serve", "--port", str(port), "--store", store,
-                     "-j", str(jobs), "--journal", journal],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        env=os.environ.copy())
-    client = ServiceClient(port=port, timeout=5.0)
+        _python() + ["serve", "--port", str(port), *serve_args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env)
+    client = ServiceClient(port=port, timeout=5.0, retries=0)
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         if process.poll() is not None:
@@ -68,11 +80,12 @@ def _start_daemon(port: int, store: str, jobs: int,
                 return process
         except OSError:
             time.sleep(0.1)
-    process.terminate()
+    stop_daemon(process)
     raise RuntimeError("daemon did not become healthy within 30s")
 
 
-def _stop_daemon(process: subprocess.Popen) -> None:
+def stop_daemon(process: subprocess.Popen) -> None:
+    """Terminate the daemon, killing it if it outlives 15 s."""
     process.terminate()
     try:
         process.wait(timeout=15)
@@ -126,13 +139,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="soidomino-smoke-") as tmp:
         store = os.path.join(tmp, "cones.sqlite")
-        port = _free_port()
+        port = free_port()
+        serve = ["--store", store, "-j", str(args.jobs)]
 
         print(f"baseline: soidomino batch --json {' '.join(circuits)}")
         baseline = _cli_batch(circuits, args.jobs)
 
         print(f"daemon:   soidomino serve --port {port} (pass 1)")
-        daemon = _start_daemon(port, store, args.jobs)
+        daemon = start_daemon(port, serve + ["--journal", "none"])
         try:
             client = ServiceClient(port=port, timeout=30.0)
             started = time.monotonic()
@@ -170,14 +184,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                            "repro_service_jobs_done_total"):
                 check(family in metrics, f"/metrics exposes {family}")
         finally:
-            _stop_daemon(daemon)
+            stop_daemon(daemon)
 
         before = _cache_stats(store)
         check(before["entries"] > 0,
               "persistent store holds cone templates after shutdown")
 
         print(f"daemon:   soidomino serve --port {port} (restarted)")
-        daemon = _start_daemon(port, store, args.jobs)
+        daemon = start_daemon(port, serve + ["--journal", "none"])
         try:
             client = ServiceClient(port=port, timeout=30.0)
             third = _submit_and_wait(client, circuits)
@@ -186,7 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             check(served3 == baseline,
                   "post-restart digests still bit-identical")
         finally:
-            _stop_daemon(daemon)
+            stop_daemon(daemon)
         after = _cache_stats(store)
         check(after["hits"] > before["hits"],
               "restarted daemon hit the persistent store "
@@ -198,7 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # ---- durability: kill -9 mid-job, restart, same digests ----
         journal = os.path.join(tmp, "journal.sqlite")
         print(f"daemon:   soidomino serve --port {port} (kill -9 drill)")
-        daemon = _start_daemon(port, store, args.jobs, journal=journal)
+        daemon = start_daemon(port, serve + ["--journal", journal])
         killed_mid_job = False
         job: Dict[str, object] = {}
         try:
@@ -214,13 +228,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             daemon.send_signal(signal.SIGKILL)
             daemon.wait(timeout=15)
         except BaseException:
-            _stop_daemon(daemon)
+            stop_daemon(daemon)
             raise
         check(killed_mid_job,
               "daemon killed -9 while the job was running")
 
         print(f"daemon:   soidomino serve --port {port} (resurrected)")
-        daemon = _start_daemon(port, store, args.jobs, journal=journal)
+        daemon = start_daemon(port, serve + ["--journal", journal])
         try:
             client = ServiceClient(port=port, timeout=30.0, retries=3)
             result = client.wait(job["id"], timeout=600.0)
@@ -242,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             check(health["journal"]["non_terminal"] == 0,
                   "journal holds no unfinished jobs after recovery")
         finally:
-            _stop_daemon(daemon)
+            stop_daemon(daemon)
 
     if failures:
         print(f"\nsmoke: {len(failures)} assertion(s) failed",

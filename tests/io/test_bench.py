@@ -119,3 +119,17 @@ def test_repeated_input_name_raises(text, line):
     with pytest.raises(ParseError, match="'a' defined twice") as info:
         read_bench(text)
     assert info.value.lineno == line
+
+
+@pytest.mark.parametrize("text, name, line", [
+    ("INPUT(a)\nOUTPUT(y)\nOUTPUT(y)\ny = NOT(a)\n", "y", 3),
+    ("INPUT(a)\nOUTPUT(q_next)\nq = DFF(a)\nq_next = NOT(q)\n",
+     "q_next", 3),
+    ("INPUT(a)\nq = DFF(a)\nOUTPUT(q_next)\nq_next = NOT(q)\n",
+     "q_next", 3),
+], ids=["output-twice", "dff-pseudo-output-after", "dff-pseudo-output-first"])
+def test_repeated_output_name_raises(text, name, line):
+    with pytest.raises(ParseError,
+                       match=f"output '{name}' defined twice") as info:
+        read_bench(text)
+    assert info.value.lineno == line

@@ -136,3 +136,16 @@ def test_repeated_input_name_raises(body, line):
     with pytest.raises(ParseError, match="'a' defined twice") as info:
         read_blif(f".model m\n{body}\n.end\n")
     assert info.value.lineno == line
+
+
+@pytest.mark.parametrize("body, name, line", [
+    (".inputs a\n.outputs y y\n.names a y\n1 1", "y", 3),
+    (".inputs a\n.outputs y\n.outputs y\n.names a y\n1 1", "y", 4),
+    (".inputs a\n.outputs q_next\n.latch n q 0\n.names q n\n0 1\n"
+     ".names a q_next\n1 1", "q_next", 4),
+], ids=["one-line", "two-lines", "latch-pseudo-output"])
+def test_repeated_output_name_raises(body, name, line):
+    with pytest.raises(ParseError,
+                       match=f"output '{name}' defined twice") as info:
+        read_blif(f".model m\n{body}\n.end\n")
+    assert info.value.lineno == line

@@ -79,3 +79,9 @@ def test_repeated_input_label_raises():
     with pytest.raises(ParseError, match="'a' defined twice") as info:
         read_pla(".i 2\n.o 1\n.ilb a a\n11 1\n.e\n")
     assert info.value.lineno == 3
+
+
+def test_repeated_output_label_raises():
+    with pytest.raises(ParseError, match="output 'y' defined twice") as info:
+        read_pla(".i 1\n.o 2\n.ob y y\n1 11\n.e\n")
+    assert info.value.lineno == 3

@@ -119,3 +119,24 @@ def test_a_table_is_a_row_range_followed_by_its_gate_row():
         == [2.0, 3.0, 4.0]
     assert table.best().wcost == 2.0
     assert table.shapes() == [(1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("kernel", ["reference", "soa"])
+@pytest.mark.parametrize("flow", ["domino", "soi"])
+def test_ends_par_column_is_the_rebuilt_structure_fact(kernel, flow):
+    """The ``ends_par`` column each kernel writes for a combined row (a
+    parallel combination ends in parallel; a series one inherits its
+    bottom operand's) is what the rebuilt pulldown reports."""
+    network, _ = prepare_network(load_circuit("mux"))
+    engine = MappingEngine(network, CostModel(),
+                           flow_config(flow, MapperConfig(kernel=kernel)))
+    engine.run_dp()
+    arena = engine.arena
+    checked = 0
+    for table in engine._tables.values():
+        for row in arena.rows(range(table.start, table.stop)):
+            if arena._p[3 * row.id] in (OP_SER, OP_PAR):
+                assert row.ends_par == \
+                    arena.structure(row.id).ends_in_parallel
+                checked += 1
+    assert checked > 0

@@ -13,9 +13,11 @@ Three layers of checks:
   and hand-built candidate sequences pin the reducer's two shortcut
   verdicts (rejected, append-then-truncate) at their edges.
 * **Engine-level equivalence** — ``kernel="soa"``/``"auto"`` reproduce
-  the reference digests and stats on real networks (the broader sweep
-  lives in ``test_lazy_equivalence.py``, which runs every pinned seed
-  digest under both kernels).
+  the reference digests and stats on real networks, across the
+  cross-kernel parity configurations CI runs (the large ones under
+  ``REPRO_EQUIV_FULL=1``); the broader sweep lives in
+  ``test_lazy_equivalence.py``, which runs every pinned seed digest
+  under both kernels.
 * **Resolution edges** — auto-kernel routing, the vectorizability
   fallback (a key that is not elementwise -> reference kernel +
   ``kernel_fallbacks``), and ``kernel="soa"`` without numpy being a
@@ -25,7 +27,9 @@ Three layers of checks:
 from __future__ import annotations
 
 import math
+import os
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -38,6 +42,7 @@ from repro.domino.structure import Leaf  # noqa: E402
 from repro.errors import MappingError  # noqa: E402
 from repro.mapping import CostModel, DepthCost, MapperConfig  # noqa: E402
 from repro.mapping import MappingEngine, map_network  # noqa: E402
+from repro.mapping import prepare_network  # noqa: E402
 from repro.mapping.kernel import (AUTO_THRESHOLD, AutoKernel,  # noqa: E402
                                   ReferenceKernel, resolve_kernel)
 from repro.mapping.soa import SoAKernel, _key_cols  # noqa: E402
@@ -372,16 +377,68 @@ def test_key_digits_order_a_mixed_tie_heavy_sample():
 # ---------------------------------------------------------------------------
 # engine-level equivalence and instrumentation
 # ---------------------------------------------------------------------------
-def test_map_network_soa_matches_reference_digest_and_stats():
-    circuit = load_circuit("9symml")
+def _kernel_runs(circuit, flow, config, kernels):
+    """Map ``circuit`` once per kernel; kernel -> (digest, counters).
+
+    The soa run must really have run the soa kernel, so that a silent
+    fallback to the reference kernel cannot pass as parity.
+    """
+    network = load_circuit(circuit)
+    prepared = prepare_network(network)
     runs = {}
-    for kernel in ("reference", "soa", "auto"):
-        cfg = MapperConfig(w_max=8, h_max=10, ordering="exhaustive",
-                           pareto=False, kernel=kernel)
-        r = map_network(circuit, config=cfg)
+    for kernel in kernels:
+        r = map_network(network, flow=flow,
+                        config=replace(config, kernel=kernel),
+                        prepared=prepared)
+        if kernel == "soa":
+            assert r.mapping.kernel == "soa"
+            assert r.stats.soa_batches > 0
         runs[kernel] = (r.circuit.digest(), r.stats.tuples_created,
                         r.stats.tuples_pruned, r.stats.bound_skips)
+    return runs
+
+
+def test_map_network_soa_matches_reference_digest_and_stats():
+    runs = _kernel_runs("9symml", None,
+                        MapperConfig(w_max=8, h_max=10, ordering="exhaustive",
+                                     pareto=False),
+                        ("reference", "soa", "auto"))
     assert runs["reference"] == runs["soa"] == runs["auto"]
+
+
+_FULL = pytest.mark.skipif(os.environ.get("REPRO_EQUIV_FULL") != "1",
+                           reason="large circuits; set REPRO_EQUIV_FULL=1")
+
+#: (circuit, flow, ordering, table mode, (w_max, h_max)).  The default
+#: set sweeps three small circuits at paper limits; the gated set adds
+#: pareto fronts at the pareto-stress benchmark's W=12/H=16, where
+#: fronts fill and truncate on most slots, and the two circuits with
+#: the most nodes per topological level, where the soa kernel's batches
+#: are largest (the ``domino`` preset forces the adverse ordering).
+PARITY_CONFIGS = [
+    *(pytest.param(c, "soi", o, m, (5, 8), id=f"{c}-soi-{o}-{m}")
+      for c in ("cm150", "mux", "z4ml")
+      for o in ("paper", "exhaustive")
+      for m in ("single", "pareto")),
+    *(pytest.param("f51m", "soi", o, "pareto", (12, 16),
+                   id=f"f51m-soi-{o}-pareto-W12H16", marks=_FULL)
+      for o in ("paper", "exhaustive")),
+    *(pytest.param(c, f, o, "single", (5, 8), id=f"{c}-{f}-{o}-single",
+                   marks=_FULL)
+      for c in ("c7552", "des")
+      for f, o in (("domino", "adverse"), ("soi", "paper"),
+                   ("soi", "exhaustive"))),
+]
+
+
+@pytest.mark.parametrize("circuit,flow,ordering,mode,limits",
+                         PARITY_CONFIGS)
+def test_cross_kernel_parity(circuit, flow, ordering, mode, limits):
+    """Both kernels agree on the digest and the work counters."""
+    config = MapperConfig(w_max=limits[0], h_max=limits[1],
+                          ordering=ordering, pareto=(mode == "pareto"))
+    runs = _kernel_runs(circuit, flow, config, ("reference", "soa"))
+    assert runs["reference"] == runs["soa"]
 
 
 def _table_snapshot(engine):

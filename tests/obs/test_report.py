@@ -1,4 +1,4 @@
-"""The unified soidomino-report/3 schema behind map/batch/bench JSON."""
+"""The unified soidomino-report/3 schema behind map/batch JSON."""
 
 from repro.mapping import map_network
 from repro.network import network_from_expression
@@ -7,7 +7,6 @@ from repro.obs import (
     SHARED_REPORT_KEYS,
     MetricsRegistry,
     batch_report,
-    extend_bench_payload,
     flow_report,
 )
 from repro.pipeline import BatchRunner
@@ -66,6 +65,25 @@ def test_shared_registry_reports_each_run_its_own_stats():
                      + second.stats.tuples_created)
 
 
+def test_accumulating_stats_publish_each_run_once():
+    """A caller-supplied ``stats=`` accumulates across runs by design;
+    each run publishes only what it added, so a shared registry and
+    each run's private one agree with the run's own counters."""
+    from repro.pipeline import MappingStats
+
+    stats = MappingStats()
+    shared = MetricsRegistry()
+    first = map_network(_net(), flow="soi", stats=stats, metrics=shared)
+    once = first.stats.tuples_created
+    second = map_network(_net(), flow="soi", stats=stats)
+    third = map_network(_net(), flow="soi", stats=stats, metrics=shared)
+    assert stats.tuples_created == 3 * once > 0
+    created = "repro_mapping_tuples_created_total"
+    assert second.metrics.get(created).value == once
+    assert shared.get(created).value == 2 * once
+    assert third.stats is stats
+
+
 def test_flow_report_kernel_block_records_routing():
     from repro.mapping import MapperConfig
 
@@ -120,38 +138,12 @@ def test_batch_report_failed_task_has_no_stats():
     assert not failed["ok"] and failed["stats"] is None
 
 
-def test_extend_bench_payload_grafts_header_in_place():
-    payload = {
-        "schema": "soidomino-bench/1",
-        "wall_s": 1.25,
-        "sweep": {"circuits": ["z4ml"], "flows": ["soi"]},
-        "aggregate": {"tasks": 2, "task_time_s": 1.0,
-                      "pass_time_s": {"dp-map": 0.8}},
-    }
-    out = extend_bench_payload(payload)
-    assert out is payload
-    assert payload["schema"] == "soidomino-bench/1"  # committed key kept
-    assert payload["schema_version"] == REPORT_SCHEMA_VERSION
-    assert payload["kind"] == "bench"
-    assert payload["circuit"] == ["z4ml"]
-    assert payload["flow"] == ["soi"]
-    assert payload["stats"] is None
-    assert payload["timings"] == {"wall_s": 1.25, "task_time_s": 1.0,
-                                  "passes": {"dp-map": 0.8}}
-    stats = _flow_result().stats
-    assert extend_bench_payload(payload, stats=stats)["stats"] == (
-        stats.as_dict())
-
-
-def test_all_three_kinds_share_the_header_keys():
+def test_both_kinds_share_the_header_keys():
     flow_keys = set(flow_report(_flow_result()))
     runner = BatchRunner(max_workers=1)
     report = runner.run_serial(
         BatchRunner.sweep_tasks(["z4ml"], flows=["soi"]))
     batch_keys = set(batch_report(report))
-    bench_keys = set(extend_bench_payload({
-        "wall_s": 0.0, "sweep": {}, "aggregate": {}}))
     shared = set(SHARED_REPORT_KEYS)
     assert shared <= flow_keys
     assert shared <= batch_keys
-    assert shared <= bench_keys
