@@ -21,7 +21,6 @@ from .errors import (
     BatchDeadlineError,
     BenchmarkError,
     CacheIntegrityError,
-    CheckpointCorruptError,
     FlowError,
     MappingError,
     NetworkError,
@@ -57,7 +56,6 @@ from .domino import (
     series,
 )
 from .flow import (
-    FlowCheckpoint,
     FlowContext,
     FlowPipeline,
     Pass,
@@ -117,7 +115,6 @@ __all__ = [
     "BatchDeadlineError",
     "BenchmarkError",
     "CacheIntegrityError",
-    "CheckpointCorruptError",
     "FlowError",
     "MappingError",
     "NetworkError",
@@ -153,7 +150,6 @@ __all__ = [
     "AreaCost",
     "FLOW_PASSES",
     "FLOW_PRESETS",
-    "FlowCheckpoint",
     "FlowContext",
     "FlowPipeline",
     "Pass",

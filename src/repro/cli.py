@@ -31,8 +31,7 @@ operators use to rehearse failures against the real CLI surfaces.
 JSON schema (:mod:`repro.obs.report`) via ``--json``, and both accept
 ``--trace FILE`` to export the run's span tree — ``.json``/``.trace``
 writes Chrome ``trace_event`` format (load in Perfetto or
-``chrome://tracing``), ``.jsonl`` writes one span per line.  ``map``
-additionally supports checkpoint/resume via ``--checkpoint DIR``.
+``chrome://tracing``), ``.jsonl`` writes one span per line.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ def _cmd_map(args) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     result = map_network(network, flow=args.algorithm, cost_model=model,
-                         config=config, checkpoint_dir=args.checkpoint)
+                         config=config)
     if profiler is not None:
         profiler.disable()
     if args.trace:
@@ -427,10 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export the run's span tree: .json/.trace = "
                             "Chrome trace_event (Perfetto), .jsonl = "
                             "span-per-line")
-    p_map.add_argument("--checkpoint", metavar="DIR", default=None,
-                       help="flow checkpoint directory: artifacts are "
-                            "saved after every pass and a rerun resumes "
-                            "after the last completed one")
     p_map.add_argument("--profile", action="store_true",
                        help="run the mapping under cProfile and print the "
                             "top-20 cumulative entries")

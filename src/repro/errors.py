@@ -85,19 +85,7 @@ class BatchDeadlineError(ReproError):
 
 
 class FlowError(ReproError):
-    """A flow pipeline is malformed or a checkpoint cannot be resumed."""
-
-
-class CheckpointCorruptError(FlowError):
-    """Checkpoint data failed an integrity check (bad bytes, not a
-    mismatch): unreadable manifest JSON, a checksum that does not match
-    the stored artifact, or an artifact that no longer unpickles.
-
-    Distinct from the plain :class:`FlowError` refusals (different
-    flow/pass-list/config), which are deliberate and must stay hard
-    errors: corruption is recoverable by resuming from the last pass
-    whose artifacts still verify.
-    """
+    """A flow pipeline is malformed or a pass breaks its artifact contract."""
 
 
 class CacheIntegrityError(ReproError):

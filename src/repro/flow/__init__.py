@@ -8,15 +8,12 @@ The mapping stack is a pipeline of named passes over typed artifacts:
   dp-map, rearrange, discharge, analyze) and the :data:`PASS_REGISTRY`;
 * :mod:`repro.flow.pipeline` — :class:`FlowPipeline`, which validates a
   declarative pass list and executes it with per-pass wall-clock,
-  stats-delta and diagnostic records (:class:`PassRecord`);
-* :mod:`repro.flow.checkpoint` — :class:`FlowCheckpoint`, artifact
-  serialization after any pass and validated resume.
+  stats-delta and diagnostic records (:class:`PassRecord`).
 
 :func:`repro.mapping.map_network` assembles these for the paper's three
 flow presets; this package is the mechanism, presets are policy.
 """
 
-from .checkpoint import CHECKPOINT_SCHEMA, FlowCheckpoint
 from .context import ARTIFACTS, ArtifactSpec, FlowContext
 from .passes import PASS_REGISTRY, Pass, available_passes, get_pass, register
 from .pipeline import FlowPipeline, PassRecord
@@ -24,8 +21,6 @@ from .pipeline import FlowPipeline, PassRecord
 __all__ = [
     "ARTIFACTS",
     "ArtifactSpec",
-    "CHECKPOINT_SCHEMA",
-    "FlowCheckpoint",
     "FlowContext",
     "FlowPipeline",
     "PASS_REGISTRY",

@@ -6,10 +6,6 @@ network, the mapping plan, the mapped result), and the pipeline checks
 every read and write against the declared :data:`ARTIFACTS` schema — a
 pass cannot silently publish the wrong type or consume an artifact that
 no earlier pass provides.
-
-The artifact names are the checkpoint vocabulary too: a flow checkpoint
-is exactly the set of artifacts present after the last completed pass
-(see ``flow/checkpoint.py``).
 """
 
 from __future__ import annotations

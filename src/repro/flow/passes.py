@@ -13,7 +13,7 @@ exactly: a network that is already mappable short-circuits in
 the downstream front-end passes skip.  The back-end trio is the staged
 form of :meth:`MappingEngine.run` — DP, series-stack rearrangement,
 discharge insertion — split at the :class:`MappingPlan` boundary so each
-stage can be timed, skipped, swapped, or checkpointed on its own.
+stage can be timed, skipped, or swapped on its own.
 
 Passes are stateless: all run state lives on the :class:`FlowContext`.
 They register themselves in :data:`PASS_REGISTRY` at import time;
@@ -64,8 +64,8 @@ class Pass:
     """One named stage of a mapping flow.
 
     Subclasses set the class attributes and implement :meth:`run`; the
-    pipeline handles timing, stats deltas, artifact validation, and
-    checkpointing around it.
+    pipeline handles timing, stats deltas and artifact validation around
+    it.
     """
 
     #: registry name (kebab-case)

@@ -12,9 +12,7 @@ span's duration), the movement of every
 pass's own structured diagnostics.  Records surface on
 :attr:`FlowResult.passes`, ``soidomino map --json``, and the bench
 harness; the span tree surfaces on :attr:`FlowResult.trace` and the
-CLI's ``--trace FILE`` exports.  With a :class:`~repro.flow.FlowCheckpoint`
-attached, artifacts are serialized after every pass and a re-run resumes
-from the last completed one.
+CLI's ``--trace FILE`` exports.
 """
 
 from __future__ import annotations
@@ -27,16 +25,15 @@ from .context import ARTIFACTS, FlowContext
 from .passes import Pass, get_pass
 
 #: Pass statuses a record can carry.
-PASS_STATUSES = ("ok", "skipped", "resumed")
+PASS_STATUSES = ("ok", "skipped")
 
 
 @dataclass
 class PassRecord:
     """Observability record of one pass execution.
 
-    ``status`` is ``"ok"`` for a pass that ran, ``"skipped"`` for one
-    whose :meth:`Pass.skip_reason` declined (reason in ``detail``), and
-    ``"resumed"`` for one restored from a checkpoint (not re-run).
+    ``status`` is ``"ok"`` for a pass that ran and ``"skipped"`` for one
+    whose :meth:`Pass.skip_reason` declined (reason in ``detail``).
     """
 
     name: str
@@ -73,7 +70,7 @@ class FlowPipeline:
     passes:
         Pass names (resolved in the registry) or :class:`Pass` instances.
     name:
-        Flow label carried into records and checkpoints.
+        Flow label carried into records and error messages.
     initial:
         Artifacts the caller provides before the first pass runs
         (default: just ``network``).
@@ -124,24 +121,10 @@ class FlowPipeline:
             available.update(_CONDITIONAL_PROVIDES.get(p.name, ()))
 
     # -- execution -------------------------------------------------------
-    def run(self, ctx: FlowContext,
-            checkpoint=None) -> List[PassRecord]:
-        """Execute the pipeline over ``ctx``; returns per-pass records.
-
-        ``checkpoint`` (a :class:`~repro.flow.FlowCheckpoint`) makes the
-        run resumable: artifacts are saved after every completed pass,
-        and a later run with the same checkpoint directory restores them
-        and re-executes only the remaining passes.
-        """
+    def run(self, ctx: FlowContext) -> List[PassRecord]:
+        """Execute the pipeline over ``ctx``; returns per-pass records."""
         records: List[PassRecord] = []
-        completed: List[str] = []
-        if checkpoint is not None and checkpoint.exists():
-            completed = checkpoint.restore(ctx, self)
-            records.extend(
-                PassRecord(name=name, status="resumed",
-                           detail="restored from checkpoint")
-                for name in completed)
-        for p in self.passes[len(completed):]:
+        for p in self.passes:
             for artifact in p.requires:
                 if not ctx.has(artifact):
                     raise FlowError(
@@ -172,9 +155,6 @@ class FlowPipeline:
                     name=p.name, elapsed_s=span.duration_s,
                     stats_delta=delta,
                     diagnostics=diagnostics))
-            completed.append(p.name)
-            if checkpoint is not None:
-                checkpoint.save(ctx, self, completed)
         return records
 
     def __repr__(self) -> str:

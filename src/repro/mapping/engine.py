@@ -158,8 +158,8 @@ class MapperConfig:
         the array overhead, the reference kernel otherwise (and always
         without numpy).  Excluded from :meth:`fingerprint` because the
         kernel is execution strategy, not mapping semantics: all
-        kernels produce bit-identical tables, so cached/checkpointed
-        artifacts are shared across them.
+        kernels produce bit-identical tables, so cached artifacts are
+        shared across them.
     duplication:
         Fanout handling.  ``True`` (the paper's regime, following [23]):
         every consumer of a multi-fanout node sees the node's full tuple
@@ -204,23 +204,15 @@ class MapperConfig:
                 f"unknown ground policy {self.ground_policy!r}; "
                 f"expected one of {', '.join(GROUND_POLICIES)}")
 
-    #: Fields :meth:`semantic_fields` skips — execution strategy, not
-    #: mapping semantics.
-    _NON_SEMANTIC_FIELDS = frozenset({"kernel"})
-
-    def semantic_fields(self) -> Dict[str, object]:
-        """Every field that can change the mapping, by name.
+    def fingerprint(self) -> tuple:
+        """Every field that can change the mapping (tree-cache key).
 
         ``kernel`` is excluded: every kernel produces bit-identical
-        tables, so cache entries and checkpoints written under one
-        kernel are valid — and shared — under any other.
+        tables, so cache entries written under one kernel are valid —
+        and shared — under any other.
         """
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in self._NON_SEMANTIC_FIELDS}
-
-    def fingerprint(self) -> tuple:
-        """Hashable identity of :meth:`semantic_fields` (tree-cache key)."""
-        return tuple(self.semantic_fields().values())
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.name != "kernel")
 
 
 @dataclass
@@ -265,8 +257,8 @@ class PlannedGate:
     """One gate the DP selected, before post-processing.
 
     The structure is materialized (no provenance back-pointers left to
-    chase), so a plan pickles cleanly for flow checkpoints; the
-    rearrangement pass rewrites ``structure`` in place of the record.
+    chase); the rearrangement pass rewrites ``structure`` in place of the
+    record.
     """
 
     node_id: int
@@ -282,7 +274,7 @@ class MappingPlan:
     Everything downstream of the DP — series-stack rearrangement,
     discharge insertion, circuit assembly — is a deterministic function
     of this plan, which is what lets the flow pipeline run those steps as
-    separate passes (and checkpoint between them) while reproducing
+    separate passes while reproducing
     :meth:`MappingEngine.run` bit-for-bit.  Orders are load-bearing:
     ``inputs``, ``outputs`` and ``gates`` are recorded in exactly the
     traversal order the one-shot materializer used.

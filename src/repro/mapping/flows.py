@@ -199,7 +199,6 @@ def map_network(network: LogicNetwork,
                 cache=None,
                 stats: Optional[MappingStats] = None,
                 passes: Optional[Sequence[str]] = None,
-                checkpoint_dir: Optional[str] = None,
                 tracer=None,
                 metrics=None,
                 prepared: Optional[Tuple[LogicNetwork,
@@ -226,10 +225,6 @@ def map_network(network: LogicNetwork,
         Optional :class:`~repro.pipeline.MappingStats` to accumulate into.
     passes:
         Optional explicit pass list overriding the flow's preset.
-    checkpoint_dir:
-        Optional directory for checkpoint/resume: artifacts are
-        serialized after every pass, and a rerun pointing at the same
-        directory resumes after the last completed pass.
     tracer:
         Optional :class:`~repro.obs.Tracer` to record into (the CLI
         passes one covering the whole invocation); a private tracer is
@@ -258,7 +253,7 @@ def map_network(network: LogicNetwork,
         raise TypeError(
             "map_network() no longer accepts a CostModel as its second "
             "positional argument; pass cost_model=... by keyword")
-    from ..flow import FlowCheckpoint, FlowContext
+    from ..flow import FlowContext
     from ..obs import MetricsRegistry, Tracer
 
     started = time.perf_counter()
@@ -275,12 +270,10 @@ def map_network(network: LogicNetwork,
     if prepared is not None:
         ctx.set("unate_network", prepared[0])
         ctx.set("unate_report", prepared[1])
-    checkpoint = (FlowCheckpoint(checkpoint_dir)
-                  if checkpoint_dir is not None else None)
     with tracer.span(f"flow:{network.name}", category="flow",
                      circuit=network.name,
                      flow=flow or "custom") as flow_span:
-        records = pipeline.run(ctx, checkpoint=checkpoint)
+        records = pipeline.run(ctx)
     metrics.record_mapping_stats(ctx.stats.since(before))
     return FlowResult(mapping=ctx.get("mapping"),
                       unate_report=ctx.artifacts.get("unate_report"),

@@ -47,7 +47,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..errors import is_retryable
 from ..resilience.faults import (
     FaultPlan,
-    hash_fraction,
+    backoff_s,
     install,
     install_from_env,
 )
@@ -233,10 +233,9 @@ class WorkerPool:
     def _backoff_s(self, label: str, attempt: int, seed: int) -> float:
         """Deterministic-jitter exponential backoff before retry
         ``attempt + 1`` of the task labelled ``label``."""
-        base = min(self.backoff_cap_s,
-                   self.backoff_base_s * (2.0 ** max(0, attempt - 1)))
-        jitter = 0.5 + hash_fraction(seed, "backoff", f"{label}#{attempt}")
-        return base * jitter
+        return backoff_s(seed, "backoff", label, attempt,
+                         base_s=self.backoff_base_s,
+                         cap_s=self.backoff_cap_s)
 
     def run_tasks(self, tasks: List, *,
                   deadline: Optional[float] = None,

@@ -4,16 +4,15 @@
 full :data:`~repro.resilience.faults.FAULT_POINTS` matrix, or a chosen
 subset): a seeded :class:`FaultPlan` activating exactly that site is
 installed, a small real workload runs through the production stack —
-the batch pool for the worker-facing sites, a checkpointed flow for
-checkpoint corruption, a shared :class:`~repro.pipeline.TreeCache` for
-cache poisoning — and the scenario passes only if the site's
+the batch pool for the worker-facing sites, a shared
+:class:`~repro.pipeline.TreeCache` for cache poisoning, a real daemon
+for the service sites — and the scenario passes only if the site's
 *documented* recovery happened: hung/crashed workers were retried to
 success, deterministic failures failed fast as structured per-task
-errors, corrupt checkpoints rewound to the last verified pass, poisoned
-cache entries were evicted and recomputed.  Every scenario also demands
-**bit-identical digests** against a fault-free baseline for all work
-that was supposed to survive, which is what separates "recovered" from
-"limped to a different answer".
+errors, poisoned cache entries were evicted and recomputed.  Every
+scenario also demands **bit-identical digests** against a fault-free
+baseline for all work that was supposed to survive, which is what
+separates "recovered" from "limped to a different answer".
 
 Everything is deterministic in ``seed``: fault decisions are hash-based
 (see :mod:`repro.resilience.faults`), so a failing chaos run reproduces
@@ -159,7 +158,6 @@ def run_chaos(circuits: Optional[Sequence[str]] = None, *, seed: int = 0,
         "task.hang": _run_task_hang,
         "parse.fail": _run_parse_fail,
         "resource.exhaust": _run_resource_exhaust,
-        "checkpoint.corrupt": _run_checkpoint_corrupt,
         "cache.poison": _run_cache_poison,
         "journal.corrupt": _run_journal_corrupt,
         "service.crash": _run_service_crash,
@@ -242,29 +240,6 @@ def _run_resource_exhaust(*, seed, circuits, target, jobs, timeout_s,
               f"{'match baseline' if others_ok else 'DIVERGED'}")
     return _verdict("resource.exhaust", plan.spec(), ok, detail, run,
                     others_ok)
-
-
-def _run_checkpoint_corrupt(*, seed, target, baseline, **_) -> ChaosOutcome:
-    clean = map_network(load_circuit(target), flow="soi")
-    plan = FaultPlan(seed=seed, rules=(
-        FaultRule("checkpoint.corrupt", match="plan"),))
-    with tempfile.TemporaryDirectory(prefix="soidomino-chaos-") as tmpdir:
-        previous = install(plan)
-        try:
-            map_network(load_circuit(target), flow="soi",
-                        checkpoint_dir=tmpdir)
-        finally:
-            install(previous)
-        resumed = map_network(load_circuit(target), flow="soi",
-                              checkpoint_dir=tmpdir)
-    digests_ok = resumed.circuit.digest() == clean.circuit.digest()
-    rewound = any(r.status == "ok" for r in resumed.passes)
-    ok = digests_ok and rewound
-    detail = (f"corrupt 'plan' artifact on save; resume "
-              f"{'rewound and re-ran' if rewound else 'DID NOT RE-RUN'}, "
-              f"digest {'matches clean run' if digests_ok else 'DIVERGED'}")
-    return ChaosOutcome(site="checkpoint.corrupt", spec=plan.spec(), ok=ok,
-                        detail=detail, digests_ok=digests_ok)
 
 
 # ---------------------------------------------------------------------------

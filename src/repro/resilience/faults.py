@@ -3,8 +3,9 @@
 A :class:`FaultPlan` is a set of :class:`FaultRule` activations over the
 registry of named **fault points** (:data:`FAULT_POINTS`) — the places
 the production code is willing to break itself on purpose: a worker
-crash, a task hang, checkpoint corruption, cache poisoning, a parse
-failure, resource exhaustion.  Each site documents the recovery the
+crash, a task hang, cache poisoning, a parse failure, resource
+exhaustion, journal corruption, a daemon crash, queue overload, a
+tripped pool breaker.  Each site documents the recovery the
 rest of the stack must provide, and ``tests/resilience`` drives every
 one of them.
 
@@ -66,12 +67,6 @@ FAULT_POINTS: Dict[str, FaultPoint] = {
             "per-task timeout",
             "pool timeout fires; the hung worker's slot is reclaimed by "
             "rebuilding the pool and the task is resubmitted"),
-        FaultPoint(
-            "checkpoint.corrupt",
-            "artifact bytes are flipped after the checksum is recorded, "
-            "so the file on disk no longer matches its manifest entry",
-            "restore verifies checksums and resumes from the last pass "
-            "whose artifacts all verify instead of raising"),
         FaultPoint(
             "cache.poison",
             "a fetched TreeCache template is mutated without updating "
@@ -171,6 +166,14 @@ def hash_fraction(seed: int, site: str, key: str) -> float:
     """Deterministic uniform fraction in [0, 1) for one decision."""
     digest = hashlib.sha256(f"{seed}|{site}|{key}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+
+
+def backoff_s(seed: int, site: str, key: str, attempt: int, *,
+              base_s: float, cap_s: float) -> float:
+    """Exponential backoff before retry ``attempt`` (1-based), capped at
+    ``cap_s`` and scaled by a deterministic jitter in [0.5, 1.5)."""
+    delay = min(cap_s, base_s * 2.0 ** (attempt - 1))
+    return delay * (0.5 + hash_fraction(seed, site, f"{key}#{attempt}"))
 
 
 @dataclass

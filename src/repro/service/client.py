@@ -27,7 +27,7 @@ import uuid
 from typing import Dict, Iterator, List, Optional
 
 from ..errors import ReproError, is_retryable
-from ..resilience.faults import hash_fraction
+from ..resilience.faults import backoff_s
 
 
 class ServiceError(ReproError):
@@ -84,11 +84,9 @@ class ServiceClient:
         """How long to sleep before retry ``attempt`` (1-based)."""
         if retry_after is not None:
             return max(0.0, float(retry_after))
-        base = min(self.backoff_cap_s,
-                   self.backoff_base_s * 2.0 ** (attempt - 1))
-        jitter = 0.5 + hash_fraction(self.seed, "client.backoff",
-                                     f"{what}#{attempt}")
-        return base * jitter
+        return backoff_s(self.seed, "client.backoff", what, attempt,
+                         base_s=self.backoff_base_s,
+                         cap_s=self.backoff_cap_s)
 
     def _request_once(self, method: str, path: str,
                       body: Optional[object] = None) -> Dict[str, object]:

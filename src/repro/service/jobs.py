@@ -152,16 +152,19 @@ class JobSpec:
             raise JobSpecError(
                 f"'k' must be a positive finite number, got {k!r}")
         kernel = payload.get("kernel", "auto")
-        if kernel not in KERNELS:
+        if not isinstance(kernel, str) or kernel not in KERNELS:
             raise JobSpecError(f"unknown kernel {kernel!r}; expected one "
                                f"of {', '.join(KERNELS)}")
         tenant = payload.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant:
             raise JobSpecError("'tenant' must be a non-empty string")
         priority = payload.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
+        # the journal stores priority in a signed 64-bit sqlite column
+        if (not isinstance(priority, int) or isinstance(priority, bool)
+                or not -2 ** 63 <= priority < 2 ** 63):
             raise JobSpecError(
-                f"'priority' must be an integer, got {priority!r}")
+                "'priority' must be a signed 64-bit integer, "
+                f"got {priority!r}")
         idempotency_key = payload.get("idempotency_key")
         if idempotency_key is not None and (
                 not isinstance(idempotency_key, str) or not idempotency_key

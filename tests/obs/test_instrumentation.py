@@ -18,7 +18,7 @@ from repro.mapping import FLOW_PASSES, FLOW_PRESETS, map_network
 from repro.network import network_from_expression
 from repro.obs import MetricsRegistry, Tracer, stitch
 from repro.pipeline import BatchRunner
-from repro.pipeline.runner import execute_task
+from repro.pipeline.runner import clear_network_memo, execute_task
 
 
 def _net():
@@ -93,6 +93,8 @@ def test_engine_histograms_are_sampled_into_the_registry():
 
 def test_worker_span_tree_survives_pickling_and_stitches(tmp_path):
     task = BatchRunner.sweep_tasks(["z4ml"], flows=["soi"])[0]
+    # a memoized z4ml front end from an earlier test would skip "unate"
+    clear_network_memo()
     result = pickle.loads(pickle.dumps(execute_task(task)))
     assert result.trace is not None
     assert result.trace.name == f"task:{task.label}"

@@ -41,7 +41,7 @@ def test_report_serializes(full_report):
     payload = full_report.as_dict()
     assert payload["schema"] == "soidomino-chaos/1"
     assert payload["ok"] is True
-    assert len(payload["outcomes"]) == len(FAULT_POINTS)
+    assert len(payload["outcomes"]) == len(FAULT_POINTS) == 9
     json.dumps(payload)     # JSON-clean all the way down
 
 

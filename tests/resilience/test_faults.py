@@ -19,10 +19,9 @@ from repro.resilience import (
     uninstall,
 )
 
-ALL_SITES = ("worker.crash", "task.hang", "checkpoint.corrupt",
-             "cache.poison", "parse.fail", "resource.exhaust",
-             "journal.corrupt", "service.crash", "queue.overload",
-             "pool.breaker")
+ALL_SITES = ("worker.crash", "task.hang", "cache.poison", "parse.fail",
+             "resource.exhaust", "journal.corrupt", "service.crash",
+             "queue.overload", "pool.breaker")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ from repro.service import (
     ServiceError,
     start_in_thread,
 )
-from repro.service.jobs import OverloadError, ServiceUnavailableError
+from repro.service.jobs import (
+    JobSpecError,
+    OverloadError,
+    ServiceUnavailableError,
+)
 
 
 class TestCircuitBreaker:
@@ -91,6 +95,22 @@ class TestAdmissionGates:
             registry = service.metrics_registry()
             assert registry.get("repro_service_breaker_state").value == 1
             assert registry.get("repro_service_breaker_opens").value == 1
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("payload", [
+        {"circuits": ["mux"], "kernel": []},
+        {"circuits": ["mux"], "priority": 2 ** 70},
+    ])
+    def test_malformed_spec_is_rejected_before_admission(self, tmp_path,
+                                                         payload):
+        service = MappingService(
+            max_workers=1, journal_path=str(tmp_path / "jobs.sqlite"))
+        try:
+            with pytest.raises(JobSpecError):
+                service.submit(payload)
+            assert service.jobs == {}
+            assert service.journal.non_terminal_count() == 0
         finally:
             service.close()
 

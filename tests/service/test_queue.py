@@ -50,6 +50,8 @@ class TestJobSpec:
         ({"circuits": ["mux"], "tenant": ""}, "tenant"),
         ({"circuits": ["mux"], "priority": "high"}, "priority"),
         ({"circuits": ["mux"], "bogus": 1}, "unknown job field"),
+        ({"circuits": ["mux"], "priority": 2 ** 63}, "priority"),
+        ({"circuits": ["mux"], "priority": -2 ** 63 - 1}, "priority"),
     ])
     def test_invalid_payloads(self, payload, needle):
         with pytest.raises(JobSpecError, match=needle):

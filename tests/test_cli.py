@@ -130,19 +130,10 @@ def test_map_text_output_shows_pass_timings(capsys):
     assert "dp-map=" in out
 
 
-def test_map_checkpoint_resume(tmp_path, capsys):
-    import json
-
-    ckpt = tmp_path / "ckpt"
-    assert main(["map", "mux", "-a", "soi", "--checkpoint", str(ckpt),
-                 "--json"]) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert (ckpt / "manifest.json").is_file()
-    assert main(["map", "mux", "-a", "soi", "--checkpoint", str(ckpt),
-                 "--json"]) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert second["digest"] == first["digest"]
-    assert all(p["status"] == "resumed" for p in second["passes"])
+def test_map_checkpoint_option_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "mux", "--checkpoint", str(tmp_path / "D")])
+    assert exc.value.code == 2
 
 
 def test_passes_listing(capsys):
