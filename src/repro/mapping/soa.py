@@ -81,17 +81,19 @@ and it holds per node, whatever else shares the batch:
   the reference's stable list sort (list order == insertion order)
   bit-exactly.  Finished slots leave the state arrays in batches, so a
   step costs about what its active slots cost; the winning rows are
-  written through one batched gather at the end.  PBE pareto nodes are
-  reduced one node at a time: the reducer's state is per slot already,
-  and a one-node batch keeps its arrays no larger than the node's own
-  candidates.  A node whose fields overflow one packed word (far
-  beyond any feasible structure) goes to the reference kernel.
+  written through one batched gather at the end.  The reducer's state
+  is per slot already, so a batch's slots are its ``(node, shape)``
+  pairs (candidates arrive node-major, so one stable sort by shape
+  keeps each pair contiguous), and all of them share one front-state
+  array, one key rank and one loop.  A batch whose fields overflow one
+  packed word (far beyond any feasible structure), or whose tables'
+  front caps differ, goes whole to the reference kernel.
 * Slot dict order is the shapes' first-candidate order, matching the
   reference's create-on-first-arrival — load-bearing because the tree
   cache serializes tables in slot-insertion order.  Each node's
   candidates are one contiguous arrival range, so sorting the batch's
-  winners by first arrival is node-major, and each node's rows land
-  contiguously, followed by the row reserved for its gate.
+  winners by first arrival is node-major, and both reducers write each
+  node's rows contiguously, followed by the row reserved for its gate.
 
 Every table enters empty, as the kernel contract in
 :mod:`repro.mapping.kernel` guarantees, so each reducer builds its slots
@@ -203,12 +205,10 @@ class SoAKernel:
     def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
         """Fill every item's table; return per-item candidate counts.
 
-        Single-mode (and non-PBE pareto) tables share one batch: one
-        generation, one sort, one write of the winning rows.  PBE
-        pareto fronts go one node at a time.
+        The whole batch is one generation, one reduction (the sort of
+        single mode, or the change-point pass over every PBE pareto
+        slot of the batch) and one write of the winning rows.
         """
-        if self._pareto and self._pbe:
-            return [self._combine_node(item) for item in items]
         # OR nodes first, so one split point separates the two
         # generation formulas; node order is otherwise free, since the
         # nodes of a batch are independent.
@@ -224,22 +224,19 @@ class SoAKernel:
         self._record(batch)
         if batch is None:
             return [0] * len(items)
-        pruned = self._reduce_single([item[0] for item in items], batch)
+        tables = [item[0] for item in items]
+        if self._pareto and self._pbe:
+            pruned = self._reduce_pareto(tables, batch)
+            if pruned is None:
+                # The change-point pass cannot take this batch (fields
+                # too wide for its packed words, or mixed front caps):
+                # the reference kernel fills the tables (and counts)
+                # instead.
+                return self._exact.combine_many(items)
+        else:
+            pruned = self._reduce_single(tables, batch)
         self._count(batch["n"], pruned)
         return np.bincount(batch["node"], minlength=len(items)).tolist()
-
-    def _combine_node(self, item) -> int:
-        batch = self._generate([item])
-        self._record(batch)
-        if batch is None:
-            return 0
-        pruned = self._reduce_pareto(item[0], batch)
-        if pruned is None:
-            # The front's packed words cannot hold this node's fields:
-            # the reference kernel fills the table (and counts) instead.
-            return self._exact.combine_many([item])[0]
-        self._count(batch["n"], pruned)
-        return batch["n"]
 
     def _record(self, batch) -> None:
         stats = self._stats
@@ -520,10 +517,18 @@ class SoAKernel:
         # minimum of the arrival index), which is node-major because
         # each node's candidates are one contiguous arrival range.
         first_arrival = np.minimum.reduceat(order, starts)
-        winners = order[starts][np.argsort(first_arrival, kind="stable")]
-        wnode = node[winners]
-        # Each node's rows, then its gate row: winner j of node t lands
-        # t rows further than its rank.
+        self._write(tables, batch,
+                    order[starts][np.argsort(first_arrival, kind="stable")])
+        return n - accepts
+
+    def _write(self, tables, batch, winners) -> None:
+        """Write the batch positions ``winners`` as one arena block.
+
+        ``winners`` is node-major, each node's rows in slot order; each
+        node's rows are followed by its gate row, so winner j of node t
+        lands t rows further than its rank.
+        """
+        wnode = batch["node"][winners]
         k = len(tables)
         counts = np.bincount(wnode, minlength=k)
         arena = tables[0].arena
@@ -535,28 +540,33 @@ class SoAKernel:
                                        counts.tolist()):
             table.start = first
             table.stop = first + count
-        return n - accepts
 
-    def _reduce_pareto(self, table, batch) -> Optional[int]:
-        """The change-point reducer for one node; returns the pruned count.
+    def _reduce_pareto(self, tables, batch) -> Optional[int]:
+        """The change-point reducer for a batch; returns the pruned count.
 
-        ``None`` (table untouched) when the node's dominance fields do
-        not fit one packed int64 word.
+        Every ``(node, shape)`` slot of the batch runs through one
+        front-state array.  ``None`` (tables untouched) when the
+        batch's dominance fields do not fit one packed int64 word, or
+        its tables' front caps differ.
         """
+        max_front = tables[0].max_front
+        if any(table.max_front != max_front for table in tables):
+            return None
         n = batch["n"]
         key = batch["key"]
         p_dis = batch["p_dis"]
         p_tail = batch["p_tail"]
         par_b = batch["par_b"]
-        # Shape groups: a stable sort by shape id keeps arrival order
-        # within each group; group g's candidates are gorder[starts[g]:
+        # Slot groups: candidates arrive node-major, so a stable sort by
+        # shape id alone leaves each (node, shape) group contiguous, in
+        # arrival order; group g's candidates are gorder[starts[g]:
         # ends[g]].
-        sid_s = self._sort_cols(batch)[0]
-        gorder = np.argsort(sid_s, kind="stable")
-        sid_g = sid_s[gorder]
+        gorder = np.argsort(self._sort_cols(batch)[0], kind="stable")
+        grp_g = (batch["node"].astype(np.int64) * self._nshape
+                 + batch["sid"])[gorder]
         newgrp = np.empty(n, dtype=bool)
         newgrp[0] = True
-        np.not_equal(sid_g[1:], sid_g[:-1], out=newgrp[1:])
+        np.not_equal(grp_g[1:], grp_g[:-1], out=newgrp[1:])
         starts = np.flatnonzero(newgrp)
         G = starts.size
         ends = np.empty(G, dtype=np.int64)
@@ -576,7 +586,6 @@ class SoAKernel:
         # OR combines have par_b uniformly True and p_tail equal to
         # p_dis, so dominance and eviction reduce to (key, p_dis).
         full = batch["n_or"] < n
-        max_front = table.max_front
         # Guarded bit-field pack (lsb->msb: par_b, p_tail, stamp,
         # p_dis, key rank; one zero guard bit above each field).  One
         # spare value per field so the all-fields-max dead-column
@@ -595,8 +604,8 @@ class SoAKernel:
         if sh_k + BK + 1 > 63:
             # Pathological field widths (p_dis beyond any feasible
             # structure, or a batch with ~2**20 distinct keys and as
-            # many candidates in one slot): the caller hands the node to
-            # the reference kernel, which costs nothing extra by then.
+            # many candidates in one slot): the caller hands the batch
+            # to the reference kernel, which costs nothing extra by then.
             return None
         if full:
             gmA = ((1 << 2) | (1 << (sh_t + BT)) | (1 << (sh_s + BS))
@@ -734,22 +743,18 @@ class SoAKernel:
                 pos = pos[keep]
                 end = end[keep]
                 slot = slot[keep]
-        # The rows in each shape's first-arrival order (the reference's
-        # create-on-first-arrival dict order), entries in stamp order
-        # (= the reference's list order), written as one block; stored
-        # keys gather from the generation column, so they stay the
-        # exact doubles the reference would have cached.
+        # The rows in each slot's first-arrival order (node-major, and
+        # within a node the reference's create-on-first-arrival dict
+        # order), entries in stamp order (= the reference's list
+        # order), written as one block; stored keys gather from the
+        # generation column, so they stay the exact doubles the
+        # reference would have cached.
         slot_rank = np.argsort(gorder[starts], kind="stable")
         pos_of = np.empty(G, dtype=np.int64)
         pos_of[slot_rank] = np.arange(G)
         fr_, rw = np.nonzero(PF_out != HUGE)
         srt = np.lexsort((PF_out[fr_, rw] & SM, pos_of[rw]))
-        fa = FI_out[fr_, rw][srt].astype(np.int64)
-        base = table.arena.reserve(fa.size + 1)
-        table.arena.write(base + np.arange(fa.size),
-                          *self._winner_rows(batch, fa))
-        table.start = base
-        table.stop = base + fa.size
+        self._write(tables, batch, FI_out[fr_, rw][srt].astype(np.int64))
         return pruned
 
 

@@ -74,9 +74,9 @@ class MappingStats:
         excluded because they are identical across kernels).
     soa_batches, soa_candidates, soa_max_batch:
         Vectorized-kernel activity: batches the structure-of-arrays
-        kernel reduced (a chunk of a level, or one node of a PBE pareto
-        table), candidates those batches processed as numpy columns,
-        and the largest single batch.  All zero for pure
+        kernel reduced (one per kernel call: a chunk of a level, in
+        every table mode), candidates those batches processed as
+        numpy columns, and the largest single batch.  All zero for pure
         reference-kernel runs.
     kernel_fallbacks:
         Engine constructions where ``kernel="soa"`` or ``"auto"`` met a

@@ -245,8 +245,9 @@ def test_every_builtin_kernel_implements_the_batch_protocol():
         assert not hasattr(kernel, "combine")
 
 
+@pytest.mark.parametrize("pareto", [False, True], ids=["single", "pareto"])
 def test_reference_and_soa_batches_return_the_same_per_item_counts(
-        monkeypatch):
+        monkeypatch, pareto):
     returned = []
     original = MappingEngine._combine_into
 
@@ -261,9 +262,14 @@ def test_reference_and_soa_batches_return_the_same_per_item_counts(
     for kernel in ("reference", "soa"):
         returned.clear()
         config = MapperConfig(w_max=6, h_max=9, ordering="exhaustive",
-                              kernel=kernel)
+                              pareto=pareto, kernel=kernel)
         runs[kernel], engine = _run(network, config)
         assert sum(map(sum, returned)) == engine.stats.tuples_created
         assert sum(map(len, returned)) == engine.stats.nodes_processed
         runs[kernel] += (list(returned),)
+    # one soa batch per kernel call, in either table mode, and some
+    # calls held several nodes
+    assert engine.stats.soa_batches == len(returned)
+    assert max(map(len, returned)) > 1
     assert runs["reference"] == runs["soa"]
+

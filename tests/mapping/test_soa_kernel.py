@@ -89,26 +89,35 @@ def _snapshot(table: TupleTable):
             for shape, entries in table.keyed_slots()]
 
 
-def _run_both(config, model, view_a, view_b, is_or, max_front=4):
-    """Both kernels fill one table from the same two views.
+def _run_both(config, model, nodes, max_front=4):
+    """Both kernels fill one table per node in one ``combine_many`` call.
 
-    The views' tuples become rows of a fresh arena per kernel, and the
-    kernel sees them as the row ranges the engine hands it.
+    ``nodes`` are ``(view_a, view_b, is_or)`` triples.  The views'
+    tuples become rows of a fresh arena per kernel, and the kernel sees
+    them as the row ranges the engine hands it.  ``max_front`` is one
+    front cap for every table, or a tuple of one cap per node.  Each
+    kernel's outcome is ``(slots per table, per-item counts,
+    counters)``.
     """
+    caps = (max_front if isinstance(max_front, tuple)
+            else (max_front,) * len(nodes))
     outs = []
     for make_kernel in (ReferenceKernel, SoAKernel):
         engine = _fake_engine(config, model)
         kernel = make_kernel()
         kernel.build(engine)
         arena = Arena()
-        rows_a = arena.append_tuples(view_a)
-        rows_b = arena.append_tuples(view_b)
-        table = TupleTable(key_fn=model.tuple_key_metrics,
-                           pareto=config.pareto,
-                           max_front=max_front, arena=arena)
-        kernel.combine_many([(table, is_or, rows_a, rows_b)])
+        items = []
+        for (view_a, view_b, is_or), cap in zip(nodes, caps):
+            rows_a = arena.append_tuples(view_a)
+            rows_b = arena.append_tuples(view_b)
+            items.append((TupleTable(key_fn=model.tuple_key_metrics,
+                                     pareto=config.pareto,
+                                     max_front=cap, arena=arena),
+                          is_or, rows_a, rows_b))
+        counts = kernel.combine_many(items)
         kernel.finalize()
-        outs.append((_snapshot(table),
+        outs.append(([_snapshot(item[0]) for item in items], counts,
                      (engine.stats.tuples_created,
                       engine.stats.tuples_pruned,
                       engine.stats.bound_skips)))
@@ -133,12 +142,8 @@ def test_fuzzed_cone_tables_bit_identical(ordering, pareto, fractional):
         view_b = [_random_tuple(rng, 100 + i, config, fractional)
                   for i in range(rng.randint(1, 24))]
         for is_or in (True, False):
-            (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
-                config, model, view_a, view_b, is_or)
-            assert soa_slots == ref_slots, (
-                f"slot divergence: seed={seed} is_or={is_or}")
-            assert soa_stats == ref_stats, (
-                f"stats divergence: seed={seed} is_or={is_or}")
+            ref, soa = _run_both(config, model, [(view_a, view_b, is_or)])
+            assert soa == ref, f"divergence: seed={seed} is_or={is_or}"
 
 
 @pytest.mark.parametrize("model", [DepthCost(), DepthCost(level_weight=2.5)],
@@ -150,10 +155,8 @@ def test_fuzzed_tables_other_models(model):
     view_a = [_random_tuple(rng, i, config, True) for i in range(20)]
     view_b = [_random_tuple(rng, 50 + i, config, True) for i in range(20)]
     for is_or in (True, False):
-        (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
-            config, model, view_a, view_b, is_or)
-        assert soa_slots == ref_slots
-        assert soa_stats == ref_stats
+        ref, soa = _run_both(config, model, [(view_a, view_b, is_or)])
+        assert soa == ref
 
 
 @pytest.mark.parametrize("max_front", [1, 2, 64])
@@ -177,13 +180,10 @@ def test_pareto_front_bounds_bit_identical(max_front):
         view_b = [_random_tuple(rng, 100 + i, config, seed % 2 == 0)
                   for i in range(rng.randint(4, 20))]
         for is_or in (True, False):
-            (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
-                config, model, view_a, view_b, is_or, max_front=max_front)
-            assert soa_slots == ref_slots, (
-                f"slot divergence: max_front={max_front} seed={seed} "
-                f"is_or={is_or}")
-            assert soa_stats == ref_stats, (
-                f"stats divergence: max_front={max_front} seed={seed} "
+            ref, soa = _run_both(config, model, [(view_a, view_b, is_or)],
+                                 max_front=max_front)
+            assert soa == ref, (
+                f"divergence: max_front={max_front} seed={seed} "
                 f"is_or={is_or}")
 
 
@@ -226,12 +226,51 @@ def test_pareto_exact_key_ties_at_truncation_boundary(max_front):
         view_b = [_tie_heavy_tuple(rng, 100 + i, config)
                   for i in range(rng.randint(6, 24))]
         for is_or in (True, False):
-            (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
-                config, model, view_a, view_b, is_or, max_front=max_front)
-            assert soa_slots == ref_slots, (
+            ref, soa = _run_both(config, model, [(view_a, view_b, is_or)],
+                                 max_front=max_front)
+            assert soa == ref, (
                 f"tie-break divergence: max_front={max_front} "
                 f"seed={seed} is_or={is_or}")
-            assert soa_stats == ref_stats
+
+
+@pytest.mark.parametrize("ordering", ["paper", "exhaustive"])
+@pytest.mark.parametrize("max_front", [1, 2, 4, 64])
+def test_fuzzed_multi_node_batches_bit_identical(ordering, max_front):
+    """A batch of mixed OR/AND nodes fills every table as the reference.
+
+    The soa kernel reduces every ``(node, shape)`` slot of a PBE pareto
+    batch in one change-point pass, over batch-wide key ranks and
+    packed-field widths; each node's table, its candidate count and
+    the batch's counters must still be the reference's.  Odd seeds
+    draw tie-heavy views, so exact ``(key, p_dis)`` ties land in slots
+    of several nodes at once, and some nodes share a view, as the
+    fanouts of one node do.
+    """
+    model = CostModel()
+    for seed in range(6):
+        rng = random.Random(5000 + 97 * max_front + seed
+                            + (ordering == "paper"))
+        config = MapperConfig(w_max=rng.randint(3, 7),
+                              h_max=rng.randint(4, 9), ordering=ordering,
+                              pareto=True, pbe_aware=True)
+
+        def view(tag):
+            if seed % 2:
+                return [_tie_heavy_tuple(rng, tag + i, config)
+                        for i in range(rng.randint(1, 16))]
+            return [_random_tuple(rng, tag + i, config, seed % 4 == 0)
+                    for i in range(rng.randint(1, 16))]
+
+        views = [view(100 * j) for j in range(6)]
+        nodes = [(rng.choice(views), rng.choice(views), rng.random() < 0.5)
+                 for _ in range(rng.randint(2, 7))]
+        nodes[0] = nodes[0][:2] + (True,)
+        nodes[1] = nodes[1][:2] + (False,)
+        rng.shuffle(nodes)
+        ref, soa = _run_both(config, model, nodes, max_front=max_front)
+        assert soa == ref, (
+            f"divergence: max_front={max_front} seed={seed} "
+            f"nodes={len(nodes)}")
 
 
 def _ser_view(cands):
@@ -258,11 +297,9 @@ def _front(cands):
     config = MapperConfig(w_max=4, h_max=4, ordering="naive",
                           pareto=True, pbe_aware=True)
     view_a, view_b = _ser_view(cands)
-    (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
-        config, CostModel(), view_a, view_b, False)
-    assert soa_slots == ref_slots
-    assert soa_stats == ref_stats
-    [(shape, entries)] = ref_slots
+    ref, soa = _run_both(config, CostModel(), [(view_a, view_b, False)])
+    assert soa == ref
+    [[(shape, entries)]] = ref[0]
     assert shape == (1, 2)
     return [(e[0], e[7], e[8], e[9]) for e in entries]
 
@@ -297,39 +334,70 @@ def test_pareto_tie_at_front_max_evicts_the_tied_entry():
                              (10.0, 10, 0, False), (13.0, 7, 1, True)]
 
 
-def test_pareto_pack_overflow_falls_back_to_the_reference_kernel(
-        monkeypatch):
-    """Fields too wide for one packed word: the reference fills the table.
-
-    Potential-point counts near 2**50 are far beyond any feasible
-    structure, but they are what makes ``p_dis`` overflow the
-    change-point reducer's packed int64 front words.
-    """
+def _spy_reduce_pareto(monkeypatch):
+    """Record what each ``_reduce_pareto`` call returns."""
     verdicts = []
     reduce_pareto = SoAKernel._reduce_pareto
 
-    def spy(self, table, batch):
-        verdicts.append(reduce_pareto(self, table, batch))
+    def spy(self, tables, batch):
+        verdicts.append(reduce_pareto(self, tables, batch))
         return verdicts[-1]
 
     monkeypatch.setattr(SoAKernel, "_reduce_pareto", spy)
-    rng = random.Random(11)
-    config = MapperConfig(w_max=5, h_max=8, ordering="paper", pareto=True,
-                          pbe_aware=True)
+    return verdicts
 
-    def wide(idx):
-        t = _random_tuple(rng, idx, config, True)
-        t.p_dis += 1 << 50
-        return t
 
-    view_a = [wide(i) for i in range(12)]
-    view_b = [wide(60 + i) for i in range(12)]
-    for is_or in (True, False):
-        (ref_slots, ref_stats), (soa_slots, soa_stats) = _run_both(
-            config, CostModel(), view_a, view_b, is_or)
-        assert soa_slots == ref_slots
-        assert soa_stats == ref_stats
-    assert verdicts == [None, None]
+def _wide(rng, idx, config):
+    t = _random_tuple(rng, idx, config, True)
+    t.p_dis += 1 << 50
+    return t
+
+
+def test_pareto_pack_overflow_falls_back_to_the_reference_kernel(
+        monkeypatch):
+    """Fields too wide for one packed word: the reference fills the tables.
+
+    Potential-point counts near 2**50 are far beyond any feasible
+    structure, but they are what makes ``p_dis`` overflow the
+    change-point reducer's packed int64 front words.  Only one node of
+    the batch overflows, but the words are sized batch-wide, so the
+    reducer runs once and hands the whole batch to the reference
+    kernel: both tables, the per-item counts and the counters match its
+    own run.
+    """
+    verdicts = _spy_reduce_pareto(monkeypatch)
+    rng = random.Random(12)
+    config = MapperConfig(w_max=5, h_max=8, ordering="exhaustive",
+                          pareto=True, pbe_aware=True)
+    narrow = ([_random_tuple(rng, i, config, True) for i in range(10)],
+              [_random_tuple(rng, 30 + i, config, True) for i in range(10)])
+    wide = ([_wide(rng, 60 + i, config) for i in range(10)],
+            [_wide(rng, 90 + i, config) for i in range(10)])
+    ref, soa = _run_both(config, CostModel(), [(*narrow, False),
+                                               (*wide, True)])
+    assert soa == ref
+    assert all(ref[0]) and all(ref[1])
+    assert verdicts == [None]
+
+
+def test_mixed_front_caps_send_the_batch_to_the_reference(monkeypatch):
+    """A batch of tables with different front caps fills exactly.
+
+    The change-point pass sizes one front-state array for one cap, so
+    the batch goes whole to the reference kernel.  (The engine builds
+    every table with the same cap; the kernel contract allows any.)
+    """
+    verdicts = _spy_reduce_pareto(monkeypatch)
+    rng = random.Random(13)
+    config = MapperConfig(w_max=5, h_max=7, ordering="exhaustive",
+                          pareto=True, pbe_aware=True)
+    views = [[_random_tuple(rng, 30 * j + i, config, True)
+              for i in range(12)] for j in range(4)]
+    ref, soa = _run_both(config, CostModel(),
+                         [(views[0], views[1], True),
+                          (views[2], views[3], False)], max_front=(1, 4))
+    assert soa == ref
+    assert verdicts == [None]
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +480,19 @@ _FULL = pytest.mark.skipif(os.environ.get("REPRO_EQUIV_FULL") != "1",
 #: (circuit, flow, ordering, table mode, (w_max, h_max)).  The default
 #: set sweeps three small circuits at paper limits; the gated set adds
 #: pareto fronts at the pareto-stress benchmark's W=12/H=16, where
-#: fronts fill and truncate on most slots, and the two circuits with
-#: the most nodes per topological level, where the soa kernel's batches
-#: are largest (the ``domino`` preset forces the adverse ordering).
+#: fronts fill and truncate on most slots (9symml, the benchmark's
+#: heaviest circuit, reduces level batches of up to 22 nodes in one
+#: change-point pass), and the two circuits with the most nodes per
+#: topological level, where the soa kernel's single-mode batches are
+#: largest (the ``domino`` preset forces the adverse ordering).
 PARITY_CONFIGS = [
     *(pytest.param(c, "soi", o, m, (5, 8), id=f"{c}-soi-{o}-{m}")
       for c in ("cm150", "mux", "z4ml")
       for o in ("paper", "exhaustive")
       for m in ("single", "pareto")),
-    *(pytest.param("f51m", "soi", o, "pareto", (12, 16),
-                   id=f"f51m-soi-{o}-pareto-W12H16", marks=_FULL)
+    *(pytest.param(c, "soi", o, "pareto", (12, 16),
+                   id=f"{c}-soi-{o}-pareto-W12H16", marks=_FULL)
+      for c in ("f51m", "9symml")
       for o in ("paper", "exhaustive")),
     *(pytest.param(c, f, o, "single", (5, 8), id=f"{c}-{f}-{o}-single",
                    marks=_FULL)
@@ -446,16 +517,24 @@ def _table_snapshot(engine):
 
 
 @pytest.mark.parametrize("ordering", ["paper", "exhaustive"])
-def test_pareto_parity_at_benchmark_limits(ordering):
+def test_pareto_parity_at_benchmark_limits(ordering, monkeypatch):
     """Both kernels agree on pareto tables at W=12/H=16.
 
     Random networks shaped like the pareto-stress benchmark's inputs
     (smaller, so the reference kernel stays fast) give batches of
     thousands of candidates into hundreds of slots, where the
-    change-point reducer's windows, compaction and restamps all run.
-    Every node's table must match slot for slot, and so must the
-    digest and the counters.
+    change-point reducer's windows, compaction and restamps all run,
+    over the slots of several nodes at once.  Every node's table must
+    match slot for slot, and so must the digest and the counters.
     """
+    batch_nodes = []
+    reduce_pareto = SoAKernel._reduce_pareto
+
+    def spy(self, tables, batch):
+        batch_nodes.append(len(tables))
+        return reduce_pareto(self, tables, batch)
+
+    monkeypatch.setattr(SoAKernel, "_reduce_pareto", spy)
     for seed, n_gates in ((1, 30), (3, 40), (4, 30)):
         net = random_network(f"rand{seed}", n_pi=16, n_gates=n_gates,
                              n_po=2, seed=seed, locality=10,
@@ -476,6 +555,7 @@ def test_pareto_parity_at_benchmark_limits(ordering):
         assert runs[0][1] == runs[1][1], f"digest divergence: seed={seed}"
         assert runs[0][2] == runs[1][2], f"stats divergence: seed={seed}"
         assert runs[0][0] == runs[1][0], f"table divergence: seed={seed}"
+    assert max(batch_nodes) >= 2
 
 
 def test_soa_kernel_records_activity():
