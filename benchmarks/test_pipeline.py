@@ -1,13 +1,11 @@
-"""Batch-pipeline benchmarks: cache payoff and process-pool speedup.
+"""Batch-pipeline benchmarks: process-pool identity and speedup.
 
-Three claims, each on a multi-circuit sweep of the benchmark registry:
+Two claims, each on a multi-circuit sweep of the benchmark registry:
 
 * the pool maps the full suite **bit-identically** to serial execution
   (same ``CircuitCost`` and the same sha256 netlist digest per task);
-* the tree-level memoization cache hits (> 0 hit rate) and strictly
-  reduces the DP work on a repeated sweep;
-* with the cache off, pool fan-out beats serial wall clock by >= 1.5x —
-  skipped on single-core runners, where there is nothing to fan out to.
+* pool fan-out beats serial wall clock by >= 1.5x — skipped on
+  single-core runners, where there is nothing to fan out to.
 """
 
 import os
@@ -50,39 +48,15 @@ def test_pool_bit_identical_to_serial(benchmark):
          "pool wall s": round(pooled.wall_s, 2)})
 
 
-def test_cache_hit_rate_and_work_saved(benchmark):
-    """A shared cache hits across the sweep and shrinks the DP."""
-    tasks = BatchRunner.sweep_tasks(circuits=_sweep_circuits())
-    cold = BatchRunner(max_workers=1, use_cache=False).run(tasks)
-
-    runner = BatchRunner(max_workers=1, use_cache=True)
-    warm = benchmark.pedantic(lambda: runner.run(tasks),
-                              rounds=1, iterations=1)
-
-    assert warm.ok
-    assert runner.cache.hit_rate > 0.0
-    assert warm.total_stats().cache_hits > 0
-    assert (warm.total_stats().tuples_created
-            < cold.total_stats().tuples_created)
-    # and reuse never changes the result
-    assert [r.digest for r in warm.results] == \
-           [r.digest for r in cold.results]
-    benchmark.extra_info.update(
-        {"cache hit rate": round(runner.cache.hit_rate, 3),
-         "tuples cold": cold.total_stats().tuples_created,
-         "tuples warm": warm.total_stats().tuples_created})
-
-
 @pytest.mark.skipif(not MULTI_CORE,
                     reason="speedup needs >= 2 cores to fan out")
 def test_pool_speedup_over_serial(benchmark):
     """Process-pool fan-out is >= 1.5x faster than serial wall clock."""
     tasks = BatchRunner.sweep_tasks(circuits=_sweep_circuits())
-    # caches off in both modes: measure pure fan-out, not memoization
-    serial = BatchRunner(max_workers=1, use_cache=False).run(tasks)
+    serial = BatchRunner(max_workers=1).run(tasks)
 
     pooled = benchmark.pedantic(
-        lambda: BatchRunner(use_cache=False).run(tasks),
+        lambda: BatchRunner().run(tasks),
         rounds=1, iterations=1)
 
     assert pooled.ok and pooled.mode == "pool"

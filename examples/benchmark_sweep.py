@@ -14,7 +14,7 @@ Run:  python examples/benchmark_sweep.py            (full suite, ~1 min)
 
 import sys
 
-from repro import TreeCache, soi_domino_map
+from repro import soi_domino_map
 from repro.bench_suite import circuit_names, load_circuit
 from repro.evaluation import run_table2
 from repro.pbe import random_stress
@@ -26,14 +26,11 @@ def main() -> None:
     print(result.text)
 
     # Per-circuit instrumentation: FlowResult carries the DP counters and
-    # the wall time, and a shared TreeCache shows shape reuse across the
-    # suite.
-    cache = TreeCache()
-    print("\nSOI mapper instrumentation (shared tree cache):")
+    # the wall time.
+    print("\nSOI mapper instrumentation:")
     for name in circuits or circuit_names()[:8]:
-        flow = soi_domino_map(load_circuit(name), cache=cache)
+        flow = soi_domino_map(load_circuit(name))
         print(f"  {name:8s} {flow.elapsed_s:7.3f}s  {flow.stats.summary()}")
-    print(f"  cache after sweep: {cache}")
 
     # Dynamic spot check: stress one SOI-mapped circuit with held random
     # vectors — the floating-body simulator must observe zero parasitic

@@ -20,7 +20,6 @@ See README.md for the full tour and DESIGN.md for the system inventory.
 from .errors import (
     BatchDeadlineError,
     BenchmarkError,
-    CacheIntegrityError,
     FlowError,
     MappingError,
     NetworkError,
@@ -96,9 +95,7 @@ from .pipeline import (
     BatchResult,
     BatchRunner,
     BatchTask,
-    CacheStore,
     MappingStats,
-    TreeCache,
     WorkerPool,
 )
 from .resilience import (
@@ -114,7 +111,6 @@ __version__ = "0.9.0"
 __all__ = [
     "BatchDeadlineError",
     "BenchmarkError",
-    "CacheIntegrityError",
     "FlowError",
     "MappingError",
     "NetworkError",
@@ -174,9 +170,7 @@ __all__ = [
     "BatchResult",
     "BatchRunner",
     "BatchTask",
-    "CacheStore",
     "MappingStats",
-    "TreeCache",
     "WorkerPool",
     "FAULT_POINTS",
     "FaultPlan",

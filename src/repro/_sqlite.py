@@ -1,4 +1,4 @@
-"""The one sqlite-WAL helper behind the cone store and the job journal.
+"""The one sqlite-WAL helper behind the key/value store and the job journal.
 
 :class:`WalDatabase` holds what :class:`~repro.pipeline.CacheStore` and
 :class:`~repro.service.JobJournal` share:
@@ -15,7 +15,7 @@
 * the degrade-on-error contract: :meth:`run` executes one operation
   under the object's lock and turns any ``sqlite3.Error`` into the
   caller's default plus one ``errors`` bump, so a database failure
-  never fails a mapping or a job.
+  never fails a job.
 
 A subclass names its version and its own tables; everything else is
 here.

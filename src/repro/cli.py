@@ -17,10 +17,7 @@ Subcommands
              registered fault point, each asserting its documented
              recovery and bit-identical digests for non-faulted work;
 ``serve``    run the mapping-as-a-service daemon: a JSON job API over
-             a warm worker pool and the persistent cone cache
-             (DESIGN.md §13);
-``cache``    inspect or clear the persistent cross-process cone cache
-             (``--json``, ``--clear``).
+             a warm worker pool (DESIGN.md §13).
 
 Every subcommand honours the ``REPRO_FAULTS`` environment variable
 (a :func:`repro.resilience.plan_from_spec` spec string), which installs
@@ -168,8 +165,7 @@ def _cmd_batch(args) -> int:
 
     flows = args.algorithm or ["soi"]
     runner = BatchRunner(max_workers=args.jobs, timeout_s=args.timeout,
-                         retries=args.retries, use_cache=not args.no_cache,
-                         store_path=args.store)
+                         retries=args.retries)
     tasks = BatchRunner.sweep_tasks(
         circuits=args.circuits or None, flows=flows,
         cost_models=[_cost_model(args.cost, args.k)],
@@ -192,7 +188,7 @@ def _cmd_batch(args) -> int:
         return 0 if report.ok else 1
 
     headers = ["circuit", "flow", "kernel", "T_total", "T_disch", "#G", "L",
-               "tuples", "pruned", "combines", "cache", "time_s"]
+               "tuples", "pruned", "combines", "time_s"]
     rows = []
     for r in report.results:
         if r.ok:
@@ -201,11 +197,10 @@ def _cmd_batch(args) -> int:
                          r.cost.t_total, r.cost.t_disch,
                          r.cost.num_gates, r.cost.levels,
                          s.tuples_created, s.tuples_pruned, s.combine_calls,
-                         f"{s.cache_hits}/{s.cache_requests}",
                          f"{r.elapsed_s:.3f}"])
         else:
             rows.append([r.task.circuit, r.task.flow, "-", "-", "-", "-",
-                         "-", "-", "-", "-", "-", f"{r.elapsed_s:.3f}"])
+                         "-", "-", "-", "-", f"{r.elapsed_s:.3f}"])
     title = (f"batch: {len(report.results)} tasks, mode={report.mode}, "
              f"{args.cost} cost")
     print(render_table(headers, rows, title=title))
@@ -317,16 +312,12 @@ def _cmd_serve(args) -> int:
     import errno
 
     from .errors import ReproError
-    from .pipeline import default_store_path
     from .service import MappingService, default_journal_path, serve
 
-    store = None if args.no_store else (args.store or default_store_path())
     journal = args.journal or default_journal_path()
     if journal.lower() == "none":
         journal = None
     service = MappingService(max_workers=args.jobs,
-                             store_path=store,
-                             use_cache=not args.no_cache,
                              max_queued_per_tenant=args.max_queued,
                              journal_path=journal)
     if service.recovered_jobs:
@@ -335,7 +326,6 @@ def _cmd_serve(args) -> int:
               f"({service.requeued_jobs} re-enqueued)", file=sys.stderr)
     print(f"soidomino serve: http://{args.host}:{args.port} "
           f"(workers={service.pool.width}, "
-          f"store={store or 'disabled'}, "
           f"journal={journal or 'disabled'})", file=sys.stderr)
     try:
         asyncio.run(serve(service, host=args.host, port=args.port,
@@ -352,35 +342,6 @@ def _cmd_serve(args) -> int:
         raise ReproError(
             f"cannot bind {args.host}:{args.port}: {exc}") from None
     return 0
-
-
-def _cmd_cache(args) -> int:
-    from .pipeline import CacheStore, default_store_path
-
-    path = args.db or default_store_path()
-    store = CacheStore(path)
-    try:
-        if args.clear:
-            removed = store.clear()
-            print(f"cleared:   {removed} entries from {path}")
-            return 0
-        stats = store.stats()
-        if args.json:
-            import json
-
-            print(json.dumps(stats, indent=1))
-            return 0
-        print(f"store:     {path}")
-        print(f"entries:   {stats['entries']} "
-              f"({stats['size_bytes'] / 1024:.1f} KiB on disk)")
-        print(f"traffic:   {stats['hits']} hits / "
-              f"{stats['hits'] + stats['misses']} requests "
-              f"({100.0 * stats['hit_rate']:.0f}%), "
-              f"{stats['stores']} stores, "
-              f"{stats['evictions']} evictions (cumulative)")
-        return 0
-    finally:
-        store.close()
 
 
 def _cmd_pbe(args) -> int:
@@ -452,11 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--kernel", choices=list(KERNELS),
                          default="auto",
                          help="DP combine kernel for every task")
-    p_batch.add_argument("--store", metavar="PATH", default=None,
-                         help="mount the persistent cone cache at PATH "
-                              "under every worker (see 'soidomino cache')")
-    p_batch.add_argument("--no-cache", action="store_true",
-                         help="disable the tree-level memoization cache")
     p_batch.add_argument("--serial", action="store_true",
                          help="force in-process serial execution")
     p_batch.add_argument("--json", action="store_true",
@@ -533,14 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("-j", "--jobs", type=int, default=None,
                          help="worker-pool width (default: CPU count; "
                               "1 maps in-process)")
-    p_serve.add_argument("--store", metavar="PATH", default=None,
-                         help="persistent cone-cache sqlite path "
-                              "(default: the per-user cache, see "
-                              "'soidomino cache')")
-    p_serve.add_argument("--no-store", action="store_true",
-                         help="disable the persistent cone cache")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable tree caching entirely")
+    # accepted and ignored: bench/workloads.py still passes it
+    p_serve.add_argument("--store", metavar="PATH", help=argparse.SUPPRESS)
     p_serve.add_argument("--journal", metavar="PATH", default=None,
                          help="crash-safe job journal db (default: "
                               "$REPRO_JOURNAL or the per-user cache "
@@ -554,17 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admission quota: queued jobs allowed per "
                               "tenant before 429")
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_cache = sub.add_parser(
-        "cache", help="inspect or clear the persistent cone cache")
-    p_cache.add_argument("--db", metavar="PATH", default=None,
-                         help="store path (default: SOIDOMINO_CACHE_DB "
-                              "or the per-user cache)")
-    p_cache.add_argument("--clear", action="store_true",
-                         help="drop every entry and reset counters")
-    p_cache.add_argument("--json", action="store_true",
-                         help="emit the store stats as JSON")
-    p_cache.set_defaults(func=_cmd_cache)
     return parser
 
 

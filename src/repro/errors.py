@@ -88,10 +88,6 @@ class FlowError(ReproError):
     """A flow pipeline is malformed or a pass breaks its artifact contract."""
 
 
-class CacheIntegrityError(ReproError):
-    """A memoization cache entry failed its integrity fingerprint."""
-
-
 class ObsError(ReproError):
     """An observability instrument is misused (metric type/bucket clash)."""
 

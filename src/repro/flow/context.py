@@ -58,7 +58,7 @@ class FlowContext:
     """Shared state of one flow-pipeline execution.
 
     The *configuration* fields (flow name, mapper config, cost model,
-    cache, stats) are fixed for the run; the *artifacts* dict is what
+    stats) are fixed for the run; the *artifacts* dict is what
     passes transform.  Artifact access goes through :meth:`get` /
     :meth:`set`, which enforce the :data:`ARTIFACTS` schema.
     """
@@ -66,7 +66,6 @@ class FlowContext:
     config: MapperConfig
     cost_model: CostModel
     flow: str = "custom"
-    cache: Any = None
     stats: MappingStats = field(default_factory=MappingStats)
     #: span tracer the pipeline (pass spans) and engine (node spans)
     #: record into; always present so instrumentation never branches
@@ -78,14 +77,12 @@ class FlowContext:
     @classmethod
     def for_network(cls, network: LogicNetwork, config: MapperConfig,
                     cost_model: CostModel, *, flow: str = "custom",
-                    cache: Any = None,
                     stats: Optional[MappingStats] = None,
                     tracer: Optional[Tracer] = None,
                     metrics: Optional[MetricsRegistry] = None
                     ) -> "FlowContext":
         """The standard starting context: one ``network`` artifact."""
         ctx = cls(config=config, cost_model=cost_model, flow=flow,
-                  cache=cache,
                   stats=stats if stats is not None else MappingStats(),
                   tracer=tracer if tracer is not None else Tracer(),
                   metrics=(metrics if metrics is not None

@@ -172,7 +172,7 @@ class DPMapPass(Pass):
 
     def run(self, ctx):
         engine = MappingEngine(ctx.get("unate_network"), ctx.cost_model,
-                               ctx.config, cache=ctx.cache, stats=ctx.stats,
+                               ctx.config, stats=ctx.stats,
                                tracer=ctx.tracer, metrics=ctx.metrics)
         plan = engine.run_to_plan()
         ctx.set("plan", plan)

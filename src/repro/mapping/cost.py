@@ -85,12 +85,10 @@ class CostModel:
         return wcost
 
     def fingerprint(self) -> tuple:
-        """Hashable identity used to key the tree cache.
+        """Hashable identity of the objective.
 
         Two models with equal fingerprints must price every cost event
-        identically; subclasses adding parameters must override this (or
-        cached tables priced under one parameterization would be reused
-        under another).
+        identically; subclasses adding parameters must override this.
         """
         return (type(self).__qualname__, self.k_clock)
 

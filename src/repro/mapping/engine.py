@@ -63,10 +63,9 @@ def _gc_paused():
     """Keep the cyclic garbage collector out of the enclosed block.
 
     The DP keeps its tuples as arena rows, but plan selection builds
-    structures and records, the reference kernel and the tree cache
-    allocate per candidate or per row, and any allocation burst would
-    otherwise trigger collections that traverse every live object of
-    the process.  Pausing is safe because a mapping run's state is
+    structures and records, the reference kernel allocates per
+    candidate, and any allocation burst would otherwise trigger
+    collections that traverse every live object of the process.  Pausing is safe because a mapping run's state is
     acyclic (an arena, tables and gate records; DESIGN.md §15), so
     reference counting alone frees everything the run drops.
 
@@ -158,8 +157,7 @@ class MapperConfig:
         the array overhead, the reference kernel otherwise (and always
         without numpy).  Excluded from :meth:`fingerprint` because the
         kernel is execution strategy, not mapping semantics: all
-        kernels produce bit-identical tables, so cached artifacts are
-        shared across them.
+        kernels produce bit-identical tables.
     duplication:
         Fanout handling.  ``True`` (the paper's regime, following [23]):
         every consumer of a multi-fanout node sees the node's full tuple
@@ -205,11 +203,10 @@ class MapperConfig:
                 f"expected one of {', '.join(GROUND_POLICIES)}")
 
     def fingerprint(self) -> tuple:
-        """Every field that can change the mapping (tree-cache key).
+        """Every field that can change the mapping.
 
         ``kernel`` is excluded: every kernel produces bit-identical
-        tables, so cache entries written under one kernel are valid —
-        and shared — under any other.
+        tables, so two configs differing only in kernel map alike.
         """
         return tuple(getattr(self, f.name) for f in fields(self)
                      if f.name != "kernel")
@@ -321,10 +318,6 @@ class MappingEngine:
 
     Parameters
     ----------
-    cache:
-        Optional :class:`~repro.pipeline.TreeCache`; cache-eligible nodes
-        reuse DP tables memoized from identically-shaped fanin cones
-        (bit-identical results, see ``pipeline/cache.py``).
     stats:
         Optional :class:`~repro.pipeline.MappingStats` to accumulate into
         (a fresh one is created otherwise); also exposed on the returned
@@ -345,7 +338,7 @@ class MappingEngine:
 
     def __init__(self, network: LogicNetwork, cost_model: CostModel,
                  config: Optional[MapperConfig] = None, *,
-                 cache=None, stats: Optional[MappingStats] = None,
+                 stats: Optional[MappingStats] = None,
                  tracer=None, metrics=None):
         if not network.is_mappable():
             raise MappingError(
@@ -354,7 +347,6 @@ class MappingEngine:
         self.network = network
         self.model = cost_model
         self.config = config or MapperConfig()
-        self.cache = cache
         self.stats = stats if stats is not None else MappingStats()
         self.tracer = tracer
         self.metrics = metrics
@@ -387,8 +379,6 @@ class MappingEngine:
         #: per AND/OR node: 0 for a forced gate boundary, else its fanout
         #: count (at least 1), which amortizes its optional gate's cost
         self._share: Dict[int, int] = {}
-        self._signatures: Dict[int, Optional[int]] = {}
-        self._cache_prefix: Optional[tuple] = None
         #: per-node fanin views: the arena rows a node's fanouts combine
         self._views: Dict[int, range] = {}
         #: candidates per pair of a series combine: exhaustive ordering
@@ -501,58 +491,11 @@ class MappingEngine:
         self._process_nodes(k, uids)
 
     def _process_nodes(self, k: int, uids: List[int]) -> None:
-        """Serve cache hits, then run the misses through the kernel.
-
-        Nodes held back behind a same-signature miss (see
-        :meth:`_fetch_cached`) take another round, fetched once that
-        miss is stored.
-        """
-        while uids:
-            started = time.perf_counter()
-            misses, uids = self._fetch_cached(uids)
-            for chunk, items, chunk_started in self._chunks(misses):
-                self._run_batch(k, chunk, items, chunk_started)
-            self.stats.node_time_s += time.perf_counter() - started
-
-    def _fetch_cached(self, uids: List[int]):
-        """Finish the cache hits; return ``(misses, later)``.
-
-        A node whose cone signature matches an earlier miss of this
-        round goes to ``later`` when the cache will store that miss: the
-        next round fetches it after the store, so the cache serves it as
-        it would have node by node.  A miss the cache cannot store (its
-        cone repeats a primary input, or the cache is off) changes
-        nothing a later fetch sees, so it holds no node back.  Only LRU
-        eviction of a stored entry before its next round can make a
-        held-back node miss and hold others back again.
-        """
-        misses = []
-        later = []
-        hits = []
-        tables = []
-        last_miss = {}   # signature -> this round's latest miss of it
-        held = set()     # signatures whose miss will be stored
-        for uid in uids:
-            sig = self._signatures.get(uid)
-            if sig in held:
-                later.append(uid)
-                continue
-            first = last_miss.pop(sig, None)
-            if first is not None and self.cache.storable(self.network,
-                                                         first):
-                held.add(sig)
-                later.append(uid)
-                continue
-            table = self._cached_table(uid)
-            if table is None:
-                misses.append(uid)
-                if sig is not None:
-                    last_miss[sig] = uid
-            else:
-                hits.append(uid)
-                tables.append(table)
-        self._finish_nodes(hits, tables)
-        return misses, later
+        """Run ``uids`` through the kernel, one batch at a time."""
+        started = time.perf_counter()
+        for chunk, items, chunk_started in self._chunks(uids):
+            self._run_batch(k, chunk, items, chunk_started)
+        self.stats.node_time_s += time.perf_counter() - started
 
     def _chunks(self, uids: List[int]):
         """Yield ``(uids, items, started)`` kernel batches of ``uids``.
@@ -614,8 +557,7 @@ class MappingEngine:
                 if (base + j) % every == 0:
                     self._h_tuples.observe(count)
         done = self._within_tuple_limit(created)
-        self._finish_nodes(uids[:done], [item[0] for item in items[:done]],
-                           store=True)
+        self._finish_nodes(uids[:done], [item[0] for item in items[:done]])
         if done < len(uids):
             self._guard_tuples()
         ended = time.perf_counter()
@@ -651,16 +593,16 @@ class MappingEngine:
                 return j
         return len(created)  # pragma: no cover - the sum crossed it
 
-    def _finish_nodes(self, uids: List[int], tables: List[TupleTable],
-                      store: bool = False) -> None:
-        """Finish a batch's nodes: store their tables, form their gates.
+    def _finish_nodes(self, uids: List[int],
+                      tables: List[TupleTable]) -> None:
+        """Finish a batch's nodes: keep their tables, form their gates.
 
         The nodes before an empty table (no feasible ``{W,H}`` tuple)
         finish; the empty one raises.
         """
         for j, table in enumerate(tables):
             if table.stop == table.start:
-                self._finish_nodes(uids[:j], tables[:j], store)
+                self._finish_nodes(uids[:j], tables[:j])
                 raise MappingError(
                     f"no feasible {{W,H}} tuple for node "
                     f"{self.network.node(uids[j]).label}: "
@@ -668,9 +610,6 @@ class MappingEngine:
                     f"h_max={self.config.h_max} are too tight")
         if not uids:
             return
-        if store and self.cache is not None:
-            for uid, table in zip(uids, tables):
-                self._store_table(uid, table)
         self._tables.update(zip(uids, tables))
         self.stats.gate_formations += len(uids)
         if not (self._key_columns and self._form_gates_columns(uids,
@@ -808,27 +747,6 @@ class MappingEngine:
                 [math.nan], [(OP_GATE, uid, -1)])
 
     # ------------------------------------------------------------------
-    # tree-cache hooks
-    # ------------------------------------------------------------------
-    def _cached_table(self, uid: int) -> Optional[TupleTable]:
-        sig = self._signatures.get(uid)
-        if sig is None or self.cache is None:
-            return None
-        table = self.cache.fetch(self._cache_prefix, sig, self.network, uid,
-                                 self.model.tuple_key_metrics,
-                                 self.config.pareto, arena=self.arena)
-        if table is None:
-            self.stats.cache_misses += 1
-        else:
-            self.stats.cache_hits += 1
-        return table
-
-    def _store_table(self, uid: int, table: TupleTable) -> None:
-        sig = self._signatures.get(uid)
-        if sig is not None and self.cache is not None:
-            self.cache.put(self._cache_prefix, sig, self.network, uid, table)
-
-    # ------------------------------------------------------------------
     # top level
     # ------------------------------------------------------------------
     def run(self) -> MappingResult:
@@ -853,13 +771,6 @@ class MappingEngine:
             raise ResourceLimitError(
                 f"injected resource exhaustion mapping {network.name!r}",
                 stats=self.stats, limit="injected")
-        evictions_before = 0
-        if self.cache is not None and self.cache.enabled:
-            self.cache.bind_obs(self.tracer, self.metrics)
-            self._cache_prefix = (self.config.fingerprint(),
-                                  self.model.fingerprint())
-            self._signatures = self.cache.signatures(network)
-            evictions_before = self.cache.evictions
         po_drivers = {network.node(p).fanins[0] for p in network.pos}
         for uid in network.node_ids:
             node = network.node(uid)
@@ -873,9 +784,6 @@ class MappingEngine:
             for k, uids in enumerate(self._levels()):
                 self._process_level(k, uids)
         self.kernel.finalize()
-        if self.cache is not None and self.cache.enabled:
-            self.stats.cache_evictions += (self.cache.evictions
-                                           - evictions_before)
         return self
 
     def run_to_plan(self) -> MappingPlan:

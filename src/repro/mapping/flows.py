@@ -196,7 +196,6 @@ def map_network(network: LogicNetwork,
                 *,
                 w_max: int = PAPER_W_MAX,
                 h_max: int = PAPER_H_MAX,
-                cache=None,
                 stats: Optional[MappingStats] = None,
                 passes: Optional[Sequence[str]] = None,
                 tracer=None,
@@ -219,8 +218,6 @@ def map_network(network: LogicNetwork,
         only its defining fields on top of it.
     w_max, h_max:
         Convenience pulldown limits, used only when ``config`` is None.
-    cache:
-        Optional :class:`~repro.pipeline.TreeCache` shared across runs.
     stats:
         Optional :class:`~repro.pipeline.MappingStats` to accumulate into.
     passes:
@@ -263,8 +260,7 @@ def map_network(network: LogicNetwork,
     tracer = tracer if tracer is not None else Tracer()
     metrics = metrics if metrics is not None else MetricsRegistry()
     ctx = FlowContext.for_network(network, effective, model,
-                                  flow=flow or "custom", cache=cache,
-                                  stats=stats, tracer=tracer,
+                                  flow=flow or "custom", stats=stats, tracer=tracer,
                                   metrics=metrics)
     before = replace(ctx.stats)
     if prepared is not None:
@@ -288,8 +284,7 @@ def map_network(network: LogicNetwork,
 def domino_map(network: LogicNetwork,
                cost_model: Optional[CostModel] = None,
                w_max: int = PAPER_W_MAX, h_max: int = PAPER_H_MAX,
-               config: Optional[MapperConfig] = None,
-               cache=None) -> FlowResult:
+               config: Optional[MapperConfig] = None) -> FlowResult:
     """The bulk-CMOS baseline ``Domino_Map``.
 
     The DP ignores discharge points entirely; the materialized gates then
@@ -297,14 +292,13 @@ def domino_map(network: LogicNetwork,
     demands (the paper's post-processing step).
     """
     return map_network(network, flow="domino", cost_model=cost_model,
-                       config=config, w_max=w_max, h_max=h_max, cache=cache)
+                       config=config, w_max=w_max, h_max=h_max)
 
 
 def rs_map(network: LogicNetwork,
            cost_model: Optional[CostModel] = None,
            w_max: int = PAPER_W_MAX, h_max: int = PAPER_H_MAX,
-           config: Optional[MapperConfig] = None,
-           cache=None) -> FlowResult:
+           config: Optional[MapperConfig] = None) -> FlowResult:
     """``RS_Map``: the baseline plus series-stack rearrangement.
 
     Identical DP to :func:`domino_map`, but every selected gate is
@@ -314,14 +308,13 @@ def rs_map(network: LogicNetwork,
     (Table I).
     """
     return map_network(network, flow="rs", cost_model=cost_model,
-                       config=config, w_max=w_max, h_max=h_max, cache=cache)
+                       config=config, w_max=w_max, h_max=h_max)
 
 
 def soi_domino_map(network: LogicNetwork,
                    cost_model: Optional[CostModel] = None,
                    w_max: int = PAPER_W_MAX, h_max: int = PAPER_H_MAX,
-                   config: Optional[MapperConfig] = None,
-                   cache=None) -> FlowResult:
+                   config: Optional[MapperConfig] = None) -> FlowResult:
     """The paper's ``SOI_Domino_Map`` (listing 2).
 
     The ablation switches documented in DESIGN.md (``ordering``,
@@ -335,4 +328,4 @@ def soi_domino_map(network: LogicNetwork,
     were removed on schedule.)
     """
     return map_network(network, flow="soi", cost_model=cost_model,
-                       config=config, w_max=w_max, h_max=h_max, cache=cache)
+                       config=config, w_max=w_max, h_max=h_max)

@@ -24,7 +24,8 @@ service check validates against:
 
 The kernel contract: a kernel fills *empty* tables (the engine builds
 every table fresh) with exactly the reference's slots — slot insertion
-order included, since the tree cache serializes it — and reproduces
+order included, since gate formation takes the first minimum in
+slot order — and reproduces
 its ``tuples_created``/``tuples_pruned`` counters, so runs mixing
 kernels stay bit-identical.  Operand views are ranges of rows in the
 tables' :class:`~repro.mapping.tuples.Arena`; a kernel fills a table by
@@ -36,7 +37,7 @@ slot-for-slot harness in ``tests/mapping`` are the parity witnesses.
 A kernel is bound to one :class:`~repro.mapping.engine.MappingEngine`
 run via :meth:`KernelProtocol.build`.  The engine walks the network one
 topological level at a time: every AND/OR node of a level depends only
-on lower levels, so the level's uncached nodes reach the kernel
+on lower levels, so the level's nodes reach the kernel
 together, cut into chunks under a fixed candidate budget, through
 :meth:`KernelProtocol.combine_many`.  :meth:`KernelProtocol.finalize`
 runs once after the DP.
@@ -173,8 +174,8 @@ class ReferenceKernel:
     original view order (the pre-filtered lists preserve relative
     order), (2) the keep/evict decisions are literal transcriptions of
     :meth:`TupleTable.insert`, and (3) a slot list is only created when
-    its first candidate arrives, so slot insertion order — which the
-    tree cache serializes — is unchanged.
+    its first candidate arrives, so slot insertion order — where gate
+    formation takes its first minimum — is unchanged.
     """
 
     name = "reference"

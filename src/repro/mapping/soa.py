@@ -89,8 +89,8 @@ and it holds per node, whatever else shares the batch:
   packed word (far beyond any feasible structure), or whose tables'
   front caps differ, goes whole to the reference kernel.
 * Slot dict order is the shapes' first-candidate order, matching the
-  reference's create-on-first-arrival — load-bearing because the tree
-  cache serializes tables in slot-insertion order.  Each node's
+  reference's create-on-first-arrival — load-bearing because gate
+  formation takes the first minimum in slot-insertion order.  Each node's
   candidates are one contiguous arrival range, so sorting the batch's
   winners by first arrival is node-major, and both reducers write each
   node's rows contiguously, followed by the row reserved for its gate.

@@ -14,10 +14,10 @@ order, so a table costs two integers, and the DP kernels read and write
 whole batches of rows at once (DESIGN.md §17).
 
 Pulldown structures are rebuilt from provenance only for the rows that
-need one (the selected gates, a tree-cache store, a read accessor):
+need one (the selected gates, a read accessor):
 :meth:`Arena.structure` walks the back-pointers with ``series`` /
 ``parallel``, memoized per row, and stops at rows that carry an eager
-structure (primary inputs, tree-cache hits) or name a formed gate.
+structure (primary inputs, inserted tuples) or name a formed gate.
 :class:`MapTuple` is the materialized object form of one row.
 """
 
@@ -128,8 +128,7 @@ W, H, WC, LV, PD, PT, PB, EP, TR, DI, HP, KEY = range(NCOL)
 
 #: Provenance ops: ``left`` on top of ``right``; ``left`` beside
 #: ``right``; the formed gate of network node ``left``; a row with an
-#: eager structure (a primary input, a tree-cache hit, an inserted
-#: tuple).
+#: eager structure (a primary input, an inserted tuple).
 OP_SER, OP_PAR, OP_GATE, OP_LEAF = range(4)
 
 _FIELDS = attrgetter(*COLUMNS[:KEY])
@@ -352,23 +351,6 @@ class TupleTable:
     def max_front(self) -> int:
         return self._max_front
 
-    @classmethod
-    def from_slots(cls, key_fn, pareto: bool,
-                   slots: List[Tuple[Tuple[int, int], List[MapTuple]]],
-                   max_front: int = 4,
-                   arena: Optional[Arena] = None) -> "TupleTable":
-        """Build a finished table from ``(shape, tuples)`` pairs.
-
-        Used by the tree cache: the pairs must be a table's final
-        contents in slot-insertion order, so the rebuilt table iterates
-        (and therefore maps) bit-identically to the original.  The rows
-        keep the tuples' structures as eager structures.
-        """
-        table = cls(key_fn, pareto=pareto, max_front=max_front, arena=arena)
-        table._load([(key_fn(t.wcost, t.levels), t)
-                     for _, tuples in slots for t in tuples])
-        return table
-
     def _load(self, entries: List[Tuple[float, MapTuple]]) -> None:
         """Write ``(key, tuple)`` entries (slot order) as this table's
         rows, and reserve the gate row after them."""
@@ -393,11 +375,6 @@ class TupleTable:
                 out.append((shape, []))
             out[-1][1].append((arena.key(row), t))
         return out
-
-    def slots(self) -> List[Tuple[Tuple[int, int], List[MapTuple]]]:
-        """Final contents as ``(shape, tuples)`` pairs in insertion order."""
-        return [(shape, [t for _, t in entries])
-                for shape, entries in self.keyed_slots()]
 
     def all_tuples(self) -> Iterator[MapTuple]:
         for row in range(self.start, self.stop):

@@ -1,24 +1,21 @@
-"""Batch mapping pipeline: parallel fan-out, memoization, instrumentation.
+"""Batch mapping pipeline: parallel fan-out and instrumentation.
 
-Three cooperating layers (see DESIGN.md, "Batch pipeline &
+Cooperating layers (see DESIGN.md, "Batch pipeline &
 instrumentation"):
 
 * :class:`MappingStats` (``metrics.py``) — per-run counters the engine
   fills in and every result surfaces via ``MappingResult.stats``;
-* :class:`TreeCache` (``cache.py``) — memoizes DP tables by fanout-free
-  cone shape + config/cost-model fingerprint, bit-identically, with
-  deterministic LRU eviction and an optional persistent second tier;
-* :class:`CacheStore` (``store.py``) — that second tier: a sqlite
-  cross-process cone-template store with checksummed entries;
 * :class:`WorkerPool` (``pool.py``) — warm worker processes whose
   lifetime spans batches (rebuild-on-hang, retries, backoff);
 * :class:`BatchRunner` (``runner.py``) — fans ``BatchTask`` work-lists
-  across a :class:`WorkerPool` with timeouts and serial degradation.
+  across a :class:`WorkerPool` with timeouts and serial degradation;
+* :class:`CacheStore` (``store.py``) — a checksummed sqlite key/value
+  store that only the benchmark (``bench/workloads.py``) drives.
 
-``runner`` (and ``cache``'s mapping-facing pieces) import the mapping
-package, which itself imports ``metrics`` — so only ``metrics`` is
-imported eagerly here and the rest resolves lazily on first attribute
-access (PEP 562), keeping the import graph acyclic.
+``runner`` imports the mapping package, which itself imports
+``metrics`` — so only ``metrics`` is imported eagerly here and the rest
+resolves lazily on first attribute access (PEP 562), keeping the import
+graph acyclic.
 """
 
 from __future__ import annotations
@@ -26,10 +23,8 @@ from __future__ import annotations
 from .metrics import MappingStats
 
 _LAZY = {
-    "TreeCache": ("cache", "TreeCache"),
     "WorkerPool": ("pool", "WorkerPool"),
     "CacheStore": ("store", "CacheStore"),
-    "default_store_path": ("store", "default_store_path"),
     "BatchTask": ("runner", "BatchTask"),
     "BatchResult": ("runner", "BatchResult"),
     "BatchReport": ("runner", "BatchReport"),

@@ -2,8 +2,7 @@
 
 A :class:`MappingStats` object rides along one :class:`MappingEngine` run
 and counts the events that dominate mapping cost: DP tuples created and
-pruned, combine calls, gate formations, tree-cache hits/misses, and
-DP wall time.  The counters are plain integers/floats so a stats
+pruned, combine calls, gate formations, and DP wall time.  The counters are plain integers/floats so a stats
 object pickles cleanly across the :class:`~repro.pipeline.BatchRunner`
 process pool and merges cheaply when aggregating a sweep.
 
@@ -31,10 +30,11 @@ class MappingStats:
     * The dataclass fields are the one counter list: :meth:`merge`,
       :meth:`since`, ``FlowContext.stats_delta`` and the registry
       publish all enumerate them.
-    * :attr:`tuples_kept`, :attr:`bound_skips`, :attr:`cache_requests`
-      and :attr:`cache_hit_rate` are derived properties that appear
-      only in JSON (:meth:`as_dict`, :meth:`summary`).  ``bound_skips``
-      stays because the staged benchmark (``bench/staged.py``) reads it.
+    * :attr:`tuples_kept` and :attr:`bound_skips` are derived
+      properties that appear only in JSON (:meth:`as_dict`,
+      :meth:`summary`).  ``bound_skips`` stays because the staged
+      benchmark (``bench/staged.py``) reads it, and so does
+      :attr:`cache_hit_rate`, a constant ``0.0`` kept out of JSON.
 
     Attributes
     ----------
@@ -50,28 +50,20 @@ class MappingStats:
     combine_calls:
         Fanin-pair combinations attempted (each may yield 0-2 tuples).
     gate_formations:
-        Formed-gate records built (one per processed node, including
-        nodes restored from the tree cache).
-    cache_hits, cache_misses:
-        Tree-cache outcomes for cache-eligible nodes; both stay zero when
-        no cache is attached or the cache is disabled.
-    cache_evictions:
-        Tree-cache entries dropped while this run was mapping — the LRU
-        capacity evictions plus integrity (poison) evictions the run
-        triggered.  Zero for unbounded caches on healthy entries.
+        Formed-gate records built (one per processed node).
     nodes_processed:
         AND/OR nodes the DP visited.
     node_time_s, max_node_time_s:
         Total wall time spent in the DP's level loop, and the slowest
         kernel batch: one chunk of a topological level, timed through
-        its remaining fanin views, the kernel call, cache stores and
-        gate formations.  (The DP runs level by level, so there is no
+        its remaining fanin views, the kernel call and gate
+        formations.  (The DP runs level by level, so there is no
         per-node wall time any more; the field keeps its name.)
     combine_time_s:
         The subset of ``node_time_s`` spent inside the DP kernel's
         combine step — the denominator for kernel tuple-throughput
-        comparisons (gate formation, fanin views and cache traffic are
-        excluded because they are identical across kernels).
+        comparisons (gate formation and fanin views are excluded
+        because they are identical across kernels).
     soa_batches, soa_candidates, soa_max_batch:
         Vectorized-kernel activity: batches the structure-of-arrays
         kernel reduced (one per kernel call: a chunk of a level, in
@@ -95,9 +87,6 @@ class MappingStats:
     tuples_pruned: int = 0
     combine_calls: int = 0
     gate_formations: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
     nodes_processed: int = 0
     node_time_s: float = 0.0
     max_node_time_s: float = 0.0
@@ -119,14 +108,9 @@ class MappingStats:
         return self.tuples_pruned
 
     @property
-    def cache_requests(self) -> int:
-        return self.cache_hits + self.cache_misses
-
-    @property
     def cache_hit_rate(self) -> float:
-        """Hits over cache-eligible lookups (0.0 when none were made)."""
-        requests = self.cache_requests
-        return self.cache_hits / requests if requests else 0.0
+        """Always 0.0: the DP has no cache (``bench/staged.py`` reads it)."""
+        return 0.0
 
     def merge(self, other: "MappingStats") -> "MappingStats":
         """Accumulate ``other`` into self (returns self for chaining)."""
@@ -155,16 +139,14 @@ class MappingStats:
     def as_dict(self) -> Dict[str, float]:
         """All counters plus every derived property.
 
-        ``tuples_kept``, ``bound_skips`` and ``cache_requests`` are
-        included so JSON consumers (``map``/``batch`` reports) never have to
-        recompute them.
+        ``tuples_kept`` and ``bound_skips`` are included so JSON
+        consumers (``map``/``batch`` reports) never have to recompute
+        them.
         """
         data: Dict[str, float] = {f.name: getattr(self, f.name)
                                   for f in fields(self)}
         data["tuples_kept"] = self.tuples_kept
         data["bound_skips"] = self.bound_skips
-        data["cache_requests"] = self.cache_requests
-        data["cache_hit_rate"] = self.cache_hit_rate
         return data
 
     def summary(self) -> str:
@@ -185,8 +167,5 @@ class MappingStats:
         if self.auto_routed_soa or self.auto_routed_reference:
             parts.append(f"auto_routed=soa:{self.auto_routed_soa}"
                          f"/ref:{self.auto_routed_reference}")
-        if self.cache_requests:
-            parts.append(f"cache={self.cache_hits}/{self.cache_requests}"
-                         f" ({100.0 * self.cache_hit_rate:.0f}%)")
         parts.append(f"dp_time={self.node_time_s:.3f}s")
         return " ".join(parts)

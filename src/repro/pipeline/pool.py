@@ -5,18 +5,14 @@
 
 * the :class:`~concurrent.futures.ProcessPoolExecutor` itself, built
   lazily on first use and **kept warm across** :meth:`run_tasks` calls —
-  imports, numpy kernel state, each worker's private
-  :class:`~repro.pipeline.TreeCache` and parsed-network memo all survive
-  from one batch (or service job) to the next;
+  imports, numpy kernel state and each worker's parsed-network memo
+  all survive from one batch (or service job) to the next;
 * the resilience machinery around it: per-task timeouts, classified
   retries with deterministic-jitter exponential backoff, pool rebuild on
   hang/crash (a running future cannot be cancelled, so replacing the
   executor is the only way to reclaim a hung slot), and the whole-batch
   deadline budget;
-* worker initialization: the fault plan and — when a ``store_path`` is
-  configured — a :class:`~repro.pipeline.store.CacheStore` persistent
-  tier behind every worker's TreeCache, so warm state additionally
-  survives pool rebuilds, daemon restarts, and process boundaries.
+* worker initialization: the fault plan.
 
 :meth:`run_tasks` executes one batch against the warm pool and returns
 ``(results, attempts)`` by task index; indices absent from ``results``
@@ -51,11 +47,6 @@ from ..resilience.faults import (
     install,
     install_from_env,
 )
-from .cache import TreeCache
-from .store import CacheStore
-
-#: Per-worker-process cache, installed by the pool initializer.
-_WORKER_CACHE: Optional[TreeCache] = None
 
 #: Lazily-chosen multiprocessing context shared by every pool.
 _MP_CONTEXT: Optional[multiprocessing.context.BaseContext] = None
@@ -88,15 +79,7 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     return _MP_CONTEXT
 
 
-def _init_worker(cache_enabled: bool,
-                 plan: Optional[FaultPlan] = None,
-                 store_path: Optional[str] = None) -> None:
-    global _WORKER_CACHE
-    if cache_enabled:
-        store = CacheStore(store_path) if store_path else None
-        _WORKER_CACHE = TreeCache(store=store)
-    else:
-        _WORKER_CACHE = None
+def _init_worker(plan: Optional[FaultPlan] = None) -> None:
     if plan is not None:
         install(plan)
     else:
@@ -106,13 +89,7 @@ def _init_worker(cache_enabled: bool,
 def _pool_execute(task, attempt: int = 1):
     from .runner import execute_task
 
-    return execute_task(task, cache=_WORKER_CACHE, mode="pool",
-                        attempt=attempt)
-
-
-def worker_cache() -> Optional[TreeCache]:
-    """This process's pool-worker TreeCache (None outside a worker)."""
-    return _WORKER_CACHE
+    return execute_task(task, mode="pool", attempt=attempt)
 
 
 class WorkerPool:
@@ -132,11 +109,6 @@ class WorkerPool:
         Exponential-backoff schedule: retry *n* waits
         ``min(cap, base * 2**(n-1))`` scaled by a deterministic jitter
         factor in [0.5, 1.5) derived from the task label.
-    use_cache:
-        Give each worker process a private :class:`TreeCache`.
-    store_path:
-        Optional :class:`CacheStore` database path mounted behind every
-        worker's TreeCache as the persistent second tier.
     fault_plan:
         Default :class:`FaultPlan` installed in workers when
         :meth:`run_tasks` is not given one explicitly.
@@ -147,8 +119,6 @@ class WorkerPool:
                  retries: int = 1,
                  backoff_base_s: float = 0.05,
                  backoff_cap_s: float = 5.0,
-                 use_cache: bool = True,
-                 store_path: Optional[str] = None,
                  fault_plan: Optional[FaultPlan] = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -161,8 +131,6 @@ class WorkerPool:
         self.retries = retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self.use_cache = use_cache
-        self.store_path = store_path
         self.fault_plan = fault_plan
         self._executor: Optional[ProcessPoolExecutor] = None
         self._built_plan: Optional[FaultPlan] = None
@@ -194,7 +162,7 @@ class WorkerPool:
         self._built_plan = plan
         return ProcessPoolExecutor(
             max_workers=self.width, initializer=_init_worker,
-            initargs=(self.use_cache, plan, self.store_path),
+            initargs=(plan,),
             mp_context=_mp_context())
 
     def _ensure(self, plan: Optional[FaultPlan]) -> ProcessPoolExecutor:

@@ -6,9 +6,7 @@ pickle across a :class:`concurrent.futures.ProcessPoolExecutor`.
 :class:`BatchRunner` executes a list of them with
 
 * **parallel fan-out** across a :class:`~repro.pipeline.WorkerPool`
-  (``max_workers`` processes, each owning a private
-  :class:`~repro.pipeline.TreeCache` so repeated tree shapes are mapped
-  once per worker),
+  (``max_workers`` processes),
 * **per-task timeouts**, **classified retries** with exponential
   backoff and deterministic jitter (only *retryable* infrastructure
   failures — a hung or crashed worker — are resubmitted; deterministic
@@ -20,8 +18,8 @@ pickle across a :class:`concurrent.futures.ProcessPoolExecutor`.
   unfinished tasks are reported as structured
   ``BatchDeadlineError`` failures instead of stalling the sweep, and
 * **graceful degradation**: ``max_workers=1`` — or a broken pool, or a
-  task that exhausted its retries — runs in-process serially with the
-  runner's own shared cache, so a sweep always completes.
+  task that exhausted its retries — runs in-process serially, so a
+  sweep always completes.
 
 Workers return :class:`BatchResult` values: the circuit *cost* and a
 netlist digest (not the circuit object — a mapped c7552 is megabytes),
@@ -31,8 +29,7 @@ times, the worker's span tree and metrics registry (stitched by
 :meth:`BatchReport.total_metrics` in the parent), total wall time, and
 the error string for failed tasks.  Results come back in task order and are
 bit-identical between pool and serial execution: each task is a
-deterministic function of its fields, and cache reuse reconstructs DP
-tables exactly (see ``pipeline/cache.py``).
+deterministic function of its fields.
 
 Every degradation decision the runner takes — a retry, a pool rebuild,
 a fail-fast, a fallback — is recorded on :attr:`BatchReport.events`
@@ -47,10 +44,10 @@ process-lifecycle half of the old runner lives in
 :class:`~repro.pipeline.WorkerPool` (``pipeline/pool.py``), which stays
 warm across :meth:`BatchRunner.run` calls — a runner reused for several
 batches (or a :mod:`repro.service` daemon serving jobs) keeps worker
-processes, their private caches, and their parsed-network memos
-resident.  A ``BatchRunner`` builds its own pool lazily and owns it
-(close with :meth:`BatchRunner.close` / ``with``), or accepts a shared
-long-lived pool via ``pool=``.
+processes and their parsed-network memos resident.  A ``BatchRunner``
+builds its own pool lazily and owns it (close with
+:meth:`BatchRunner.close` / ``with``), or accepts a shared long-lived
+pool via ``pool=``.
 """
 
 from __future__ import annotations
@@ -75,10 +72,8 @@ from ..resilience.faults import (
     install,
 )
 from ..synth import UnateReport
-from .cache import TreeCache
 from .metrics import MappingStats
 from .pool import WorkerPool
-from .store import CacheStore
 
 
 @dataclass(frozen=True)
@@ -322,8 +317,8 @@ def clear_network_memo() -> None:
     _NETWORK_MEMO.clear()
 
 
-def execute_task(task: BatchTask, cache: Optional[TreeCache] = None,
-                 mode: str = "serial", attempt: int = 1) -> BatchResult:
+def execute_task(task: BatchTask, mode: str = "serial",
+                 attempt: int = 1) -> BatchResult:
     """Run one task to completion; failures become error results.
 
     Each task records into a private tracer/registry: the root ``task``
@@ -368,8 +363,7 @@ def execute_task(task: BatchTask, cache: Optional[TreeCache] = None,
                 _NETWORK_MEMO.frontend_hits += 1
             result = map_network(entry.network, flow=task.flow,
                                  cost_model=task.cost_model,
-                                 config=task.config, cache=cache,
-                                 tracer=tracer, metrics=metrics,
+                                 config=task.config, tracer=tracer, metrics=metrics,
                                  prepared=entry.prepared)
             if entry.prepared is None:
                 entry.prepared = (result.unate_network, result.unate_report)
@@ -404,8 +398,7 @@ class BatchRunner:
     :class:`BatchReport` — while the pool owns process lifecycle and
     stays warm across :meth:`run` calls.  Call :meth:`run` repeatedly on
     one runner (or share one pool between runners via ``pool=``) and
-    worker processes, their caches, and their parsed-network memos are
-    reused; call :meth:`close` (or use the runner as a context manager)
+    worker processes and their parsed-network memos are reused; call :meth:`close` (or use the runner as a context manager)
     to release the owned pool.
 
     Parameters
@@ -432,14 +425,8 @@ class BatchRunner:
         retries or fallbacks run; unfinished tasks are reported as
         ``BatchDeadlineError`` failures with ``mode="deadline"``.
         ``None`` (default) means no budget.
-    use_cache:
-        Attach :class:`TreeCache` memoization — the runner's shared
-        cache in serial mode, one private cache per pool worker.
-    store_path:
-        Optional :class:`CacheStore` sqlite path: mounts the persistent
-        cone cache behind the runner's serial cache *and* behind every
-        pool worker's cache, so warm DP state survives processes and
-        restarts.
+    use_cache, store_path:
+        Accepted and ignored: ``bench/workloads.py`` still passes them.
     pool:
         Optional shared :class:`WorkerPool`.  When given, the runner
         uses it for pooled execution and never closes it (the pool's
@@ -455,12 +442,11 @@ class BatchRunner:
     def __init__(self, max_workers: Optional[int] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 1,
-                 use_cache: bool = True,
-                 cache: Optional[TreeCache] = None,
+                 use_cache: bool = True,  # ignored; bench/workloads.py
                  backoff_base_s: float = 0.05,
                  backoff_cap_s: float = 5.0,
                  deadline_s: Optional[float] = None,
-                 store_path: Optional[str] = None,
+                 store_path: Optional[str] = None,  # ignored; likewise
                  pool: Optional[WorkerPool] = None,
                  fault_plan: Optional[FaultPlan] = None):
         if max_workers is not None and max_workers < 1:
@@ -477,18 +463,7 @@ class BatchRunner:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.deadline_s = deadline_s
-        self.store_path = store_path
         self.fault_plan = fault_plan
-        self.use_cache = use_cache or cache is not None
-        self._owned_store: Optional[CacheStore] = None
-        if cache is not None:
-            self.cache = cache
-        elif self.use_cache:
-            if store_path is not None:
-                self._owned_store = CacheStore(store_path)
-            self.cache = TreeCache(store=self._owned_store)
-        else:
-            self.cache = None
         self._shared_pool = pool
         self._pool: Optional[WorkerPool] = None
 
@@ -510,8 +485,6 @@ class BatchRunner:
                 retries=self.retries,
                 backoff_base_s=self.backoff_base_s,
                 backoff_cap_s=self.backoff_cap_s,
-                use_cache=self.use_cache,
-                store_path=self.store_path,
                 fault_plan=self.fault_plan)
         return self._pool
 
@@ -520,8 +493,6 @@ class BatchRunner:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._owned_store is not None:
-            self._owned_store.close()
 
     def __enter__(self) -> "BatchRunner":
         return self
@@ -590,7 +561,7 @@ class BatchRunner:
                    on_result: Optional[Callable[[int, BatchResult],
                                                 None]] = None
                    ) -> BatchReport:
-        """Force in-process serial execution (shared cache, no pool)."""
+        """Force in-process serial execution (no pool)."""
         tasks = list(tasks)
         started = time.perf_counter()
         previous = (install(self.fault_plan)
@@ -620,7 +591,7 @@ class BatchRunner:
                              task=task.label,
                              detail=f"budget {self.deadline_s}s expired")
             else:
-                result = execute_task(task, cache=self.cache)
+                result = execute_task(task)
             results.append(result)
             if on_result is not None:
                 on_result(index, result)
@@ -680,8 +651,7 @@ class BatchRunner:
             else:
                 record("serial_fallback", task=task.label,
                        detail=f"after {attempts[index]} pool attempts")
-                result = execute_task(task, cache=self.cache,
-                                      mode="serial-fallback",
+                result = execute_task(task, mode="serial-fallback",
                                       attempt=attempts[index] + 1)
                 result.attempts = max(1, attempts[index])
                 results[index] = result

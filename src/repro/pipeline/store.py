@@ -1,39 +1,24 @@
-"""Persistent cross-process cone cache: the :class:`TreeCache` second tier.
+"""A checksummed sqlite key/value store, kept for the benchmark.
 
-:class:`CacheStore` is a sqlite-backed key/value store for templated DP
-tables.  Keys are *stable* cone identities — a sha256 over the canonical
-cone shape plus the :class:`~repro.mapping.engine.MapperConfig` and cost-
-model fingerprints (see :meth:`TreeCache.stable_key`) — so entries
-written by one process (or one daemon lifetime) are valid in any other:
-the hash-consed small-integer signatures :class:`TreeCache` uses
-in-memory never leak into the store.
+:class:`CacheStore` maps string keys to byte payloads.  Nothing in the
+mapping stack writes it: ``bench/workloads.py`` still opens one per
+pool or daemon pass, reads its counters (:meth:`stats`), lists the keys
+of its ``entries`` table, and times :meth:`get` and :meth:`put` on
+them.
 
 Every entry is checksummed: :meth:`put` stores ``sha256(payload)``
 alongside the payload and :meth:`get` re-derives it before returning the
 bytes.  A mismatch — a torn write, disk corruption, a foreign writer —
-is *poison* exactly as in the in-memory tier (DESIGN.md §11): the row is
-deleted, the lookup reports a miss (the DP recomputes, which is always
-correct), and the eviction is counted.  Unpicklable or stale-schema
-payloads are handled the same way by the caller (:meth:`TreeCache.fetch`).
+deletes the row and reports a miss, and the eviction is counted.
+Inserts are first-writer-wins (``INSERT OR IGNORE``).
 
-Concurrency: the store is written by every pool worker and read by the
-parent, so the connection runs in WAL mode with a busy timeout, writes
-are single-statement transactions, and inserts are first-writer-wins
-(``INSERT OR IGNORE``) — the same determinism contract as the in-memory
-tier, where whichever process computes a shape first defines the stored
-template (all of them compute bit-identical templates by construction).
-Connections are opened lazily per process: a :class:`CacheStore` object
-that crosses a ``fork`` reopens rather than sharing the parent's handle.
-
-A sqlite failure must never fail a mapping: every operation degrades to
-a miss / no-op and bumps the ``errors`` counter instead of raising.
-
-Cumulative counters (hits / misses / stores / evictions) are persisted
-in the database itself, so ``soidomino cache`` reports totals across
-every process and daemon restart that ever touched the file.  The
-connection, schema-version, counter and degrade-on-error machinery is
-:class:`repro._sqlite.WalDatabase`, shared with the service's job
-journal.
+A sqlite failure never raises: every operation degrades to a miss /
+no-op and bumps the ``errors`` counter instead.  Cumulative counters
+(hits / misses / stores / evictions) are persisted in the database
+itself, so :meth:`stats` reports totals across every process that ever
+touched the file.  The connection, schema-version, counter and
+degrade-on-error machinery is :class:`repro._sqlite.WalDatabase`,
+shared with the service's job journal.
 """
 
 from __future__ import annotations
@@ -42,26 +27,17 @@ import os
 import time
 from typing import Dict, Optional
 
-from .._sqlite import WalDatabase, default_db_path
+from .._sqlite import WalDatabase
 
-#: Bump when the entry payload format (pickled template schema) changes;
-#: stores written under another version are cleared on open.  Version 2
-#: pickles ``MapTuple`` without the ``op``/``left``/``right`` slots.
+#: Bump when the entry format changes; stores written under another
+#: version are cleared on open.
 SCHEMA_VERSION = 2
 
 _COUNTERS = ("hits", "misses", "stores", "evictions")
 
 
-def default_store_path() -> str:
-    """Where the persistent cone cache lives unless overridden.
-
-    ``SOIDOMINO_CACHE_DB`` wins; otherwise a per-user cache path.
-    """
-    return default_db_path("SOIDOMINO_CACHE_DB", "cones.sqlite")
-
-
 class CacheStore(WalDatabase):
-    """Checksummed sqlite key/value store for templated DP tables.
+    """Checksummed sqlite key/value store (``bench/workloads.py``).
 
     Parameters
     ----------
@@ -145,28 +121,12 @@ class CacheStore(WalDatabase):
             return False
         return self.run(op, False)
 
-    def delete(self, key: str, *, poison: bool = False) -> None:
-        """Drop one entry; ``poison=True`` also counts an eviction
-        (used by the caller when a checksum-valid payload fails to
-        deserialize — stale pickle schema, foreign bytes)."""
-        def op(conn):
-            with conn:
-                conn.execute("DELETE FROM entries WHERE key=?", (key,))
-                if poison:
-                    self.bump(conn, "evictions")
-            if poison:
-                self.evictions += 1
-        self.run(op, None)
-
     # ------------------------------------------------------------------
     # accounting / lifecycle
     # ------------------------------------------------------------------
     @staticmethod
     def _count(conn) -> int:
         return conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-
-    def __len__(self) -> int:
-        return self.run(self._count, 0)
 
     def size_bytes(self) -> int:
         """Size on disk (main file + WAL sidecars, when present)."""
@@ -196,15 +156,3 @@ class CacheStore(WalDatabase):
                         "stores": self.stores, "evictions": self.evictions,
                         "errors": self.errors},
         }
-
-    def clear(self) -> int:
-        """Drop every entry and reset the cumulative counters; returns
-        the number of entries removed."""
-        def op(conn):
-            with conn:
-                removed = self._count(conn)
-                conn.execute("DELETE FROM entries")
-                conn.execute("DELETE FROM counters")
-            conn.execute("VACUUM")
-            return removed
-        return self.run(op, 0)

@@ -4,12 +4,11 @@
 full :data:`~repro.resilience.faults.FAULT_POINTS` matrix, or a chosen
 subset): a seeded :class:`FaultPlan` activating exactly that site is
 installed, a small real workload runs through the production stack —
-the batch pool for the worker-facing sites, a shared
-:class:`~repro.pipeline.TreeCache` for cache poisoning, a real daemon
-for the service sites — and the scenario passes only if the site's
+the batch pool for the worker-facing sites, a real daemon for the
+service sites — and the scenario passes only if the site's
 *documented* recovery happened: hung/crashed workers were retried to
 success, deterministic failures failed fast as structured per-task
-errors, poisoned cache entries were evicted and recomputed.  Every
+errors, corrupt journal results were recomputed.  Every
 scenario also demands **bit-identical digests** against a fault-free
 baseline for all work that was supposed to survive, which is what
 separates "recovered" from "limped to a different answer".
@@ -25,8 +24,6 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bench_suite import load_circuit
-from ..mapping import map_network
 from .faults import FAULT_POINTS, FaultPlan, FaultRule, install
 
 #: Default chaos workload: small enough for a CI smoke run, large
@@ -158,7 +155,6 @@ def run_chaos(circuits: Optional[Sequence[str]] = None, *, seed: int = 0,
         "task.hang": _run_task_hang,
         "parse.fail": _run_parse_fail,
         "resource.exhaust": _run_resource_exhaust,
-        "cache.poison": _run_cache_poison,
         "journal.corrupt": _run_journal_corrupt,
         "service.crash": _run_service_crash,
         "queue.overload": _run_queue_overload,
@@ -317,7 +313,7 @@ def _run_service_crash(*, seed, circuits, target, baseline,
     faults = f"seed={seed};service.crash:match={target}"
     with tempfile.TemporaryDirectory(prefix="soidomino-chaos-") as tmpdir:
         journal = f"{tmpdir}/journal.sqlite"
-        serve = ["--journal", journal, "--no-store", "-j", "1"]
+        serve = ["--journal", journal, "-j", "1"]
         env = {"REPRO_FAULTS": faults}
         port = free_port()
         daemon = start_daemon(port, serve, env)
@@ -433,40 +429,4 @@ def _run_pool_breaker(*, seed, target, baseline, **_) -> ChaosOutcome:
               f"probe {'closed it' if closed else 'DID NOT CLOSE'}, "
               f"digest {'matches baseline' if digests_ok else 'DIVERGED'}")
     return ChaosOutcome(site="pool.breaker", spec=plan.spec(), ok=ok,
-                        detail=detail, digests_ok=digests_ok)
-
-
-def _run_cache_poison(*, seed, target, baseline, **_) -> ChaosOutcome:
-    from ..mapping import MapperConfig
-    from ..pipeline import TreeCache
-
-    try:
-        import numpy  # noqa: F401
-        recovery_kernel = "soa"
-    except ImportError:  # pragma: no cover - numpy is installed in CI
-        recovery_kernel = "reference"
-
-    clean = map_network(load_circuit(target), flow="soi")
-    cache = TreeCache()
-    # first run populates the cache fault-free (reference kernel)...
-    map_network(load_circuit(target), flow="soi", cache=cache)
-    plan = FaultPlan(seed=seed, rules=(FaultRule("cache.poison"),))
-    previous = install(plan)
-    try:
-        # ...the second run's hits are poisoned and must be recomputed.
-        # The recompute runs under the soa kernel (when available): the
-        # recovery path must be bit-identical across kernels too.
-        poisoned = map_network(load_circuit(target), flow="soi",
-                               cache=cache,
-                               config=MapperConfig(kernel=recovery_kernel))
-    finally:
-        install(previous)
-    digests_ok = poisoned.circuit.digest() == clean.circuit.digest()
-    evicted = cache.evictions > 0
-    ok = digests_ok and evicted
-    detail = (f"{cache.evictions} poisoned entries evicted"
-              f"{'' if evicted else ' (EXPECTED > 0)'}, "
-              f"recomputed under kernel={recovery_kernel}, "
-              f"digest {'matches uncached run' if digests_ok else 'DIVERGED'}")
-    return ChaosOutcome(site="cache.poison", spec=plan.spec(), ok=ok,
                         detail=detail, digests_ok=digests_ok)

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a set of :class:`FaultRule` activations over the
 registry of named **fault points** (:data:`FAULT_POINTS`) — the places
 the production code is willing to break itself on purpose: a worker
-crash, a task hang, cache poisoning, a parse failure, resource
+crash, a task hang, a parse failure, resource
 exhaustion, journal corruption, a daemon crash, queue overload, a
 tripped pool breaker.  Each site documents the recovery the
 rest of the stack must provide, and ``tests/resilience`` drives every
@@ -67,12 +67,6 @@ FAULT_POINTS: Dict[str, FaultPoint] = {
             "per-task timeout",
             "pool timeout fires; the hung worker's slot is reclaimed by "
             "rebuilding the pool and the task is resubmitted"),
-        FaultPoint(
-            "cache.poison",
-            "a fetched TreeCache template is mutated without updating "
-            "its integrity fingerprint",
-            "fetch validation detects the mismatch, evicts the entry, "
-            "and reports a miss so the DP recomputes the table"),
         FaultPoint(
             "parse.fail",
             "loading the task's circuit raises ParseError",

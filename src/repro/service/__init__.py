@@ -1,14 +1,13 @@
 """Mapping-as-a-service: the daemon layer over the batch pipeline.
 
 ``soidomino serve`` exposes the warm :class:`~repro.pipeline.WorkerPool`
-+ persistent :class:`~repro.pipeline.CacheStore` stack as a small JSON
-HTTP API (DESIGN.md §13):
+as a small JSON HTTP API (DESIGN.md §13):
 
 * :mod:`repro.service.jobs` — job specs/states and the fair per-tenant
   priority queue with admission quotas;
 * :mod:`repro.service.core` — :class:`MappingService`: one warm pool,
-  one persistent store, a one-job-at-a-time scheduler, cumulative
-  metrics, and the typed error contract;
+  a one-job-at-a-time scheduler, cumulative metrics, and the typed
+  error contract;
 * :mod:`repro.service.journal` — the crash-safe sqlite-WAL job
   journal (write-ahead submits, checksummed results, event cursors,
   idempotency dedupe, restart recovery — DESIGN.md §14);
@@ -19,10 +18,10 @@ HTTP API (DESIGN.md §13):
 * :mod:`repro.service.client` — a stdlib blocking client;
 * :mod:`repro.service.smoke` — the end-to-end drill CI runs: daemon
   up, sweep over HTTP, digest parity with ``soidomino batch``, warm
-  resubmission, restart-and-reuse of the persistent store.
+  resubmission, restart and ``kill -9`` recovery from the journal.
 
 Jobs map bit-identically to the CLI: a spec compiles to the same task
-list ``soidomino batch`` builds, and the pool/caches preserve digest
+list ``soidomino batch`` builds, and the warm pool preserves digest
 determinism by construction.
 """
 

@@ -2,10 +2,8 @@
 
 :class:`MappingService` is the long-lived object a daemon (or a test)
 holds: one :class:`~repro.pipeline.WorkerPool` kept warm for the
-process lifetime, one :class:`~repro.pipeline.CacheStore` persistent
-cone cache under every worker (and under the in-process fallback
-cache), and one :class:`~repro.service.jobs.JobQueue` deciding which
-tenant's job runs next.
+process lifetime and one :class:`~repro.service.jobs.JobQueue`
+deciding which tenant's job runs next.
 
 Jobs execute **one at a time**: the scheduler coroutine awaits the
 queue and pushes each job's batch through the warm pool in a worker
@@ -17,10 +15,9 @@ what ``GET /v1/jobs/{id}/events`` streams.
 
 Results carry *warmth evidence*: alongside the standard batch report
 (bit-identical digests to ``soidomino batch`` by construction), each
-job reports the runner's tree-cache stats (with the persistent-store
-tier), the parsed-network memo, and the pool's build/run counters — so
-a client can see that its second submission hit a warm pool and a
-primed cache.
+job's ``cache`` block reports the parsed-network memo and the pool's
+build/run counters — so a client can see that its second submission
+hit a warm pool and a primed memo.
 
 Failures follow the resilience taxonomy: :func:`error_payload` renders
 any exception as the service's typed error contract
@@ -92,11 +89,6 @@ class MappingService:
     ----------
     max_workers:
         Pool width for every job; ``1`` maps in-process (no pool).
-    store_path:
-        Persistent :class:`~repro.pipeline.CacheStore` path mounted
-        under every worker cache; ``None`` disables the second tier.
-    use_cache:
-        Attach tree caches at all (workers and in-process fallback).
     max_queued_per_tenant:
         Admission quota forwarded to :class:`JobQueue`.
     keep_jobs:
@@ -115,8 +107,6 @@ class MappingService:
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 store_path: Optional[str] = None,
-                 use_cache: bool = True,
                  max_queued_per_tenant: int = 16,
                  keep_jobs: int = 256,
                  journal_path: Optional[str] = None,
@@ -127,11 +117,9 @@ class MappingService:
         self.jobs: Dict[str, Job] = {}
         self.keep_jobs = keep_jobs
         self.started_s = time.time()
-        self.pool = WorkerPool(max_workers=max_workers, use_cache=use_cache,
-                               store_path=store_path)
+        self.pool = WorkerPool(max_workers=max_workers)
         self.runner = BatchRunner(
-            max_workers=max_workers, use_cache=use_cache,
-            store_path=store_path,
+            max_workers=max_workers,
             pool=self.pool if self.pool.width > 1 else None)
         #: cumulative mapping counters across every finished job — the
         #: live ``/metrics`` endpoint merges this with service counters
@@ -483,7 +471,7 @@ class MappingService:
     # observability
     # ------------------------------------------------------------------
     def warmth(self) -> Dict[str, object]:
-        """Evidence of reuse: pool, tree-cache/store and memo counters."""
+        """Evidence of reuse: pool and parsed-network memo counters."""
         from ..pipeline.runner import network_memo_stats
 
         return {
@@ -493,8 +481,6 @@ class MappingService:
                      "runs": self.pool.runs,
                      "consecutive_degraded_runs":
                          self.pool.consecutive_degraded_runs},
-            "tree_cache": (self.runner.cache.stats()
-                           if self.runner.cache is not None else None),
             "network_memo": network_memo_stats(),
         }
 

@@ -1,8 +1,6 @@
 """Crash-safe write-ahead job journal: durability for the mapping service.
 
-:class:`JobJournal` is the :class:`~repro.pipeline.store.CacheStore`
-pattern applied to *jobs* instead of cones: a sqlite database in WAL
-mode that records every job at submit (the validated spec payload,
+:class:`JobJournal` is a sqlite database in WAL mode that records every job at submit (the validated spec payload,
 tenant, priority, client-supplied idempotency key), every state
 transition (queued → running → done/failed/cancelled, with execution
 attempts), every progress event (so the NDJSON ``?since=`` cursor
@@ -21,15 +19,15 @@ On daemon startup :meth:`recover` replays the journal:
 * a terminal job whose blob fails its checksum (torn write, disk
   corruption, the ``journal.corrupt`` fault) is *demoted*: the blob is
   dropped, the eviction counted, and the job re-enqueued — recompute is
-  always correct, exactly like cache poisoning (DESIGN.md §11).
+  always correct (DESIGN.md §11).
 
 Idempotency keys make retried submissions safe: :meth:`find_idempotent`
 answers "has this key ever been journaled?" so a client that re-sends a
 submit after a connection error gets the original job back instead of
 double-running it.
 
-Like the cone store, and through the same
-:class:`repro._sqlite.WalDatabase` helper, a journal failure must never
+Through the :class:`repro._sqlite.WalDatabase` helper it shares with
+:class:`~repro.pipeline.store.CacheStore`, a journal failure must never
 fail a job: every operation degrades to a no-op/miss and bumps
 ``errors`` instead of raising, connections are per-pid (fork safety),
 and writes are single-statement WAL transactions.  A service
@@ -60,8 +58,7 @@ _COUNTERS = ("submitted", "finished", "recovered", "requeued",
 def default_journal_path() -> str:
     """Where the job journal lives unless overridden.
 
-    ``REPRO_JOURNAL`` wins; otherwise a per-user cache path next to the
-    cone store.
+    ``REPRO_JOURNAL`` wins; otherwise a per-user cache path.
     """
     return default_db_path(JOURNAL_ENV, "journal.sqlite")
 

@@ -110,10 +110,11 @@ def test_a_table_is_a_row_range_followed_by_its_gate_row():
                                 disch=0, levels=0, p_dis=0, par_b=True,
                                 has_pi=True,
                                 structure=parallel(Leaf("a"), Leaf("b")))])]
-    table = TupleTable.from_slots(lambda wcost, levels: wcost, True, slots,
-                                  arena=arena)
+    table = TupleTable(lambda wcost, levels: wcost, pareto=True, arena=arena)
+    table._load([(t.wcost, t) for _, ts in slots for t in ts])
     assert (table.start, table.stop, len(arena)) == (1, 4, 5)
-    assert [(shape, [t.wcost for t in ts]) for shape, ts in table.slots()] \
+    assert [(shape, [t.wcost for _, t in entries])
+            for shape, entries in table.keyed_slots()] \
         == [((1, 1), [2.0, 3.0]), ((2, 1), [4.0])]
     assert [k for _, entries in table.keyed_slots() for k, _ in entries] \
         == [2.0, 3.0, 4.0]

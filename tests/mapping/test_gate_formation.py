@@ -122,8 +122,11 @@ def _form(model, config, batch):
                            for i, row in enumerate(rows)])
                   for shape, rows in zip([(1, 1), (2, 1), (1, 2), (2, 2)],
                                          slots)]
-        tables.append(TupleTable.from_slots(model.tuple_key_metrics, True,
-                                            shaped, arena=engine.arena))
+        table = TupleTable(model.tuple_key_metrics, pareto=True,
+                           arena=engine.arena)
+        table._load([(model.tuple_key_metrics(t.wcost, t.levels), t)
+                     for _, ts in shaped for t in ts])
+        tables.append(table)
         contents.append([t for _, ts in shaped for t in ts])
         engine._share[uid] = share
         uids.append(uid)

@@ -16,9 +16,7 @@ sweep all 28 circuits (the full pinned digest set, a few minutes).
 
 Every digest check runs under each available DP kernel (reference and,
 when numpy is importable, soa) against the *same* pinned seed digests:
-the structure-of-arrays kernel must reproduce the seed bit-for-bit too,
-with a private tree cache per kernel so each kernel genuinely executes
-its own DP instead of replaying the other's cached tables.
+the structure-of-arrays kernel must reproduce the seed bit-for-bit too.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro import network_from_expression
 from repro.bench_suite import load_circuit
 from repro.io import circuit_netlist
 from repro.mapping import MapperConfig, map_network
-from repro.pipeline import TreeCache
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -71,54 +68,42 @@ def _combos(circuits):
                         yield name, flow, ordering, mode, kernel
 
 
-def _digest(network, flow, ordering, mode, cache, kernel="reference"):
+def _digest(network, flow, ordering, mode, kernel="reference"):
     config = MapperConfig(ordering=ordering, pareto=(mode == "pareto"),
                           kernel=kernel)
-    result = map_network(network, flow=flow, config=config, cache=cache)
+    result = map_network(network, flow=flow, config=config)
     return hashlib.sha256(
         circuit_netlist(result.circuit).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def shared_cache():
-    """One TreeCache per kernel, like the seed digest generator — private
-    per kernel so each kernel executes its own DP, no cross-replay."""
-    caches = {kernel: TreeCache() for kernel in KERNELS_UNDER_TEST}
-    return caches.__getitem__
-
-
 @pytest.mark.parametrize("name,flow,ordering,mode,kernel",
                          list(_combos(SMALL_CIRCUITS)))
-def test_digest_matches_seed_small(name, flow, ordering, mode, kernel,
-                                   shared_cache):
-    digest = _digest(load_circuit(name), flow, ordering, mode,
-                     shared_cache(kernel), kernel)
+def test_digest_matches_seed_small(name, flow, ordering, mode, kernel):
+    digest = _digest(load_circuit(name), flow, ordering, mode, kernel)
     assert digest == SEED_DIGESTS[f"{name}/{flow}/{ordering}/{mode}"]
 
 
 @pytest.mark.parametrize("name", SPOT_CIRCUITS)
 @pytest.mark.parametrize("flow", tuple(FLOW_ORDERINGS))
 @pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)
-def test_digest_matches_seed_spot(name, flow, kernel, shared_cache):
+def test_digest_matches_seed_spot(name, flow, kernel):
     """Mid-size circuits at each flow's default configuration."""
     ordering = FLOW_ORDERINGS[flow][0]
-    digest = _digest(load_circuit(name), flow, ordering, "single",
-                     shared_cache(kernel), kernel)
+    digest = _digest(load_circuit(name), flow, ordering, "single", kernel)
     assert digest == SEED_DIGESTS[f"{name}/{flow}/{ordering}/single"]
 
 
 @pytest.mark.skipif(os.environ.get("REPRO_EQUIV_FULL") != "1",
                     reason="full 28-circuit sweep; set REPRO_EQUIV_FULL=1")
 @pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)
-def test_digest_matches_seed_full_suite(kernel, shared_cache):
+def test_digest_matches_seed_full_suite(kernel):
     """Every pinned digest — the whole suite x flows x orderings x modes,
     once per kernel: the dual-kernel digest gate CI runs weekly and on
     every pull request that touches the mapper."""
     mismatches = []
     for key, expected in sorted(SEED_DIGESTS.items()):
         name, flow, ordering, mode = key.split("/")
-        digest = _digest(load_circuit(name), flow, ordering, mode,
-                         shared_cache(kernel), kernel)
+        digest = _digest(load_circuit(name), flow, ordering, mode, kernel)
         if digest != expected:
             mismatches.append(key)
     assert mismatches == []

@@ -1,15 +1,14 @@
 """The level-batched DP: one kernel call per chunk of a topological level.
 
-``MappingEngine.run_dp`` hands every uncached AND/OR node of a level to
+``MappingEngine.run_dp`` hands every AND/OR node of a level to
 the kernel at once (``combine_many``), cut into chunks under
 ``BATCH_PAIR_BUDGET``.  The soa kernel enumerates the chunk's candidate
 pairs ragged and row-major, sorts once with the node index as the
 primary key and splits the winners back into per-node tables.  Each
 test here compares those tables node by node against a per-node
 computation, where batching could break them: levels that mix node
-types, single-tuple and large views, chunk boundaries, a warm cache
-that serves part of a level, and the per-item candidate counts every
-kernel returns.
+types, single-tuple and large views, chunk boundaries, and the
+per-item candidate counts every kernel returns.
 """
 
 from __future__ import annotations
@@ -18,15 +17,13 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro import TreeCache  # noqa: E402
 from repro.bench_suite.generators import random_network  # noqa: E402
 from repro.mapping import CostModel, MapperConfig, MappingEngine  # noqa: E402
 from repro.mapping import engine as engine_module  # noqa: E402
 from repro.mapping.kernel import (AutoKernel, KernelProtocol,  # noqa: E402
                                   ReferenceKernel)
 from repro.mapping.soa import SoAKernel  # noqa: E402
-from repro.network import (LogicNetwork, NodeType,  # noqa: E402
-                           network_from_expression)
+from repro.network import NodeType  # noqa: E402
 from repro.synth import decompose, sweep, unate_with_sweep  # noqa: E402
 
 
@@ -45,8 +42,8 @@ def _snapshot(engine):
             for uid, table in engine._tables.items()}
 
 
-def _run(network, config, cache=None):
-    engine = MappingEngine(network, CostModel(), config, cache=cache)
+def _run(network, config):
+    engine = MappingEngine(network, CostModel(), config)
     result = engine.run()
     stats = engine.stats
     return (_snapshot(engine), result.circuit.digest(),
@@ -102,139 +99,6 @@ def test_chunk_boundaries_do_not_move_a_table(monkeypatch, budget):
     # some level really was cut into several kernel batches
     assert engine.stats.soa_batches > len(levels)
     assert chunked == reference
-
-
-def test_warm_cache_level_mixing_hits_and_misses_keeps_the_digest(
-        monkeypatch):
-    network = _unate(5, n_gates=60)
-    config = MapperConfig(kernel="soa")
-    cold, _ = _run(network, MapperConfig(kernel="reference"))
-    # warmed with one cone shape only: an AND of two inputs hits, every
-    # other shape of the same level misses
-    cache = TreeCache()
-    _run(network_from_expression("a * b"), config, cache=cache)
-    per_level = []
-    original = MappingEngine._process_level
-
-    def process_level(self, k, uids):
-        hits, misses = self.stats.cache_hits, self.stats.cache_misses
-        original(self, k, uids)
-        per_level.append((self.stats.cache_hits - hits,
-                          self.stats.cache_misses - misses))
-
-    monkeypatch.setattr(MappingEngine, "_process_level", process_level)
-    warm, engine = _run(network, config, cache=cache)
-    assert any(h and m for h, m in per_level), per_level
-    assert engine.stats.cache_hits > 0
-    assert warm[1] == cold[1]
-    # cached tables rebuild eager structures; their scalars must match
-    assert warm[0] == cold[0]
-
-
-def test_same_cone_twice_in_a_level_is_served_by_the_cache():
-    """A cone repeated within a level misses once, then hits.
-
-    Node by node, the first occurrence is stored before the second is
-    fetched; the level batch defers repeats to a second round so the
-    counters stay the same.
-    """
-    network = _unate(5, n_gates=60)
-    cache = TreeCache()
-    sigs = cache.signatures(network)
-    eligible = [u for u in network.node_ids
-                if network.node(u).type in (NodeType.AND, NodeType.OR)
-                and sigs[u] is not None]
-    distinct = len({sigs[u] for u in eligible})
-    assert distinct < len(eligible)
-    (tables, digest, counters), engine = _run(
-        network, MapperConfig(kernel="soa"), cache=cache)
-    assert engine.stats.cache_misses == distinct
-    assert engine.stats.cache_hits == len(eligible) - distinct
-    reference, _ = _run(network, MapperConfig(kernel="reference"))
-    assert digest == reference[1]
-    assert tables == reference[0]
-
-
-def _node_by_node_cache_counts(engine):
-    """Cache hits and misses of the per-node walk over the same tables.
-
-    Fetch each AND/OR node in topological order and store each miss
-    before the next fetch, as the DP did one node at a time.
-    """
-    cache = TreeCache()
-    network = engine.network
-    sigs = cache.signatures(network)
-    for uid in network.topological_order():
-        sig = sigs[uid]
-        if sig is None or network.node(uid).type not in (NodeType.AND,
-                                                         NodeType.OR):
-            continue
-        if cache.fetch(engine._cache_prefix, sig, network, uid,
-                       engine.model.tuple_key_metrics,
-                       engine.config.pareto) is None:
-            cache.put(engine._cache_prefix, sig, network, uid,
-                      engine._tables[uid])
-    return cache.hits, cache.misses
-
-
-def _repeated_pi_cones(k: int) -> LogicNetwork:
-    """``AND(OR(a, b), OR(c, d))`` cones sharing one shape signature.
-
-    ``k`` cones name one input at two leaves, which the cache never
-    stores; then four cones it can store, then three more that repeat
-    an input.
-    """
-    net = LogicNetwork("reppi")
-    outs = []
-
-    def cone(tag, repeat):
-        a, b, c = (net.add_pi(f"{tag}_{i}") for i in range(3))
-        d = a if repeat else net.add_pi(f"{tag}_3")
-        outs.append(net.add_gate(NodeType.AND, [
-            net.add_gate(NodeType.OR, [a, b]),
-            net.add_gate(NodeType.OR, [c, d])]))
-
-    for i in range(k):
-        cone(f"r{i}", repeat=True)
-    for i in range(4):
-        cone(f"s{i}", repeat=False)
-    for i in range(3):
-        cone(f"t{i}", repeat=True)
-    for j, uid in enumerate(outs):
-        net.add_po(uid, f"o{j}")
-    return net
-
-
-def test_a_miss_the_cache_cannot_store_holds_no_node_back(monkeypatch):
-    """Same-signature cones the cache skips share one kernel batch.
-
-    Only a miss the cache will store holds its signature's later nodes
-    back for a second round, so a level of ``k`` repeated-input cones
-    takes one batch, not ``k`` rounds, with the per-node hit/miss
-    counts.
-    """
-    calls = []
-    original = MappingEngine._combine_into
-
-    def combine_into(self, items):
-        calls.append(len(items))
-        return original(self, items)
-
-    monkeypatch.setattr(MappingEngine, "_combine_into", combine_into)
-    k = 40
-    network = _repeated_pi_cones(k)
-    (tables, digest, _), engine = _run(
-        network, MapperConfig(kernel="soa"), cache=TreeCache())
-    # level 0: one OR miss, the rest hit in round two; level 1: the k
-    # skipped cones and the first storable one, then the three skipped
-    # cones held back behind it
-    assert calls == [1, k + 1, 3]
-    hits, misses = _node_by_node_cache_counts(engine)
-    assert (engine.stats.cache_hits, engine.stats.cache_misses) \
-        == (hits, misses) == (2 * (k + 7) - 1 + 3, 1 + k + 1 + 3)
-    reference, _ = _run(network, MapperConfig(kernel="reference"))
-    assert digest == reference[1]
-    assert tables == reference[0]
 
 
 def test_every_builtin_kernel_implements_the_batch_protocol():

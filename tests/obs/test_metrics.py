@@ -115,7 +115,7 @@ def _families(stats):
 def test_mapping_stats_round_trip_through_registry():
     stats = MappingStats(tuples_created=100, tuples_pruned=40,
                          combine_calls=80,
-                         gate_formations=30, cache_hits=5, cache_misses=3,
+                         gate_formations=30,
                          nodes_processed=30, node_time_s=0.25,
                          max_node_time_s=0.02, soa_max_batch=7)
     reg = MetricsRegistry()
@@ -125,8 +125,7 @@ def test_mapping_stats_round_trip_through_registry():
     assert reg.get(f"{MAPPING_STATS_PREFIX}max_node_time_s").mode == "max"
     assert reg.get(f"{MAPPING_STATS_PREFIX}soa_max_batch").mode == "max"
     # the derived properties are JSON-only, never registry families
-    for derived in ("tuples_kept", "bound_skips", "cache_requests",
-                    "cache_hit_rate"):
+    for derived in ("tuples_kept", "bound_skips", "cache_hit_rate"):
         assert not any(derived in name for name in reg.as_dict())
 
 
@@ -153,9 +152,7 @@ def test_empty_registry_is_falsy():
 
 
 def test_stats_as_dict_includes_derived_fields():
-    stats = MappingStats(tuples_created=10, tuples_pruned=4,
-                         cache_hits=3, cache_misses=1)
+    stats = MappingStats(tuples_created=10, tuples_pruned=4)
     data = stats.as_dict()
     assert data["tuples_kept"] == 6
-    assert data["cache_requests"] == 4
-    assert data["cache_hit_rate"] == pytest.approx(0.75)
+    assert data["bound_skips"] == 4

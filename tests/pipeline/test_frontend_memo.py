@@ -88,13 +88,13 @@ def _assert_seed_digests(report, seed_digests):
 def test_serial_runner_synthesizes_once_per_circuit(cold_memo,
                                                     seed_digests):
     tasks = _shuffled_tasks()
-    report = BatchRunner(max_workers=1, use_cache=False).run_serial(tasks)
+    report = BatchRunner(max_workers=1).run_serial(tasks)
     _assert_seed_digests(report, seed_digests)
     stats = network_memo_stats()
     assert stats["frontend_misses"] == len(CIRCUITS)
     assert stats["frontend_hits"] == len(tasks) - len(CIRCUITS)
     # a warm second round maps every task from the memo
-    again = BatchRunner(max_workers=1, use_cache=False).run_serial(tasks)
+    again = BatchRunner(max_workers=1).run_serial(tasks)
     _assert_seed_digests(again, seed_digests)
     assert network_memo_stats()["frontend_misses"] == len(CIRCUITS)
 

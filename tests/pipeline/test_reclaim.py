@@ -12,7 +12,7 @@ import gc
 
 import pytest
 
-from repro import MapperConfig, TreeCache
+from repro import MapperConfig
 from repro.mapping.kernel import np
 from repro.pipeline.runner import (BatchTask, execute_task,
                                    load_network_cached)
@@ -22,14 +22,14 @@ CIRCUIT = "mux"
 needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 
 
-def _unreachable_after(task, cache=None):
+def _unreachable_after(task):
     """(objects a collection frees after ``task`` ran, task error)."""
     load_network_cached(task.circuit)   # parse memo filled outside the window
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        result = execute_task(task, cache=cache)
+        result = execute_task(task)
         error = result.error
         del result
         return gc.collect(), error
@@ -54,17 +54,6 @@ def test_task_leaves_no_cycles(flow, kernel, pareto, ordering):
         BatchTask(CIRCUIT, flow=flow, config=config))
     assert error is None
     assert unreachable == 0
-
-
-def test_tree_cache_cold_and_warm_runs_leave_no_cycles():
-    cache = TreeCache()
-    task = BatchTask(CIRCUIT, flow="soi")
-    cold, error = _unreachable_after(task, cache=cache)
-    assert error is None and cold == 0
-    hits = cache.hits
-    warm, error = _unreachable_after(task, cache=cache)
-    assert error is None and warm == 0
-    assert cache.hits > hits            # the warm run was served from cache
 
 
 def test_resource_limit_failure_leaves_no_cycles():

@@ -7,7 +7,6 @@ from repro import (
     BatchTask,
     ClockWeightedCost,
     MapperConfig,
-    TreeCache,
     soi_domino_map,
 )
 from repro.bench_suite import circuit_names, load_circuit
@@ -126,23 +125,13 @@ class TestFailureHandling:
                [r.digest for r in serial.results]
 
 
-class TestCacheIntegration:
-    def test_serial_runner_shares_one_cache(self):
-        cache = TreeCache()
-        runner = BatchRunner(max_workers=1, cache=cache)
-        runner.run([BatchTask("mux"), BatchTask("mux")])
-        assert cache.hits > 0
-
-    def test_cache_disabled(self):
-        runner = BatchRunner(max_workers=1, use_cache=False)
-        assert runner.cache is None
-        report = runner.run([BatchTask("mux")])
-        assert report.ok
-        assert report.results[0].stats.cache_requests == 0
-
-    def test_cache_on_off_same_digests(self):
+class TestIgnoredCacheArguments:
+    def test_cache_on_off_same_digests(self, tmp_path):
+        # bench/workloads.py still passes use_cache and store_path
         tasks = BatchRunner.sweep_tasks(circuits=SMALL)
-        with_cache = BatchRunner(max_workers=1, use_cache=True).run(tasks)
+        store = str(tmp_path / "cones.sqlite")
+        with_cache = BatchRunner(max_workers=1, use_cache=True,
+                                 store_path=store).run(tasks)
         without = BatchRunner(max_workers=1, use_cache=False).run(tasks)
         assert [r.digest for r in with_cache.results] == \
                [r.digest for r in without.results]

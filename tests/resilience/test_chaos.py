@@ -41,7 +41,7 @@ def test_report_serializes(full_report):
     payload = full_report.as_dict()
     assert payload["schema"] == "soidomino-chaos/1"
     assert payload["ok"] is True
-    assert len(payload["outcomes"]) == len(FAULT_POINTS) == 9
+    assert len(payload["outcomes"]) == len(FAULT_POINTS) == 8
     json.dumps(payload)     # JSON-clean all the way down
 
 
@@ -51,9 +51,9 @@ def test_unknown_site_is_rejected():
 
 
 def test_site_subset_runs_only_those():
-    report = run_chaos(CIRCUITS, sites=["parse.fail", "cache.poison"])
+    report = run_chaos(CIRCUITS, sites=["parse.fail", "resource.exhaust"])
     assert [o.site for o in report.outcomes] == ["parse.fail",
-                                                 "cache.poison"]
+                                                 "resource.exhaust"]
     assert report.ok
 
 

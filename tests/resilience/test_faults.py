@@ -19,8 +19,7 @@ from repro.resilience import (
     uninstall,
 )
 
-ALL_SITES = ("worker.crash", "task.hang", "cache.poison", "parse.fail",
-             "resource.exhaust", "journal.corrupt", "service.crash",
+ALL_SITES = ("worker.crash", "task.hang", "parse.fail", "resource.exhaust", "journal.corrupt", "service.crash",
              "queue.overload", "pool.breaker")
 
 

@@ -127,13 +127,10 @@ class TestLifecycle:
         store = CacheStore(str(tmp_path))
         assert store.get("k") is None
         assert store.put("k", b"payload") is False
-        store.delete("k", poison=True)
-        assert len(store) == 0
-        assert store.clear() == 0
         stats = store.stats()
         assert stats["entries"] == 0 and stats["hits"] == 0
         assert stats["session"]["errors"] == store.errors
-        assert store.errors == 6  # one per degraded call above
+        assert store.errors == 3  # one per degraded call above
         assert (store.misses, store.stores, store.evictions) == (0, 0, 0)
         store.close()
 
