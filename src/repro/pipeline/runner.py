@@ -286,16 +286,18 @@ class _NetworkMemo:
             self.entries[key] = entry
             while len(self.entries) > self.max_entries:
                 self.entries.popitem(last=False)
+                self.evictions += 1
         return entry
 
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self.entries), "hits": self.hits,
-                "misses": self.misses, "frontend_hits": self.frontend_hits,
+                "misses": self.misses, "evictions": self.evictions,
+                "frontend_hits": self.frontend_hits,
                 "frontend_misses": self.frontend_misses}
 
     def clear(self) -> None:
         self.entries.clear()
-        self.hits = self.misses = 0
+        self.hits = self.misses = self.evictions = 0
         self.frontend_hits = self.frontend_misses = 0
 
 
@@ -309,7 +311,8 @@ def load_network_cached(source: str) -> LogicNetwork:
 
 def network_memo_stats() -> Dict[str, int]:
     """This process's memo counters (observable warmth): parse
-    ``hits``/``misses`` and synthesis ``frontend_hits``/``frontend_misses``."""
+    ``hits``/``misses``, LRU ``evictions`` and synthesis
+    ``frontend_hits``/``frontend_misses``."""
     return _NETWORK_MEMO.stats()
 
 

@@ -85,7 +85,9 @@ class CacheStore(WalDatabase):
                     self.bump(conn, "misses")
                 return None
             payload, stored_sum = row
-            payload = bytes(payload)
+            # a foreign writer may have stored TEXT: checksum its bytes
+            payload = (payload.encode() if isinstance(payload, str)
+                       else bytes(payload))
             if self.checksum(payload) != stored_sum:
                 self.evictions += 1
                 self.misses += 1

@@ -23,7 +23,7 @@ from repro.mapping import engine as engine_module  # noqa: E402
 from repro.mapping.kernel import (AutoKernel, KernelProtocol,  # noqa: E402
                                   ReferenceKernel)
 from repro.mapping.soa import SoAKernel  # noqa: E402
-from repro.network import NodeType  # noqa: E402
+from repro.network import LogicNetwork, NodeType  # noqa: E402
 from repro.synth import decompose, sweep, unate_with_sweep  # noqa: E402
 
 
@@ -99,6 +99,57 @@ def test_chunk_boundaries_do_not_move_a_table(monkeypatch, budget):
     # some level really was cut into several kernel batches
     assert engine.stats.soa_batches > len(levels)
     assert chunked == reference
+
+
+def _repeated_pi_cones(k: int) -> LogicNetwork:
+    """``AND(OR(a, b), OR(c, d))`` cones of one shape.
+
+    ``k`` cones name one input at two leaves; then four cones with four
+    distinct inputs, then three more that repeat an input.
+    """
+    net = LogicNetwork("reppi")
+    outs = []
+
+    def cone(tag, repeat):
+        a, b, c = (net.add_pi(f"{tag}_{i}") for i in range(3))
+        d = a if repeat else net.add_pi(f"{tag}_3")
+        outs.append(net.add_gate(NodeType.AND, [
+            net.add_gate(NodeType.OR, [a, b]),
+            net.add_gate(NodeType.OR, [c, d])]))
+
+    for i in range(k):
+        cone(f"r{i}", repeat=True)
+    for i in range(4):
+        cone(f"s{i}", repeat=False)
+    for i in range(3):
+        cone(f"t{i}", repeat=True)
+    for j, uid in enumerate(outs):
+        net.add_po(uid, f"o{j}")
+    return net
+
+
+def test_a_miss_the_cache_cannot_store_holds_no_node_back(monkeypatch):
+    """Every node of a level goes into the level's one kernel batch.
+
+    Same-shape cones, with or without a repeated input, are not split
+    into rounds: a level of ``k + 7`` cones is one batch of its OR
+    nodes and one of its AND nodes, with the reference tables.
+    """
+    calls = []
+    original = MappingEngine._combine_into
+
+    def combine_into(self, items):
+        calls.append(len(items))
+        return original(self, items)
+
+    monkeypatch.setattr(MappingEngine, "_combine_into", combine_into)
+    k = 40
+    network = _repeated_pi_cones(k)
+    (tables, digest, _), engine = _run(network, MapperConfig(kernel="soa"))
+    assert calls == [2 * (k + 7), k + 7]
+    reference, _ = _run(network, MapperConfig(kernel="reference"))
+    assert digest == reference[1]
+    assert tables == reference[0]
 
 
 def test_every_builtin_kernel_implements_the_batch_protocol():

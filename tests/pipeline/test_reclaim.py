@@ -14,8 +14,9 @@ import pytest
 
 from repro import MapperConfig
 from repro.mapping.kernel import np
-from repro.pipeline.runner import (BatchTask, execute_task,
-                                   load_network_cached)
+from repro.pipeline.runner import (BatchTask, clear_network_memo,
+                                   execute_task, load_network_cached,
+                                   network_memo_stats)
 
 CIRCUIT = "mux"
 
@@ -54,6 +55,20 @@ def test_task_leaves_no_cycles(flow, kernel, pareto, ordering):
         BatchTask(CIRCUIT, flow=flow, config=config))
     assert error is None
     assert unreachable == 0
+
+
+def test_network_memo_cold_and_warm_runs_leave_no_cycles():
+    clear_network_memo()
+    try:
+        task = BatchTask(CIRCUIT, flow="soi")
+        cold, error = _unreachable_after(task)
+        assert error is None and cold == 0
+        warm, error = _unreachable_after(task)
+        assert error is None and warm == 0
+        # the warm run mapped the memo's prepared network
+        assert network_memo_stats()["frontend_hits"] == 1
+    finally:
+        clear_network_memo()
 
 
 def test_resource_limit_failure_leaves_no_cycles():

@@ -10,7 +10,8 @@ from repro import (
     soi_domino_map,
 )
 from repro.bench_suite import circuit_names, load_circuit
-from repro.pipeline.runner import execute_task
+from repro.pipeline.runner import (clear_network_memo, execute_task,
+                                   network_memo_stats)
 
 SMALL = ["cm150", "mux", "z4ml"]
 
@@ -125,7 +126,33 @@ class TestFailureHandling:
                [r.digest for r in serial.results]
 
 
-class TestIgnoredCacheArguments:
+class TestCacheIntegration:
+    def test_serial_runner_shares_one_cache(self):
+        # a serial run maps in this process: its tasks share the
+        # parsed-network memo, so the second mux task reuses the first's
+        # parse and front end
+        clear_network_memo()
+        try:
+            report = BatchRunner(max_workers=1).run(
+                [BatchTask("mux"), BatchTask("mux", flow="domino")])
+            stats = network_memo_stats()
+        finally:
+            clear_network_memo()
+        assert report.ok
+        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats["frontend_misses"] == 1 and stats["frontend_hits"] == 1
+
+    def test_cache_disabled(self):
+        # use_cache=False is accepted and ignored: the DP has no cache
+        runner = BatchRunner(max_workers=1, use_cache=False)
+        report = runner.run([BatchTask("mux")])
+        assert report.ok
+        stats = report.results[0].stats
+        assert stats.cache_hit_rate == 0.0
+        assert not any(key.startswith("cache") for key in stats.as_dict())
+        assert report.results[0].digest == \
+            BatchRunner(max_workers=1).run([BatchTask("mux")]).results[0].digest
+
     def test_cache_on_off_same_digests(self, tmp_path):
         # bench/workloads.py still passes use_cache and store_path
         tasks = BatchRunner.sweep_tasks(circuits=SMALL)

@@ -1,6 +1,9 @@
 """CacheStore: persistence, integrity, counters (what bench/ drives)."""
 
+import os
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +42,24 @@ class TestKeyValue:
         assert store.get("k") is None  # miss, not garbage
         assert store.evictions == 1
         assert _entries(store) == 0  # the poisoned row is gone
+
+    def test_delete_and_poison_counter(self, store):
+        # a poisoned row is deleted on read and its eviction is counted
+        # in the file, so a later process sees it in stats()
+        store.put("k", b"payload")
+        with sqlite3.connect(store.path) as conn:
+            conn.execute("UPDATE entries SET checksum='0'")
+        assert store.get("k") is None
+        store.close()
+        reopened = CacheStore(store.path)
+        try:
+            stats = reopened.stats()
+            assert stats["evictions"] == 1
+            assert stats["session"]["evictions"] == 0
+            assert reopened.get("k") is None  # deleted, not re-checked
+            assert reopened.evictions == 0
+        finally:
+            reopened.close()
 
     def test_schema_version_mismatch_clears(self, store):
         store.put("k", b"payload")
@@ -89,3 +110,17 @@ class TestKeyValue:
         assert keys == ["a", "b"]
         assert [store.get(key) for key in keys] == [b"1", b"2"]
         assert {"hits", "misses", "size_bytes"} <= set(store.stats())
+
+
+class TestPersistence:
+    def test_store_survives_processes(self, store):
+        # another process writes and closes; this one reads its payload
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        script = ("import sys; from repro.pipeline import CacheStore; "
+                  "s = CacheStore(sys.argv[1]); "
+                  "assert s.put('k', bytes(range(256))); s.close()")
+        subprocess.run([sys.executable, "-c", script, store.path],
+                       env=env, check=True, timeout=60)
+        assert store.get("k") == bytes(range(256))
+        assert store.stats()["stores"] == 1

@@ -1,75 +1,87 @@
-"""TreeCache entry integrity: poisoned templates are evicted, not used."""
+"""Cache integrity: a corrupt or faulted entry is a miss, never a result.
+
+``CacheStore`` checksums every payload and evicts a row whose bytes no
+longer match; the parsed-network memo records a task's front-end output
+only after the task maps, so a fault mid-run leaves nothing half-made
+for the next task to reuse.
+"""
+
+import sqlite3
+
+import pytest
 
 from repro.bench_suite import load_circuit
 from repro.mapping import map_network
-from repro.pipeline import TreeCache
+from repro.pipeline import CacheStore
+from repro.pipeline.runner import (BatchTask, _NETWORK_MEMO,
+                                   clear_network_memo, execute_task)
 from repro.resilience import FaultPlan, FaultRule, install, uninstall
 
 CIRCUIT = "mux"
+KEYS = ("a", "b", "c")
 
 
-def _map(cache=None):
-    return map_network(load_circuit(CIRCUIT), flow="soi", cache=cache)
+@pytest.fixture
+def store(tmp_path):
+    s = CacheStore(str(tmp_path / "entries.sqlite"))
+    for key in KEYS:
+        s.put(key, key.encode() * 8)
+    yield s
+    s.close()
 
 
-def test_direct_poisoning_is_detected_and_evicted():
-    """Mutate a stored template behind the cache's back (the real bug
-    this defends against): the next fetch must evict and recompute."""
-    clean = _map()
-    cache = TreeCache()
-    _map(cache)
-    assert cache.stores > 0
-    for template in cache._entries.values():
-        template[0][1][0].wcost += 100.0      # corrupt every entry
-    poisoned = _map(cache)
-    assert poisoned.circuit.digest() == clean.circuit.digest()
-    assert cache.evictions > 0
-    # the recompute re-stored clean entries: a further run hits cleanly
-    evictions_after = cache.evictions
-    again = _map(cache)
-    assert again.circuit.digest() == clean.circuit.digest()
-    assert cache.evictions == evictions_after
+def _poison_every_row(store):
+    with sqlite3.connect(store.path) as conn:
+        conn.execute("UPDATE entries SET payload=payload || x'00'")
+
+
+def test_direct_poisoning_is_detected_and_evicted(store):
+    """Rewrite every payload behind the store's back: each get must
+    evict the row and miss, and a clean re-put hits again."""
+    _poison_every_row(store)
+    assert [store.get(key) for key in KEYS] == [None] * len(KEYS)
+    assert store.evictions == len(KEYS)
+    assert store.stats()["entries"] == 0
+    for key in KEYS:
+        assert store.put(key, key.encode() * 8)
+    evictions_after = store.evictions
+    assert [store.get(key) for key in KEYS] == [k.encode() * 8 for k in KEYS]
+    assert store.evictions == evictions_after
 
 
 def test_fault_point_poisoning_recovers_bit_identically():
-    clean = _map()
-    cache = TreeCache()
-    _map(cache)
-    install(FaultPlan(rules=(FaultRule("cache.poison"),)))
+    clean = map_network(load_circuit(CIRCUIT), flow="soi").circuit.digest()
+    clear_network_memo()
+    install(FaultPlan(rules=(FaultRule("resource.exhaust"),)))
     try:
-        poisoned = _map(cache)
+        failed = execute_task(BatchTask(CIRCUIT, flow="soi"))
     finally:
         uninstall()
-    assert poisoned.circuit.digest() == clean.circuit.digest()
-    assert cache.evictions > 0
-
-
-def test_eviction_is_a_miss_not_a_crash():
-    cache = TreeCache()
-    _map(cache)
-    hits_before = cache.hits
-    install(FaultPlan(rules=(FaultRule("cache.poison"),)))
     try:
-        _map(cache)
+        assert failed.error is not None
+        # the parse is memoized, the interrupted front end output is not
+        assert _NETWORK_MEMO.entries[CIRCUIT].prepared is None
+        recovered = execute_task(BatchTask(CIRCUIT, flow="soi"))
+        assert recovered.digest == clean
+        assert _NETWORK_MEMO.frontend_misses == 2
     finally:
-        uninstall()
+        clear_network_memo()
+
+
+def test_eviction_is_a_miss_not_a_crash(store):
+    hits_before = store.hits
+    _poison_every_row(store)
+    for key in KEYS:
+        assert store.get(key) is None
     # every would-be hit was poisoned away: misses, zero new hits
-    assert cache.hits == hits_before
-    assert cache.stats()["evictions"] == cache.evictions
+    assert store.hits == hits_before
+    assert store.errors == 0
+    assert store.stats()["evictions"] == store.evictions
 
 
-def test_unpoisoned_entries_keep_hitting():
-    cache = TreeCache()
-    _map(cache)
-    _map(cache)
-    assert cache.hits > 0
-    assert cache.evictions == 0
-
-
-def test_clear_resets_integrity_state():
-    cache = TreeCache()
-    _map(cache)
-    cache.clear()
-    assert len(cache) == 0
-    assert cache._fingerprints == {}
-    assert cache.evictions == 0
+def test_unpoisoned_entries_keep_hitting(store):
+    for _round in range(2):
+        for key in KEYS:
+            assert store.get(key) == key.encode() * 8
+    assert store.hits == 2 * len(KEYS)
+    assert store.evictions == 0
