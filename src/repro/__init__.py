@@ -20,7 +20,6 @@ See README.md for the full tour and DESIGN.md for the system inventory.
 from .errors import (
     BatchDeadlineError,
     BenchmarkError,
-    FlowError,
     MappingError,
     NetworkError,
     ParseError,
@@ -54,13 +53,6 @@ from .domino import (
     rearrange,
     series,
 )
-from .flow import (
-    FlowContext,
-    FlowPipeline,
-    Pass,
-    PassRecord,
-    available_passes,
-)
 from .mapping import (
     FLOW_PASSES,
     FLOW_PRESETS,
@@ -73,9 +65,9 @@ from .mapping import (
     MapperConfig,
     MappingEngine,
     MappingResult,
+    PassRecord,
     domino_map,
     flow_config,
-    flow_passes,
     map_network,
     prepare_network,
     rs_map,
@@ -111,7 +103,6 @@ __version__ = "0.9.0"
 __all__ = [
     "BatchDeadlineError",
     "BenchmarkError",
-    "FlowError",
     "MappingError",
     "NetworkError",
     "ParseError",
@@ -146,12 +137,7 @@ __all__ = [
     "AreaCost",
     "FLOW_PASSES",
     "FLOW_PRESETS",
-    "FlowContext",
-    "FlowPipeline",
-    "Pass",
     "PassRecord",
-    "available_passes",
-    "flow_passes",
     "ClockWeightedCost",
     "CostModel",
     "DepthCost",

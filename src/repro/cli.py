@@ -9,7 +9,7 @@ Subcommands
              print per-task costs, timings and engine instrumentation;
 ``tables``   reproduce the paper's Tables I-IV;
 ``circuits`` list the built-in benchmark suite;
-``passes``   list the flow-pass registry and the preset pass lists;
+``passes``   list the mapping passes and the preset pass lists;
 ``metrics``  map a circuit and dump its metrics registry (Prometheus
              text exposition, or JSON with ``--json``);
 ``pbe``      run the PBE stress simulator on a mapped circuit;
@@ -235,29 +235,23 @@ def _cmd_circuits(_args) -> int:
 
 
 def _cmd_passes(args) -> int:
-    from .flow import available_passes
-    from .mapping import FLOW_PASSES
+    from .mapping import FLOW_PASSES, PASS_DESCRIPTIONS
 
     if args.json:
         import json
 
         payload = {
-            "passes": [{"name": p.name,
-                        "requires": list(p.requires),
-                        "provides": list(p.provides),
-                        "description": p.description}
-                       for p in available_passes()],
+            "passes": [{"name": name, "description": description}
+                       for name, description in PASS_DESCRIPTIONS.items()],
             "flows": {flow: list(names)
                       for flow, names in FLOW_PASSES.items()},
         }
         print(json.dumps(payload, indent=1))
         return 0
     print("registered passes:")
-    for p in available_passes():
-        arrow = (f"{', '.join(p.requires) or '-'} -> "
-                 f"{', '.join(p.provides) or '-'}")
-        print(f"  {p.name:10s} [{arrow}]")
-        print(f"             {p.description}")
+    for name, description in PASS_DESCRIPTIONS.items():
+        print(f"  {name}")
+        print(f"             {description}")
     print("\nflow pass lists:")
     for flow, names in FLOW_PASSES.items():
         print(f"  {flow:8s} {' -> '.join(names)}")
@@ -434,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_circuits)
 
     p_passes = sub.add_parser(
-        "passes", help="list the flow-pass registry and preset pass lists")
+        "passes", help="list the mapping passes and preset pass lists")
     p_passes.add_argument("--json", action="store_true",
-                          help="emit the registry as JSON")
+                          help="emit the lists as JSON")
     p_passes.set_defaults(func=_cmd_passes)
 
     p_metrics = sub.add_parser(

@@ -84,10 +84,6 @@ class BatchDeadlineError(ReproError):
     """The whole-batch deadline budget expired before the task finished."""
 
 
-class FlowError(ReproError):
-    """A flow pipeline is malformed or a pass breaks its artifact contract."""
-
-
 class ObsError(ReproError):
     """An observability instrument is misused (metric type/bucket clash)."""
 

@@ -18,11 +18,11 @@ from .flows import (
     FLOW_PRESETS,
     PAPER_H_MAX,
     PAPER_W_MAX,
+    PASS_DESCRIPTIONS,
     FlowResult,
-    build_flow_pipeline,
+    PassRecord,
     domino_map,
     flow_config,
-    flow_passes,
     map_network,
     prepare_network,
     rs_map,
@@ -50,11 +50,11 @@ __all__ = [
     "FLOW_PRESETS",
     "PAPER_H_MAX",
     "PAPER_W_MAX",
+    "PASS_DESCRIPTIONS",
     "FlowResult",
-    "build_flow_pipeline",
+    "PassRecord",
     "domino_map",
     "flow_config",
-    "flow_passes",
     "prepare_network",
     "rs_map",
     "soi_domino_map",

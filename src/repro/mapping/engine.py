@@ -270,8 +270,8 @@ class MappingPlan:
 
     Everything downstream of the DP — series-stack rearrangement,
     discharge insertion, circuit assembly — is a deterministic function
-    of this plan, which is what lets the flow pipeline run those steps as
-    separate passes while reproducing
+    of this plan, which is what lets :func:`~repro.mapping.map_network`
+    run those steps as separate passes while reproducing
     :meth:`MappingEngine.run` bit-for-bit.  Orders are load-bearing:
     ``inputs``, ``outputs`` and ``gates`` are recorded in exactly the
     traversal order the one-shot materializer used.
@@ -752,10 +752,10 @@ class MappingEngine:
     def run(self) -> MappingResult:
         """Execute the DP and materialize the mapped circuit.
 
-        Equivalent to the staged path the flow pipeline takes —
-        :meth:`run_dp`, :meth:`plan`, :func:`apply_rearrangement`,
-        :func:`materialize_plan` — and implemented as exactly that
-        sequence so the two cannot diverge.
+        Equivalent to the staged path :func:`~repro.mapping.map_network`
+        takes — :meth:`run_dp`, :meth:`plan`,
+        :func:`apply_rearrangement`, :func:`materialize_plan` — and
+        implemented as exactly that sequence so the two cannot diverge.
         """
         self.run_dp()
         plan = self.plan()

@@ -1,14 +1,13 @@
 """End-to-end mapping flows: the three algorithms compared in the paper.
 
-:func:`map_network` is the single entry point: it assembles a
-:class:`~repro.flow.FlowPipeline` for the requested flow and executes it
-over a typed :class:`~repro.flow.FlowContext` — synthesis front end
+:func:`map_network` is the single entry point: one fixed loop over the
+requested flow's stage list (:data:`FLOW_PASSES`) — synthesis front end
 (decompose -> sweep -> unate conversion), the DP mapper, and the
 post-processing stages (series-stack rearrangement, discharge
-insertion, cost analysis) each run as a named, individually timed pass.
-The returned :class:`FlowResult` carries the mapped circuit, the
-front-end report, instrumentation counters, per-pass records, and the
-wall-clock time.
+insertion, cost analysis) — each stage a named, individually timed
+pass with its own :class:`PassRecord`.  The returned
+:class:`FlowResult` carries the mapped circuit, the front-end report,
+instrumentation counters, per-pass records, and the wall-clock time.
 
 The paper's three algorithms are declarative presets over it:
 
@@ -20,7 +19,7 @@ The paper's three algorithms are declarative presets over it:
   ``SOI_Domino_Map``).
 
 A preset pins two things: the :class:`MapperConfig` fields that define
-the algorithm (:data:`FLOW_PRESETS`) and the pass list it executes
+the algorithm (:data:`FLOW_PRESETS`) and the stage list it runs
 (:data:`FLOW_PASSES`).  All three share the one synthesis front end, so
 for a given circuit they map the *same* unate network — exactly the
 paper's experimental setup.  The batch pipeline (:mod:`repro.pipeline`)
@@ -30,8 +29,8 @@ dispatches on the preset names.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..domino.circuit import CircuitCost
 from ..errors import MappingError
@@ -39,7 +38,13 @@ from ..network import LogicNetwork
 from ..pipeline.metrics import MappingStats
 from ..synth import UnateReport, decompose, sweep, unate_with_sweep
 from .cost import CostModel
-from .engine import MapperConfig, MappingResult
+from .engine import (
+    MapperConfig,
+    MappingEngine,
+    MappingResult,
+    apply_rearrangement,
+    materialize_plan,
+)
 
 #: The paper's pulldown limits (section VI).
 PAPER_W_MAX = 5
@@ -56,10 +61,29 @@ FLOW_PRESETS: Dict[str, Dict[str, object]] = {
     "soi": {"pbe_aware": True},
 }
 
+#: Stage name -> one-line description, in stage order (``soidomino
+#: passes`` lists it).
+PASS_DESCRIPTIONS: Dict[str, str] = {
+    "decompose": ("decompose arbitrary-fanin gates to 2-input AND/OR + "
+                  "INV (publishes an already-mappable input as the unate "
+                  "network directly)"),
+    "sweep": "propagate constants, drop dead logic, dedup gates",
+    "unate": ("bubble-pushing unate conversion (with a final sweep) "
+              "to the 2-input AND/OR network the DP maps"),
+    "dp-map": ("the {W,H} tuple dynamic program: per-node tables, "
+               "gate formation, gate selection into a mapping plan"),
+    "rearrange": ("RS_Map post-processing: sink parallel stacks toward "
+                  "ground in every selected gate"),
+    "discharge": ("insert the discharge transistors the ground policy "
+                  "demands and assemble the domino circuit"),
+    "analyze": ("cost/analysis readout: transistor accounting of the "
+                "mapped circuit (pure diagnostics, no transforms)"),
+}
+
 #: Shared synthesis front end (identical across flows, by construction).
 FRONTEND_PASSES: Tuple[str, ...] = ("decompose", "sweep", "unate")
 
-#: The pass list each preset executes.  ``domino`` and ``soi`` omit the
+#: The stage list each preset runs.  ``domino`` and ``soi`` omit the
 #: rearrangement stage their configs disable anyway; ``custom`` (the
 #: ``flow=None`` path) keeps it, gated on ``config.rearrange_gates``.
 FLOW_PASSES: Dict[str, Tuple[str, ...]] = {
@@ -71,14 +95,41 @@ FLOW_PASSES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def flow_passes(flow: Optional[str]) -> Tuple[str, ...]:
-    """The pass list of a named flow (``None`` -> the custom list)."""
-    try:
-        return FLOW_PASSES[flow or "custom"]
-    except KeyError:
-        raise MappingError(
-            f"unknown flow {flow!r}; expected one of "
-            f"{', '.join(FLOW_PRESETS)}") from None
+@dataclass
+class PassRecord:
+    """Observability record of one stage of a :func:`map_network` run.
+
+    ``status`` is ``"ok"`` for a stage that ran and ``"skipped"`` for one
+    that did not (reason in ``detail``): a front-end stage once a unate
+    network is available, ``rearrange`` while
+    ``config.rearrange_gates`` is off.
+    """
+
+    name: str
+    status: str = "ok"
+    detail: Optional[str] = None
+    elapsed_s: float = 0.0
+    #: the MappingStats counters that moved during this stage, valued as
+    #: :meth:`~repro.pipeline.MappingStats.since` gives them
+    stats_delta: Dict[str, float] = field(default_factory=dict)
+    #: the stage's own structured diagnostics
+    diagnostics: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def ran(self) -> bool:
+        return self.status == "ok"
+
+    def as_dict(self) -> Dict[str, object]:
+        data: Dict[str, object] = {
+            "name": self.name,
+            "status": self.status,
+            "elapsed_s": self.elapsed_s,
+            "stats_delta": dict(self.stats_delta),
+            "diagnostics": dict(self.diagnostics),
+        }
+        if self.detail is not None:
+            data["detail"] = self.detail
+        return data
 
 
 @dataclass
@@ -92,7 +143,7 @@ class FlowResult:
     #: wall-clock seconds for the whole flow (front end + mapping)
     elapsed_s: float = 0.0
     #: per-pass observability records, in execution order
-    passes: List = field(default_factory=list)
+    passes: List[PassRecord] = field(default_factory=list)
     #: root :class:`~repro.obs.Span` of the run (pass spans nested
     #: inside, thresholded node spans under ``dp-map``)
     trace: Optional[object] = None
@@ -130,8 +181,7 @@ class FlowResult:
         Delegates to :func:`repro.obs.report.flow_report`, so
         ``soidomino map --json``, ``batch --json`` and the bench
         payload all share top-level keys (``schema_version``,
-        ``circuit``, ``flow``, ``stats``, ``timings``); the pre-obs
-        keys survive as aliases.
+        ``circuit``, ``flow``, ``stats``, ``timings``).
         """
         from ..obs import flow_report
 
@@ -142,8 +192,8 @@ def prepare_network(network: LogicNetwork):
     """Run the synthesis front end; returns ``(unate_network, report)``.
 
     The result satisfies ``unate_network.is_mappable()`` and is the common
-    input handed to all three mappers.  (The flow pipeline's front-end
-    passes execute this exact recipe stage by stage.)
+    input handed to all three mappers.  (:func:`map_network`'s front-end
+    stages run this exact recipe stage by stage.)
     """
     if network.is_mappable():
         return network, None
@@ -176,19 +226,6 @@ def flow_config(flow: Optional[str],
     return replace(config, **preset)
 
 
-def build_flow_pipeline(flow: Optional[str] = None,
-                        passes: Optional[Sequence[str]] = None):
-    """The :class:`~repro.flow.FlowPipeline` a flow invocation executes.
-
-    ``passes`` overrides the preset's pass list (power users composing
-    their own stage sequence); the default is :func:`flow_passes`.
-    """
-    from ..flow import FlowPipeline
-
-    return FlowPipeline(passes if passes is not None else flow_passes(flow),
-                        name=flow or "custom")
-
-
 def map_network(network: LogicNetwork,
                 flow: Optional[str] = None,
                 cost_model: Optional[CostModel] = None,
@@ -197,13 +234,15 @@ def map_network(network: LogicNetwork,
                 w_max: int = PAPER_W_MAX,
                 h_max: int = PAPER_H_MAX,
                 stats: Optional[MappingStats] = None,
-                passes: Optional[Sequence[str]] = None,
                 tracer=None,
                 metrics=None,
                 prepared: Optional[Tuple[LogicNetwork,
                                          Optional[UnateReport]]] = None
                 ) -> FlowResult:
     """Map ``network`` end-to-end: the unified entry point.
+
+    Runs the flow's stages (:data:`FLOW_PASSES`) in order, one
+    :class:`PassRecord` per stage on :attr:`FlowResult.passes`.
 
     Parameters
     ----------
@@ -220,8 +259,6 @@ def map_network(network: LogicNetwork,
         Convenience pulldown limits, used only when ``config`` is None.
     stats:
         Optional :class:`~repro.pipeline.MappingStats` to accumulate into.
-    passes:
-        Optional explicit pass list overriding the flow's preset.
     tracer:
         Optional :class:`~repro.obs.Tracer` to record into (the CLI
         passes one covering the whole invocation); a private tracer is
@@ -240,7 +277,7 @@ def map_network(network: LogicNetwork,
         Optional ``(unate_network, unate_report)``: the synthesis front
         end's result for ``network``, as :func:`prepare_network` or an
         earlier run's :attr:`FlowResult.unate_network` /
-        :attr:`FlowResult.unate_report` give it.  The front-end passes
+        :attr:`FlowResult.unate_report` give it.  The front-end stages
         then skip and the DP maps that network.  The front end reads
         only the network, so one result serves every flow and config.
     """
@@ -250,35 +287,104 @@ def map_network(network: LogicNetwork,
         raise TypeError(
             "map_network() no longer accepts a CostModel as its second "
             "positional argument; pass cost_model=... by keyword")
-    from ..flow import FlowContext
     from ..obs import MetricsRegistry, Tracer
 
     started = time.perf_counter()
     effective = flow_config(flow, config, w_max=w_max, h_max=h_max)
     model = cost_model if cost_model is not None else CostModel()
-    pipeline = build_flow_pipeline(flow, passes)
+    flow_name = flow or "custom"
     tracer = tracer if tracer is not None else Tracer()
     metrics = metrics if metrics is not None else MetricsRegistry()
-    ctx = FlowContext.for_network(network, effective, model,
-                                  flow=flow or "custom", stats=stats, tracer=tracer,
-                                  metrics=metrics)
-    before = replace(ctx.stats)
-    if prepared is not None:
-        ctx.set("unate_network", prepared[0])
-        ctx.set("unate_report", prepared[1])
+    stats = stats if stats is not None else MappingStats()
+    before = replace(stats)
+    current = network
+    unate, report = prepared if prepared is not None else (None, None)
+    plan = mapping = None
+    records: List[PassRecord] = []
     with tracer.span(f"flow:{network.name}", category="flow",
-                     circuit=network.name,
-                     flow=flow or "custom") as flow_span:
-        records = pipeline.run(ctx)
-    metrics.record_mapping_stats(ctx.stats.since(before))
-    return FlowResult(mapping=ctx.get("mapping"),
-                      unate_report=ctx.artifacts.get("unate_report"),
-                      flow=flow or "custom",
+                     circuit=network.name, flow=flow_name) as flow_span:
+        for stage in FLOW_PASSES[flow_name]:
+            if stage in FRONTEND_PASSES and unate is not None:
+                records.append(PassRecord(
+                    stage, "skipped", "unate network already available"))
+                continue
+            if stage == "rearrange" and not effective.rearrange_gates:
+                records.append(PassRecord(
+                    stage, "skipped", "config.rearrange_gates is off"))
+                continue
+            # the span covers the stats snapshot and delta too: pass
+            # spans should tile the flow span, leaving only loop
+            # overhead in the gaps between them.
+            with tracer.span(stage, category="pass", flow=flow_name) as span:
+                start = replace(stats)
+                if stage == "decompose":
+                    if current.is_mappable():
+                        # prepare_network's short-circuit: the input is
+                        # already a unate 2-input AND/OR network; the
+                        # front end must not touch it (sweep could dedup
+                        # nodes and change the mapped netlist).
+                        unate = current
+                        diagnostics = {"already_mappable": True}
+                    else:
+                        size = len(current)
+                        current = decompose(current)
+                        diagnostics = {"already_mappable": False,
+                                       "nodes_before": size,
+                                       "nodes_after": len(current)}
+                elif stage == "sweep":
+                    size = len(current)
+                    current = sweep(current)
+                    diagnostics = {"nodes_before": size,
+                                   "nodes_after": len(current)}
+                elif stage == "unate":
+                    unate, report = unate_with_sweep(current)
+                    diagnostics = {
+                        "unate_gates": report.unate_gates,
+                        "duplication_ratio": report.duplication_ratio,
+                        "negated_pis": report.negated_pis}
+                elif stage == "dp-map":
+                    plan = MappingEngine(unate, model, effective,
+                                         stats=stats, tracer=tracer,
+                                         metrics=metrics).run_to_plan()
+                    diagnostics = {"gates_selected": len(plan.gates),
+                                   "pbe_aware": effective.pbe_aware,
+                                   "ordering": effective.ordering}
+                elif stage == "rearrange":
+                    diagnostics = {
+                        "gates_rearranged": apply_rearrangement(plan)}
+                elif stage == "discharge":
+                    mapping = materialize_plan(plan)
+                    diagnostics = {"gates": len(mapping.circuit),
+                                   "ground_policy": effective.ground_policy}
+                else:  # analyze
+                    diagnostics = dict(mapping.cost.as_dict())
+                delta = _stats_delta(stats, start)
+            if delta:
+                span.attributes["stats_delta"] = dict(delta)
+            records.append(PassRecord(stage, elapsed_s=span.duration_s,
+                                      stats_delta=delta,
+                                      diagnostics=diagnostics))
+    metrics.record_mapping_stats(stats.since(before))
+    return FlowResult(mapping=mapping,
+                      unate_report=report,
+                      flow=flow_name,
                       elapsed_s=time.perf_counter() - started,
                       passes=records,
                       trace=flow_span,
                       metrics=metrics,
-                      unate_network=ctx.artifacts.get("unate_network"))
+                      unate_network=unate)
+
+
+def _stats_delta(stats: MappingStats,
+                 start: MappingStats) -> Dict[str, float]:
+    """The counters that moved since ``start``, valued by ``since``.
+
+    A max-merged counter reports its new maximum, not the difference of
+    two maxima.
+    """
+    added = stats.since(start)
+    return {f.name: getattr(added, f.name) for f in fields(stats)
+            if getattr(stats, f.name) != getattr(start, f.name)}
 
 
 def domino_map(network: LogicNetwork,

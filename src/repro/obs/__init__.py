@@ -15,10 +15,10 @@ layer every part of the mapping stack reports through:
 * :mod:`repro.obs.report` — the shared JSON report schema behind
   ``soidomino map --json`` and ``batch --json``.
 
-`FlowPipeline` opens one span per pass, `MappingEngine` records
-thresholded per-batch ``level:<k>`` spans and histograms, `BatchRunner`
-workers ship their span trees across the process pool, and the CLI's
-``--trace FILE`` flags export the result.
+`map_network`'s stage loop opens one span per pass, `MappingEngine`
+records thresholded per-batch ``level:<k>`` spans and histograms,
+`BatchRunner` workers ship their span trees across the process pool,
+and the CLI's ``--trace FILE`` flags export the result.
 """
 
 from .export import (

@@ -1,7 +1,6 @@
 """The one JSON report schema behind ``map --json`` and ``batch --json``.
 
-Before this module the CLI surfaces emitted divergent JSON shapes.
-Every report now shares the same top-level keys:
+Every report shares the same top-level keys:
 
 ``schema_version``
     :data:`REPORT_SCHEMA_VERSION` — bump on breaking changes.

@@ -28,8 +28,8 @@ class MappingStats:
     (``MetricsRegistry.record_mapping_stats``), never read back.
 
     * The dataclass fields are the one counter list: :meth:`merge`,
-      :meth:`since`, ``FlowContext.stats_delta`` and the registry
-      publish all enumerate them.
+      :meth:`since` (and through it each ``PassRecord.stats_delta``)
+      and the registry publish all enumerate them.
     * :attr:`tuples_kept` and :attr:`bound_skips` are derived
       properties that appear only in JSON (:meth:`as_dict`,
       :meth:`summary`).  ``bound_skips`` stays because the staged

@@ -1,118 +1,111 @@
-"""Pass registry, typed artifacts, and front-end short-circuit tests."""
+"""The mapping stages, the front-end short-circuit, and per-stage deltas.
+
+Every stage runs inside :func:`repro.mapping.map_network`'s stage loop,
+so these tests drive it and read the :class:`PassRecord` list it returns.
+"""
 
 import pytest
 
-from repro.errors import FlowError
-from repro.flow import (
-    ARTIFACTS,
-    PASS_REGISTRY,
-    FlowContext,
-    available_passes,
-    get_pass,
+from repro.bench_suite import load_circuit
+from repro.mapping import (
+    FLOW_PASSES,
+    PASS_DESCRIPTIONS,
+    MapperConfig,
+    map_network,
 )
-from repro.mapping import CostModel, MapperConfig, flow_passes
 from repro.network import network_from_expression
+from repro.pipeline import MappingStats
 
 EXPECTED_PASSES = ("decompose", "sweep", "unate", "dp-map", "rearrange",
                    "discharge", "analyze")
 
 
-def _ctx(network=None, **config):
-    ctx = FlowContext(config=MapperConfig(**config), cost_model=CostModel())
-    if network is not None:
-        ctx.set("network", network)
-    return ctx
+def _records(result):
+    return {r.name: r for r in result.passes}
 
 
 def test_registry_contains_every_stage():
-    assert tuple(PASS_REGISTRY) == EXPECTED_PASSES
-    assert [p.name for p in available_passes()] == list(EXPECTED_PASSES)
-
-
-def test_every_pass_declares_artifacts_and_description():
-    for p in available_passes():
-        assert p.description
-        for artifact in (*p.requires, *p.provides):
-            assert artifact in ARTIFACTS
-
-
-def test_get_pass_unknown_name():
-    with pytest.raises(FlowError, match="unknown pass"):
-        get_pass("no-such-pass")
+    assert tuple(PASS_DESCRIPTIONS) == EXPECTED_PASSES
+    assert all(PASS_DESCRIPTIONS.values())
+    for names in FLOW_PASSES.values():
+        assert set(names) <= set(PASS_DESCRIPTIONS)
 
 
 def test_flow_passes_presets():
-    assert flow_passes("rs") == ("decompose", "sweep", "unate", "dp-map",
+    assert FLOW_PASSES["rs"] == ("decompose", "sweep", "unate", "dp-map",
                                  "rearrange", "discharge", "analyze")
-    assert "rearrange" not in flow_passes("domino")
-    assert "rearrange" not in flow_passes("soi")
-    assert flow_passes(None) == flow_passes("custom")
-
-
-def test_context_rejects_wrong_artifact_type():
-    ctx = _ctx()
-    with pytest.raises(FlowError, match="must be LogicNetwork"):
-        ctx.set("network", "not a network")
-
-
-def test_context_rejects_unknown_artifact():
-    ctx = _ctx()
-    with pytest.raises(FlowError, match="unknown artifact"):
-        ctx.set("netwrk", network_from_expression("a * b"))
-
-
-def test_context_rejects_none_for_required_artifact():
-    ctx = _ctx()
-    with pytest.raises(FlowError, match="cannot be None"):
-        ctx.set("network", None)
-    ctx.set("unate_report", None)  # declared optional
-
-
-def test_context_get_missing_artifact():
-    ctx = _ctx()
-    with pytest.raises(FlowError, match="not available"):
-        ctx.get("mapping")
+    assert FLOW_PASSES["custom"] == FLOW_PASSES["rs"]
+    assert "rearrange" not in FLOW_PASSES["domino"]
+    assert "rearrange" not in FLOW_PASSES["soi"]
+    assert set(FLOW_PASSES) == {"domino", "rs", "soi", "custom"}
 
 
 def test_decompose_short_circuits_mappable_network():
     """An already-mappable input bypasses the whole front end."""
     network = network_from_expression("a * b")
     assert network.is_mappable()
-    ctx = _ctx(network)
-    diag = get_pass("decompose").run(ctx)
-    assert diag["already_mappable"] is True
-    assert ctx.get("unate_network") is network
-    assert ctx.artifacts["unate_report"] is None
+    result = map_network(network, flow="soi")
+    by_name = _records(result)
+    assert by_name["decompose"].status == "ok"
+    assert by_name["decompose"].diagnostics == {"already_mappable": True}
     for name in ("sweep", "unate"):
-        assert get_pass(name).skip_reason(ctx) is not None
+        assert by_name[name].status == "skipped"
+        assert by_name[name].detail == "unate network already available"
+    assert result.unate_network is network
+    assert result.unate_report is None
 
 
 def test_frontend_runs_for_binate_network():
     network = network_from_expression("!(a * b) * c")  # INV needs conversion
     assert not network.is_mappable()
-    ctx = _ctx(network)
-    assert get_pass("decompose").run(ctx)["already_mappable"] is False
-    assert get_pass("sweep").skip_reason(ctx) is None
-    get_pass("sweep").run(ctx)
-    diag = get_pass("unate").run(ctx)
-    assert ctx.get("unate_network").is_mappable()
-    assert "unate_gates" in diag
+    result = map_network(network, flow="soi")
+    by_name = _records(result)
+    assert by_name["decompose"].diagnostics["already_mappable"] is False
+    assert by_name["sweep"].ran
+    assert "unate_gates" in by_name["unate"].diagnostics
+    assert result.unate_network.is_mappable()
+    assert result.unate_report is not None
 
 
 def test_rearrange_skips_unless_configured():
-    ctx = _ctx(rearrange_gates=False)
-    assert "rearrange_gates" in get_pass("rearrange").skip_reason(ctx)
-    ctx_on = _ctx(rearrange_gates=True)
-    assert get_pass("rearrange").skip_reason(ctx_on) is None
+    network = network_from_expression("(a + b) * c")
+    off = _records(map_network(network,
+                               config=MapperConfig(rearrange_gates=False)))
+    assert off["rearrange"].status == "skipped"
+    assert "rearrange_gates" in off["rearrange"].detail
+    on = _records(map_network(network,
+                              config=MapperConfig(rearrange_gates=True)))
+    assert on["rearrange"].ran
+    assert on["rearrange"].diagnostics["gates_rearranged"] > 0
 
 
 def test_stats_delta_tracks_dp_work():
     network = network_from_expression("(a + b) * (c + d)")
-    ctx = _ctx(network)
-    get_pass("decompose").run(ctx)
-    before = ctx.snapshot_stats()
-    get_pass("dp-map").run(ctx)
-    delta = ctx.stats_delta(before)
+    result = map_network(network)
+    delta = _records(result)["dp-map"].stats_delta
     assert delta["tuples_created"] > 0
     assert delta["nodes_processed"] > 0
-    assert ctx.has("plan")
+    assert delta["tuples_created"] == result.stats.tuples_created
+    for name in ("decompose", "discharge", "analyze"):
+        assert _records(result)[name].stats_delta == {}
+
+
+def test_max_counters_report_the_new_maximum():
+    """A max-merged counter's delta is the new maximum, not a difference.
+
+    Two runs sharing one ``MappingStats``: the second run's largest
+    kernel batch is the shared maximum, so its ``dp-map`` record must
+    carry that value, as ``MappingStats.since`` does.
+    """
+    pytest.importorskip("numpy")
+    stats = MappingStats()
+    config = MapperConfig(kernel="soa")
+    map_network(load_circuit("cm150"), config=config, stats=stats)
+    first_max = stats.soa_max_batch
+    assert first_max > 0
+    result = map_network(load_circuit("c7552"), config=config, stats=stats)
+    assert stats.soa_max_batch > first_max
+    delta = _records(result)["dp-map"].stats_delta
+    assert delta["soa_max_batch"] == stats.soa_max_batch
+    if "max_node_time_s" in delta:
+        assert delta["max_node_time_s"] == stats.max_node_time_s

@@ -1,4 +1,4 @@
-"""FlowPipeline validation, execution records, and digest identity."""
+"""map_network's stage loop: execution records, spans, and digest identity."""
 
 import hashlib
 import json
@@ -7,76 +7,40 @@ from pathlib import Path
 import pytest
 
 from repro.bench_suite import load_circuit
-from repro.errors import FlowError
-from repro.flow import FlowContext, FlowPipeline
 from repro.io import circuit_netlist
-from repro.mapping import (
-    CostModel,
-    MapperConfig,
-    build_flow_pipeline,
-    flow_passes,
-    map_network,
-)
+from repro.mapping import FLOW_PASSES, MapperConfig, map_network
+from repro.network import network_from_expression
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 with open(DATA / "seed_digests.json", encoding="utf-8") as _fh:
     SEED_DIGESTS = json.load(_fh)
 
 
-# -- static validation ------------------------------------------------------
-def test_empty_pipeline_rejected():
-    with pytest.raises(FlowError, match="at least one pass"):
-        FlowPipeline([])
-
-
-def test_duplicate_pass_rejected():
-    with pytest.raises(FlowError, match="listed twice"):
-        FlowPipeline(["decompose", "decompose"])
-
-
-def test_unknown_pass_rejected():
-    with pytest.raises(FlowError, match="unknown pass"):
-        FlowPipeline(["decompose", "no-such-stage"])
-
-
-def test_broken_artifact_chain_rejected():
-    # discharge requires a plan nobody provides
-    with pytest.raises(FlowError, match="requires plan"):
-        FlowPipeline(["decompose", "sweep", "unate", "discharge"])
-
-
-def test_unknown_initial_artifact_rejected():
-    with pytest.raises(FlowError, match="unknown initial artifact"):
-        FlowPipeline(["dp-map"], initial=("tuples",))
-
-
 def test_decompose_short_circuit_satisfies_chain():
-    # dp-map needs unate_network; decompose conditionally provides it,
-    # so the canonical front end validates.
-    pipe = FlowPipeline(flow_passes("soi"), name="soi")
-    assert pipe.pass_names == list(flow_passes("soi"))
-
-
-def test_runtime_missing_requirement():
-    # statically fine (plan is declared initial) but never actually set
-    pipe = FlowPipeline(["discharge", "analyze"], initial=("plan",))
-    ctx = FlowContext(config=MapperConfig(), cost_model=CostModel())
-    with pytest.raises(FlowError, match="not available at run time"):
-        pipe.run(ctx)
-
-
-def test_build_flow_pipeline_presets():
-    for flow in ("domino", "rs", "soi", None):
-        pipe = build_flow_pipeline(flow)
-        assert pipe.name == (flow or "custom")
-        assert pipe.pass_names == list(flow_passes(flow))
+    # the short-circuit publishes the input as the unate network, and
+    # every stage after the front end runs on it under every preset
+    network = network_from_expression("(a * b) + c")
+    assert network.is_mappable()
+    for flow in ("domino", "rs", "soi"):
+        result = map_network(network, flow=flow)
+        statuses = {r.name: r.status for r in result.passes}
+        assert statuses["sweep"] == statuses["unate"] == "skipped"
+        for name in FLOW_PASSES[flow][3:]:
+            assert statuses[name] == "ok"
+        assert result.cost.num_gates > 0
 
 
 # -- execution records ------------------------------------------------------
 def test_pass_records_cover_every_pass():
+    for flow in ("domino", "rs", "soi", None):
+        result = map_network(load_circuit("mux"), flow=flow)
+        names = [r.name for r in result.passes]
+        assert names == list(FLOW_PASSES[flow or "custom"])
+        assert result.flow == (flow or "custom")
+        data = result.as_dict()
+        assert [p["name"] for p in data["passes"]] == names
+        json.dumps(data)  # records must be JSON-serializable
     result = map_network(load_circuit("cm150"), flow="soi")
-    names = [r.name for r in result.passes]
-    assert names == list(flow_passes("soi"))
     statuses = {r.name: r.status for r in result.passes}
     # cm150 needs the full front end; every pass actually runs
     assert set(statuses.values()) == {"ok"}
@@ -85,7 +49,11 @@ def test_pass_records_cover_every_pass():
         assert record.elapsed_s >= 0.0
         data = record.as_dict()
         assert data["name"] == record.name
-        json.dumps(data)  # records must be JSON-serializable
+        assert "detail" not in data
+        json.dumps(data)
+    spans = [s for s in result.trace.children if s.category == "pass"]
+    assert [s.name for s in spans] == list(FLOW_PASSES["soi"])
+    assert all(s.attributes["flow"] == "soi" for s in spans)
 
 
 def test_dp_pass_record_carries_stats_delta():
@@ -93,6 +61,10 @@ def test_dp_pass_record_carries_stats_delta():
     by_name = {r.name: r for r in result.passes}
     assert by_name["dp-map"].stats_delta["tuples_created"] > 0
     assert by_name["dp-map"].diagnostics["pbe_aware"] is True
+    assert by_name["dp-map"].diagnostics["gates_selected"] == len(
+        result.circuit)
+    dp_span = result.trace.find("dp-map")
+    assert dp_span.attributes["stats_delta"] == by_name["dp-map"].stats_delta
     assert by_name["discharge"].diagnostics["gates"] == len(
         result.circuit)
     # analyze reports the same cost the result carries
@@ -105,20 +77,12 @@ def test_rearrange_recorded_as_skipped_when_off():
     by_name = {r.name: r for r in result.passes}
     assert by_name["rearrange"].status == "skipped"
     assert "rearrange_gates" in by_name["rearrange"].detail
+    assert by_name["rearrange"].as_dict()["detail"] == (
+        "config.rearrange_gates is off")
+    assert result.trace.find("rearrange") is None
     assert "rearrange" not in result.pass_times()
     assert set(result.pass_times()) == {
         "decompose", "sweep", "unate", "dp-map", "discharge", "analyze"}
-
-
-def test_explicit_pass_list_override():
-    # run the rs pass list under the soi preset: rearrange is off in the
-    # soi config, so it records as skipped and the digest is unchanged
-    baseline = map_network(load_circuit("mux"), flow="soi")
-    override = map_network(load_circuit("mux"), flow="soi",
-                           passes=flow_passes("rs"))
-    assert override.circuit.digest() == baseline.circuit.digest()
-    by_name = {r.name: r for r in override.passes}
-    assert by_name["rearrange"].status == "skipped"
 
 
 # -- digest identity --------------------------------------------------------
@@ -128,7 +92,7 @@ def test_explicit_pass_list_override():
     ("z4ml", "domino", "adverse", "single"),
 ])
 def test_pipeline_reproduces_seed_digest(name, flow, ordering, mode):
-    """The staged pipeline is bit-identical to the seed's monolithic flow."""
+    """The stage loop is bit-identical to the seed's monolithic flow."""
     config = MapperConfig(ordering=ordering, pareto=(mode == "pareto"))
     result = map_network(load_circuit(name), flow=flow, config=config)
     digest = hashlib.sha256(
