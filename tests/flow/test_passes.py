@@ -31,6 +31,23 @@ def test_registry_contains_every_stage():
         assert set(names) <= set(PASS_DESCRIPTIONS)
 
 
+def test_every_pass_declares_artifacts_and_description():
+    """Every stage a preset runs is described and leaves its output behind."""
+    network = network_from_expression("!(a * b) * c")
+    for flow, names in FLOW_PASSES.items():
+        for name in names:
+            assert PASS_DESCRIPTIONS[name]
+        result = map_network(network, flow=None if flow == "custom" else flow)
+        assert [r.name for r in result.passes] == list(names)
+        # unate -> unate network, discharge -> circuit, analyze -> cost
+        assert result.unate_network.is_mappable()
+        assert result.unate_report is not None
+        assert result.circuit is result.mapping.circuit
+        assert len(result.circuit) > 0
+        assert _records(result)["analyze"].diagnostics == (
+            result.cost.as_dict())
+
+
 def test_flow_passes_presets():
     assert FLOW_PASSES["rs"] == ("decompose", "sweep", "unate", "dp-map",
                                  "rearrange", "discharge", "analyze")

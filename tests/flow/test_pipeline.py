@@ -30,6 +30,21 @@ def test_decompose_short_circuit_satisfies_chain():
         assert result.cost.num_gates > 0
 
 
+def test_build_flow_pipeline_presets():
+    # each preset name selects its own stage list, in order; flow=None
+    # runs the "custom" list
+    network = network_from_expression("!(a + b) * c")
+    for flow in ("domino", "rs", "soi", None):
+        result = map_network(network, flow=flow)
+        assert result.flow == (flow or "custom")
+        spans = [s.name for s in result.trace.children
+                 if s.category == "pass"]
+        ran = [r.name for r in result.passes if r.ran]
+        assert spans == ran
+        assert [r.name for r in result.passes] == list(
+            FLOW_PASSES[flow or "custom"])
+
+
 # -- execution records ------------------------------------------------------
 def test_pass_records_cover_every_pass():
     for flow in ("domino", "rs", "soi", None):
