@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import StructureError
 from .gate import DominoGate
+from .structure import Leaf
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,14 @@ class DominoCircuit:
         self.const_outputs: Dict[str, bool] = {}
         #: primary input names (positive and complemented phases)
         self.inputs: List[str] = []
+        #: the same names as a set: a membership test per added input
+        #: would otherwise scan the list, quadratic in the input count
+        self._input_names: Set[str] = set()
 
     # ------------------------------------------------------------------
     def add_input(self, name: str) -> None:
-        if name not in self.inputs:
+        if name not in self._input_names:
+            self._input_names.add(name)
             self.inputs.append(name)
 
     def add_gate(self, gate: DominoGate) -> DominoGate:
@@ -126,54 +131,63 @@ class DominoCircuit:
         return hashlib.sha256(circuit_netlist(self).encode()).hexdigest()
 
     def recompute_levels(self) -> None:
-        """Recompute ``gate.level`` from the wiring (1 + max driver level)."""
-        order = self._topological_gates()
-        for gate in order:
+        """Recompute ``gate.level`` from the wiring (1 + max driver level).
+
+        Raises :class:`StructureError` on a driver that names no gate
+        and on a combinational cycle.
+        """
+        for gate, drivers in self._ordered_drivers():
             depth = 0
-            for leaf in gate.structure.leaves():
-                if not leaf.is_primary:
-                    depth = max(depth, self._by_name[leaf.signal].level)
+            for driver in drivers:
+                if driver.level > depth:
+                    depth = driver.level
             gate.level = depth + 1
 
     def _topological_gates(self) -> List[DominoGate]:
         """Gates ordered so drivers precede users."""
-        state: Dict[str, int] = {}
-        order: List[DominoGate] = []
-        import sys
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10 * len(self._gates) + 1000))
-        try:
-            for gate in self._gates:
-                self._visit_gate(gate, state, order)
-        finally:
-            sys.setrecursionlimit(old_limit)
-        return order
+        return [gate for gate, _ in self._ordered_drivers()]
 
-    def _visit_gate(self, gate: DominoGate, state: Dict[str, int],
-                    order: List[DominoGate]) -> None:
-        """Depth-first step of :meth:`_topological_gates`.
+    def _ordered_drivers(self) -> List[Tuple[DominoGate, List[DominoGate]]]:
+        """``(gate, driver gates)`` pairs, drivers before their users.
 
-        A method rather than a recursive closure: a closure that calls
-        itself references its own cell, a cycle only the cyclic garbage
-        collector can free.
+        A depth-first post-order over the gates in insertion order, each
+        gate's drivers in leaf order, on an explicit stack (no recursion
+        limit on the circuit's gate depth).  Each gate's driver list is
+        read from its structure once.  Raises :class:`StructureError`
+        when a driver names no gate, or on a combinational cycle.
         """
-        mark = state.get(gate.name, 0)
-        if mark == 2:
-            return
-        if mark == 1:
-            raise StructureError(
-                f"combinational cycle through gate {gate.name!r}")
-        state[gate.name] = 1
-        stackless = [leaf.signal for leaf in gate.structure.leaves()
-                     if not leaf.is_primary]
-        for signal in stackless:
-            if signal not in self._by_name:
-                raise StructureError(
-                    f"gate {gate.name!r} references unknown driver "
-                    f"{signal!r}")
-            self._visit_gate(self._by_name[signal], state, order)
-        state[gate.name] = 2
-        order.append(gate)
+        by_name = self._by_name
+        #: gate name -> 1 while on the walk's stack, 2 once ordered
+        state: Dict[str, int] = {}
+        order: List[Tuple[DominoGate, List[DominoGate]]] = []
+        for root in self._gates:
+            if root.name in state:
+                continue
+            state[root.name] = 1
+            stack = [(root, iter(_driver_signals(root)), [])]
+            while stack:
+                gate, signals, drivers = stack[-1]
+                for signal in signals:
+                    driver = by_name.get(signal)
+                    if driver is None:
+                        raise StructureError(
+                            f"gate {gate.name!r} references unknown driver "
+                            f"{signal!r}")
+                    drivers.append(driver)
+                    mark = state.get(signal, 0)
+                    if mark == 1:
+                        raise StructureError(
+                            f"combinational cycle through gate {signal!r}")
+                    if mark == 0:
+                        state[signal] = 1
+                        stack.append(
+                            (driver, iter(_driver_signals(driver)), []))
+                        break
+                else:
+                    stack.pop()
+                    state[gate.name] = 2
+                    order.append((gate, drivers))
+        return order
 
     def validate(self, w_max: Optional[int] = None,
                  h_max: Optional[int] = None) -> None:
@@ -200,3 +214,18 @@ class DominoCircuit:
     def __repr__(self) -> str:
         return (f"DominoCircuit({self.name!r}, gates={len(self._gates)}, "
                 f"inputs={len(self.inputs)}, outputs={len(self.outputs)})")
+
+
+def _driver_signals(gate: DominoGate) -> List[str]:
+    """Names of the gates driving ``gate``'s pulldown, in leaf order,
+    from one explicit-stack walk."""
+    signals: List[str] = []
+    stack = [gate.structure]
+    while stack:
+        node = stack.pop()
+        if type(node) is Leaf:
+            if not node.is_primary:
+                signals.append(node.signal)
+        else:
+            stack.extend(reversed(node.children))
+    return signals

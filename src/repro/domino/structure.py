@@ -79,31 +79,28 @@ class Leaf:
 
 
 class _Composite:
-    """Shared implementation of series/parallel composition nodes."""
+    """Shared implementation of series/parallel composition nodes.
+
+    Each subclass's constructor flattens nested nodes of its own kind —
+    which keeps top-to-bottom order intact and makes structural equality
+    insensitive to the order in which the mapper combined
+    sub-structures — and totals the metrics in the same pass.
+    """
 
     __slots__ = ("children", "width", "height", "num_transistors",
                  "has_primary")
 
-    def __init__(self, children: Tuple["Pulldown", ...]):
-        if len(children) < 2:
-            raise StructureError(
-                f"{type(self).__name__} requires at least 2 children")
-        # Flatten nested nodes of the same kind: keeps top-to-bottom order
-        # intact and makes structural equality insensitive to the order in
-        # which the mapper combined sub-structures.
-        flat: List[Pulldown] = []
-        for child in children:
-            if isinstance(child, type(self)):
-                flat.extend(child.children)
-            else:
-                flat.append(child)
-        self.children = tuple(flat)
-        self.num_transistors = sum(c.num_transistors for c in self.children)
-        self.has_primary = any(c.has_primary for c in self.children)
-
     def leaves(self) -> Iterator[Leaf]:
-        for child in self.children:
-            yield from child.leaves()
+        """The transistors left to right, from one explicit-stack walk."""
+        found: List[Leaf] = []
+        stack: List[Pulldown] = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is Leaf:
+                found.append(node)
+            else:
+                stack.extend(reversed(node.children))
+        return iter(found)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.children == other.children
@@ -115,15 +112,37 @@ class _Composite:
         return f"{type(self).__name__}({self.children!r})"
 
 
+def _too_few(kind: str, children: Tuple["Pulldown", ...]) -> None:
+    if len(children) < 2:
+        raise StructureError(f"{kind} requires at least 2 children")
+
+
 class Series(_Composite):
     """Series composition; ``children[0]`` is at the top (dynamic-node side)."""
 
     __slots__ = ()
 
     def __init__(self, children: Tuple["Pulldown", ...]):
-        super().__init__(children)
-        self.width = max(c.width for c in self.children)
-        self.height = sum(c.height for c in self.children)
+        _too_few("Series", children)
+        flat: List[Pulldown] = []
+        width = height = count = 0
+        primary = False
+        for child in children:
+            if type(child) is Series:
+                flat.extend(child.children)
+            else:
+                flat.append(child)
+            if child.width > width:
+                width = child.width
+            height += child.height
+            count += child.num_transistors
+            if not primary and child.has_primary:
+                primary = True
+        self.children = tuple(flat)
+        self.width = width
+        self.height = height
+        self.num_transistors = count
+        self.has_primary = primary
 
     @property
     def top(self) -> "Pulldown":
@@ -150,9 +169,26 @@ class Parallel(_Composite):
     ends_in_parallel = True
 
     def __init__(self, children: Tuple["Pulldown", ...]):
-        super().__init__(children)
-        self.width = sum(c.width for c in self.children)
-        self.height = max(c.height for c in self.children)
+        _too_few("Parallel", children)
+        flat: List[Pulldown] = []
+        width = height = count = 0
+        primary = False
+        for child in children:
+            if type(child) is Parallel:
+                flat.extend(child.children)
+            else:
+                flat.append(child)
+            width += child.width
+            if child.height > height:
+                height = child.height
+            count += child.num_transistors
+            if not primary and child.has_primary:
+                primary = True
+        self.children = tuple(flat)
+        self.width = width
+        self.height = height
+        self.num_transistors = count
+        self.has_primary = primary
 
     def __str__(self) -> str:
         return "(" + " | ".join(str(c) for c in self.children) + ")"
@@ -185,9 +221,18 @@ def has_primary_leaf(structure: Pulldown) -> bool:
 
 
 def gate_leaf_refs(structure: Pulldown) -> List[int]:
-    """Mapping-node ids of all domino-gate-driven leaves (with repeats)."""
-    return [leaf.source_gate for leaf in structure.leaves()
-            if leaf.source_gate is not None]
+    """Mapping-node ids of all domino-gate-driven leaves (with repeats),
+    left to right, from one explicit-stack walk."""
+    refs: List[int] = []
+    stack: List[Pulldown] = [structure]
+    while stack:
+        node = stack.pop()
+        if type(node) is Leaf:
+            if node.source_gate is not None:
+                refs.append(node.source_gate)
+        else:
+            stack.extend(reversed(node.children))
+    return refs
 
 
 def check_limits(structure: Pulldown, w_max: int, h_max: int) -> None:

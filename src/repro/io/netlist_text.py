@@ -23,35 +23,37 @@ def write_gate_netlist(gate: DominoGate, handle: TextIO) -> int:
     return _write_gate(gate, handle)[0]
 
 
+#: The domino overhead every gate carries: the precharge pmos
+#: (drain=dynamic node, gate=clk, source=vdd), the output inverter, and
+#: the keeper pmos driven by the output.
+_OVERHEAD_CARDS = (
+    f"MPC {TOP} clk vdd vdd pmos_soi",
+    f"MPI out {TOP} vdd vdd pmos_soi",
+    f"MNI out {TOP} {GND} {GND} nmos_soi",
+    f"MPK {TOP} out vdd vdd pmos_soi",
+)
+#: The n-clock foot (footed gates only).
+_FOOT_CARD = f"MNF {FOOT} clk {GND} {GND} nmos_soi"
+
+
 def _write_gate(gate: DominoGate, handle: TextIO):
     """Write one gate's subcircuit; ``(device count, port signals)``."""
     flat = flatten_gate(gate)
-    ports = sorted({t.signal for t in flat.transistors})
-    handle.write(f".subckt {gate.name} out clk {' '.join(ports)}\n")
-    count = 0
-
-    def emit(card: str) -> None:
-        nonlocal count
-        count += 1
-        handle.write(card + "\n")
-
+    transistors = flat.transistors
+    ports = sorted({t.signal for t in transistors})
+    cards = [f".subckt {gate.name} out clk {' '.join(ports)}"]
     # Pulldown network.
-    for i, t in enumerate(flat.transistors):
-        emit(f"MN{i} {t.upper} {t.signal} {t.lower} body_n{i} nmos_soi")
-    # Precharge pmos: drain=dynamic node, gate=clk, source=vdd.
-    emit(f"MPC {TOP} clk vdd vdd pmos_soi")
-    # Output inverter.
-    emit(f"MPI out {TOP} vdd vdd pmos_soi")
-    emit(f"MNI out {TOP} {GND} {GND} nmos_soi")
-    # Keeper pmos, driven by the output.
-    emit(f"MPK {TOP} out vdd vdd pmos_soi")
-    # n-clock foot (footed gates only).
+    cards += [f"MN{i} {upper} {signal} {lower} body_n{i} nmos_soi"
+              for i, (signal, _, upper, lower) in enumerate(transistors)]
+    cards += _OVERHEAD_CARDS
     if gate.footed:
-        emit(f"MNF {FOOT} clk {GND} {GND} nmos_soi")
+        cards.append(_FOOT_CARD)
     # p-discharge transistors: on during precharge (clk low).
-    for i, node in enumerate(flat.discharge_nodes):
-        emit(f"MPD{i} {node} clk {GND} vdd pmos_soi")
-    handle.write(f".ends {gate.name}\n")
+    cards += [f"MPD{i} {node} clk {GND} vdd pmos_soi"
+              for i, node in enumerate(flat.discharge_nodes)]
+    count = len(cards) - 1
+    cards.append(f".ends {gate.name}\n")
+    handle.write("\n".join(cards))
     return count, ports
 
 

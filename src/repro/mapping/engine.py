@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 from ..domino.circuit import CircuitCost, DominoCircuit
 from ..domino.gate import DominoGate
 from ..domino.rearrange import rearrange
-from ..domino.structure import Leaf, Pulldown
+from ..domino.structure import Leaf, Pulldown, gate_leaf_refs
 from ..errors import MappingError, ResourceLimitError
 from ..network import LogicNetwork, NodeType
 from ..pipeline.metrics import MappingStats
@@ -51,7 +51,7 @@ from ..resilience.faults import fire
 from .cost import CostModel
 from .kernel import KERNELS, key_vectorizable, resolve_kernel
 from .tuples import (DI, HP, KEY, LV, NCOL, OP_GATE, OP_LEAF, PD, TR, WC,
-                     Arena, MapTuple, TupleTable, np, ragged_ids)
+                     Arena, TupleTable, np, ragged_ids)
 
 _gc_lock = threading.Lock()
 _gc_depth = 0
@@ -217,7 +217,6 @@ class GateRecord:
     """The formed-gate entry of one mapping node."""
 
     node_id: int
-    tuple: MapTuple
     wcost: float      #: accumulated cost including overhead (and, under the
                       #: pessimistic policy, the residual p_dis discharges)
     trans: int        #: raw transistors including overhead + discharges
@@ -231,22 +230,20 @@ class _FormedGates:
 
     Gate formation records ``(row, wcost, trans, disch, levels,
     footed)`` per node in :attr:`formed`, ``row`` being the arena row
-    the gate is formed from; a lookup builds the :class:`GateRecord`,
-    its tuple materialized with its structure.  Plan selection looks up
-    only the gates it selects.
+    the gate is formed from and ``footed`` that row's ``has_pi``
+    column; a lookup builds the :class:`GateRecord`.  Plan selection
+    looks up only the gates it selects.
     """
 
-    __slots__ = ("_arena", "formed")
+    __slots__ = ("formed",)
 
-    def __init__(self, arena: Arena):
-        self._arena = arena
+    def __init__(self):
         self.formed: Dict[int, tuple] = {}
 
     def __getitem__(self, uid: int) -> GateRecord:
-        row, wcost, trans, disch, levels, footed = self.formed[uid]
-        return GateRecord(node_id=uid, tuple=self._arena.tuple(row),
-                          wcost=wcost, trans=trans, disch=disch,
-                          levels=levels, footed=footed)
+        _, wcost, trans, disch, levels, footed = self.formed[uid]
+        return GateRecord(node_id=uid, wcost=wcost, trans=trans,
+                          disch=disch, levels=levels, footed=footed)
 
 
 @dataclass
@@ -285,7 +282,7 @@ class MappingPlan:
     #: (po_label, kind, payload): kind "signal" wires payload verbatim,
     #: kind "const" sets a constant output (payload is the bool)
     outputs: List[tuple] = field(default_factory=list)
-    #: selected gates in _require_gate()-traversal order
+    #: selected gates in plan selection's depth-first pre-order
     gates: List[PlannedGate] = field(default_factory=list)
     #: mapping-node id -> GateRecord for every selected gate
     gate_records: Dict[int, GateRecord] = field(default_factory=dict)
@@ -375,7 +372,7 @@ class MappingEngine:
         #: paper's limits a registry circuit keeps 3-25 rows per node
         self.arena = Arena(max(1024, 16 * len(network)))
         self._tables: Dict[int, TupleTable] = {}
-        self._gates = _FormedGates(self.arena)
+        self._gates = _FormedGates()
         #: per AND/OR node: 0 for a forced gate boundary, else its fanout
         #: count (at least 1), which amortizes its optional gate's cost
         self._share: Dict[int, int] = {}
@@ -816,8 +813,6 @@ class MappingEngine:
                            kernel=self.kernel.active)
         plan.inputs = [network.node(uid).label for uid in network.pis]
 
-        used = plan.gate_records
-
         for po in network.pos:
             driver = network.node(network.node(po).fanins[0])
             if driver.type is NodeType.PI:
@@ -827,20 +822,42 @@ class MappingEngine:
                 plan.outputs.append((network.node(po).label, "const",
                                      driver.type is NodeType.CONST1))
             elif driver.type in (NodeType.AND, NodeType.OR):
-                record = _require_gate(driver.uid, self._gates, used)
+                self._select_gates(driver.uid, plan)
                 plan.outputs.append((network.node(po).label, "signal",
-                                     f"g{record.node_id}"))
+                                     f"g{driver.uid}"))
             else:
                 raise MappingError(
                     f"PO {network.node(po).label} driven by unsupported "
                     f"node type {driver.type.value}")
-
-        plan.gates = [PlannedGate(node_id=uid,
-                                  structure=record.tuple.structure,
-                                  level=record.levels,
-                                  has_pi=record.tuple.has_pi)
-                      for uid, record in used.items()]
         return plan
+
+    def _select_gates(self, root: int, plan: MappingPlan) -> None:
+        """Select gate ``root`` and, depth-first, every gate it reads.
+
+        Each gate is planned from its formed row: the structure rebuilt
+        from provenance and the row's ``has_pi`` column as recorded at
+        formation.  An explicit stack, with each gate's references
+        pushed in reverse, visits gates in the pre-order a recursive
+        walk would (the digest hashes gates in that order) on circuits
+        of any gate depth.
+        """
+        gates = self._gates
+        formed = gates.formed
+        structure_of = self.arena.structure
+        records = plan.gate_records
+        planned = plan.gates
+        stack = [root]
+        while stack:
+            uid = stack.pop()
+            if uid in records:
+                continue
+            record = records[uid] = gates[uid]
+            structure = structure_of(formed[uid][0])
+            planned.append(PlannedGate(uid, structure, record.levels,
+                                       record.footed))
+            refs = gate_leaf_refs(structure)
+            refs.reverse()
+            stack.extend(refs)
 
 
 def apply_rearrangement(plan: MappingPlan) -> int:
@@ -893,25 +910,3 @@ def materialize_plan(plan: MappingPlan) -> MappingResult:
         kernel=getattr(plan, "kernel", "reference"),
     )
 
-
-def _require_gate(uid: int, gates: _FormedGates,
-                  used: Dict[int, GateRecord]) -> GateRecord:
-    """Select gate ``uid`` and, depth-first, every gate its structure reads.
-
-    A module-level function rather than a closure inside
-    :meth:`MappingEngine.plan`: a recursive closure references itself
-    through its own cell, a cycle that would keep the plan's frame (and
-    with it the engine) alive until the cyclic collector runs.
-    """
-    record = used.get(uid)
-    if record is not None:
-        return record
-    record = used[uid] = gates[uid]
-    for ref in _structure_gate_refs(record.tuple.structure):
-        _require_gate(ref, gates, used)
-    return record
-
-
-def _structure_gate_refs(structure: Pulldown) -> List[int]:
-    return [leaf.source_gate for leaf in structure.leaves()
-            if leaf.source_gate is not None]

@@ -15,10 +15,11 @@ whole batches of rows at once (DESIGN.md §17).
 
 Pulldown structures are rebuilt from provenance only for the rows that
 need one (the selected gates, a read accessor):
-:meth:`Arena.structure` walks the back-pointers with ``series`` /
-``parallel``, memoized per row, and stops at rows that carry an eager
-structure (primary inputs, inserted tuples) or name a formed gate.
-:class:`MapTuple` is the materialized object form of one row.
+:meth:`Arena.structure` walks the back-pointers with the ``Series`` /
+``Parallel`` constructors, memoized per row, and stops at rows that
+carry an eager structure (primary inputs, inserted tuples) or name a
+formed gate.  :class:`MapTuple` is the materialized object form of one
+row; plan selection builds none (it reads structures and columns).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ try:  # the numpy lens of the arena serves the soa kernel and the
 except ImportError:  # pragma: no cover - the arena through ``array``.
     np = None
 
-from ..domino.structure import Leaf, Pulldown, parallel, series
+from ..domino.structure import Leaf, Parallel, Pulldown, Series
 
 
 class MapTuple:
@@ -243,22 +244,28 @@ class Arena:
         """The pulldown of ``row``, rebuilt from provenance and memoized.
 
         Bit-identical to what an eager combination would have built:
-        the back-pointers name the exact operand rows, and ``series``/
-        ``parallel`` are deterministic in their operands.
+        the back-pointers name the exact operand rows, and ``Series``/
+        ``Parallel`` are deterministic in their operands.
         """
-        built = self._structs.get(row)
+        structs = self._structs
+        built = structs.get(row)
         if built is None:
             op, left, right = self._p[row * 3:row * 3 + 3]
-            if op == OP_SER:
-                built = series(self.structure(left), self.structure(right))
-            elif op == OP_PAR:
-                built = parallel(self.structure(left),
-                                 self.structure(right))
+            if op == OP_SER or op == OP_PAR:
+                # operands are mostly memoized already (primary inputs,
+                # formed gates, shared sub-rows): look before recursing
+                top = structs.get(left)
+                if top is None:
+                    top = self.structure(left)
+                below = structs.get(right)
+                if below is None:
+                    below = self.structure(right)
+                built = (Series if op == OP_SER else Parallel)((top, below))
             elif op == OP_GATE:
                 built = Leaf(f"g{left}", is_primary=False, source_gate=left)
             else:  # pragma: no cover - leaf rows are written with one
                 raise KeyError(f"arena row {row} has no structure")
-            self._structs[row] = built
+            structs[row] = built
         return built
 
     def set_structure(self, row: int, structure: Pulldown) -> None:

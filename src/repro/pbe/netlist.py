@@ -11,7 +11,7 @@ identifiers produced by the static analysis: the junction below child
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..domino.analysis import DischargePoint
 from ..domino.gate import DominoGate
@@ -23,8 +23,7 @@ GND = "gnd"      #: ground
 FOOT = "foot"    #: stack bottom above the n-clock foot (footed gates only)
 
 
-@dataclass(frozen=True)
-class FlatTransistor:
+class FlatTransistor(NamedTuple):
     """One pulldown nmos device.
 
     ``upper`` is the terminal toward the dynamic node, ``lower`` the
@@ -87,19 +86,16 @@ def _expand(flat: FlatGate, structure: Pulldown, upper: str, lower: str,
     :func:`flatten_gate`: a closure that calls itself references its own
     cell, a cycle only the cyclic garbage collector can free.
     """
-    if isinstance(structure, Leaf):
+    kind = type(structure)
+    if kind is Leaf:
         flat.transistors.append(FlatTransistor(
-            signal=structure.signal,
-            is_primary=structure.is_primary,
-            upper=upper,
-            lower=lower,
-        ))
+            structure.signal, structure.is_primary, upper, lower))
         return
-    if isinstance(structure, Parallel):
+    if kind is Parallel:
         for i, child in enumerate(structure.children):
             _expand(flat, child, upper, lower, path + (i,))
         return
-    if isinstance(structure, Series):
+    if kind is Series:
         n = len(structure.children)
         node_above = upper
         for i, child in enumerate(structure.children):

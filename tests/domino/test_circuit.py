@@ -89,6 +89,51 @@ def test_cycle_detected():
         circuit.validate()
 
 
+def test_recompute_levels_rejects_unknown_driver():
+    circuit = DominoCircuit()
+    circuit.add_input("a")
+    circuit.add_gate(DominoGate.from_structure("g1", series(L("a"), L("a"))))
+    circuit.add_gate(DominoGate.from_structure(
+        "g2", series(L("g1", primary=False, gate=1),
+                     L("ghost", primary=False, gate=9))))
+    with pytest.raises(StructureError,
+                       match="'g2' references unknown driver 'ghost'"):
+        circuit.recompute_levels()
+
+
+def test_recompute_levels_rejects_cycle():
+    circuit = DominoCircuit()
+    circuit.add_input("a")
+    circuit.add_gate(DominoGate.from_structure(
+        "g1", series(L("g3", primary=False, gate=3), L("a"))))
+    circuit.add_gate(DominoGate.from_structure(
+        "g2", parallel(L("g1", primary=False, gate=1), L("a"))))
+    circuit.add_gate(DominoGate.from_structure(
+        "g3", series(L("g2", primary=False, gate=2), L("a"))))
+    with pytest.raises(StructureError, match="cycle through gate 'g1'"):
+        circuit.recompute_levels()
+
+
+def test_recompute_levels_handles_deep_chains():
+    """Thousands of gates deep, with no recursion-limit bump."""
+    import sys
+
+    circuit = DominoCircuit()
+    circuit.add_input("a")
+    depth = 4 * sys.getrecursionlimit()
+    # users before drivers, so the walk must descend the whole chain
+    for k in range(depth, 1, -1):
+        circuit.add_gate(DominoGate.from_structure(
+            f"g{k}", series(L(f"g{k - 1}", primary=False, gate=k - 1),
+                            L("a"))))
+    circuit.add_gate(DominoGate.from_structure("g1", series(L("a"), L("a"))))
+    limit = sys.getrecursionlimit()
+    circuit.recompute_levels()
+    assert sys.getrecursionlimit() == limit
+    assert circuit.gate(f"g{depth}").level == depth
+    assert circuit.levels() == depth
+
+
 def test_const_outputs_tracked():
     circuit = DominoCircuit()
     circuit.set_const_output("always1", True)

@@ -1,5 +1,9 @@
 """Tests for the DOT and SPICE-style netlist writers."""
 
+from collections import Counter
+
+import pytest
+
 from repro.io import (
     circuit_netlist,
     circuit_to_dot,
@@ -86,3 +90,26 @@ def test_netlist_flattens_each_gate_once(monkeypatch):
         assert sorted(calls) == sorted(g.name for g in circuit.gates)
         for gate in circuit.gates:
             assert f"X{gate.name} {gate.name} clk " in text
+
+
+@pytest.mark.parametrize("flow", ["domino", "rs", "soi"])
+@pytest.mark.parametrize("name", ["cm150", "mux", "z4ml", "count"])
+def test_netlist_cards_rederive_clock_and_discharge_counts(name, flow):
+    """Count the written netlist's cards by role against the cost.
+
+    One precharge pmos (``MPC``) per gate, one n-clock foot (``MNF``)
+    per footed gate, one p-discharge pmos (``MPD<i>``) per discharge
+    transistor; together they are every clock-connected device, so
+    their sum is ``T_clock``.
+    """
+    from repro.bench_suite import load_circuit
+    from repro.mapping import map_network
+
+    circuit = map_network(load_circuit(name), flow=flow).circuit
+    roles = Counter(line.split(" ", 1)[0].rstrip("0123456789")
+                    for line in circuit_netlist(circuit).splitlines())
+    cost = circuit.cost()
+    assert roles["MPC"] == cost.num_gates == len(circuit)
+    assert roles["MNF"] == sum(gate.footed for gate in circuit.gates)
+    assert roles["MPD"] == cost.t_disch
+    assert roles["MPC"] + roles["MNF"] + roles["MPD"] == cost.t_clock

@@ -1,8 +1,9 @@
 """Column tables: the DP's tuples live as arena rows.
 
-A mapping run keeps every sub-solution as one row of its arena and
-builds :class:`MapTuple` objects only for the gates plan selection
-picks.  These tests pin that, and the arena mechanics the engine and
+A mapping run keeps every sub-solution as one row of its arena, and
+neither the DP nor plan selection builds a :class:`MapTuple`: the plan
+reads each selected gate's structure and columns from its formed row.
+These tests pin that, and the arena mechanics the engine and
 both kernels rely on: rows survive growth, a table is a contiguous row
 range followed by its gate row, and structures rebuild from provenance
 exactly as an eager combination would have built them.
@@ -27,28 +28,14 @@ def _leaf_tuple(name, wcost=1.0, p_dis=0):
                     structure=Leaf(name))
 
 
-def _reachable(arena, rows):
-    """Rows reachable from ``rows`` through combine provenance."""
-    seen = set()
-    stack = list(rows)
-    while stack:
-        row = stack.pop()
-        if row in seen:
-            continue
-        seen.add(row)
-        op, left, right = arena._p[3 * row:3 * row + 3]
-        if op in (OP_SER, OP_PAR):
-            stack += (left, right)
-    return seen
-
-
 @pytest.mark.parametrize("flow", ["domino", "rs", "soi"])
 def test_map_tuples_are_built_only_for_selected_gates(monkeypatch, flow):
-    """No MapTuple during the DP; at most one per reachable row after.
+    """No MapTuple during the DP, and none during plan selection.
 
-    Without a tree cache, the soa kernel writes rows and the engine
-    forms gates from columns, so ``run_dp()`` builds no MapTuple at
-    all, and plan selection builds only the selected gates' tuples.
+    The soa kernel writes rows and the engine forms gates from columns,
+    so ``run_dp()`` builds no MapTuple at all; ``plan()`` takes each
+    selected gate's structure from provenance and its ``has_pi`` from
+    the formed row, so it builds none either.
     """
     built = []
     init = MapTuple.__init__
@@ -64,9 +51,13 @@ def test_map_tuples_are_built_only_for_selected_gates(monkeypatch, flow):
     engine.run_dp()
     assert built == []
     plan = engine.plan()
-    rows = [engine._gates.formed[uid][0] for uid in plan.gate_records]
-    assert 0 < len(built) <= len(_reachable(engine.arena, rows))
-    assert len(built) == len(plan.gates)
+    assert built == []
+    assert plan.gates
+    for planned in plan.gates:
+        row = engine._gates.formed[planned.node_id][0]
+        assert planned.structure is engine.arena.structure(row)
+        assert planned.has_pi == (engine.arena.rows(
+            range(row, row + 1))[0].has_pi)
 
 
 def test_rows_survive_growth_and_read_back_typed():

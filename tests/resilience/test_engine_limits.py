@@ -5,6 +5,7 @@ import pytest
 from repro.bench_suite import load_circuit
 from repro.errors import MappingError, ReproError, ResourceLimitError
 from repro.mapping import MapperConfig, map_network
+from repro.network import LogicNetwork
 from repro.resilience import FaultPlan, FaultRule, install, uninstall
 
 
@@ -101,3 +102,30 @@ def test_max_tuples_error_counts_the_nodes_before_the_crossing(
     assert stats.tuples_created == total
     assert stats.nodes_processed == crossing == len(engine._tables)
     assert f"created after {crossing} nodes" in str(info.value)
+
+
+def _and_or_chain(nodes: int) -> LogicNetwork:
+    """``nodes`` alternating AND/OR nodes in a chain, one PI each."""
+    net = LogicNetwork(f"chain{nodes}")
+    acc = net.add_pi("x0")
+    for i in range(nodes):
+        pi = net.add_pi(f"x{i + 1}")
+        acc = (net.add_and if i % 2 == 0 else net.add_or)(acc, pi)
+    net.add_po(acc, "out")
+    return net
+
+
+def test_deep_chain_maps_and_digests():
+    """Plan selection and the level walk take any gate depth.
+
+    At W=5/H=8 the chain maps to one gate per 8 nodes, each reading the
+    one below: 1,000 gates deep, past the interpreter's default
+    recursion limit.
+    """
+    result = map_network(_and_or_chain(8000), flow="soi")
+    circuit = result.circuit
+    assert len(circuit) == 1000
+    assert result.cost.levels == 1000
+    assert circuit.gates[0].level == 1000   # the PO's gate, planned first
+    assert len(circuit.digest()) == 64
+    circuit.validate(w_max=5, h_max=8)
