@@ -2,9 +2,7 @@
 
 from .cost import AreaCost, ClockWeightedCost, CostModel, DepthCost
 from .kernel import KernelProtocol
-from .tuples import MapTuple, TupleTable
 from .engine import (
-    GateRecord,
     MapperConfig,
     MappingEngine,
     MappingPlan,
@@ -35,9 +33,6 @@ __all__ = [
     "CostModel",
     "DepthCost",
     "KernelProtocol",
-    "MapTuple",
-    "TupleTable",
-    "GateRecord",
     "MapperConfig",
     "MappingEngine",
     "MappingPlan",

@@ -84,14 +84,6 @@ class CostModel:
         """
         return wcost
 
-    def fingerprint(self) -> tuple:
-        """Hashable identity of the objective.
-
-        Two models with equal fingerprints must price every cost event
-        identically; subclasses adding parameters must override this.
-        """
-        return (type(self).__qualname__, self.k_clock)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(k_clock={self.k_clock})"
 
@@ -143,9 +135,6 @@ class DepthCost(CostModel):
 
     def tuple_key_metrics(self, wcost: float, levels: int) -> float:
         return self.level_weight * levels + wcost
-
-    def fingerprint(self) -> tuple:
-        return (type(self).__qualname__, self.k_clock, self.level_weight)
 
     def __repr__(self) -> str:
         return (f"DepthCost(level_weight={self.level_weight}, "

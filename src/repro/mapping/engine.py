@@ -37,7 +37,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..domino.circuit import CircuitCost, DominoCircuit
@@ -51,7 +51,7 @@ from ..resilience.faults import fire
 from .cost import CostModel
 from .kernel import KERNELS, key_vectorizable, resolve_kernel
 from .tuples import (DI, HP, KEY, LV, NCOL, OP_GATE, OP_LEAF, PD, TR, WC,
-                     Arena, TupleTable, np, ragged_ids)
+                     Arena, np, ragged_ids)
 
 _gc_lock = threading.Lock()
 _gc_depth = 0
@@ -63,11 +63,12 @@ def _gc_paused():
     """Keep the cyclic garbage collector out of the enclosed block.
 
     The DP keeps its tuples as arena rows, but plan selection builds
-    structures and records, the reference kernel allocates per
-    candidate, and any allocation burst would otherwise trigger
-    collections that traverse every live object of the process.  Pausing is safe because a mapping run's state is
-    acyclic (an arena, tables and gate records; DESIGN.md §15), so
-    reference counting alone frees everything the run drops.
+    structures, the reference kernel allocates per candidate, and any
+    allocation burst would otherwise trigger collections that traverse
+    every live object of the process.  Pausing is safe because a
+    mapping run's state is acyclic (an arena, row ranges and plain
+    formed-gate tuples; DESIGN.md §15), so reference counting alone
+    frees everything the run drops.
 
     It covers :meth:`MappingEngine.run_dp`, and with
     :meth:`MappingEngine.run_to_plan` also the plan selection and the
@@ -155,9 +156,8 @@ class MapperConfig:
         count (:data:`~repro.mapping.kernel.AUTO_THRESHOLD`), soa when
         numpy is importable and the batch is large enough to amortize
         the array overhead, the reference kernel otherwise (and always
-        without numpy).  Excluded from :meth:`fingerprint` because the
-        kernel is execution strategy, not mapping semantics: all
-        kernels produce bit-identical tables.
+        without numpy).  The kernel is execution strategy, not mapping
+        semantics: all kernels produce bit-identical tables.
     duplication:
         Fanout handling.  ``True`` (the paper's regime, following [23]):
         every consumer of a multi-fanout node sees the node's full tuple
@@ -202,49 +202,6 @@ class MapperConfig:
                 f"unknown ground policy {self.ground_policy!r}; "
                 f"expected one of {', '.join(GROUND_POLICIES)}")
 
-    def fingerprint(self) -> tuple:
-        """Every field that can change the mapping.
-
-        ``kernel`` is excluded: every kernel produces bit-identical
-        tables, so two configs differing only in kernel map alike.
-        """
-        return tuple(getattr(self, f.name) for f in fields(self)
-                     if f.name != "kernel")
-
-
-@dataclass
-class GateRecord:
-    """The formed-gate entry of one mapping node."""
-
-    node_id: int
-    wcost: float      #: accumulated cost including overhead (and, under the
-                      #: pessimistic policy, the residual p_dis discharges)
-    trans: int        #: raw transistors including overhead + discharges
-    disch: int        #: discharge transistors inside this gate's subtree
-    levels: int       #: domino level of this gate's output
-    footed: bool
-
-
-class _FormedGates:
-    """Every finished node's formed gate, kept as plain values.
-
-    Gate formation records ``(row, wcost, trans, disch, levels,
-    footed)`` per node in :attr:`formed`, ``row`` being the arena row
-    the gate is formed from and ``footed`` that row's ``has_pi``
-    column; a lookup builds the :class:`GateRecord`.  Plan selection
-    looks up only the gates it selects.
-    """
-
-    __slots__ = ("formed",)
-
-    def __init__(self):
-        self.formed: Dict[int, tuple] = {}
-
-    def __getitem__(self, uid: int) -> GateRecord:
-        _, wcost, trans, disch, levels, footed = self.formed[uid]
-        return GateRecord(node_id=uid, wcost=wcost, trans=trans,
-                          disch=disch, levels=levels, footed=footed)
-
 
 @dataclass
 class PlannedGate:
@@ -284,8 +241,6 @@ class MappingPlan:
     outputs: List[tuple] = field(default_factory=list)
     #: selected gates in plan selection's depth-first pre-order
     gates: List[PlannedGate] = field(default_factory=list)
-    #: mapping-node id -> GateRecord for every selected gate
-    gate_records: Dict[int, GateRecord] = field(default_factory=dict)
     stats: MappingStats = field(default_factory=MappingStats)
     #: what actually ran the DP ("reference", "soa", or "hybrid")
     kernel: str = "reference"
@@ -298,8 +253,6 @@ class MappingResult:
     circuit: DominoCircuit
     config: MapperConfig
     cost_model: CostModel
-    #: mapping-node id -> GateRecord for every *materialized* gate
-    gate_records: Dict[int, GateRecord] = field(default_factory=dict)
     #: full instrumentation counters for this run
     stats: MappingStats = field(default_factory=MappingStats)
     #: what actually ran the DP ("reference", "soa", or "hybrid")
@@ -371,8 +324,13 @@ class MappingEngine:
         #: every tuple of the run, one row each (DESIGN.md §17); at the
         #: paper's limits a registry circuit keeps 3-25 rows per node
         self.arena = Arena(max(1024, 16 * len(network)))
-        self._tables: Dict[int, TupleTable] = {}
-        self._gates = _FormedGates()
+        #: per finished AND/OR node: its table, a range of arena rows in
+        #: slot order (the node's gate row at ``stop``)
+        self._tables: Dict[int, range] = {}
+        #: per finished AND/OR node: its formed gate as ``(row, wcost,
+        #: trans, disch, levels, has_pi)``, ``row`` being the arena row
+        #: the gate is formed from and ``has_pi`` that row's column
+        self._gates: Dict[int, tuple] = {}
         #: per AND/OR node: 0 for a forced gate boundary, else its fanout
         #: count (at least 1), which amortizes its optional gate's cost
         self._share: Dict[int, int] = {}
@@ -394,15 +352,16 @@ class MappingEngine:
     # ------------------------------------------------------------------
     # combination
     # ------------------------------------------------------------------
-    def _combine_into(self, items) -> List[int]:
-        """Fill every item's table; return per-item candidate counts.
+    def _combine_into(self, items):
+        """Build every item's table; return the tables and per-item
+        candidate counts.
 
-        ``items`` are ``(table, is_or, view_a, view_b)`` nodes of one
-        kernel batch.  Delegates to the run's configured DP kernel (see
+        ``items`` are ``(is_or, view_a, view_b)`` nodes of one kernel
+        batch.  Delegates to the run's configured DP kernel (see
         ``mapping/kernel.py``); kept as an engine method so profiles of
         any kernel still show one frame covering the combine step.
         """
-        return self.kernel.combine_many(items)
+        return self.kernel.combine_many(self.arena, items)
 
     # ------------------------------------------------------------------
     # the DP, one topological level at a time
@@ -525,10 +484,7 @@ class MappingEngine:
                 started = time.perf_counter()
             is_or = node.type is NodeType.OR
             chunk.append(uid)
-            items.append((TupleTable(self.model.tuple_key_metrics,
-                                     pareto=self.config.pareto,
-                                     arena=self.arena),
-                          is_or, view_a, view_b))
+            items.append((is_or, view_a, view_b))
             pairs += size
             estimate += size if is_or else size * self._series_orders
         if chunk:
@@ -538,12 +494,12 @@ class MappingEngine:
                    started: float) -> None:
         """One kernel call for a chunk of a level, then its gates."""
         stats = self.stats
-        for _, _, view_a, view_b in items:
+        for _, view_a, view_b in items:
             stats.combine_calls += len(view_a) * len(view_b)
         # The kernel timer always runs — one perf_counter pair per
         # batch, the basis for per-kernel throughput comparisons.
         combine_started = time.perf_counter()
-        created = self._combine_into(items)
+        tables, created = self._combine_into(items)
         combine_elapsed = time.perf_counter() - combine_started
         stats.combine_time_s += combine_elapsed
         if self._h_combine is not None:
@@ -554,7 +510,7 @@ class MappingEngine:
                 if (base + j) % every == 0:
                     self._h_tuples.observe(count)
         done = self._within_tuple_limit(created)
-        self._finish_nodes(uids[:done], [item[0] for item in items[:done]])
+        self._finish_nodes(uids[:done], tables[:done])
         if done < len(uids):
             self._guard_tuples()
         ended = time.perf_counter()
@@ -590,15 +546,14 @@ class MappingEngine:
                 return j
         return len(created)  # pragma: no cover - the sum crossed it
 
-    def _finish_nodes(self, uids: List[int],
-                      tables: List[TupleTable]) -> None:
+    def _finish_nodes(self, uids: List[int], tables: List[range]) -> None:
         """Finish a batch's nodes: keep their tables, form their gates.
 
         The nodes before an empty table (no feasible ``{W,H}`` tuple)
         finish; the empty one raises.
         """
         for j, table in enumerate(tables):
-            if table.stop == table.start:
+            if not table:
                 self._finish_nodes(uids[:j], tables[:j])
                 raise MappingError(
                     f"no feasible {{W,H}} tuple for node "
@@ -640,7 +595,7 @@ class MappingEngine:
     # amortized (the classical area-flow estimate) — without this the DP
     # systematically over-duplicates shared logic.
     def _form_gates_columns(self, uids: List[int],
-                            tables: List[TupleTable]) -> bool:
+                            tables: List[range]) -> bool:
         """Gate formation as one column reduction over the batch's rows.
 
         Same arithmetic, association and first-minimum choice as
@@ -685,7 +640,7 @@ class MappingEngine:
         trans = trans[best]
         disch = disch[best]
         levels = levels[best]
-        self._gates.formed.update(zip(uids, zip(
+        self._gates.update(zip(uids, zip(
             rows[best].tolist(), wcost.tolist(),
             trans.astype(np.int64).tolist(),
             disch.astype(np.int64).tolist(), levels.tolist(),
@@ -708,7 +663,7 @@ class MappingEngine:
         return True
 
     def _form_gates_scalar(self, uids: List[int],
-                           tables: List[TupleTable]) -> None:
+                           tables: List[range]) -> None:
         """Gate formation one node and one row at a time."""
         model = self.model
         policy = self.config.ground_policy
@@ -717,7 +672,7 @@ class MappingEngine:
         for uid, table in zip(uids, tables):
             best = None
             best_key = None
-            for t in arena.rows(range(table.start, table.stop)):
+            for t in arena.rows(table):
                 overhead = model.gate_overhead_cost(t.has_pi)
                 wcost = t.wcost + overhead
                 disch = t.disch
@@ -733,7 +688,7 @@ class MappingEngine:
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (t.id, wcost, trans, disch, levels, t.has_pi)
-            self._gates.formed[uid] = best
+            self._gates[uid] = best
             _, wcost, trans, disch, levels, _ = best
             share = self._share[uid]
             arena.write_rows(
@@ -786,7 +741,7 @@ class MappingEngine:
     def run_to_plan(self) -> MappingPlan:
         """:meth:`run_dp` and :meth:`plan` under one collector pause.
 
-        The engine's arena, tables, views and gate records are released
+        The engine's arena, tables, views and formed gates are released
         before the pause closes, so reference counting frees the DP heap
         inside it and the young collection that follows ``gc.enable()``
         walks only what the plan keeps.  The engine cannot plan again.
@@ -812,7 +767,7 @@ class MappingEngine:
                            cost_model=self.model, stats=self.stats,
                            kernel=self.kernel.active)
         plan.inputs = [network.node(uid).label for uid in network.pis]
-
+        selected = set()
         for po in network.pos:
             driver = network.node(network.node(po).fanins[0])
             if driver.type is NodeType.PI:
@@ -822,7 +777,7 @@ class MappingEngine:
                 plan.outputs.append((network.node(po).label, "const",
                                      driver.type is NodeType.CONST1))
             elif driver.type in (NodeType.AND, NodeType.OR):
-                self._select_gates(driver.uid, plan)
+                self._select_gates(driver.uid, plan, selected)
                 plan.outputs.append((network.node(po).label, "signal",
                                      f"g{driver.uid}"))
             else:
@@ -831,30 +786,30 @@ class MappingEngine:
                     f"node type {driver.type.value}")
         return plan
 
-    def _select_gates(self, root: int, plan: MappingPlan) -> None:
-        """Select gate ``root`` and, depth-first, every gate it reads.
+    def _select_gates(self, root: int, plan: MappingPlan,
+                      selected: set) -> None:
+        """Select gate ``root`` and, depth-first, every gate it reads
+        that is not yet in ``selected`` (the gates already planned).
 
         Each gate is planned from its formed row: the structure rebuilt
-        from provenance and the row's ``has_pi`` column as recorded at
+        from provenance, with the level and ``has_pi`` recorded at
         formation.  An explicit stack, with each gate's references
         pushed in reverse, visits gates in the pre-order a recursive
         walk would (the digest hashes gates in that order) on circuits
         of any gate depth.
         """
-        gates = self._gates
-        formed = gates.formed
+        formed = self._gates
         structure_of = self.arena.structure
-        records = plan.gate_records
         planned = plan.gates
         stack = [root]
         while stack:
             uid = stack.pop()
-            if uid in records:
+            if uid in selected:
                 continue
-            record = records[uid] = gates[uid]
-            structure = structure_of(formed[uid][0])
-            planned.append(PlannedGate(uid, structure, record.levels,
-                                       record.footed))
+            selected.add(uid)
+            row, _, _, _, levels, has_pi = formed[uid]
+            structure = structure_of(row)
+            planned.append(PlannedGate(uid, structure, levels, has_pi))
             refs = gate_leaf_refs(structure)
             refs.reverse()
             stack.extend(refs)
@@ -905,8 +860,7 @@ def materialize_plan(plan: MappingPlan) -> MappingResult:
         circuit=circuit,
         config=plan.config,
         cost_model=plan.cost_model,
-        gate_records=dict(plan.gate_records),
         stats=plan.stats,
-        kernel=getattr(plan, "kernel", "reference"),
+        kernel=plan.kernel,
     )
 

@@ -5,10 +5,11 @@ kernels, named by :attr:`MapperConfig.kernel`; :data:`KERNELS` maps
 each name to its factory and is the one list every config, CLI and
 service check validates against:
 
-* ``"reference"`` — the scalar Python kernel (this module), a literal
-  transcription of :meth:`TupleTable.insert` that prices and
-  bound-checks each candidate before allocating it.  It is the oracle:
-  every other kernel must reproduce its tables bit-for-bit.
+* ``"reference"`` — the scalar Python kernel (this module), which
+  prices and bound-checks each candidate before allocating it.  Its
+  :meth:`ReferenceKernel._combine_node` is the specification of the
+  DP's keep/evict rule, and the kernel is the oracle: every other
+  kernel must reproduce its tables bit-for-bit.
 * ``"soa"`` — the structure-of-arrays numpy kernel
   (:mod:`repro.mapping.soa`): candidate generation and dominance
   filtering as broadcasted column arithmetic over a whole batch of
@@ -22,17 +23,18 @@ service check validates against:
   ``stats.auto_routed_soa`` / ``stats.auto_routed_reference`` and the
   report kernel block.
 
-The kernel contract: a kernel fills *empty* tables (the engine builds
-every table fresh) with exactly the reference's slots — slot insertion
-order included, since gate formation takes the first minimum in
-slot order — and reproduces
+The kernel contract: a kernel builds every node's table afresh, with
+exactly the reference's slots — slot insertion order included, since
+gate formation takes the first minimum in slot order — and reproduces
 its ``tuples_created``/``tuples_pruned`` counters, so runs mixing
-kernels stay bit-identical.  Operand views are ranges of rows in the
-tables' :class:`~repro.mapping.tuples.Arena`; a kernel fills a table by
-writing its rows there, in slot order, followed by one row reserved for
-the node's formed-gate leaf, and setting the table's ``start``/``stop``
-(DESIGN.md §17).  The dual-kernel digest sweep and the fuzzed
-slot-for-slot harness in ``tests/mapping`` are the parity witnesses.
+kernels stay bit-identical.  Tuples are rows of the run's
+:class:`~repro.mapping.tuples.Arena`, which each call is handed;
+operand views are ranges of its rows.  A kernel writes a node's table
+as rows in slot order, followed by one row reserved for the node's
+formed-gate leaf, and returns the table as its row range (DESIGN.md
+§17).  The dual-kernel digest sweep, the fuzzed slot-for-slot harness
+and the rule's worked cases in ``tests/mapping`` are the parity
+witnesses.
 
 A kernel is bound to one :class:`~repro.mapping.engine.MappingEngine`
 run via :meth:`KernelProtocol.build`.  The engine walks the network one
@@ -57,7 +59,11 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch
 from ..errors import MappingError
 from ..pipeline.metrics import MappingStats
 from .cost import CostModel
-from .tuples import KEY, OP_LEAF, OP_PAR, OP_SER, Row, TupleTable
+from .tuples import KEY, OP_LEAF, OP_PAR, OP_SER, Arena, Row
+
+#: Entries a pareto slot keeps at most (the front cap of every table);
+#: each kernel binds it when it is built.
+MAX_FRONT = 4
 
 #: Minimum candidate pairs (``len(view_a) * len(view_b)`` summed over a
 #: batch's nodes) for the auto kernel to route a batch to the soa
@@ -65,9 +71,9 @@ from .tuples import KEY, OP_LEAF, OP_PAR, OP_SER, Row, TupleTable
 #: cost beats the fixed numpy dispatch overhead (DESIGN.md §12).
 AUTO_THRESHOLD = 64
 
-#: One node of a kernel batch: ``(table, is_or, view_a, view_b)``, the
-#: views being ranges of arena row ids in the table's arena.
-BatchItem = Tuple[TupleTable, bool, range, range]
+#: One node of a kernel batch: ``(is_or, view_a, view_b)``, the views
+#: being ranges of arena row ids.
+BatchItem = Tuple[bool, range, range]
 
 
 def key_vectorizable(model: CostModel) -> bool:
@@ -117,14 +123,18 @@ class KernelProtocol(Protocol):
         freed by reference counting (DESIGN.md §15).
         """
 
-    def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
-        """Fill every item's empty table; return each item's candidates.
+    def combine_many(self, arena: Arena, items: Sequence[BatchItem]
+                     ) -> Tuple[List[range], List[int]]:
+        """Build every item's table in ``arena``; return the tables and
+        each item's candidates.
 
         ``items`` are independent nodes (one topological level, or a
         chunk of one).  Every table must end up exactly as the reference
-        kernel fills it, with the same aggregate counters.  The returned
-        list holds each item's contribution to ``tuples_created``, in
-        item order (the engine's per-node histogram samples it).
+        kernel builds it, with the same aggregate counters.  Both lists
+        are in item order: each item's table (its row range, the gate
+        row at its ``stop``) and its contribution to
+        ``tuples_created`` (the engine's per-node histogram samples
+        it).  A kernel keeps no reference to ``arena``.
         """
 
     def finalize(self) -> None:
@@ -172,10 +182,11 @@ class ReferenceKernel:
     Bit-identity with the eager seed kernel is load-bearing and rests
     on three invariants: (1) feasible pairs are visited in exactly the
     original view order (the pre-filtered lists preserve relative
-    order), (2) the keep/evict decisions are literal transcriptions of
-    :meth:`TupleTable.insert`, and (3) a slot list is only created when
-    its first candidate arrives, so slot insertion order — where gate
-    formation takes its first minimum — is unchanged.
+    order), (2) each candidate meets the keep/evict rule stated on
+    :meth:`_combine_node` against its slot as it stands, and (3) a slot
+    list is only created when its first candidate arrives, so slot
+    insertion order — where gate formation takes its first minimum — is
+    unchanged.
     """
 
     name = "reference"
@@ -186,14 +197,13 @@ class ReferenceKernel:
         self._metric = engine.model.tuple_key_metrics
         self._discharge = engine.model.discharge_cost()
         self._stats = engine.stats
+        self._max_front = MAX_FRONT
 
     def finalize(self) -> None:
         pass
 
-    def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
-        if not items:
-            return []
-        arena = items[0][0].arena
+    def combine_many(self, arena: Arena, items: Sequence[BatchItem]
+                     ) -> Tuple[List[range], List[int]]:
         read = {}
 
         def rows(view):
@@ -204,21 +214,19 @@ class ReferenceKernel:
 
         created = []
         fills = []
-        for table, is_or, view_a, view_b in items:
+        for is_or, view_a, view_b in items:
             slots = {}
-            created.append(self._combine_node(table, is_or, rows(view_a),
+            created.append(self._combine_node(is_or, rows(view_a),
                                               rows(view_b), slots))
-            fills.append((table, [e for slot in slots.values()
-                                  for e in slot]))
+            fills.append([e for slot in slots.values() for e in slot])
         # One write for the batch: each table's rows in slot order, then
         # the row reserved for its gate.
-        base = arena.reserve(sum(len(entries) + 1 for _, entries in fills))
-        fields, keys, prov = [], [], []
+        base = arena.reserve(sum(len(entries) + 1 for entries in fills))
+        tables, fields, keys, prov = [], [], [], []
         row = base
-        for table, entries in fills:
-            table.start = row
-            table.stop = row = row + len(entries)
-            row += 1
+        for entries in fills:
+            tables.append(range(row, row + len(entries)))
+            row += len(entries) + 1
             for key, cand in entries:
                 fields.append(cand[:KEY])
                 keys.append(key)
@@ -227,11 +235,41 @@ class ReferenceKernel:
             keys.append(_GATE_ROW[1])
             prov.append(_GATE_ROW[2])
         arena.write_rows(base, fields, keys, prov)
-        return created
+        return tables, created
 
-    def _combine_node(self, table: TupleTable, is_or: bool,
-                      view_a: List[Row], view_b: List[Row],
-                      slots: dict) -> int:
+    def _combine_node(self, is_or: bool, view_a: List[Row],
+                      view_b: List[Row], slots: dict) -> int:
+        """Combine one node's fanin views into ``slots``; its candidates.
+
+        This is the specification of the DP's keep/evict rule.  Every
+        feasible pair of ``view_a`` x ``view_b`` (in that order, a-major)
+        makes one candidate — two under exhaustive series ordering, one
+        per stacking order — priced by its selection key
+        ``key = tuple_key_metrics(wcost, levels)`` and offered to the
+        slot of its shape ``(W, H)``; ``slots`` maps each shape to its
+        ``[(key, candidate), ...]`` list, created when its first
+        candidate arrives.  A later candidate meets the slot as it
+        stands:
+
+        * **single mode** (``config.pareto`` false): the slot keeps one
+          entry, and the candidate replaces it only when its
+          ``(key, p_dis)`` is strictly less — ties keep the incumbent;
+        * **pareto mode**: the candidate is *dominated*, and dropped,
+          when some entry ``e`` has ``e.key <= key``, ``e.p_dis <=
+          p_dis``, ``e.p_tail <= p_tail`` and (``e.par_b`` false or the
+          candidate's ``par_b`` true).  Dominance covers every field that
+          can sway a later combination: a series-ending tuple is never
+          worse than a parallel-ending one, since stacking below a
+          parallel-ending top commits its tail plus the junction.
+          Otherwise the candidate evicts every entry it dominates by the
+          same test, is appended, and a slot longer than
+          :data:`MAX_FRONT` is stable-sorted by ``(key, p_dis)`` and cut
+          back to the cap.
+
+        A dropped candidate counts as pruned; every candidate counts as
+        created.  The OR branch writes the pareto tests with the
+        candidate's ``par_b`` true and ``p_tail == p_dis`` folded in.
+        """
         config = self._config
         w_max = config.w_max
         h_max = config.h_max
@@ -244,7 +282,7 @@ class ReferenceKernel:
         metric = self._metric
         discharge = self._discharge
         slots_get = slots.get
-        max_front = table.max_front
+        max_front = self._max_front
         created = 0
         pruned = 0
         if is_or:
@@ -298,7 +336,7 @@ class ReferenceKernel:
                         continue
                     # Pareto front; the candidate has par_b True and
                     # p_tail == p_dis, which simplifies both dominance
-                    # directions of TupleTable.insert.
+                    # directions of the rule.
                     dominated = False
                     for kept_key, kept in slot:
                         if (kept_key <= key and kept.p_dis <= p_dis
@@ -470,13 +508,13 @@ class AutoKernel:
         self._reference.build(engine)
         self._soa.build(engine)
 
-    def combine_many(self, items) -> List[int]:
-        pairs = sum(len(a) * len(b) for _, _, a, b in items)
+    def combine_many(self, arena, items):
+        pairs = sum(len(a) * len(b) for _, a, b in items)
         if pairs >= AUTO_THRESHOLD:
             self._stats.auto_routed_soa += len(items)
-            return self._soa.combine_many(items)
+            return self._soa.combine_many(arena, items)
         self._stats.auto_routed_reference += len(items)
-        return self._reference.combine_many(items)
+        return self._reference.combine_many(arena, items)
 
     def finalize(self) -> None:
         self._reference.finalize()

@@ -52,7 +52,8 @@ and it holds per node, whatever else shares the batch:
   (fanout amortization divides ``wcost`` by the fanout in the area-flow
   seed), so narrower key images would rarely apply; DESIGN.md §12
   gives the per-workload path count.
-* PBE pareto mode: the bounded front (``max_front`` truncation) is a
+* PBE pareto mode: the bounded front (truncation at the
+  :data:`~repro.mapping.kernel.MAX_FRONT` cap) is a
   sequential recurrence — dropping a tuple can resurrect one it would
   have dominated, so candidates cannot be reduced independently — but
   it is sequential only *within* a slot, and between two changes to a
@@ -62,12 +63,12 @@ and it holds per node, whatever else shares the batch:
   front, takes the prefix before the first membership change in bulk,
   and applies that one change exactly.  A candidate is *rejected* when
   a live entry dominates it; it is *append-then-truncate* when it is
-  not dominated, the front holds ``max_front`` entries, and its
+  not dominated, the front is full (``MAX_FRONT`` entries), and its
   ``(key rank, p_dis)`` is strictly above the front's maximum — it
   then dominates no entry, and the reference appends it, stable-sorts
   by ``(key, p_dis)`` and cuts it again, so its only effect is that
   re-sort.  Anything else, ties with the maximum included, goes to the
-  exact step.  Fronts live in a ``(max_front + 1, slots)`` array of packed
+  exact step.  Fronts live in a ``(MAX_FRONT + 1, slots)`` array of packed
   int64 words carrying the dominance fields as guarded bit fields —
   dense batch-wide key rank (ranks preserve every ``<=`` the dominance
   test asks while making fractional keys exact small ints), ``p_dis``,
@@ -86,8 +87,8 @@ and it holds per node, whatever else shares the batch:
   pairs (candidates arrive node-major, so one stable sort by shape
   keeps each pair contiguous), and all of them share one front-state
   array, one key rank and one loop.  A batch whose fields overflow one
-  packed word (far beyond any feasible structure), or whose tables'
-  front caps differ, goes whole to the reference kernel.
+  packed word (far beyond any feasible structure) goes whole to the
+  reference kernel.
 * Slot dict order is the shapes' first-candidate order, matching the
   reference's create-on-first-arrival — load-bearing because gate
   formation takes the first minimum in slot-insertion order.  Each node's
@@ -95,8 +96,8 @@ and it holds per node, whatever else shares the batch:
   winners by first arrival is node-major, and both reducers write each
   node's rows contiguously, followed by the row reserved for its gate.
 
-Every table enters empty, as the kernel contract in
-:mod:`repro.mapping.kernel` guarantees, so each reducer builds its slots
+Every table is built afresh, as the kernel contract in
+:mod:`repro.mapping.kernel` states, so each reducer builds its slots
 anew.  Stats parity: ``tuples_created``/``tuples_pruned`` are reproduced
 exactly, so the auto kernel can mix both kernels within one run without
 observable drift.
@@ -104,10 +105,11 @@ observable drift.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from . import kernel as _kernel
 from .kernel import BatchItem, ReferenceKernel
 from .tuples import (DI as _DI, EP as _EP, H as _H, HP as _HP, KEY as _KEY,
                      LV as _LV, NCOL, OP_PAR, OP_SER, PB as _PB, PD as _PD,
@@ -193,6 +195,7 @@ class SoAKernel:
         # comparison sort, so it is worth gating on.
         self._i16 = self._nshape < 32000
         self._metric = engine.model.tuple_key_metrics
+        self._max_front = _kernel.MAX_FRONT
         self._exact = ReferenceKernel()
         self._exact.build(engine)
 
@@ -202,8 +205,10 @@ class SoAKernel:
     # ------------------------------------------------------------------
     # the combine step
     # ------------------------------------------------------------------
-    def combine_many(self, items: Sequence[BatchItem]) -> List[int]:
-        """Fill every item's table; return per-item candidate counts.
+    def combine_many(self, arena, items: Sequence[BatchItem]
+                     ) -> Tuple[List[range], List[int]]:
+        """Build every item's table; return the tables and per-item
+        candidate counts.
 
         The whole batch is one generation, one reduction (the sort of
         single mode, or the change-point pass over every PBE pareto
@@ -212,31 +217,35 @@ class SoAKernel:
         # OR nodes first, so one split point separates the two
         # generation formulas; node order is otherwise free, since the
         # nodes of a batch are independent.
-        order = sorted(range(len(items)), key=lambda j: not items[j][1])
-        counts = self._combine_fresh([items[j] for j in order])
+        order = sorted(range(len(items)), key=lambda j: not items[j][0])
+        built, counts = self._combine_fresh(arena,
+                                            [items[j] for j in order])
+        tables = [None] * len(items)
         created = [0] * len(items)
-        for j, count in zip(order, counts):
+        for j, table, count in zip(order, built, counts):
+            tables[j] = table
             created[j] = count
-        return created
+        return tables, created
 
-    def _combine_fresh(self, items) -> List[int]:
-        batch = self._generate(items)
+    def _combine_fresh(self, arena, items):
+        batch = self._generate(arena, items)
         self._record(batch)
+        k = len(items)
         if batch is None:
-            return [0] * len(items)
-        tables = [item[0] for item in items]
+            return [range(0)] * k, [0] * k
         if self._pareto and self._pbe:
-            pruned = self._reduce_pareto(tables, batch)
-            if pruned is None:
+            reduced = self._reduce_pareto(batch)
+            if reduced is None:
                 # The change-point pass cannot take this batch (fields
-                # too wide for its packed words, or mixed front caps):
-                # the reference kernel fills the tables (and counts)
-                # instead.
-                return self._exact.combine_many(items)
+                # too wide for its packed words): the reference kernel
+                # builds the tables (and counts) instead.
+                return self._exact.combine_many(arena, items)
         else:
-            pruned = self._reduce_single(tables, batch)
+            reduced = self._reduce_single(batch)
+        winners, pruned = reduced
         self._count(batch["n"], pruned)
-        return np.bincount(batch["node"], minlength=len(items)).tolist()
+        return (self._write(arena, k, batch, winners),
+                np.bincount(batch["node"], minlength=k).tolist())
 
     def _record(self, batch) -> None:
         stats = self._stats
@@ -256,7 +265,7 @@ class SoAKernel:
     # ------------------------------------------------------------------
     # candidate generation (selection columns only)
     # ------------------------------------------------------------------
-    def _generate(self, items):
+    def _generate(self, arena, items):
         """The candidate columns of a batch of nodes, OR nodes first.
 
         Pairs are enumerated ragged and row-major over the views' rows
@@ -266,13 +275,12 @@ class SoAKernel:
         arena rows), ``node`` is each candidate's item index, and the
         OR candidates come first (``n_or`` of them).
         """
-        views_a = [item[2] for item in items]
-        views_b = [item[3] for item in items]
+        views_a = [item[1] for item in items]
+        views_b = [item[2] for item in items]
         k = len(items)
-        k_or = sum(1 for item in items if item[1])
+        k_or = sum(1 for item in items if item[0])
         na = np.fromiter(map(len, views_a), dtype=np.int64, count=k)
         nb = np.fromiter(map(len, views_b), dtype=np.int64, count=k)
-        arena = items[0][0].arena
         ids_a = _view_ids(views_a, na)
         ids_b = _view_ids(views_b, nb)
         A = arena.gather(ids_a)
@@ -329,7 +337,7 @@ class SoAKernel:
         cols["key"] = self._metric(cols["wcost"], cols["levels"])
         node_of_row = np.repeat(
             np.arange(k, dtype=np.int16 if k < 32768 else np.int64), na)
-        cols.update(n=n, n_or=n_or, node=node_of_row[cols["pair_a"]],
+        cols.update(n=n, n_or=n_or, k=k, node=node_of_row[cols["pair_a"]],
                     A=A, B=B, ids_a=ids_a, ids_b=ids_b)
         return cols
 
@@ -473,14 +481,15 @@ class SoAKernel:
     # ------------------------------------------------------------------
     # the two reducers
     # ------------------------------------------------------------------
-    def _reduce_single(self, tables, batch) -> int:
+    def _reduce_single(self, batch):
         """Single-mode selection: one stable sort, first element per slot.
 
         Stable lexsort: primary node, then shape, then (key, p_dis),
         ties in arrival order — the first element of each (node, shape)
         group is the first occurrence of the lexicographic minimum,
         exactly the incumbent the reference's strict-< replacement ends
-        up with.  Returns the pruned count.
+        up with.  Returns the winners (node-major, each node's in slot
+        order) and the pruned count.
         """
         n = batch["n"]
         sid = batch["sid"]
@@ -493,7 +502,7 @@ class SoAKernel:
         cols = (_key_cols(key) if self._i16 else (key,)) + (sid_s,)
         if pd_s is not None:
             cols = (pd_s,) + cols
-        if len(tables) > 1:
+        if batch["k"] > 1:
             cols += (node,)
         order = np.lexsort(cols)
         grp_o = (node.astype(np.int64) * self._nshape + sid)[order]
@@ -517,41 +526,35 @@ class SoAKernel:
         # minimum of the arrival index), which is node-major because
         # each node's candidates are one contiguous arrival range.
         first_arrival = np.minimum.reduceat(order, starts)
-        self._write(tables, batch,
-                    order[starts][np.argsort(first_arrival, kind="stable")])
-        return n - accepts
+        return (order[starts][np.argsort(first_arrival, kind="stable")],
+                n - accepts)
 
-    def _write(self, tables, batch, winners) -> None:
+    def _write(self, arena, k: int, batch, winners) -> List[range]:
         """Write the batch positions ``winners`` as one arena block.
 
         ``winners`` is node-major, each node's rows in slot order; each
         node's rows are followed by its gate row, so winner j of node t
-        lands t rows further than its rank.
+        lands t rows further than its rank.  Returns the ``k`` nodes'
+        tables.
         """
         wnode = batch["node"][winners]
-        k = len(tables)
         counts = np.bincount(wnode, minlength=k)
-        arena = tables[0].arena
         base = arena.reserve(winners.size + k)
         arena.write(base + np.arange(winners.size) + wnode,
                     *self._winner_rows(batch, winners))
         firsts = base + np.cumsum(counts) - counts + np.arange(k)
-        for table, first, count in zip(tables, firsts.tolist(),
-                                       counts.tolist()):
-            table.start = first
-            table.stop = first + count
+        return [range(first, first + count)
+                for first, count in zip(firsts.tolist(), counts.tolist())]
 
-    def _reduce_pareto(self, tables, batch) -> Optional[int]:
-        """The change-point reducer for a batch; returns the pruned count.
+    def _reduce_pareto(self, batch):
+        """The change-point reducer for a batch.
 
         Every ``(node, shape)`` slot of the batch runs through one
-        front-state array.  ``None`` (tables untouched) when the
-        batch's dominance fields do not fit one packed int64 word, or
-        its tables' front caps differ.
+        front-state array.  Returns the winners (node-major, each
+        node's in slot order) and the pruned count, or ``None`` when the
+        batch's dominance fields do not fit one packed int64 word.
         """
-        max_front = tables[0].max_front
-        if any(table.max_front != max_front for table in tables):
-            return None
+        max_front = self._max_front
         n = batch["n"]
         key = batch["key"]
         p_dis = batch["p_dis"]
@@ -754,8 +757,7 @@ class SoAKernel:
         pos_of[slot_rank] = np.arange(G)
         fr_, rw = np.nonzero(PF_out != HUGE)
         srt = np.lexsort((PF_out[fr_, rw] & SM, pos_of[rw]))
-        self._write(tables, batch, FI_out[fr_, rw][srt].astype(np.int64))
-        return pruned
+        return FI_out[fr_, rw][srt].astype(np.int64), pruned
 
 
 def _view_ids(views: Sequence[range], counts) -> np.ndarray:

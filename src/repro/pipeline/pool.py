@@ -141,10 +141,6 @@ class WorkerPool:
         self.rebuilds = 0
         #: completed :meth:`run_tasks` calls
         self.runs = 0
-        #: rebuilds consumed by the most recent run alone
-        self.last_run_rebuilds = 0
-        #: tasks the most recent run handed back unfinished
-        self.last_run_unfinished = 0
         #: runs in a row that rebuilt or left work unfinished — the
         #: service circuit breaker's pool-health signal
         self.consecutive_degraded_runs = 0
@@ -384,9 +380,9 @@ class WorkerPool:
                 # for clean completions only
                 self._discard()
             self.runs += 1
-            self.last_run_rebuilds = self.rebuilds - rebuilds_before
-            self.last_run_unfinished = len(tasks) - len(results)
-            if self.last_run_rebuilds or self.last_run_unfinished:
+            rebuilt = self.rebuilds - rebuilds_before
+            unfinished = len(tasks) - len(results)
+            if rebuilt or unfinished:
                 self.consecutive_degraded_runs += 1
             else:
                 self.consecutive_degraded_runs = 0

@@ -1,60 +1,50 @@
 """Column tables: the DP's tuples live as arena rows.
 
 A mapping run keeps every sub-solution as one row of its arena, and
-neither the DP nor plan selection builds a :class:`MapTuple`: the plan
-reads each selected gate's structure and columns from its formed row.
-These tests pin that, and the arena mechanics the engine and
-both kernels rely on: rows survive growth, a table is a contiguous row
-range followed by its gate row, and structures rebuild from provenance
-exactly as an eager combination would have built them.
+materializes a row (rebuilds its pulldown structure) only for the gates
+plan selection picks: the plan reads each selected gate's structure and
+columns from its formed row.  These tests pin that, and the arena
+mechanics the engine and both kernels rely on: rows survive growth, a
+table is a contiguous row range followed by its gate row, and
+structures rebuild from provenance exactly as an eager combination
+would have built them.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench_suite import load_circuit
 from repro.domino import Leaf, parallel, series
-from repro.mapping import (CostModel, MapperConfig, MappingEngine, MapTuple,
-                           TupleTable, flow_config, prepare_network)
+from repro.mapping import (CostModel, MapperConfig, MappingEngine,
+                           flow_config, prepare_network)
+from repro.mapping.kernel import ReferenceKernel
 from repro.mapping.tuples import OP_GATE, OP_PAR, OP_SER, Arena
+from repro.pipeline import MappingStats
+from tests.mapping.rows import append_rows, fields, slots
 
 np = pytest.importorskip("numpy")
 
 
-def _leaf_tuple(name, wcost=1.0, p_dis=0):
-    return MapTuple(width=1, height=1, wcost=wcost, trans=1, disch=0,
-                    levels=0, p_dis=p_dis, par_b=False, has_pi=True,
-                    structure=Leaf(name))
-
-
 @pytest.mark.parametrize("flow", ["domino", "rs", "soi"])
-def test_map_tuples_are_built_only_for_selected_gates(monkeypatch, flow):
-    """No MapTuple during the DP, and none during plan selection.
+def test_map_tuples_are_built_only_for_selected_gates(flow):
+    """No structure during the DP; plan selection rebuilds its gates'.
 
-    The soa kernel writes rows and the engine forms gates from columns,
-    so ``run_dp()`` builds no MapTuple at all; ``plan()`` takes each
-    selected gate's structure from provenance and its ``has_pi`` from
-    the formed row, so it builds none either.
+    The DP combines rows, and only the primary inputs carry an eager
+    structure.  ``plan()`` takes each selected gate's structure from
+    provenance and its ``has_pi`` from the formed row.
     """
-    built = []
-    init = MapTuple.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(MapTuple, "__init__", counting)
     network, _ = prepare_network(load_circuit("count"))
     config = flow_config(flow, MapperConfig(kernel="soa"))
     engine = MappingEngine(network, CostModel(), config)
     engine.run_dp()
-    assert built == []
+    assert len(engine.arena._structs) == len(network.pis)
     plan = engine.plan()
-    assert built == []
     assert plan.gates
     for planned in plan.gates:
-        row = engine._gates.formed[planned.node_id][0]
+        row = engine._gates[planned.node_id][0]
         assert planned.structure is engine.arena.structure(row)
         assert planned.has_pi == (engine.arena.rows(
             range(row, row + 1))[0].has_pi)
@@ -62,26 +52,28 @@ def test_map_tuples_are_built_only_for_selected_gates(monkeypatch, flow):
 
 def test_rows_survive_growth_and_read_back_typed():
     arena = Arena(2)
-    tuples = [_leaf_tuple(f"x{i}", wcost=i / 7.0, p_dis=i % 3)
-              for i in range(11)]
-    ids = arena.append_tuples(tuples, keys=[t.wcost for t in tuples])
+    rows = [fields(wcost=i / 7.0, p_dis=i % 3) for i in range(11)]
+    leaves = [Leaf(f"x{i}") for i in range(11)]
+    ids = append_rows(arena, rows, keys=[r[2] for r in rows],
+                      structures=leaves)
     assert ids == range(0, 11) and len(arena) == 11
-    for t, row in zip(tuples, arena.rows(ids)):
+    for written, leaf, row in zip(rows, leaves, arena.rows(ids)):
         assert (row.width, row.height, row.wcost, row.p_dis, row.has_pi,
-                row.par_b) == (1, 1, t.wcost, t.p_dis, True, False)
+                row.par_b) == (1, 1, written[2], written[4], True, False)
         assert type(row.width) is int and type(row.has_pi) is bool
-        assert arena.key(row.id) == t.wcost
-        assert arena.structure(row.id) is t.structure
+        assert arena.key(row.id) == written[2]
+        assert arena.structure(row.id) is leaf
     assert np.array_equal(arena.gather(np.arange(11))[:, 2],
-                          [t.wcost for t in tuples])
+                          [r[2] for r in rows])
 
 
 def test_structures_rebuild_from_provenance_and_memoize():
     arena = Arena()
-    a, b, c = arena.append_tuples([_leaf_tuple(x) for x in "abc"])
+    a, b, c = append_rows(arena, [fields()] * 3,
+                          structures=[Leaf(x) for x in "abc"])
     base = arena.reserve(3)
-    fields = (1, 2, 2.0, 0, 1, 0, False, False, 2, 0, True)
-    arena.write_rows(base, [fields] * 3, [2.0] * 3,
+    row = (1, 2, 2.0, 0, 1, 0, False, False, 2, 0, True)
+    arena.write_rows(base, [row] * 3, [2.0] * 3,
                      [(OP_PAR, a, b), (OP_SER, base, c), (OP_GATE, 7, -1)])
     built = arena.structure(base + 1)
     expected = series(parallel(Leaf("a"), Leaf("b")), Leaf("c"))
@@ -94,23 +86,28 @@ def test_structures_rebuild_from_provenance_and_memoize():
 
 
 def test_a_table_is_a_row_range_followed_by_its_gate_row():
-    arena = Arena()
-    arena.append_tuples([_leaf_tuple("pi")])
-    slots = [((1, 1), [_leaf_tuple("a", 2.0), _leaf_tuple("b", 3.0, 1)]),
-             ((2, 1), [MapTuple(width=2, height=1, wcost=4.0, trans=2,
-                                disch=0, levels=0, p_dis=0, par_b=True,
-                                has_pi=True,
-                                structure=parallel(Leaf("a"), Leaf("b")))])]
-    table = TupleTable(lambda wcost, levels: wcost, pareto=True, arena=arena)
-    table._load([(t.wcost, t) for _, ts in slots for t in ts])
-    assert (table.start, table.stop, len(arena)) == (1, 4, 5)
-    assert [(shape, [t.wcost for _, t in entries])
-            for shape, entries in table.keyed_slots()] \
-        == [((1, 1), [2.0, 3.0]), ((2, 1), [4.0])]
-    assert [k for _, entries in table.keyed_slots() for k, _ in entries] \
-        == [2.0, 3.0, 4.0]
-    assert table.best().wcost == 2.0
-    assert table.shapes() == [(1, 1), (2, 1)]
+    from repro.mapping.soa import SoAKernel
+
+    for kernel in (ReferenceKernel(), SoAKernel()):
+        kernel.build(SimpleNamespace(config=MapperConfig(w_max=4, h_max=4),
+                                     model=CostModel(),
+                                     stats=MappingStats()))
+        arena = Arena()
+        append_rows(arena, [fields()])
+        tops = append_rows(arena, [fields(wcost=2.0),
+                                   fields(height=2, wcost=3.0, trans=2)])
+        bottom = append_rows(arena, [fields(wcost=1.0)])
+        [table], [created] = kernel.combine_many(arena,
+                                                 [(True, tops, bottom)])
+        # an OR node: each top beside the bottom, one slot per shape,
+        # and the row after the table reserved for the node's gate
+        assert created == 2
+        assert (table.start, table.stop, len(arena)) == (4, 6, 7)
+        assert [(shape, [e[0] for e in entries])
+                for shape, entries in slots(arena, table)] \
+            == [((2, 1), [3.0]), ((2, 2), [4.0])]
+        assert arena._p[3 * table.start:3 * table.stop].tolist() \
+            == [OP_PAR, 1, 3, OP_PAR, 2, 3]
 
 
 @pytest.mark.parametrize("kernel", ["reference", "soa"])

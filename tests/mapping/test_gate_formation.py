@@ -17,11 +17,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.domino import Leaf
 from repro.mapping import (ClockWeightedCost, CostModel, DepthCost,
-                           MapperConfig, MappingEngine, MapTuple, TupleTable)
+                           MapperConfig, MappingEngine)
 from repro.mapping.engine import GROUND_POLICIES
 from repro.network import network_from_expression
+from tests.mapping.rows import append_rows, fields
 
 
 # ---------------------------------------------------------------------------
@@ -102,45 +102,44 @@ _BATCH = st.lists(st.tuples(_TABLE, st.integers(0, 4)), min_size=1,
                   max_size=6)
 
 
-def _tuple(row, shape, idx):
+def _fields(row, shape):
     width, height = shape
-    return MapTuple(width=width, height=height, wcost=row["wcost"],
-                    trans=row["trans"], disch=row["disch"],
-                    levels=row["levels"], p_dis=row["p_dis"],
-                    par_b=row["par_b"], has_pi=row["has_pi"],
-                    p_tail=min(row["p_dis"], 1), ends_par=row["par_b"],
-                    structure=Leaf(f"x{idx}"))
+    return fields(width=width, height=height, wcost=row["wcost"],
+                  trans=row["trans"], disch=row["disch"],
+                  levels=row["levels"], p_dis=row["p_dis"],
+                  par_b=row["par_b"], has_pi=row["has_pi"],
+                  p_tail=min(row["p_dis"], 1))
 
 
 def _form(model, config, batch):
     """Finish ``batch``'s nodes in an engine; what each path produced."""
     engine = MappingEngine(network_from_expression("a * b"), model, config)
+    arena = engine.arena
     uids, tables, contents = [], [], []
     for j, (slots, share) in enumerate(batch):
         uid = 1000 + j
-        shaped = [(shape, [_tuple(row, shape, 10 * j + i)
-                           for i, row in enumerate(rows)])
-                  for shape, rows in zip([(1, 1), (2, 1), (1, 2), (2, 2)],
-                                         slots)]
-        table = TupleTable(model.tuple_key_metrics, pareto=True,
-                           arena=engine.arena)
-        table._load([(model.tuple_key_metrics(t.wcost, t.levels), t)
-                     for _, ts in shaped for t in ts])
+        rows = [_fields(row, shape)
+                for shape, rows in zip([(1, 1), (2, 1), (1, 2), (2, 2)],
+                                       slots)
+                for row in rows]
+        # a table is its rows in slot order, then its gate row
+        table = append_rows(arena, rows, keys=[
+            model.tuple_key_metrics(r[2], r[3]) for r in rows])
+        arena.reserve(1)
         tables.append(table)
-        contents.append([t for _, ts in shaped for t in ts])
+        contents.append(arena.rows(table))
         engine._share[uid] = share
         uids.append(uid)
     engine._finish_nodes(uids, tables)
     out = []
     for uid, table in zip(uids, tables):
-        record = engine._gates[uid]
-        row = engine._gates.formed[uid][0]
-        [gate] = engine.arena.rows(range(table.stop, table.stop + 1))
+        row, wcost, trans, disch, levels, footed = engine._gates[uid]
+        [gate] = arena.rows(range(table.stop, table.stop + 1))
         assert engine._fanin_view(uid) == (
             range(table.start, table.stop + 1) if engine._share[uid]
             else range(table.stop, table.stop + 1))
-        out.append(((row - table.start, record.wcost, record.trans,
-                     record.disch, record.levels, record.footed),
+        out.append(((row - table.start, wcost, trans, disch, levels,
+                     footed),
                     (gate.wcost, gate.trans, gate.disch, gate.levels),
                     (gate.width, gate.height, gate.p_dis, gate.p_tail,
                      gate.par_b, gate.ends_par, gate.has_pi)))

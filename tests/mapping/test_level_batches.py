@@ -25,6 +25,7 @@ from repro.mapping.kernel import (AutoKernel, KernelProtocol,  # noqa: E402
 from repro.mapping.soa import SoAKernel  # noqa: E402
 from repro.network import LogicNetwork, NodeType  # noqa: E402
 from repro.synth import decompose, sweep, unate_with_sweep  # noqa: E402
+from tests.mapping.rows import slots  # noqa: E402
 
 
 def _unate(seed: int, n_gates: int = 50):
@@ -34,11 +35,7 @@ def _unate(seed: int, n_gates: int = 50):
 
 
 def _snapshot(engine):
-    return {uid: [(shape, [(key, t.width, t.height, t.wcost, t.trans,
-                            t.disch, t.levels, t.p_dis, t.p_tail, t.par_b,
-                            t.ends_par, t.has_pi)
-                           for key, t in entries])
-                  for shape, entries in table.keyed_slots()]
+    return {uid: slots(engine.arena, table)
             for uid, table in engine._tables.items()}
 
 
@@ -167,9 +164,9 @@ def test_reference_and_soa_batches_return_the_same_per_item_counts(
     original = MappingEngine._combine_into
 
     def combine_into(self, items):
-        created = original(self, items)
+        tables, created = original(self, items)
         returned.append(created)
-        return created
+        return tables, created
 
     monkeypatch.setattr(MappingEngine, "_combine_into", combine_into)
     network = _unate(11)

@@ -25,6 +25,12 @@ def fig3():
     return net, (and1, and2, or1)
 
 
+def _rows(engine, uid, width, height):
+    """Node ``uid``'s table rows of shape ``(width, height)``."""
+    return [row for row in engine.arena.rows(engine._tables[uid])
+            if (row.width, row.height) == (width, height)]
+
+
 def _engine(net, **kwargs) -> MappingEngine:
     defaults = dict(w_max=4, h_max=4, pbe_aware=False, ordering="naive",
                     duplication=False)
@@ -37,7 +43,7 @@ class TestFigure3:
         net, (and1, _, _) = fig3
         engine = _engine(net)
         engine.run()
-        tuples = engine._tables[and1].get(1, 2)
+        tuples = _rows(engine, and1, 1, 2)
         assert len(tuples) == 1
         assert tuples[0].trans == 2
         assert tuples[0].wcost == 2
@@ -46,17 +52,17 @@ class TestFigure3:
         net, (and1, _, _) = fig3
         engine = _engine(net)
         engine.run()
-        record = engine._gates[and1]
+        _, wcost, trans, _, _, footed = engine._gates[and1]
         # 2 pulldown + p-clock + inverter(2) + keeper + n-clock = 7
-        assert record.wcost == 7
-        assert record.trans == 7
-        assert record.footed
+        assert wcost == 7
+        assert trans == 7
+        assert footed
 
     def test_or_node_flat_solution(self, fig3):
         net, (_, _, or1) = fig3
         engine = _engine(net)
         engine.run()
-        flat = engine._tables[or1].get(2, 2)
+        flat = _rows(engine, or1, 2, 2)
         assert len(flat) == 1
         assert flat[0].wcost == 4  # both AND structures absorbed
 
@@ -65,7 +71,7 @@ class TestFigure3:
         engine = _engine(net)
         engine.run()
         # combining the two formed AND gates: {W=2, H=1}, cost 16
-        formed = engine._tables[or1].get(2, 1)
+        formed = _rows(engine, or1, 2, 1)
         assert len(formed) == 1
         assert formed[0].wcost == 16
 
@@ -73,7 +79,8 @@ class TestFigure3:
         net, (_, _, or1) = fig3
         engine = _engine(net)
         result = engine.run()
-        assert engine._gates[or1].wcost == 9
+        _, wcost, _, _, _, _ = engine._gates[or1]
+        assert wcost == 9
         assert result.cost.t_total == 9
         assert result.cost.num_gates == 1
 

@@ -1,7 +1,7 @@
 """The DP's gate levels survive materialization unchanged.
 
 Every :class:`~repro.mapping.engine.PlannedGate` carries the domino
-level the DP computed for it (its ``GateRecord.levels``).
+level the DP computed for it (the level recorded at its formation).
 :func:`~repro.mapping.materialize_plan` builds the circuit from the plan
 and then re-derives each gate's level from the wiring with
 ``DominoCircuit.recompute_levels()``.  These tests pin that the two

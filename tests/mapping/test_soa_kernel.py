@@ -38,18 +38,19 @@ np = pytest.importorskip("numpy")
 
 from repro.bench_suite import load_circuit  # noqa: E402
 from repro.bench_suite.generators import random_network  # noqa: E402
-from repro.domino.structure import Leaf  # noqa: E402
 from repro.errors import MappingError  # noqa: E402
 from repro.mapping import CostModel, DepthCost, MapperConfig  # noqa: E402
 from repro.mapping import MappingEngine, map_network  # noqa: E402
 from repro.mapping import prepare_network  # noqa: E402
+from repro.mapping import kernel as kernel_module  # noqa: E402
 from repro.mapping.kernel import (AUTO_THRESHOLD, AutoKernel,  # noqa: E402
                                   ReferenceKernel, resolve_kernel)
 from repro.mapping.soa import SoAKernel, _key_cols  # noqa: E402
-from repro.mapping.tuples import Arena, MapTuple, TupleTable  # noqa: E402
+from repro.mapping.tuples import Arena  # noqa: E402
 from repro.network import network_from_expression  # noqa: E402
 from repro.pipeline import MappingStats  # noqa: E402
 from repro.synth import decompose, sweep, unate_with_sweep  # noqa: E402
+from tests.mapping.rows import append_rows, fields, slots  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +61,8 @@ def _fake_engine(config: MapperConfig, model: CostModel):
                            stats=MappingStats())
 
 
-def _random_tuple(rng: random.Random, idx: int, config: MapperConfig,
-                  fractional: bool) -> MapTuple:
+def _random_tuple(rng: random.Random, config: MapperConfig,
+                  fractional: bool) -> tuple:
     width = rng.randint(1, config.w_max)
     height = rng.randint(1, config.h_max)
     trans = rng.randint(1, width * height + 1)
@@ -73,51 +74,32 @@ def _random_tuple(rng: random.Random, idx: int, config: MapperConfig,
     par_b = rng.random() < 0.5
     p_dis = rng.randint(0, width * height)
     p_tail = rng.randint(0, p_dis) if par_b else rng.randint(0, p_dis)
-    return MapTuple(width=width, height=height, wcost=wcost,
-                    trans=trans, disch=rng.randint(0, 2),
-                    levels=rng.randint(0, 5), p_dis=p_dis,
-                    par_b=par_b, has_pi=rng.random() < 0.5,
-                    p_tail=p_tail, ends_par=par_b or rng.random() < 0.3,
-                    structure=Leaf(f"t{idx}"))
+    return fields(width=width, height=height, wcost=wcost, trans=trans,
+                  disch=rng.randint(0, 2), levels=rng.randint(0, 5),
+                  p_dis=p_dis, par_b=par_b, has_pi=rng.random() < 0.5,
+                  p_tail=p_tail, ends_par=par_b or rng.random() < 0.3)
 
 
-def _snapshot(table: TupleTable):
-    return [(shape, [(key, t.width, t.height, t.wcost, t.trans, t.disch,
-                      t.levels, t.p_dis, t.p_tail, t.par_b, t.ends_par,
-                      t.has_pi)
-                     for key, t in entries])
-            for shape, entries in table.keyed_slots()]
-
-
-def _run_both(config, model, nodes, max_front=4):
-    """Both kernels fill one table per node in one ``combine_many`` call.
+def _run_both(config, model, nodes):
+    """Both kernels build one table per node in one ``combine_many`` call.
 
     ``nodes`` are ``(view_a, view_b, is_or)`` triples.  The views'
     tuples become rows of a fresh arena per kernel, and the kernel sees
-    them as the row ranges the engine hands it.  ``max_front`` is one
-    front cap for every table, or a tuple of one cap per node.  Each
-    kernel's outcome is ``(slots per table, per-item counts,
-    counters)``.
+    them as the row ranges the engine hands it.  Each kernel's outcome
+    is ``(slots per table, per-item counts, counters)``.
     """
-    caps = (max_front if isinstance(max_front, tuple)
-            else (max_front,) * len(nodes))
     outs = []
     for make_kernel in (ReferenceKernel, SoAKernel):
         engine = _fake_engine(config, model)
         kernel = make_kernel()
         kernel.build(engine)
         arena = Arena()
-        items = []
-        for (view_a, view_b, is_or), cap in zip(nodes, caps):
-            rows_a = arena.append_tuples(view_a)
-            rows_b = arena.append_tuples(view_b)
-            items.append((TupleTable(key_fn=model.tuple_key_metrics,
-                                     pareto=config.pareto,
-                                     max_front=cap, arena=arena),
-                          is_or, rows_a, rows_b))
-        counts = kernel.combine_many(items)
+        items = [(is_or, append_rows(arena, view_a),
+                  append_rows(arena, view_b))
+                 for view_a, view_b, is_or in nodes]
+        tables, counts = kernel.combine_many(arena, items)
         kernel.finalize()
-        outs.append(([_snapshot(item[0]) for item in items], counts,
+        outs.append(([slots(arena, table) for table in tables], counts,
                      (engine.stats.tuples_created,
                       engine.stats.tuples_pruned,
                       engine.stats.bound_skips)))
@@ -137,9 +119,9 @@ def test_fuzzed_cone_tables_bit_identical(ordering, pareto, fractional):
                               h_max=rng.randint(4, 10),
                               ordering=ordering, pareto=pareto,
                               pbe_aware=True)
-        view_a = [_random_tuple(rng, i, config, fractional)
+        view_a = [_random_tuple(rng, config, fractional)
                   for i in range(rng.randint(1, 24))]
-        view_b = [_random_tuple(rng, 100 + i, config, fractional)
+        view_b = [_random_tuple(rng, config, fractional)
                   for i in range(rng.randint(1, 24))]
         for is_or in (True, False):
             ref, soa = _run_both(config, model, [(view_a, view_b, is_or)])
@@ -152,15 +134,15 @@ def test_fuzzed_tables_other_models(model):
     rng = random.Random(7)
     config = MapperConfig(w_max=6, h_max=8, ordering="exhaustive",
                           pareto=True, pbe_aware=True)
-    view_a = [_random_tuple(rng, i, config, True) for i in range(20)]
-    view_b = [_random_tuple(rng, 50 + i, config, True) for i in range(20)]
+    view_a = [_random_tuple(rng, config, True) for i in range(20)]
+    view_b = [_random_tuple(rng, config, True) for i in range(20)]
     for is_or in (True, False):
         ref, soa = _run_both(config, model, [(view_a, view_b, is_or)])
         assert soa == ref
 
 
 @pytest.mark.parametrize("max_front", [1, 2, 64])
-def test_pareto_front_bounds_bit_identical(max_front):
+def test_pareto_front_bounds_bit_identical(max_front, monkeypatch):
     """Degenerate and oversized front caps reproduce the reference.
 
     ``max_front=1`` keeps a single survivor per slot (every accept is a
@@ -170,25 +152,24 @@ def test_pareto_front_bounds_bit_identical(max_front):
     truncates at all on these view sizes, so that verdict must never
     fire and the sort-truncate path must stay a no-op.
     """
+    monkeypatch.setattr(kernel_module, "MAX_FRONT", max_front)
     model = CostModel()
     for seed in range(4):
         rng = random.Random(9000 + 31 * max_front + seed)
         config = MapperConfig(w_max=5, h_max=7, ordering="exhaustive",
                               pareto=True, pbe_aware=True)
-        view_a = [_random_tuple(rng, i, config, seed % 2 == 0)
+        view_a = [_random_tuple(rng, config, seed % 2 == 0)
                   for i in range(rng.randint(4, 20))]
-        view_b = [_random_tuple(rng, 100 + i, config, seed % 2 == 0)
+        view_b = [_random_tuple(rng, config, seed % 2 == 0)
                   for i in range(rng.randint(4, 20))]
         for is_or in (True, False):
-            ref, soa = _run_both(config, model, [(view_a, view_b, is_or)],
-                                 max_front=max_front)
+            ref, soa = _run_both(config, model, [(view_a, view_b, is_or)])
             assert soa == ref, (
                 f"divergence: max_front={max_front} seed={seed} "
                 f"is_or={is_or}")
 
 
-def _tie_heavy_tuple(rng: random.Random, idx: int,
-                     config: MapperConfig) -> MapTuple:
+def _tie_heavy_tuple(rng: random.Random, config: MapperConfig) -> tuple:
     # keys drawn from a two-value set and p_dis from a narrow band, so
     # the sort-truncate at max_front constantly lands on exact
     # (key, p_dis) ties and the arrival-order tie-break is what decides
@@ -198,17 +179,16 @@ def _tie_heavy_tuple(rng: random.Random, idx: int,
     trans = rng.choice((3, 4))
     par_b = rng.random() < 0.5
     p_dis = rng.randint(0, 2)
-    return MapTuple(width=width, height=height, wcost=float(trans),
-                    trans=trans, disch=rng.randint(0, 1),
-                    levels=rng.randint(0, 2), p_dis=p_dis,
-                    par_b=par_b, has_pi=rng.random() < 0.5,
-                    p_tail=rng.randint(0, p_dis),
-                    ends_par=par_b or rng.random() < 0.3,
-                    structure=Leaf(f"t{idx}"))
+    return fields(width=width, height=height, wcost=float(trans),
+                  trans=trans, disch=rng.randint(0, 1),
+                  levels=rng.randint(0, 2), p_dis=p_dis, par_b=par_b,
+                  has_pi=rng.random() < 0.5, p_tail=rng.randint(0, p_dis),
+                  ends_par=par_b or rng.random() < 0.3)
 
 
 @pytest.mark.parametrize("max_front", [2, 4])
-def test_pareto_exact_key_ties_at_truncation_boundary(max_front):
+def test_pareto_exact_key_ties_at_truncation_boundary(max_front,
+                                                      monkeypatch):
     """Slots full of exact (key, p_dis) duplicates truncate identically.
 
     The reference truncation is a *stable* sort on ``(key, p_dis)``
@@ -216,18 +196,18 @@ def test_pareto_exact_key_ties_at_truncation_boundary(max_front):
     by arrival order — the subtlest contract the columnwise front has
     to honor.
     """
+    monkeypatch.setattr(kernel_module, "MAX_FRONT", max_front)
     model = CostModel()
     for seed in range(6):
         rng = random.Random(7000 + 31 * max_front + seed)
         config = MapperConfig(w_max=3, h_max=4, ordering="exhaustive",
                               pareto=True, pbe_aware=True)
-        view_a = [_tie_heavy_tuple(rng, i, config)
+        view_a = [_tie_heavy_tuple(rng, config)
                   for i in range(rng.randint(6, 24))]
-        view_b = [_tie_heavy_tuple(rng, 100 + i, config)
+        view_b = [_tie_heavy_tuple(rng, config)
                   for i in range(rng.randint(6, 24))]
         for is_or in (True, False):
-            ref, soa = _run_both(config, model, [(view_a, view_b, is_or)],
-                                 max_front=max_front)
+            ref, soa = _run_both(config, model, [(view_a, view_b, is_or)])
             assert soa == ref, (
                 f"tie-break divergence: max_front={max_front} "
                 f"seed={seed} is_or={is_or}")
@@ -235,7 +215,8 @@ def test_pareto_exact_key_ties_at_truncation_boundary(max_front):
 
 @pytest.mark.parametrize("ordering", ["paper", "exhaustive"])
 @pytest.mark.parametrize("max_front", [1, 2, 4, 64])
-def test_fuzzed_multi_node_batches_bit_identical(ordering, max_front):
+def test_fuzzed_multi_node_batches_bit_identical(ordering, max_front,
+                                                 monkeypatch):
     """A batch of mixed OR/AND nodes fills every table as the reference.
 
     The soa kernel reduces every ``(node, shape)`` slot of a PBE pareto
@@ -246,6 +227,7 @@ def test_fuzzed_multi_node_batches_bit_identical(ordering, max_front):
     of several nodes at once, and some nodes share a view, as the
     fanouts of one node do.
     """
+    monkeypatch.setattr(kernel_module, "MAX_FRONT", max_front)
     model = CostModel()
     for seed in range(6):
         rng = random.Random(5000 + 97 * max_front + seed
@@ -254,20 +236,20 @@ def test_fuzzed_multi_node_batches_bit_identical(ordering, max_front):
                               h_max=rng.randint(4, 9), ordering=ordering,
                               pareto=True, pbe_aware=True)
 
-        def view(tag):
+        def view():
             if seed % 2:
-                return [_tie_heavy_tuple(rng, tag + i, config)
+                return [_tie_heavy_tuple(rng, config)
                         for i in range(rng.randint(1, 16))]
-            return [_random_tuple(rng, tag + i, config, seed % 4 == 0)
+            return [_random_tuple(rng, config, seed % 4 == 0)
                     for i in range(rng.randint(1, 16))]
 
-        views = [view(100 * j) for j in range(6)]
+        views = [view() for _ in range(6)]
         nodes = [(rng.choice(views), rng.choice(views), rng.random() < 0.5)
                  for _ in range(rng.randint(2, 7))]
         nodes[0] = nodes[0][:2] + (True,)
         nodes[1] = nodes[1][:2] + (False,)
         rng.shuffle(nodes)
-        ref, soa = _run_both(config, model, nodes, max_front=max_front)
+        ref, soa = _run_both(config, model, nodes)
         assert soa == ref, (
             f"divergence: max_front={max_front} seed={seed} "
             f"nodes={len(nodes)}")
@@ -281,14 +263,10 @@ def _ser_view(cands):
     ``(1, 2)`` slot, with ``(key, p_dis, p_tail, par_b)`` exactly as
     given (the leaf adds one potential point at the junction).
     """
-    top = MapTuple(width=1, height=1, wcost=0.0, trans=1, disch=0,
-                   levels=0, p_dis=0, par_b=False, has_pi=False,
-                   p_tail=0, ends_par=False, structure=Leaf("top"))
-    bottoms = [MapTuple(width=1, height=1, wcost=float(key), trans=1,
-                        disch=0, levels=0, p_dis=p_dis - 1, par_b=par_b,
-                        has_pi=False, p_tail=p_tail, ends_par=par_b,
-                        structure=Leaf(f"b{i}"))
-               for i, (key, p_dis, p_tail, par_b) in enumerate(cands)]
+    top = fields(wcost=0.0, has_pi=False)
+    bottoms = [fields(wcost=float(key), p_dis=p_dis - 1, p_tail=p_tail,
+                      par_b=par_b, has_pi=False)
+               for key, p_dis, p_tail, par_b in cands]
     return [top], bottoms
 
 
@@ -301,7 +279,7 @@ def _front(cands):
     assert soa == ref
     [[(shape, entries)]] = ref[0]
     assert shape == (1, 2)
-    return [(e[0], e[7], e[8], e[9]) for e in entries]
+    return [(e[0], e[5], e[6], e[7]) for e in entries]
 
 
 def test_pareto_front_refills_after_a_double_eviction():
@@ -339,18 +317,18 @@ def _spy_reduce_pareto(monkeypatch):
     verdicts = []
     reduce_pareto = SoAKernel._reduce_pareto
 
-    def spy(self, tables, batch):
-        verdicts.append(reduce_pareto(self, tables, batch))
+    def spy(self, batch):
+        verdicts.append(reduce_pareto(self, batch))
         return verdicts[-1]
 
     monkeypatch.setattr(SoAKernel, "_reduce_pareto", spy)
     return verdicts
 
 
-def _wide(rng, idx, config):
-    t = _random_tuple(rng, idx, config, True)
-    t.p_dis += 1 << 50
-    return t
+def _wide(rng, config):
+    row = list(_random_tuple(rng, config, True))
+    row[4] += 1 << 50  # p_dis
+    return tuple(row)
 
 
 def test_pareto_pack_overflow_falls_back_to_the_reference_kernel(
@@ -369,34 +347,14 @@ def test_pareto_pack_overflow_falls_back_to_the_reference_kernel(
     rng = random.Random(12)
     config = MapperConfig(w_max=5, h_max=8, ordering="exhaustive",
                           pareto=True, pbe_aware=True)
-    narrow = ([_random_tuple(rng, i, config, True) for i in range(10)],
-              [_random_tuple(rng, 30 + i, config, True) for i in range(10)])
-    wide = ([_wide(rng, 60 + i, config) for i in range(10)],
-            [_wide(rng, 90 + i, config) for i in range(10)])
+    narrow = ([_random_tuple(rng, config, True) for i in range(10)],
+              [_random_tuple(rng, config, True) for i in range(10)])
+    wide = ([_wide(rng, config) for _ in range(10)],
+            [_wide(rng, config) for _ in range(10)])
     ref, soa = _run_both(config, CostModel(), [(*narrow, False),
                                                (*wide, True)])
     assert soa == ref
     assert all(ref[0]) and all(ref[1])
-    assert verdicts == [None]
-
-
-def test_mixed_front_caps_send_the_batch_to_the_reference(monkeypatch):
-    """A batch of tables with different front caps fills exactly.
-
-    The change-point pass sizes one front-state array for one cap, so
-    the batch goes whole to the reference kernel.  (The engine builds
-    every table with the same cap; the kernel contract allows any.)
-    """
-    verdicts = _spy_reduce_pareto(monkeypatch)
-    rng = random.Random(13)
-    config = MapperConfig(w_max=5, h_max=7, ordering="exhaustive",
-                          pareto=True, pbe_aware=True)
-    views = [[_random_tuple(rng, 30 * j + i, config, True)
-              for i in range(12)] for j in range(4)]
-    ref, soa = _run_both(config, CostModel(),
-                         [(views[0], views[1], True),
-                          (views[2], views[3], False)], max_front=(1, 4))
-    assert soa == ref
     assert verdicts == [None]
 
 
@@ -513,7 +471,8 @@ def test_cross_kernel_parity(circuit, flow, ordering, mode, limits):
 
 
 def _table_snapshot(engine):
-    return {uid: _snapshot(table) for uid, table in engine._tables.items()}
+    return {uid: slots(engine.arena, table)
+            for uid, table in engine._tables.items()}
 
 
 @pytest.mark.parametrize("ordering", ["paper", "exhaustive"])
@@ -530,9 +489,9 @@ def test_pareto_parity_at_benchmark_limits(ordering, monkeypatch):
     batch_nodes = []
     reduce_pareto = SoAKernel._reduce_pareto
 
-    def spy(self, tables, batch):
-        batch_nodes.append(len(tables))
-        return reduce_pareto(self, tables, batch)
+    def spy(self, batch):
+        batch_nodes.append(batch["k"])
+        return reduce_pareto(self, batch)
 
     monkeypatch.setattr(SoAKernel, "_reduce_pareto", spy)
     for seed, n_gates in ((1, 30), (3, 40), (4, 30)):
@@ -588,20 +547,20 @@ def test_auto_kernel_routes_by_view_product():
         def build(self, engine):
             pass
 
-        def combine_many(self, items):
+        def combine_many(self, arena, items):
             calls.append(self.tag)
-            return [0] * len(items)
+            return [range(0)] * len(items), [0] * len(items)
 
         def finalize(self):
             pass
 
     assert AUTO_THRESHOLD == 64
     auto = AutoKernel(Spy("ref"), Spy("soa"))
-    auto.combine_many([(None, False, [None] * 7, [None] * 9)])   # 63 pairs
-    auto.combine_many([(None, False, [None] * 8, [None] * 8)])   # 64 pairs
+    auto.combine_many(None, [(False, range(7), range(9))])   # 63 pairs
+    auto.combine_many(None, [(False, range(8), range(8))])   # 64 pairs
     # the batch's pairs add up: 40 + 24 reach the threshold together
-    auto.combine_many([(None, False, [None] * 5, [None] * 8),
-                       (None, True, [None] * 4, [None] * 6)])
+    auto.combine_many(None, [(False, range(5), range(8)),
+                             (True, range(4), range(6))])
     assert calls == ["ref", "soa", "soa"]
     assert (auto._stats.auto_routed_reference,
             auto._stats.auto_routed_soa) == (1, 3)
@@ -675,7 +634,3 @@ def test_resolve_kernel_shapes():
 def test_kernel_config_validation():
     with pytest.raises(Exception):
         MapperConfig(kernel="simd")
-    # the kernel is execution strategy, not semantics: fingerprints of
-    # different kernels must collide so cache entries stay shared
-    fp = MapperConfig(kernel="reference").fingerprint()
-    assert MapperConfig(kernel="soa").fingerprint() == fp

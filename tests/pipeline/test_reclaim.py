@@ -81,38 +81,39 @@ def test_resource_limit_failure_leaves_no_cycles():
 def test_dp_tables_are_freed_before_the_pause_closes(monkeypatch):
     """The dp-map pass drops the DP heap while the collector is still off.
 
-    Every table the run builds must be gone — freed by reference
-    counting — by the time the pause re-enables the collector, so the
-    young collection that follows walks only what the plan keeps.
+    The run's arena, which holds every DP tuple, must be gone — freed by
+    reference counting — by the time the pause re-enables the
+    collector, so the young collection that follows walks only what the
+    plan keeps.
     """
     import weakref
 
     import repro.mapping.engine as engine_module
-    from repro.mapping.tuples import TupleTable
+    from repro.mapping.tuples import Arena
 
-    tables = []
-    init = TupleTable.__init__
+    arenas = []
+    init = Arena.__init__
 
     def tracked(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        tables.append(weakref.ref(self))
+        arenas.append(weakref.ref(self))
 
     alive_at_enable = []
 
     class Gc:
-        """``gc`` as the pause sees it, checking the tables on enable."""
+        """``gc`` as the pause sees it, checking the arenas on enable."""
 
         def __getattr__(self, name):
             return getattr(gc, name)
 
         def enable(self):
-            alive_at_enable.append(sum(ref() is not None for ref in tables))
+            alive_at_enable.append(sum(ref() is not None for ref in arenas))
             gc.enable()
 
-    monkeypatch.setattr(TupleTable, "__init__", tracked)
+    monkeypatch.setattr(Arena, "__init__", tracked)
     monkeypatch.setattr(engine_module, "gc", Gc())
     gc.enable()
     result = execute_task(BatchTask(CIRCUIT, flow="soi"))
     assert result.error is None
-    assert tables
+    assert arenas
     assert alive_at_enable == [0]

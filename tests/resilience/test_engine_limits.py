@@ -81,9 +81,9 @@ def test_max_tuples_error_counts_the_nodes_before_the_crossing(
     original = MappingEngine._combine_into
 
     def combine_into(self, items):
-        created = original(self, items)
+        tables, created = original(self, items)
         counts.extend(created)
-        return created
+        return tables, created
 
     monkeypatch.setattr(MappingEngine, "_combine_into", combine_into)
     MappingEngine(network, CostModel(), MapperConfig(kernel=kernel)).run_dp()
